@@ -197,9 +197,10 @@ int main(int argc, char** argv) {
   const f64 big_wall = std::min(big1.wall_s, big2.wall_s);
 
   std::printf("  big run %u hosts (flow mode): events=%llu  flows=%llu  "
-              "wall=%.3f s  deterministic=%s\n",
+              "wall=%.3f s  digest=%016llx  deterministic=%s\n",
               big_hosts, static_cast<unsigned long long>(big1.events),
               static_cast<unsigned long long>(big1.flows_finished), big_wall,
+              static_cast<unsigned long long>(big1.digest),
               big_deterministic ? "yes" : "NO");
 
   const bool pass = schedule_match && event_reduction_ok && busy_parity_ok &&

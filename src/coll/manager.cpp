@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "coll/tree_cache.hpp"
@@ -31,6 +30,13 @@ std::optional<ReductionTree> NetworkManager::compute_tree(
     const std::vector<net::Host*>& participants, net::NodeId root) {
   const u32 n = net_.num_nodes();
   FLARE_ASSERT(!participants.empty());
+  // The root is caller-supplied (CommunicatorConfig::roots): reject hosts
+  // and out-of-range ids before anything indexes by it.  Fault awareness:
+  // a failed root can host nothing, and the search must not route the
+  // tree across failed switches or down links (port_usable below covers
+  // both the duplex link state and peer liveness).
+  const net::Switch* root_sw = net_.switch_at(root);
+  if (root_sw == nullptr || root_sw->failed()) return std::nullopt;
 
   // Shortest paths over switches only (hosts hang off their single access
   // switch): plain BFS under unit hop costs, Dijkstra when a link-cost
@@ -44,13 +50,6 @@ std::optional<ReductionTree> NetworkManager::compute_tree(
   std::vector<u32> pred_port(n, UINT32_MAX);  // port on THIS node -> parent
   dist[root] = 0;
   cost[root] = 0.0;
-  std::unordered_map<net::NodeId, net::Switch*> switch_by_id;
-  for (net::Switch* sw : net_.switches()) switch_by_id[sw->id()] = sw;
-  if (!switch_by_id.contains(root)) return std::nullopt;
-  // Fault awareness: a failed root can host nothing, and the search must
-  // not route the tree across failed switches or down links (port_usable
-  // below covers both the duplex link state and peer liveness).
-  if (switch_by_id.at(root)->failed()) return std::nullopt;
 
   if (!link_cost_) {
     std::deque<net::NodeId> frontier{root};
@@ -58,7 +57,7 @@ std::optional<ReductionTree> NetworkManager::compute_tree(
       const net::NodeId cur = frontier.front();
       frontier.pop_front();
       for (const net::PortPeer& pp : net_.neighbors(cur)) {
-        if (!switch_by_id.contains(pp.peer)) continue;  // skip hosts
+        if (net_.switch_at(pp.peer) == nullptr) continue;  // skip hosts
         if (dist[pp.peer] != std::numeric_limits<u32>::max()) continue;
         if (!net_.port_usable(cur, pp.my_port)) continue;  // dead edge/peer
         dist[pp.peer] = dist[cur] + 1;
@@ -84,7 +83,7 @@ std::optional<ReductionTree> NetworkManager::compute_tree(
       frontier.erase(frontier.begin());
       if (ccost > cost[cur]) continue;  // stale entry
       for (const net::PortPeer& pp : net_.neighbors(cur)) {
-        if (!switch_by_id.contains(pp.peer)) continue;  // skip hosts
+        if (net_.switch_at(pp.peer) == nullptr) continue;  // skip hosts
         if (!net_.port_usable(cur, pp.my_port)) continue;
         const f64 ncost = cost[cur] + link_cost_(cur, pp.my_port);
         if (ncost >= cost[pp.peer]) continue;
@@ -131,21 +130,19 @@ std::optional<ReductionTree> NetworkManager::compute_tree(
   ReductionTree tree;
   tree.root = root;
   std::vector<net::NodeId> order;
-  std::unordered_map<net::NodeId, u32> entry_of;
   {
     std::deque<net::NodeId> q{root};
     while (!q.empty()) {
       const net::NodeId cur = q.front();
       q.pop_front();
       if (!needed[cur]) continue;
-      entry_of[cur] = static_cast<u32>(order.size());
       order.push_back(cur);
       // Children switches = needed switches whose BFS predecessor is cur.
       // Parallel links (common in small fat trees) would enumerate a child
       // several times — deduplicate.
       std::unordered_set<net::NodeId> seen;
       for (const net::PortPeer& pp : net_.neighbors(cur)) {
-        if (switch_by_id.contains(pp.peer) && pred[pp.peer] == cur &&
+        if (net_.switch_at(pp.peer) != nullptr && pred[pp.peer] == cur &&
             needed[pp.peer] && seen.insert(pp.peer).second) {
           q.push_back(pp.peer);
         }
@@ -158,7 +155,7 @@ std::optional<ReductionTree> NetworkManager::compute_tree(
   for (u32 i = 0; i < order.size(); ++i) {
     const net::NodeId id = order[i];
     TreeSwitchEntry& e = tree.switches[i];
-    e.sw = switch_by_id.at(id);
+    e.sw = net_.switch_at(id);
     e.depth = dist[id];
     tree.max_depth = std::max(tree.max_depth, e.depth);
     if (id != root) e.parent_port = pred_port[id];
@@ -176,7 +173,7 @@ std::optional<ReductionTree> NetworkManager::compute_tree(
     }
     std::unordered_set<net::NodeId> seen_children;
     for (const net::PortPeer& pp : net_.neighbors(id)) {
-      if (switch_by_id.contains(pp.peer) && pred[pp.peer] == id &&
+      if (net_.switch_at(pp.peer) != nullptr && pred[pp.peer] == id &&
           needed[pp.peer] && seen_children.insert(pp.peer).second) {
         e.child_ports.push_back(pp.my_port);
         // The child switch will learn its index below (after all entries
@@ -196,7 +193,7 @@ std::optional<ReductionTree> NetworkManager::compute_tree(
     std::unordered_set<net::NodeId> seen_children;
     bool found = false;
     for (const net::PortPeer& pp : net_.neighbors(parent)) {
-      if (!switch_by_id.contains(pp.peer) || pred[pp.peer] != parent ||
+      if (net_.switch_at(pp.peer) == nullptr || pred[pp.peer] != parent ||
           !needed[pp.peer] || !seen_children.insert(pp.peer).second) {
         continue;
       }

@@ -123,13 +123,13 @@ void FaultInjector::apply(Network& net, const FaultEvent& ev) {
       net.set_duplex_up(ev.target, true);
       break;
     case FaultKind::kSwitchFail: {
-      Switch* sw = net.find_switch(ev.target);
+      Switch* sw = net.switch_at(ev.target);
       FLARE_ASSERT_MSG(sw != nullptr, "fault plan targets a non-switch node");
       sw->fail();
       break;
     }
     case FaultKind::kSwitchRestart: {
-      Switch* sw = net.find_switch(ev.target);
+      Switch* sw = net.switch_at(ev.target);
       FLARE_ASSERT_MSG(sw != nullptr, "fault plan targets a non-switch node");
       sw->restart();
       break;

@@ -28,19 +28,6 @@ FlowManager::~FlowManager() {
   net_.remove_fault_listener(fault_listener_token_);
 }
 
-u32 FlowManager::link_index(const Link* link) const {
-  if (link_index_.size() != net_.num_links()) {
-    link_index_.clear();
-    link_index_.reserve(static_cast<std::size_t>(net_.num_links()) * 2);
-    for (u32 i = 0; i < net_.num_links(); ++i) {
-      link_index_.emplace(&net_.link(i), i);
-    }
-  }
-  const auto it = link_index_.find(link);
-  FLARE_ASSERT_MSG(it != link_index_.end(), "link not owned by this network");
-  return it->second;
-}
-
 std::vector<u32> FlowManager::compute_path(const FlowSpec& spec) const {
   const std::vector<Host*>& hosts = net_.hosts();
   FLARE_ASSERT(spec.src_host < hosts.size() && spec.dst_host < hosts.size());
@@ -54,7 +41,7 @@ std::vector<u32> FlowManager::compute_path(const FlowSpec& spec) const {
   // dark.  Same labels -> same links as the packet plane.
   for (u32 hop = 0; hop < 64; ++hop) {
     if (!net_.port_usable(cur, out_port)) return {};
-    path.push_back(link_index(&net_.node(cur).port(out_port)));
+    path.push_back(net_.node(cur).port(out_port).index());
     NodeId peer = kInvalidNode;
     for (const PortPeer& pp : net_.neighbors(cur)) {
       if (pp.my_port == out_port) {
@@ -64,7 +51,7 @@ std::vector<u32> FlowManager::compute_path(const FlowSpec& spec) const {
     }
     FLARE_ASSERT(peer != kInvalidNode);
     if (peer == dst_id) return path;
-    auto* sw = dynamic_cast<Switch*>(&net_.node(peer));
+    const Switch* sw = net_.switch_at(peer);
     if (sw == nullptr) return {};  // a host that is not the destination
     const std::span<const u32> ecmp = sw->route_ports(dst_id);
     if (ecmp.empty()) return {};

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
@@ -107,7 +106,6 @@ class FlowManager {
   void on_timer();
   void on_fault();
   std::vector<u32> compute_path(const FlowSpec& spec) const;
-  u32 link_index(const Link* link) const;
 
   Network& net_;
   std::vector<ActiveFlow> flows_;  ///< ascending id (insertion order)
@@ -119,9 +117,6 @@ class FlowManager {
   u64 reroutes_ = 0;
   u64 recomputes_ = 0;
   u64 fault_listener_token_ = 0;
-  /// Link pointer -> unidirectional index (links are stable; rebuilt when
-  /// the network grows).  Lookup only — never iterated.
-  mutable std::unordered_map<const Link*, u32> link_index_;
   /// Links that carried a nonzero aggregate flow rate after the last
   /// recompute (their Link::flow_rate_bps must be reset when they empty).
   std::vector<u32> loaded_links_;

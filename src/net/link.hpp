@@ -14,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "common/validate.hpp"
@@ -33,6 +34,11 @@ class Link {
         latency_ps_(latency_ps), name_(std::move(name)) {}
 
   void set_deliver(Deliver d) { deliver_ = std::move(d); }
+
+  /// Unidirectional link index in the owning Network (stamped by
+  /// Network::connect; Network::link(index()) is this link).  UINT32_MAX
+  /// for a standalone link no Network owns.
+  u32 index() const { return index_; }
 
   /// Enqueues `pkt` for transmission at the current simulated time.
   void send(NetPacket&& pkt);
@@ -155,6 +161,8 @@ class Link {
 #endif
 
  private:
+  friend class Network;  // stamps index_
+
   /// One accepted packet waiting to cross the wire.
   struct Pending {
     SimTime arrive;
@@ -170,6 +178,7 @@ class Link {
   u64 bandwidth_u64_;  ///< rounded once; integer backlog conversion
   u64 latency_ps_;
   std::string name_;
+  u32 index_ = UINT32_MAX;
   Deliver deliver_;
   Link* reverse_ = nullptr;
   bool up_ = true;
@@ -196,6 +205,48 @@ class Link {
   /// idle — the common case; send() then takes the exact legacy path).
   f64 flow_rate_bps_ = 0.0;
   TrafficCounter traffic_;
+};
+
+/// Utilization windows between successive samples of cumulative busy
+/// counters (Link::busy_cum_ps() and its per-trace buckets).  One window
+/// clock serves every counter sampled at the same instants.  The first
+/// sample's window is [0, now], i.e. the lifetime utilization.  A second
+/// sample at the same instant is no window at all: callers check fresh()
+/// and keep the previous window's values.
+class UtilizationWindow {
+ public:
+  /// Sizes the per-link readings advance_link() keeps (new slots read 0).
+  void resize(std::size_t links) { busy_at_last_.resize(links, 0); }
+  /// True when `now` opens a new window (time moved, or never sampled).
+  bool fresh(SimTime now) const { return !sampled_ || now > last_at_; }
+  /// True once a window has been closed.
+  bool sampled() const { return sampled_; }
+  /// Utilization of link `i`'s counter over the window ending at `now`;
+  /// records `busy` as that counter's reading for the next window.
+  f64 advance_link(std::size_t i, u64 busy, SimTime now) {
+    return advance(busy_at_last_[i], busy, now);
+  }
+  /// The same for a counter whose last reading the caller stores.
+  f64 advance(u64& busy_at_last, u64 busy, SimTime now) const {
+    f64 util = 0.0;
+    if (sampled_) {
+      util = Link::windowed_utilization(busy_at_last, busy, last_at_, now);
+    } else if (now != 0) {
+      util = static_cast<f64>(busy) / static_cast<f64>(now);
+    }
+    busy_at_last = busy;
+    return util;
+  }
+  /// Ends the window at `now`, after every counter advanced.
+  void close(SimTime now) {
+    last_at_ = now;
+    sampled_ = true;
+  }
+
+ private:
+  std::vector<u64> busy_at_last_;  ///< by link index
+  SimTime last_at_ = 0;
+  bool sampled_ = false;
 };
 
 }  // namespace flare::net

@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
-#include <deque>
-#include <limits>
+#include <algorithm>
 
 #include "net/flow.hpp"
 #include "obs/trace.hpp"
@@ -41,6 +40,7 @@ Host& Network::add_host(std::string name) {
   nodes_.push_back(std::move(host));
   adjacency_.emplace_back();
   host_index_by_node_.push_back(raw->host_index());
+  switch_by_node_.push_back(nullptr);
   hosts_.push_back(raw);
   return *raw;
 }
@@ -53,6 +53,7 @@ Switch& Network::add_switch(std::string name, u32 max_allreduces) {
   nodes_.push_back(std::move(sw));
   adjacency_.emplace_back();
   host_index_by_node_.push_back(UINT32_MAX);
+  switch_by_node_.push_back(raw);
   switches_.push_back(raw);
   return *raw;
 }
@@ -74,6 +75,8 @@ void Network::connect(Node& a, Node& b, f64 bandwidth_bps, u64 latency_ps) {
   adjacency_[b.id()].push_back({a.id(), b_port});
   ab->set_reverse(ba.get());
   ba->set_reverse(ab.get());
+  ab->index_ = static_cast<u32>(links_.size());
+  ba->index_ = ab->index_ + 1;
   links_.push_back(std::move(ab));
   links_.push_back(std::move(ba));
 }
@@ -89,31 +92,16 @@ void Network::set_duplex_up(u32 i, bool up) {
 }
 
 bool Network::port_usable(NodeId node, u32 port) const {
-  const Link* out = nullptr;
-  NodeId peer = kInvalidNode;
-  for (const PortPeer& pp : adjacency_.at(node)) {
-    if (pp.my_port == port) {
-      peer = pp.peer;
-      break;
-    }
-  }
-  if (peer == kInvalidNode) return false;
-  out = &nodes_.at(node)->port(port);
-  if (!out->up() || out->reverse() == nullptr || !out->reverse()->up()) {
+  // connect() appends a node's ports and adjacency entries together, so
+  // adjacency position == port number.
+  const std::vector<PortPeer>& adj = adjacency_.at(node);
+  if (port >= adj.size()) return false;
+  const Link& out = nodes_[node]->port(port);
+  if (!out.up() || out.reverse() == nullptr || !out.reverse()->up()) {
     return false;
   }
-  const Node* pn = nodes_.at(peer).get();
-  if (const auto* sw = dynamic_cast<const Switch*>(pn)) {
-    return !sw->failed();
-  }
-  return true;
-}
-
-Switch* Network::find_switch(NodeId id) {
-  for (Switch* sw : switches_) {
-    if (sw->id() == id) return sw;
-  }
-  return nullptr;
+  const Switch* peer = switch_at(adj[port].peer);
+  return peer == nullptr || !peer->failed();
 }
 
 u64 Network::add_fault_listener(FaultListener listener) {
@@ -146,43 +134,6 @@ u64 Network::link_dropped_packets() const {
   return total;
 }
 
-void Network::build_routes() {
-  const u32 n = num_nodes();
-  // BFS from every destination; a switch's ECMP set toward dst = all ports
-  // whose peer is one hop closer.
-  std::vector<std::vector<std::vector<u32>>> table(
-      n);  // [switch][dst] -> ports
-  for (Switch* sw : switches_) table[sw->id()].resize(n);
-
-  for (NodeId dst = 0; dst < n; ++dst) {
-    // BFS over the undirected graph from dst.
-    std::vector<u32> dist(n, std::numeric_limits<u32>::max());
-    dist[dst] = 0;
-    std::deque<NodeId> frontier{dst};
-    while (!frontier.empty()) {
-      const NodeId cur = frontier.front();
-      frontier.pop_front();
-      for (const PortPeer& pp : adjacency_[cur]) {
-        if (dist[pp.peer] == std::numeric_limits<u32>::max()) {
-          dist[pp.peer] = dist[cur] + 1;
-          frontier.push_back(pp.peer);
-        }
-      }
-    }
-    for (Switch* sw : switches_) {
-      const NodeId sid = sw->id();
-      if (dist[sid] == std::numeric_limits<u32>::max() || sid == dst)
-        continue;
-      for (const PortPeer& pp : adjacency_[sid]) {
-        if (dist[pp.peer] + 1 == dist[sid]) {
-          table[sid][dst].push_back(pp.my_port);
-        }
-      }
-    }
-  }
-  for (Switch* sw : switches_) sw->set_routes(std::move(table[sw->id()]));
-}
-
 u64 Network::total_traffic_bytes() const {
   u64 total = 0;
   for (const auto& link : links_) total += link->traffic().bytes;
@@ -197,6 +148,75 @@ u64 Network::total_packets() const {
 
 // ------------------------------------------------------------- builders ---
 
+namespace {
+
+/// Installs shortest-path host-route tables on a 1- or 2-level fabric whose
+/// leaf l holds host indices [l * hosts_per_leaf, (l + 1) * hosts_per_leaf).
+/// One BFS per destination leaf: hosts are single-homed dead ends, so a
+/// switch's ECMP set toward a host is its set toward the host's leaf —
+/// every port whose peer is one hop closer, in port order — except at that
+/// leaf itself, which keys the host's own port.  Leaves therefore key
+/// single hosts and every other switch keys whole leaves.  Salt 0.
+void install_leaf_routes(Network& net, const std::vector<Switch*>& leaves,
+                         u32 hosts_per_leaf) {
+  FLARE_ASSERT(net.hosts().size() == leaves.size() * hosts_per_leaf);
+  const u32 n = net.num_nodes();
+  std::vector<HostRouteTable> tables(n);
+  for (Switch* sw : net.switches()) {
+    tables[sw->id()].group_size = hosts_per_leaf;
+  }
+  for (Switch* leaf : leaves) tables[leaf->id()].group_size = 1;
+  std::vector<u32> dist(n);
+  std::vector<NodeId> frontier;
+  for (u32 l = 0; l < leaves.size(); ++l) {
+    const NodeId dst = leaves[l]->id();
+    std::fill(dist.begin(), dist.end(), UINT32_MAX);
+    dist[dst] = 0;
+    frontier.assign(1, dst);
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      for (const PortPeer& pp : net.neighbors(frontier[i])) {
+        if (dist[pp.peer] != UINT32_MAX) continue;
+        dist[pp.peer] = dist[frontier[i]] + 1;
+        frontier.push_back(pp.peer);
+      }
+    }
+    const u32 first_host = l * hosts_per_leaf;
+    for (Switch* sw : net.switches()) {
+      const NodeId id = sw->id();
+      HostRouteTable& t = tables[id];
+      if (id == dst) {
+        for (const PortPeer& pp : net.neighbors(id)) {
+          const u32 host = net.host_index_of(pp.peer);
+          if (host == UINT32_MAX) continue;
+          FLARE_ASSERT(host / hosts_per_leaf == l);
+          const u32 at = static_cast<u32>(t.ports.size());
+          t.exceptions.push_back({host, at, at + 1});
+          t.ports.push_back(pp.my_port);
+        }
+        continue;
+      }
+      if (dist[id] == UINT32_MAX) continue;  // unreachable: no route
+      const u32 begin = static_cast<u32>(t.ports.size());
+      for (const PortPeer& pp : net.neighbors(id)) {
+        if (dist[pp.peer] + 1 == dist[id]) t.ports.push_back(pp.my_port);
+      }
+      const u32 end = static_cast<u32>(t.ports.size());
+      if (t.group_size == 1) {
+        for (u32 h = first_host; h < first_host + hosts_per_leaf; ++h) {
+          t.exceptions.push_back({h, begin, end});
+        }
+      } else {
+        t.exceptions.push_back({l, begin, end});
+      }
+    }
+  }
+  for (Switch* sw : net.switches()) {
+    sw->set_host_routes(std::move(tables[sw->id()]));
+  }
+}
+
+}  // namespace
+
 BuiltTopology build_single_switch(Network& net, u32 hosts,
                                   const LinkSpec& link, u32 max_allreduces) {
   BuiltTopology topo;
@@ -207,7 +227,7 @@ BuiltTopology build_single_switch(Network& net, u32 hosts,
     net.connect(host, sw, link.bandwidth_bps, link.latency_ps);
     topo.hosts.push_back(&host);
   }
-  net.build_routes();
+  install_leaf_routes(net, topo.leaves, hosts);
   return topo;
 }
 
@@ -245,7 +265,7 @@ BuiltTopology build_fat_tree(Network& net, const FatTreeSpec& spec) {
                   spec.link.latency_ps);
     }
   }
-  net.build_routes();
+  install_leaf_routes(net, topo.leaves, down);
   return topo;
 }
 
@@ -291,6 +311,7 @@ BuiltTopology3 build_fat_tree_3level(Network& net, const FatTree3Spec& spec) {
       // per edge so the compressed tables key whole edges/pods.
       HostRouteTable et;
       et.group_size = 1;
+      et.salt = edges[e]->id();
       et.up_ports = up_ports;
       et.ports = down_port_pool;
       for (u32 h = 0; h < half; ++h) {
@@ -311,6 +332,7 @@ BuiltTopology3 build_fat_tree_3level(Network& net, const FatTree3Spec& spec) {
     for (u32 j = 0; j < half; ++j) {
       HostRouteTable at;
       at.group_size = half;  // one group = one edge's hosts
+      at.salt = aggs[j]->id();
       at.up_ports = up_ports;
       at.ports = down_port_pool;
       for (u32 e = 0; e < half; ++e) {
@@ -331,12 +353,11 @@ BuiltTopology3 build_fat_tree_3level(Network& net, const FatTree3Spec& spec) {
   for (Switch* core : topo.cores) {
     HostRouteTable ct;
     ct.group_size = half * half;  // one group = one pod's hosts
+    ct.salt = core->id();
     ct.ports = pod_ports;
     for (u32 q = 0; q < pods; ++q) ct.exceptions.push_back({q, q, q + 1});
     core->set_host_routes(std::move(ct));
   }
-  // NO build_routes(): the BFS would allocate O(switches x nodes) tables —
-  // gigabytes at 10k hosts — which the compressed form exists to avoid.
   return topo;
 }
 

@@ -1,8 +1,9 @@
 // The network simulator container: owns the event calendar (picoseconds),
-// nodes and links; computes shortest-path ECMP routes; and provides the two
-// topology builders the paper's evaluation uses — a single switch (Sections
-// 6.4/7.1 microbenchmarks) and the 2-level fat tree of 8-port 100 Gbps
-// switches connecting 64 nodes (Figure 15).
+// nodes and links, and indexes them (NodeId -> Switch, Link -> index).  The
+// topology builders install every switch's host-route table: a single
+// switch (Sections 6.4/7.1 microbenchmarks), the 2-level fat tree of 8-port
+// 100 Gbps switches connecting 64 nodes (Figure 15), and the 3-level fat
+// tree of the 10k-host scale plane.
 #pragma once
 
 #include <functional>
@@ -69,9 +70,6 @@ class Network {
   /// Creates a full-duplex link (two unidirectional Links) between a and b.
   void connect(Node& a, Node& b, f64 bandwidth_bps, u64 latency_ps);
 
-  /// Computes shortest-path ECMP routing tables for every switch.
-  void build_routes();
-
   Node& node(NodeId id) { return *nodes_.at(id); }
   const Node& node(NodeId id) const { return *nodes_.at(id); }
   const std::vector<PortPeer>& neighbors(NodeId id) const {
@@ -85,6 +83,13 @@ class Network {
   u32 host_index_of(NodeId id) const {
     return id < host_index_by_node_.size() ? host_index_by_node_[id]
                                            : UINT32_MAX;
+  }
+  /// The switch with node id `id`; nullptr for hosts and unknown ids.
+  Switch* switch_at(NodeId id) {
+    return id < switch_by_node_.size() ? switch_by_node_[id] : nullptr;
+  }
+  const Switch* switch_at(NodeId id) const {
+    return id < switch_by_node_.size() ? switch_by_node_[id] : nullptr;
   }
 
   // --- flow plane (net/flow.hpp) ---
@@ -136,7 +141,6 @@ class Network {
   /// directions AND the peer is not a failed switch — i.e. the port can
   /// carry traffic right now.
   bool port_usable(NodeId node, u32 port) const;
-  Switch* find_switch(NodeId id);
 
   /// Registers a failure observer; returns a token for removal.  Listeners
   /// run synchronously inside the notifying event — heavy reactions should
@@ -180,7 +184,7 @@ class Network {
   std::vector<Host*> hosts_;
   std::vector<Switch*> switches_;
   std::vector<u32> host_index_by_node_;  ///< UINT32_MAX for switches
-  std::unique_ptr<FlowManager> flows_;
+  std::vector<Switch*> switch_by_node_;  ///< nullptr for hosts
   std::vector<std::pair<u64, FaultListener>> fault_listeners_;
   u64 next_listener_token_ = 1;
   u64 faults_notified_ = 0;
@@ -188,6 +192,9 @@ class Network {
   u64 stale_reduce_dropped_ = 0;
   u64 failed_switch_dropped_ = 0;
   u64 unroutable_dropped_ = 0;
+  /// Declared last so it is destroyed first: ~FlowManager deregisters its
+  /// fault listener from fault_listeners_.
+  std::unique_ptr<FlowManager> flows_;
 };
 
 // ------------------------------------------------------------- builders ---
@@ -203,7 +210,7 @@ struct BuiltTopology {
   std::vector<Switch*> spines;  ///< empty for the single-switch topology
 };
 
-/// `hosts` hosts attached to one switch.
+/// `hosts` hosts attached to one switch (unsalted ECMP).
 BuiltTopology build_single_switch(Network& net, u32 hosts,
                                   const LinkSpec& link = {},
                                   u32 max_allreduces = 8);
@@ -216,7 +223,9 @@ struct FatTreeSpec {
 };
 
 /// 2-level fat tree: hosts/(radix/2) leaves, each with radix/2 uplinks
-/// wired round-robin to hosts/radix spines (full bisection).
+/// wired round-robin to hosts/radix spines (full bisection).  Every
+/// switch's table holds its shortest-path ECMP sets toward each leaf;
+/// hashing is unsalted, which the traffic-engineering benches predict.
 BuiltTopology build_fat_tree(Network& net, const FatTreeSpec& spec);
 
 /// 3-level (core/agg/edge) fat tree of `radix`-port switches — the 10k-host
@@ -238,12 +247,12 @@ struct BuiltTopology3 {
   std::vector<Switch*> cores;
 };
 
-/// Builds the 3-level tree with COMPRESSED routing tables installed
-/// directly (Switch::set_host_routes): no BFS, and per-switch route state
-/// is a default up-port ECMP set plus per-subtree exceptions instead of an
-/// O(nodes) table — the difference between megabytes and gigabytes at 10k
-/// hosts.  Multi-stage deterministic ECMP: the flow label hashes a port
-/// independently at the edge and agg stage.
+/// Builds the 3-level tree with its host-route tables written from the
+/// wiring plan (no search): per-switch route state is a default up-port
+/// ECMP set plus per-subtree exceptions — megabytes, not gigabytes, at 10k
+/// hosts.  Multi-stage deterministic ECMP: each table's salt is its switch
+/// id, so the flow label hashes a port independently at the edge and agg
+/// stage.
 BuiltTopology3 build_fat_tree_3level(Network& net, const FatTree3Spec& spec);
 
 }  // namespace flare::net

@@ -170,11 +170,6 @@ void Switch::receive(NetPacket&& pkt, u32 in_port) {
 }
 
 std::span<const u32> Switch::route_ports(NodeId dst) const {
-  if (!use_host_routes_) {
-    FLARE_ASSERT(dst < routes_.size());
-    const std::vector<u32>& v = routes_[dst];
-    return {v.data(), v.size()};
-  }
   const u32 host = net_.host_index_of(dst);
   if (host != UINT32_MAX) {
     const u32 group = host / host_routes_.group_size;

@@ -1,7 +1,7 @@
 // Network nodes: hosts and switches.
 //
-// Switches forward host messages by destination routing tables (ECMP over
-// equal-cost ports by flow hash) and intercept Flare reduction traffic:
+// Switches forward host messages by host-route tables (ECMP over
+// equal-cost ports by salted flow hash) and intercept Flare reduction traffic:
 // up-packets pass through a calibrated aggregation server (service rate
 // matched to the PsPIN unit's measured bandwidth — exactly how the paper
 // tuned its extended SST) and into a core::AllreduceEngine; results are
@@ -121,16 +121,23 @@ struct ReduceRole {
       completed_sparse;
 };
 
-/// Compressed destination routing for host-indexed topologies (the
-/// 3-level fat tree at 10k hosts).  Instead of an O(nodes) table per
-/// switch, the table holds one DEFAULT up-port ECMP set plus exceptions
-/// for the groups of hosts reachable downward.  Destination host indices
-/// are divided by `group_size` first, so a whole edge (or pod) of
-/// contiguous hosts shares a single entry: an edge switch keys individual
-/// hosts (group_size 1), an agg keys edges (group_size radix/2), a core
-/// keys pods (group_size (radix/2)^2).
+/// A switch's destination routing, keyed by host index (the topology
+/// builders install one on every switch).  Instead of an O(nodes) table,
+/// it holds one DEFAULT ECMP set plus exceptions for groups of hosts.
+/// Destination host indices are divided by `group_size` first, so a whole
+/// leaf (or pod) of contiguous hosts shares a single entry: a leaf or edge
+/// switch keys individual hosts (group_size 1), a spine keys leaves, an agg
+/// keys edges (group_size radix/2), a core keys pods (group_size
+/// (radix/2)^2).  Destinations that are not hosts use the default set.
 struct HostRouteTable {
   u32 group_size = 1;  ///< contiguous host indices sharing one decision
+  /// ECMP hash salt, XORed into the flow label before ecmp_index.  Zero on
+  /// the 1- and 2-level fabrics, whose unsalted paths the traffic-
+  /// engineering benches predict; the switch id on the 3-level tree, so
+  /// the edge and agg stages hash INDEPENDENTLY instead of polarizing
+  /// every label onto the diagonal cores.  The flow plane applies the same
+  /// salt.
+  u64 salt = 0;
   std::vector<u32> up_ports;  ///< default ECMP set (toward the upper tier)
   struct Exception {
     u32 group = 0;   ///< dst host index / group_size
@@ -147,26 +154,14 @@ class Switch final : public Node, public core::EngineHost {
   ~Switch() override;
 
   // --- forwarding plane ---
-  void set_routes(std::vector<std::vector<u32>> routes) {
-    routes_ = std::move(routes);
-  }
-  /// Installs a compressed host-indexed table (replaces set_routes-style
-  /// per-node tables for the 3-level builder).
   void set_host_routes(HostRouteTable table) {
     host_routes_ = std::move(table);
-    use_host_routes_ = true;
   }
-  /// The ECMP port set toward `dst` under whichever representation is
-  /// installed.  Shared by forward_host_msg and the flow plane's path
-  /// walk, so both planes hash identical sets.
+  /// The ECMP port set toward `dst`.  Shared by forward_host_msg and the
+  /// flow plane's path walk, so both planes hash identical sets.
   std::span<const u32> route_ports(NodeId dst) const;
-  /// Per-switch ECMP hash salt (XORed into the flow label before
-  /// ecmp_index).  Zero under per-node tables — the legacy 2-level
-  /// behavior, which traffic-engineering benches predict — and the switch
-  /// id under compressed host routes, so the edge and agg stages of the
-  /// 3-level tree hash INDEPENDENTLY instead of polarizing every label
-  /// onto the diagonal cores.  The flow plane applies the same salt.
-  u64 ecmp_salt() const { return use_host_routes_ ? id_ : 0; }
+  /// The installed table's ECMP hash salt (HostRouteTable::salt).
+  u64 ecmp_salt() const { return host_routes_.salt; }
   void receive(NetPacket&& pkt, u32 in_port) override;
 
   // --- fault plane ---
@@ -271,9 +266,7 @@ class Switch final : public Node, public core::EngineHost {
 
   bool failed_ = false;
   u32 max_allreduces_;
-  std::vector<std::vector<u32>> routes_;  ///< dst NodeId -> ECMP port set
-  HostRouteTable host_routes_;            ///< compressed alternative
-  bool use_host_routes_ = false;
+  HostRouteTable host_routes_;
   std::unordered_map<u32, ReduceRole> roles_;
   u32 cached_role_id_ = 0;
   ReduceRole* cached_role_ = nullptr;  ///< one-entry cache over roles_

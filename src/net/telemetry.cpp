@@ -12,10 +12,9 @@ CongestionMonitor::CongestionMonitor(Network& net,
   FLARE_ASSERT_MSG(opt_.period_ps > 0, "sampling period must be positive");
   const u32 n = net_.num_links();
   snap_.links.resize(n);
-  busy_at_last_.assign(n, 0);
+  window_.resize(n);
   by_trace_.resize(n);
   hot_.assign(n, false);
-  for (u32 i = 0; i < n; ++i) index_of_[&net_.link(i)] = i;
 }
 
 void CongestionMonitor::sample() {
@@ -25,7 +24,12 @@ void CongestionMonitor::sample() {
   // load exactly like packet load (no-op without an active flow plane).
   net_.sync_flows();
   const SimTime now = net_.sim().now();
-  const bool fresh_window = !sampled_ || now > last_sample_ps_;
+  const bool fresh_window = window_.fresh(now);
+  // EWMA update; the first window, [0, now], seeds it.
+  const auto blend = [this](f64 inst, f64 ewma) {
+    if (!window_.sampled()) return inst;
+    return opt_.ewma_alpha * inst + (1.0 - opt_.ewma_alpha) * ewma;
+  };
   for (u32 i = 0; i < snap_.links.size(); ++i) {
     const Link& link = net_.link(i);
 #if FLARE_VALIDATE_ENABLED
@@ -35,18 +39,8 @@ void CongestionMonitor::sample() {
 #endif
     LinkCongestion& lc = snap_.links[i];
     if (fresh_window) {
-      const u64 busy = link.busy_cum_ps();
-      if (sampled_) {
-        lc.inst_utilization = Link::windowed_utilization(
-            busy_at_last_[i], busy, last_sample_ps_, now);
-        lc.ewma_utilization = opt_.ewma_alpha * lc.inst_utilization +
-                              (1.0 - opt_.ewma_alpha) * lc.ewma_utilization;
-      } else {
-        // First sample: the window is [0, now] and seeds the EWMA.
-        lc.inst_utilization = link.utilization(now);
-        lc.ewma_utilization = lc.inst_utilization;
-      }
-      busy_at_last_[i] = busy;
+      lc.inst_utilization = window_.advance_link(i, link.busy_cum_ps(), now);
+      lc.ewma_utilization = blend(lc.inst_utilization, lc.ewma_utilization);
       // Per-trace EWMAs on the SAME window schedule, seeding recipe, and
       // alpha as the total above.  Attribution conserves busy time exactly
       // (sum of buckets == busy_cum), and the EWMA update is linear, so in
@@ -58,17 +52,7 @@ void CongestionMonitor::sample() {
       std::map<u32, TraceState>& per = by_trace_[i];
       for (const auto& [trace, busy_t] : link.busy_by_trace()) {
         TraceState& st = per[trace];
-        if (sampled_) {
-          const f64 inst = Link::windowed_utilization(
-              st.busy_at_last, busy_t, last_sample_ps_, now);
-          st.ewma = opt_.ewma_alpha * inst +
-                    (1.0 - opt_.ewma_alpha) * st.ewma;
-        } else {
-          st.ewma = now == 0 ? 0.0
-                             : static_cast<f64>(busy_t) /
-                                   static_cast<f64>(now);
-        }
-        st.busy_at_last = busy_t;
+        st.ewma = blend(window_.advance(st.busy_at_last, busy_t, now), st.ewma);
       }
       // Congestion-threshold crossing instants for the tracer (tid 0):
       // chrome://tracing shows when each link went hot/cool against the
@@ -87,10 +71,7 @@ void CongestionMonitor::sample() {
     lc.queue_delay_ps = link.queue_delay_ps(now);
     lc.queued_bytes = link.queued_bytes(now);
   }
-  if (fresh_window) {
-    last_sample_ps_ = now;
-    sampled_ = true;
-  }
+  if (fresh_window) window_.close(now);
   snap_.at = now;
   snap_.epoch += 1;
 }
@@ -107,13 +88,9 @@ void CongestionMonitor::arm_until(SimTime until) {
 
 const LinkCongestion* CongestionMonitor::stats_for(NodeId node, u32 port,
                                                    bool reverse) const {
-  const Node& n = net_.node(node);
-  if (port >= n.num_ports()) return nullptr;
-  const Link* link = &n.port(port);
-  if (reverse) link = link->reverse();
-  if (link == nullptr) return nullptr;
-  const auto it = index_of_.find(link);
-  return it == index_of_.end() ? nullptr : &snap_.links[it->second];
+  const Link* link = link_for(node, port, reverse);
+  if (link == nullptr || link->index() >= snap_.links.size()) return nullptr;
+  return &snap_.links[link->index()];
 }
 
 const Link* CongestionMonitor::link_for(NodeId node, u32 port,
@@ -122,15 +99,6 @@ const Link* CongestionMonitor::link_for(NodeId node, u32 port,
   if (port >= n.num_ports()) return nullptr;
   const Link* link = &n.port(port);
   return reverse ? link->reverse() : link;
-}
-
-f64 CongestionMonitor::trace_ewma_of(const Link* link, u32 trace) const {
-  if (link == nullptr) return 0.0;
-  const auto it = index_of_.find(link);
-  if (it == index_of_.end()) return 0.0;
-  const std::map<u32, TraceState>& per = by_trace_[it->second];
-  const auto ts = per.find(trace);
-  return ts == per.end() ? 0.0 : ts->second.ewma;
 }
 
 f64 CongestionMonitor::link_trace_ewma(u32 i, u32 trace) const {
@@ -145,7 +113,9 @@ f64 CongestionMonitor::edge_congestion_excluding(NodeId node, u32 port,
   for (const bool reverse : {false, true}) {
     const LinkCongestion* lc = stats_for(node, port, reverse);
     if (lc == nullptr) continue;
-    const f64 self = trace_ewma_of(link_for(node, port, reverse), trace);
+    // stats_for found the link, so link_for is non-null here.
+    const f64 self =
+        link_trace_ewma(link_for(node, port, reverse)->index(), trace);
     // Clamp: exact in theory (attribution conserves), but FP rounding can
     // leave total - self epsilon-negative on a purely-self link.
     worst = std::max(worst, std::max(0.0, lc->ewma_utilization - self));

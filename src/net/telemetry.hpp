@@ -25,7 +25,6 @@
 #pragma once
 
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.hpp"
@@ -128,18 +127,13 @@ class CongestionMonitor {
 
   const LinkCongestion* stats_for(NodeId node, u32 port, bool reverse) const;
   const Link* link_for(NodeId node, u32 port, bool reverse) const;
-  f64 trace_ewma_of(const Link* link, u32 trace) const;
 
   Network& net_;
   CongestionMonitorOptions opt_;
   CongestionSnapshot snap_;
-  std::vector<u64> busy_at_last_;  ///< busy_cum_ps per link at last sample
+  UtilizationWindow window_;  ///< sample-to-sample window, per link
   std::vector<std::map<u32, TraceState>> by_trace_;  ///< by link index
   std::vector<bool> hot_;  ///< above hot_threshold at last sample
-  SimTime last_sample_ps_ = 0;
-  bool sampled_ = false;
-  /// Stable Link* -> unidirectional index map (links never move).
-  std::unordered_map<const Link*, u32> index_of_;
   SimTime armed_until_ = 0;  ///< furthest scheduled sample (idempotent arm)
 };
 

@@ -7,15 +7,6 @@ namespace flare::obs {
 
 namespace {
 
-/// Collect-to-collect window state for the monitor-less utilization gauge.
-/// Owned by the collector closure (shared_ptr: std::function must stay
-/// copyable), indexed by unidirectional link index.
-struct WindowState {
-  std::vector<u64> busy_at_last;
-  SimTime last_at = 0;
-  bool sampled = false;
-};
-
 std::string link_label(const net::Link& link, u32 i) {
   return link.name().empty() ? "link" + std::to_string(i) : link.name();
 }
@@ -23,16 +14,19 @@ std::string link_label(const net::Link& link, u32 i) {
 }  // namespace
 
 void register_network_metrics(MetricsRegistry& reg, net::Network& net) {
-  auto state = std::make_shared<WindowState>();
-  reg.add_collector([&net, state](MetricsRegistry& r) {
+  // Collect-to-collect window for the monitor-less utilization gauge,
+  // owned by the collector closure (shared_ptr: std::function must stay
+  // copyable).
+  auto window = std::make_shared<net::UtilizationWindow>();
+  reg.add_collector([&net, window](MetricsRegistry& r) {
     // Settle fluid flow accrual before reading any busy counter (no-op
     // without an active flow plane).
     net.sync_flows();
     const SimTime now = net.sim().now();
-    state->busy_at_last.resize(net.num_links(), 0);
+    window->resize(net.num_links());
     // Advance the utilization window only when time moved: two collects at
     // the same instant re-serve the previous window instead of a bogus 0.
-    const bool fresh = !state->sampled || now > state->last_at;
+    const bool fresh = window->fresh(now);
     for (u32 i = 0; i < net.num_links(); ++i) {
       net::Link& link = net.link(i);
 #if FLARE_VALIDATE_ENABLED
@@ -62,19 +56,13 @@ void register_network_metrics(MetricsRegistry& reg, net::Network& net) {
             .counter = ps;
       }
       if (fresh) {
-        const f64 util =
-            state->sampled
-                ? net::Link::windowed_utilization(state->busy_at_last[i],
-                                                  link.busy_cum_ps(),
-                                                  state->last_at, now)
-                : link.utilization(now);
+        const f64 util = window->advance_link(i, link.busy_cum_ps(), now);
         r.gauge("flare_link_windowed_utilization",
                 "Link utilization over the window between the last two "
                 "collects (lifetime utilization on the first); no "
                 "CongestionMonitor needed",
                 l)
             .set(util);
-        state->busy_at_last[i] = link.busy_cum_ps();
       }
       // On-demand backlog gauges: evaluated inside collect(), so they
       // always read the calendar's CURRENT time.
@@ -93,10 +81,7 @@ void register_network_metrics(MetricsRegistry& reg, net::Network& net) {
             return static_cast<f64>(net.link(i).queued_bytes(net.sim().now()));
           });
     }
-    if (fresh) {
-      state->last_at = now;
-      state->sampled = true;
-    }
+    if (fresh) window->close(now);
 
     r.counter("flare_net_traffic_bytes_total",
               "Bytes serialized over all links, both directions")

@@ -29,8 +29,8 @@ CostSnapshot CostSnapshot::freeze(net::Network& net,
   snap.epoch_ = ms.epoch;
 
   const u32 n_links = net.num_links();
-  snap.index_of_.reserve(n_links);
-  for (u32 i = 0; i < n_links; ++i) snap.index_of_.emplace(&net.link(i), i);
+  // Sized before the jobs' tree_links() calls, which read num_links().
+  snap.background_.assign(n_links, 0.0);
 
   // Monitors snapshot links lazily (the vector grows to the fabric on the
   // first sample); an unsampled monitor freezes to an all-cold fabric.
@@ -66,7 +66,6 @@ CostSnapshot CostSnapshot::freeze(net::Network& net,
   // CongestionMonitor::edge_congestion_excluding); jobs not handed to
   // freeze() (host-ring fallbacks, foreign tenants, cross traffic) stay in
   // the background by construction.
-  snap.background_.assign(n_links, 0.0);
   for (u32 i = 0; i < n_links; ++i) {
     f64 self = 0.0;
     for (const JobView& jv : snap.jobs_) {
@@ -88,14 +87,13 @@ std::vector<u32> CostSnapshot::tree_links(
   for (const coll::TreeSwitchEntry& e : tree.switches) {
     for (const u32 p : e.child_ports) {
       const net::Link* fwd = &e.sw->port(p);
-      const auto it = index_of_.find(fwd);
-      FLARE_ASSERT_MSG(it != index_of_.end(),
+      const u32 i = link_index(fwd);
+      FLARE_ASSERT_MSG(i != UINT32_MAX,
                        "tree crosses a link outside the snapshot fabric");
-      out.push_back(it->second);
+      out.push_back(i);
       const net::Link* rev = fwd->reverse();
-      if (rev != nullptr) {
-        const auto rit = index_of_.find(rev);
-        if (rit != index_of_.end()) out.push_back(rit->second);
+      if (rev != nullptr && link_index(rev) != UINT32_MAX) {
+        out.push_back(link_index(rev));
       }
     }
   }

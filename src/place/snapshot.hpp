@@ -23,7 +23,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "coll/manager.hpp"
@@ -85,8 +84,7 @@ class CostSnapshot {
   /// Unidirectional link index of `link` in the frozen fabric, or
   /// UINT32_MAX when the pointer is unknown (a link added after freeze).
   u32 link_index(const net::Link* link) const {
-    const auto it = index_of_.find(link);
-    return it == index_of_.end() ? UINT32_MAX : it->second;
+    return link->index() < num_links() ? link->index() : UINT32_MAX;
   }
 
   /// Deterministic byte serialization (doubles printed with %.17g — enough
@@ -107,9 +105,6 @@ class CostSnapshot {
   /// (clamp(total - sum of active jobs' own EWMAs, >= 0)).
   std::vector<f64> background_;
   std::vector<JobView> jobs_;  ///< ascending job_id
-  /// Stable Link* -> unidirectional index map (links never move); lookup
-  /// only, never iterated.
-  std::unordered_map<const net::Link*, u32> index_of_;
 };
 
 }  // namespace flare::place

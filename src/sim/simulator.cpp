@@ -195,7 +195,7 @@ Event* BucketCalendar::ensure_front() {
 void Simulator::schedule_at(SimTime at, EventFn fn) {
   FLARE_ASSERT_MSG(at >= now_, "event scheduled in the past");
   FLARE_ASSERT(fn);
-  push_event(Event{at, next_seq_++, std::move(fn)});
+  calendar_.push(Event{at, next_seq_++, std::move(fn)});
 }
 
 void Simulator::dispatch(Event&& ev) {
@@ -219,7 +219,7 @@ u64 Simulator::run() {
   stop_requested_ = false;
   u64 n = 0;
   while (!empty() && !stop_requested_) {
-    dispatch(pop_event());
+    dispatch(calendar_.pop());
     ++n;
   }
   return n;
@@ -229,8 +229,8 @@ u64 Simulator::run_until(SimTime until) {
   stop_requested_ = false;
   u64 n = 0;
   while (!empty() && !stop_requested_) {
-    if (peek_event()->at > until) break;
-    dispatch(pop_event());
+    if (calendar_.peek()->at > until) break;
+    dispatch(calendar_.pop());
     ++n;
   }
   // Uniform window-clock semantics: the clock lands exactly on `until`
@@ -245,7 +245,7 @@ u64 Simulator::run_until(SimTime until) {
 
 bool Simulator::step() {
   if (empty()) return false;
-  dispatch(pop_event());
+  dispatch(calendar_.pop());
   return true;
 }
 

@@ -15,12 +15,11 @@
 //   * dispatch MOVES the event out of the calendar instead of copying it
 //     out of priority_queue::top() (the pre-optimization implementation
 //     paid one closure allocation plus refcount churn per event);
-//   * two interchangeable calendar backends behind the same ordering
-//     contract: a binary heap (std::push_heap/pop_heap over a vector) and
-//     a bucketed calendar queue (time-sliced ring of FIFO buckets with a
-//     far-future overflow heap, O(1) amortized for the short-delay events
-//     that dominate network simulation).  tests/sim_calendar_property_test
-//     proves both backends dispatch identically.
+//   * a bucketed calendar queue (time-sliced ring of FIFO buckets under
+//     hierarchical coarse wheels and a far-future overflow heap, O(1)
+//     amortized for the short-delay events that dominate network
+//     simulation).  tests/sim_calendar_property_test checks its dispatch
+//     order against a stable sort of the schedule by time.
 //
 // Time units are not interpreted by this layer: the PsPIN simulator ticks in
 // core cycles, the network simulator in picoseconds.
@@ -162,31 +161,6 @@ struct Later {
   }
 };
 
-/// Binary-heap calendar: std::push_heap/pop_heap over a plain vector, so
-/// the minimum event can be MOVED out (std::priority_queue::top() returns
-/// const& and forces a copy).
-class HeapCalendar {
- public:
-  void push(Event&& ev) {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-  Event pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    return ev;
-  }
-  const Event* peek() const {
-    return heap_.empty() ? nullptr : &heap_.front();
-  }
-  bool empty() const { return heap_.empty(); }
-  u64 size() const { return heap_.size(); }
-
- private:
-  std::vector<Event> heap_;
-};
-
 /// Bucketed calendar queue: a ring of FIFO buckets (each covering
 /// 2^bucket_width_log2 ticks), a configurable stack of coarse hierarchical
 /// wheels above the ring, and a far-future overflow heap on top.  Pushing
@@ -194,7 +168,7 @@ class HeapCalendar {
 /// by (at, seq) once, when the cursor reaches them.  Events scheduled into
 /// the bucket currently being drained (the zero/short-delay pattern the
 /// network layer hammers) are placed by binary search among the not-yet-
-/// dispatched remainder, preserving the exact total order of the heap.
+/// dispatched remainder, preserving the exact (at, seq) total order.
 ///
 /// Coarse wheel k (k = 0..levels-1) slices time into blocks of
 /// bucket_count * coarse_slot_count^k ring slots and admits events inside
@@ -261,23 +235,13 @@ class BucketCalendar {
 
 }  // namespace detail
 
-/// Calendar backend selection.  Both obey the identical (time, seq)
-/// dispatch contract (property-tested against each other); the bucketed
-/// queue is the default because it wins on the sim_throughput scenario.
-enum class CalendarKind : u8 {
-  kBinaryHeap = 0,
-  kBucketed,
-};
-
 class Simulator {
  public:
-  explicit Simulator(CalendarKind kind = CalendarKind::kBucketed,
-                     const CalendarOptions& opts = {})
-      : kind_(kind), opts_(opts), bucket_(opts) {}
+  explicit Simulator(const CalendarOptions& opts = {})
+      : opts_(opts), calendar_(opts) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  CalendarKind calendar_kind() const { return kind_; }
   const CalendarOptions& calendar_options() const { return opts_; }
 
   /// Current simulated time.  Valid inside event callbacks and after run().
@@ -308,8 +272,8 @@ class Simulator {
   /// Requests run()/run_until() to return after the current event completes.
   void stop() { stop_requested_ = true; }
 
-  bool empty() const { return queue_size() == 0; }
-  u64 pending_events() const { return queue_size(); }
+  bool empty() const { return calendar_.empty(); }
+  u64 pending_events() const { return calendar_.size(); }
   u64 total_events_run() const { return events_run_; }
 
 #if FLARE_VALIDATE_ENABLED
@@ -319,35 +283,15 @@ class Simulator {
   /// calendar-monotonic check fires.  Exists only in FLARE_VALIDATE
   /// builds; never call it outside that test.
   void debug_inject_at(SimTime at, EventFn fn) {
-    push_event(Event{at, next_seq_++, std::move(fn)});
+    calendar_.push(Event{at, next_seq_++, std::move(fn)});
   }
 #endif
 
  private:
   void dispatch(Event&& ev);
-  void push_event(Event&& ev) {
-    if (kind_ == CalendarKind::kBinaryHeap) {
-      heap_.push(std::move(ev));
-    } else {
-      bucket_.push(std::move(ev));
-    }
-  }
-  Event pop_event() {
-    return kind_ == CalendarKind::kBinaryHeap ? heap_.pop() : bucket_.pop();
-  }
-  const Event* peek_event() {
-    return kind_ == CalendarKind::kBinaryHeap ? heap_.peek()
-                                              : bucket_.peek();
-  }
-  u64 queue_size() const {
-    return kind_ == CalendarKind::kBinaryHeap ? heap_.size()
-                                              : bucket_.size();
-  }
 
-  CalendarKind kind_;
   CalendarOptions opts_;
-  detail::HeapCalendar heap_;
-  detail::BucketCalendar bucket_;
+  detail::BucketCalendar calendar_;
   SimTime now_ = 0;
   u64 next_seq_ = 0;
   u64 events_run_ = 0;

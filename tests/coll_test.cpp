@@ -77,6 +77,39 @@ TEST(Manager, FatTreeSpansAllParticipants) {
   EXPECT_GE(tree->switches.size(), 17u);  // root + 16 leaves at minimum
 }
 
+TEST(Manager, InvalidRootsAreRejected) {
+  // Roots are caller-supplied (CommunicatorConfig::roots).  A host id, an
+  // id past the last node and kInvalidNode must each come back nullopt
+  // before the search indexes anything by them.
+  net::Network net;
+  net::FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 4;
+  auto topo = net::build_fat_tree(net, spec);
+  NetworkManager mgr(net);
+  const std::vector<net::NodeId> roots = {
+      topo.hosts[0]->id(), net.num_nodes() + 5, net::kInvalidNode,
+      topo.spines[0]->id()};
+  for (u32 i = 0; i < 3; ++i) {
+    EXPECT_FALSE(mgr.compute_tree(topo.hosts, roots[i]).has_value())
+        << "root=" << roots[i];
+  }
+  // install_with_roots skips them and installs at the valid fourth root.
+  core::AllreduceConfig cfg;
+  cfg.id = mgr.next_id();
+  cfg.dtype = core::DType::kInt32;
+  cfg.elems_per_packet = 16;
+  TreeCache cache;
+  for (TreeCache* c : {static_cast<TreeCache*>(nullptr), &cache}) {
+    InstallReport report =
+        mgr.install_with_roots(topo.hosts, cfg, 1e12, roots, c);
+    EXPECT_EQ(report.attempts, 4u);
+    ASSERT_TRUE(report.has_value());
+    EXPECT_EQ(report->root, topo.spines[0]->id());
+    mgr.uninstall(*report, cfg.id);
+  }
+}
+
 TEST(Manager, SubsetParticipantsPruneTree) {
   net::Network net;
   net::FatTreeSpec spec;

@@ -405,7 +405,7 @@ TEST(PersistentFault, TransparentReinstallAfterSwitchRestart) {
   EXPECT_EQ(before.recoveries, 0u);
 
   // Crash-stop the tree root while idle; it restarts with empty tables.
-  net::Switch* failed = net.find_switch(root_before);
+  net::Switch* failed = net.switch_at(root_before);
   ASSERT_NE(failed, nullptr);
   failed->fail();
   failed->restart();

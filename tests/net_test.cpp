@@ -4,7 +4,9 @@
 // and fat-tree structural invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 
 #include "net/network.hpp"
 
@@ -214,8 +216,8 @@ TEST(FatTree, EcmpSpreadsFlowsAcrossSpines) {
   EXPECT_EQ(net.total_traffic_bytes(), 64u * 1000 * 4);  // 4 hops per msg
 }
 
-TEST(FatTree, BuildRoutesPathsAreSymmetric) {
-  // build_routes must produce symmetric host<->host paths: for every
+TEST(FatTree, RoutePathsAreSymmetric) {
+  // The route tables must produce symmetric host<->host paths: for every
   // ordered pair, a->b and b->a cross the same number of links, so an
   // otherwise idle fabric delivers both in identical time.
   Network net;
@@ -243,6 +245,126 @@ TEST(FatTree, BuildRoutesPathsAreSymmetric) {
       EXPECT_EQ(fwd, rev) << "asymmetric path " << a << "<->" << b;
     }
   }
+}
+
+// ------------------------------------------------------ route-table pin --
+
+/// FNV-1a over 64-bit words: a stable digest of routing decisions.
+void mix(u64& h, u64 v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ull;
+  }
+}
+
+/// Digest of every switch's ECMP port set (in order) and salt toward every
+/// destination host.
+u64 route_digest(const Network& net) {
+  u64 h = 0xCBF29CE484222325ull;
+  for (const Switch* sw : net.switches()) {
+    mix(h, sw->id());
+    mix(h, sw->ecmp_salt());
+    for (const Host* dst : net.hosts()) {
+      const std::span<const u32> ports = sw->route_ports(dst->id());
+      mix(h, ports.size());
+      for (const u32 p : ports) mix(h, p);
+    }
+  }
+  return h;
+}
+
+/// Hop distances from `src` to every node (BFS over the fabric graph).
+std::vector<u32> hop_distances(const Network& net, NodeId src) {
+  std::vector<u32> dist(net.num_nodes(), UINT32_MAX);
+  std::vector<NodeId> frontier{src};
+  dist[src] = 0;
+  for (std::size_t i = 0; i < frontier.size(); ++i) {
+    for (const PortPeer& pp : net.neighbors(frontier[i])) {
+      if (dist[pp.peer] != UINT32_MAX) continue;
+      dist[pp.peer] = dist[frontier[i]] + 1;
+      frontier.push_back(pp.peer);
+    }
+  }
+  return dist;
+}
+
+/// Walks hashed ECMP from every host to every host under a few flow labels.
+/// Each walk must arrive along a shortest path, and the longest of those
+/// must be the fabric's host-to-host diameter.
+void expect_all_pairs_arrive(const Network& net, u32 diameter) {
+  u32 longest = 0;
+  for (const Host* src : net.hosts()) {
+    const std::vector<u32> dist = hop_distances(net, src->id());
+    for (const Host* dst : net.hosts()) {
+      if (src == dst) continue;
+      longest = std::max(longest, dist[dst->id()]);
+      for (u64 k = 0; k < 3; ++k) {
+        const u64 label = k * 0x51ED27ull + src->id() * 131 + dst->id();
+        NodeId cur = net.neighbors(src->id()).front().peer;
+        u32 hops = 1;
+        while (cur != dst->id() && hops < diameter) {
+          const auto& sw = static_cast<const Switch&>(net.node(cur));
+          const std::span<const u32> ecmp = sw.route_ports(dst->id());
+          ASSERT_FALSE(ecmp.empty()) << sw.name() << " has no route";
+          const u32 port =
+              ecmp[ecmp_index(label ^ sw.ecmp_salt(), ecmp.size())];
+          NodeId next = kInvalidNode;
+          for (const PortPeer& pp : net.neighbors(cur)) {
+            if (pp.my_port == port) next = pp.peer;
+          }
+          ASSERT_NE(next, kInvalidNode);
+          cur = next;
+          hops += 1;
+        }
+        ASSERT_EQ(cur, dst->id())
+            << src->name() << "->" << dst->name() << " label " << label
+            << " not delivered within " << diameter << " hops";
+        EXPECT_EQ(hops, dist[dst->id()])
+            << src->name() << "->" << dst->name() << " took a longer path";
+      }
+    }
+  }
+  EXPECT_EQ(longest, diameter);
+}
+
+TEST(Routing, RouteTablesPinnedAndEveryHostReachesEveryHost) {
+  // The digests pin every switch's port sets and salts, so a change to
+  // how tables are built cannot silently move a path: the traffic-
+  // engineering benches and every replay digest depend on them.
+  std::vector<u64> digests;
+  {
+    Network net;
+    build_single_switch(net, 8);
+    expect_all_pairs_arrive(net, 2);
+    digests.push_back(route_digest(net));
+  }
+  // {hosts, radix, diameter}: round-robin leaf wiring reaches every spine
+  // only at radix 16 here; the smaller trees have leaf pairs that share no
+  // spine (6 hops).
+  const u32 two_level[][3] = {{16, 4, 6}, {64, 8, 6}, {128, 16, 4}};
+  for (const auto& [hosts, radix, diameter] : two_level) {
+    Network net;
+    FatTreeSpec spec;
+    spec.hosts = hosts;
+    spec.radix = radix;
+    build_fat_tree(net, spec);
+    expect_all_pairs_arrive(net, diameter);
+    digests.push_back(route_digest(net));
+  }
+  {
+    Network net;
+    FatTree3Spec spec;
+    spec.radix = 8;
+    spec.pods = 3;
+    build_fat_tree_3level(net, spec);
+    expect_all_pairs_arrive(net, 6);
+    digests.push_back(route_digest(net));
+  }
+  // single switch (8), 2-level 16/4, 64/8, 128/16, 3-level radix 8 x 3 pods
+  const std::vector<u64> expected = {
+      0x0B5E1B2F8952CC65ull, 0xB2ED86322E9A7725ull, 0xF8C463BF5CEBD725ull,
+      0xFE0B75830E024B25ull, 0xAEFE7512050C3FA5ull};
+  EXPECT_EQ(digests, expected);
 }
 
 // ------------------------------------------------------- reduction plane --

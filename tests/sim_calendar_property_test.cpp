@@ -1,22 +1,25 @@
-// Property test proving the two calendar backends interchangeable.
+// Property test of the event calendar's dispatch contract.
 //
 // The Simulator contract is a single total order — dispatch by
-// (time, insertion-seq), FIFO among same-time events — regardless of which
-// calendar implements it.  The binary heap is the obviously-correct
-// reference; the bucketed calendar queue earns its place only by matching
-// it event for event.  Each property below runs the SAME seeded random
-// workload on both backends and demands identical dispatch traces and
-// clocks, across the patterns that stress the bucket machinery:
+// (time, insertion-seq), FIFO among same-time events.  Every event is
+// scheduled at or after the current clock, so the whole dispatch trace of
+// a run must equal the STABLE SORT of its schedule (every event, in the
+// order it was scheduled) by time.  Each property below records a seeded
+// random workload's schedule and dispatch trace and checks one against the
+// other, across the patterns that stress the bucketed calendar:
 //
 //   * same-timestamp bursts (FIFO tie-break inside one bucket),
 //   * zero/short delays scheduled from inside events (insertion into the
 //     bucket currently being drained),
-//   * far-future delays beyond the ring horizon (overflow heap + cursor
-//     jump over empty buckets),
-//   * run_until windows and stop() cutting a window short.
+//   * far-future delays beyond the ring horizon (coarse wheels, overflow
+//     heap, cursor jump over empty buckets),
+//   * run_until windows and stop() cutting a window short,
+//   * calendar geometries that move every tier boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,19 +28,31 @@
 namespace flare::sim {
 namespace {
 
-constexpr CalendarKind kBackends[] = {CalendarKind::kBinaryHeap,
-                                      CalendarKind::kBucketed};
-
-/// One dispatched event, as observed from inside its callback.
+/// One event: as scheduled (absolute time, schedule-order id) or as
+/// dispatched (the clock inside its callback, id).
 struct TraceEntry {
   SimTime at = 0;
   u64 id = 0;
   bool operator==(const TraceEntry&) const = default;
 };
 
+/// A run's schedule (id == position: schedule order) and dispatch trace.
+struct Storm {
+  std::vector<TraceEntry> scheduled;
+  std::vector<TraceEntry> trace;
+};
+
+/// The contract's model: the schedule stable-sorted by time.
+std::vector<TraceEntry> model_order(std::vector<TraceEntry> scheduled) {
+  std::stable_sort(
+      scheduled.begin(), scheduled.end(),
+      [](const TraceEntry& a, const TraceEntry& b) { return a.at < b.at; });
+  return scheduled;
+}
+
 // Delay classes chosen against the bucket geometry (2^16 ps buckets,
 // 1024-slot ring => 2^26 ps horizon): same-bucket, near-future ring,
-// and past-the-horizon overflow-heap events all occur in every storm.
+// and past-the-horizon events all occur in every storm.
 SimTime random_delay(Rng& rng) {
   switch (rng.uniform_u64(4)) {
     case 0: return 0;                                   // same timestamp
@@ -47,117 +62,116 @@ SimTime random_delay(Rng& rng) {
   }
 }
 
-/// Static storm: pre-schedule `n` events (no rescheduling), run to empty,
-/// return the dispatch trace.
-std::vector<TraceEntry> static_storm(CalendarKind kind, u64 seed, u64 n,
-                                     const CalendarOptions& opts = {}) {
+/// Static storm: pre-schedule `n` events (no rescheduling) and run to
+/// empty.
+Storm static_storm(u64 seed, u64 n, const CalendarOptions& opts = {}) {
   Rng rng(seed);
-  Simulator sim(kind, opts);
-  std::vector<TraceEntry> trace;
-  trace.reserve(n);
+  Simulator sim(opts);
+  Storm s;
+  s.trace.reserve(n);
   for (u64 id = 0; id < n; ++id) {
     const SimTime at = random_delay(rng);
-    sim.schedule_at(at, [&trace, &sim, id] {
-      trace.push_back({sim.now(), id});
-    });
+    s.scheduled.push_back({at, id});
+    sim.schedule_at(at, [&s, &sim, id] { s.trace.push_back({sim.now(), id}); });
   }
   sim.run();
-  return trace;
+  return s;
 }
 
-/// Cascading storm: every event may schedule further events (with the
-/// backend's own Rng stream, seeded identically), exercising insertion
-/// into the currently-draining bucket.
-std::vector<TraceEntry> cascade_storm(CalendarKind kind, u64 seed, u64 roots,
-                                      u64 budget,
-                                      const CalendarOptions& opts = {}) {
-  auto rng = std::make_shared<Rng>(seed);
-  auto remaining = std::make_shared<u64>(budget);
-  Simulator sim(kind, opts);
-  std::vector<TraceEntry> trace;
-  u64 next_id = 0;
+/// Cascading storm: every event may schedule further events, exercising
+/// insertion into the currently-draining bucket.  Ids are handed out in
+/// schedule order.
+Storm cascade_storm(u64 seed, u64 roots, u64 budget,
+                    const CalendarOptions& opts = {}) {
+  Rng rng(seed);
+  u64 remaining = budget;
+  Simulator sim(opts);
+  Storm s;
 
-  std::function<void(u64)> fire = [&, rng, remaining](u64 id) {
-    trace.push_back({sim.now(), id});
-    const u64 children = rng->uniform_u64(3);  // 0..2 follow-ups
-    for (u64 c = 0; c < children && *remaining > 0; ++c) {
-      *remaining -= 1;
-      const u64 child_id = next_id++;
-      sim.schedule_after(random_delay(*rng),
-                         [&fire, child_id] { fire(child_id); });
+  std::function<void(u64)> fire;
+  auto schedule = [&](SimTime at) {
+    const u64 id = s.scheduled.size();
+    s.scheduled.push_back({at, id});
+    sim.schedule_at(at, [&fire, id] { fire(id); });
+  };
+  fire = [&](u64 id) {
+    s.trace.push_back({sim.now(), id});
+    const u64 children = rng.uniform_u64(3);  // 0..2 follow-ups
+    for (u64 c = 0; c < children && remaining > 0; ++c) {
+      remaining -= 1;
+      schedule(sim.now() + random_delay(rng));
     }
   };
-  for (u64 r = 0; r < roots; ++r) {
-    const u64 id = next_id++;
-    const SimTime at = random_delay(*rng);
-    sim.schedule_at(at, [&fire, id] { fire(id); });
-  }
+  for (u64 r = 0; r < roots; ++r) schedule(random_delay(rng));
   sim.run();
-  return trace;
+  return s;
 }
 
-/// Windowed storm: dispatch the same pre-scheduled storm through a series
-/// of random run_until windows (including empty ones), recording the clock
-/// after every window.
+/// Windowed storm: dispatch a pre-scheduled storm through a series of
+/// random run_until windows (including empty ones), recording each
+/// window's end, the clock after it, and how many events had run by then.
 struct WindowedResult {
-  std::vector<TraceEntry> trace;
+  Storm storm;
+  std::vector<SimTime> untils;
   std::vector<SimTime> clocks;
-  bool operator==(const WindowedResult&) const = default;
+  std::vector<u64> dispatched;
 };
 
-WindowedResult windowed_storm(CalendarKind kind, u64 seed, u64 n,
+WindowedResult windowed_storm(u64 seed, u64 n,
                               const CalendarOptions& opts = {}) {
   Rng rng(seed);
-  Simulator sim(kind, opts);
+  Simulator sim(opts);
   WindowedResult r;
+  Storm& s = r.storm;
   for (u64 id = 0; id < n; ++id) {
     const SimTime at = random_delay(rng);
-    sim.schedule_at(at, [&r, &sim, id] {
-      r.trace.push_back({sim.now(), id});
-    });
+    s.scheduled.push_back({at, id});
+    sim.schedule_at(at, [&s, &sim, id] { s.trace.push_back({sim.now(), id}); });
   }
   SimTime until = 0;
   while (!sim.empty()) {
     until += rng.uniform_u64(u64{1} << 22);
     sim.run_until(until);
+    r.untils.push_back(until);
     r.clocks.push_back(sim.now());
+    r.dispatched.push_back(s.trace.size());
   }
-  sim.run();
-  r.clocks.push_back(sim.now());
   return r;
 }
 
-/// Model check on the static storm: the trace must be the stable sort of
-/// the schedule by time (stable = insertion order breaks ties).
+/// Checks a windowed run against the model: the trace is the stable sort
+/// of the schedule, each window ran exactly the events at or before its
+/// end, and the clock landed on every window's end.
+void expect_windows_match_model(const WindowedResult& r) {
+  EXPECT_EQ(r.storm.trace, model_order(r.storm.scheduled));
+  EXPECT_EQ(r.clocks, r.untils);
+  for (std::size_t w = 0; w < r.untils.size(); ++w) {
+    const auto due = static_cast<u64>(std::count_if(
+        r.storm.scheduled.begin(), r.storm.scheduled.end(),
+        [&](const TraceEntry& e) { return e.at <= r.untils[w]; }));
+    EXPECT_EQ(r.dispatched[w], due) << "window " << w;
+  }
+}
+
 TEST(CalendarProperty, StaticStormMatchesStableSortModel) {
-  for (const CalendarKind kind : kBackends) {
-    for (u64 seed = 1; seed <= 5; ++seed) {
-      Rng rng(seed);
-      std::vector<TraceEntry> expect;
-      for (u64 id = 0; id < 500; ++id) expect.push_back({random_delay(rng), id});
-      std::stable_sort(
-          expect.begin(), expect.end(),
-          [](const TraceEntry& a, const TraceEntry& b) { return a.at < b.at; });
-      EXPECT_EQ(static_storm(kind, seed, 500), expect)
-          << "backend=" << static_cast<int>(kind) << " seed=" << seed;
-    }
+  for (u64 seed = 1; seed <= 5; ++seed) {
+    const Storm s = static_storm(seed, 500);
+    EXPECT_EQ(s.trace, model_order(s.scheduled)) << "seed=" << seed;
   }
 }
 
-TEST(CalendarProperty, BackendsAgreeOnCascadingStorms) {
+TEST(CalendarProperty, CascadingStormsMatchStableSortModel) {
   for (u64 seed = 10; seed <= 14; ++seed) {
-    const auto heap = cascade_storm(CalendarKind::kBinaryHeap, seed, 64, 2000);
-    const auto bucket = cascade_storm(CalendarKind::kBucketed, seed, 64, 2000);
-    ASSERT_GT(heap.size(), 64u) << "storm fizzled; seed=" << seed;
-    EXPECT_EQ(heap, bucket) << "seed=" << seed;
+    const Storm s = cascade_storm(seed, 64, 2000);
+    ASSERT_GT(s.trace.size(), 64u) << "storm fizzled; seed=" << seed;
+    EXPECT_EQ(s.trace, model_order(s.scheduled)) << "seed=" << seed;
   }
 }
 
-TEST(CalendarProperty, BackendsAgreeOnRunUntilWindows) {
+TEST(CalendarProperty, RunUntilWindowsMatchModel) {
   for (u64 seed = 20; seed <= 24; ++seed) {
-    const auto heap = windowed_storm(CalendarKind::kBinaryHeap, seed, 400);
-    const auto bucket = windowed_storm(CalendarKind::kBucketed, seed, 400);
-    EXPECT_EQ(heap, bucket) << "seed=" << seed;
+    SCOPED_TRACE(seed);
+    expect_windows_match_model(windowed_storm(seed, 400));
   }
 }
 
@@ -165,47 +179,41 @@ TEST(CalendarProperty, BackendsAgreeOnRunUntilWindows) {
 /// with same-time follow-ups scheduled from inside events (which must
 /// dispatch after every already-queued event of that timestamp).
 TEST(CalendarProperty, SameTimeFifoWithInEventScheduling) {
-  for (const CalendarKind kind : kBackends) {
-    Simulator sim(kind);
-    std::vector<u64> order;
-    u64 next = 0;
-    for (int i = 0; i < 20; ++i) {
-      const u64 id = next++;
-      sim.schedule_at(100, [&, id] {
-        order.push_back(id);
-        if (id < 5) {
-          // Zero-delay follow-up: same timestamp, larger seq => must run
-          // after ALL twenty pre-scheduled events.
-          const u64 child = next++;
-          sim.schedule_after(0, [&order, child] { order.push_back(child); });
-        }
-      });
-    }
-    sim.run();
-    ASSERT_EQ(order.size(), 25u);
-    for (u64 i = 0; i < 25; ++i) {
-      EXPECT_EQ(order[i], i) << "backend=" << static_cast<int>(kind);
-    }
+  Simulator sim;
+  std::vector<u64> order;
+  u64 next = 0;
+  for (int i = 0; i < 20; ++i) {
+    const u64 id = next++;
+    sim.schedule_at(100, [&, id] {
+      order.push_back(id);
+      if (id < 5) {
+        // Zero-delay follow-up: same timestamp, larger seq => must run
+        // after ALL twenty pre-scheduled events.
+        const u64 child = next++;
+        sim.schedule_after(0, [&order, child] { order.push_back(child); });
+      }
+    });
   }
+  sim.run();
+  ASSERT_EQ(order.size(), 25u);
+  for (u64 i = 0; i < 25; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(CalendarProperty, StopAgreesAcrossBackends) {
-  for (const CalendarKind kind : kBackends) {
-    Simulator sim(kind);
-    std::vector<u64> order;
-    for (u64 id = 0; id < 10; ++id) {
-      sim.schedule_at(id * 1000, [&, id] {
-        order.push_back(id);
-        if (id == 4) sim.stop();
-      });
-    }
-    sim.run_until(8000);
-    EXPECT_EQ(order.size(), 5u) << "backend=" << static_cast<int>(kind);
-    EXPECT_EQ(sim.now(), 4000u);  // stop() pins the clock at the last event
-    sim.run();
-    EXPECT_EQ(order.size(), 10u);
-    EXPECT_EQ(sim.now(), 9000u);
+TEST(CalendarProperty, StopPinsClockAtStoppingEvent) {
+  Simulator sim;
+  std::vector<u64> order;
+  for (u64 id = 0; id < 10; ++id) {
+    sim.schedule_at(id * 1000, [&, id] {
+      order.push_back(id);
+      if (id == 4) sim.stop();
+    });
   }
+  sim.run_until(8000);
+  EXPECT_EQ(order.size(), 5u);
+  EXPECT_EQ(sim.now(), 4000u);  // stop() pins the clock at the last event
+  sim.run();
+  EXPECT_EQ(order.size(), 10u);
+  EXPECT_EQ(sim.now(), 9000u);
 }
 
 // ------------------------------------------------ geometry sweep --------
@@ -213,8 +221,7 @@ TEST(CalendarProperty, StopAgreesAcrossBackends) {
 // CalendarOptions geometries chosen to stress every tier boundary: a tiny
 // ring that pushes most events into the wheels, deep wheel stacks, a
 // single coarse level, and levels=0 (ring + far heap only — the
-// pre-hierarchy shape).  Every geometry must dispatch the identical total
-// order the binary heap does.
+// pre-hierarchy shape).  Every geometry must dispatch the model order.
 const CalendarOptions kGeometries[] = {
     {},                // the default: 1024 x 2^16, two 64-slot levels
     {64, 12, 8, 3},    // tiny ring, three shallow wheels
@@ -223,11 +230,11 @@ const CalendarOptions kGeometries[] = {
     {4, 4, 2, 4},      // pathological: everything overflows somewhere
 };
 
-TEST(CalendarProperty, GeometriesMatchHeapOnStaticStorms) {
+TEST(CalendarProperty, GeometriesMatchModelOnStaticStorms) {
   for (const CalendarOptions& g : kGeometries) {
     for (u64 seed = 30; seed <= 32; ++seed) {
-      EXPECT_EQ(static_storm(CalendarKind::kBucketed, seed, 500, g),
-                static_storm(CalendarKind::kBinaryHeap, seed, 500))
+      const Storm s = static_storm(seed, 500, g);
+      EXPECT_EQ(s.trace, model_order(s.scheduled))
           << "buckets=" << g.bucket_count << " width=" << g.bucket_width_log2
           << " slots=" << g.coarse_slot_count << " levels=" << g.coarse_levels
           << " seed=" << seed;
@@ -235,21 +242,20 @@ TEST(CalendarProperty, GeometriesMatchHeapOnStaticStorms) {
   }
 }
 
-TEST(CalendarProperty, GeometriesMatchHeapOnCascadingStorms) {
+TEST(CalendarProperty, GeometriesMatchModelOnCascadingStorms) {
   for (const CalendarOptions& g : kGeometries) {
-    const auto bucket = cascade_storm(CalendarKind::kBucketed, 40, 64, 2000, g);
-    const auto heap = cascade_storm(CalendarKind::kBinaryHeap, 40, 64, 2000);
-    ASSERT_GT(heap.size(), 64u);
-    EXPECT_EQ(bucket, heap)
+    const Storm s = cascade_storm(40, 64, 2000, g);
+    ASSERT_GT(s.trace.size(), 64u);
+    EXPECT_EQ(s.trace, model_order(s.scheduled))
         << "buckets=" << g.bucket_count << " levels=" << g.coarse_levels;
   }
 }
 
-TEST(CalendarProperty, GeometriesMatchHeapOnRunUntilWindows) {
+TEST(CalendarProperty, GeometriesMatchModelOnRunUntilWindows) {
   for (const CalendarOptions& g : kGeometries) {
-    EXPECT_EQ(windowed_storm(CalendarKind::kBucketed, 50, 400, g),
-              windowed_storm(CalendarKind::kBinaryHeap, 50, 400))
-        << "buckets=" << g.bucket_count << " levels=" << g.coarse_levels;
+    SCOPED_TRACE(testing::Message() << "buckets=" << g.bucket_count
+                                    << " levels=" << g.coarse_levels);
+    expect_windows_match_model(windowed_storm(50, 400, g));
   }
 }
 
@@ -277,7 +283,7 @@ TEST(CalendarProperty, FarFutureStormSpansMultipleCoarseWheels) {
       }
       expect.push_back({at, id});
     }
-    Simulator sim(CalendarKind::kBucketed, g);
+    Simulator sim(g);
     std::vector<TraceEntry> trace;
     for (const TraceEntry& e : expect) {
       sim.schedule_at(e.at, [&trace, &sim, id = e.id] {
@@ -297,7 +303,7 @@ TEST(CalendarProperty, FarFutureStormSpansMultipleCoarseWheels) {
 /// model on every geometry.
 TEST(CalendarProperty, StopAgreesAcrossGeometries) {
   for (const CalendarOptions& g : kGeometries) {
-    Simulator sim(CalendarKind::kBucketed, g);
+    Simulator sim(g);
     std::vector<u64> order;
     for (u64 id = 0; id < 10; ++id) {
       sim.schedule_at(id * 100000, [&, id] {
@@ -315,35 +321,29 @@ TEST(CalendarProperty, StopAgreesAcrossGeometries) {
 }
 
 TEST(CalendarPropertyDeathTest, RejectsNonPowerOfTwoGeometry) {
-  EXPECT_DEATH(Simulator(CalendarKind::kBucketed,
-                         CalendarOptions{1000, 16, 64, 2}),
-               "bucket_count");
-  EXPECT_DEATH(Simulator(CalendarKind::kBucketed,
-                         CalendarOptions{1024, 16, 63, 2}),
+  EXPECT_DEATH(Simulator(CalendarOptions{1000, 16, 64, 2}), "bucket_count");
+  EXPECT_DEATH(Simulator(CalendarOptions{1024, 16, 63, 2}),
                "coarse_slot_count");
-  EXPECT_DEATH(Simulator(CalendarKind::kBucketed,
-                         CalendarOptions{1024, 0, 64, 2}),
+  EXPECT_DEATH(Simulator(CalendarOptions{1024, 0, 64, 2}),
                "bucket_width_log2");
 }
 
 /// The far-future overflow path alone: everything beyond the ring horizon,
 /// forcing the cursor jump and the horizon migration.
 TEST(CalendarProperty, FarFutureOnlyStorm) {
-  for (const CalendarKind kind : kBackends) {
-    Rng rng(99);
-    Simulator sim(kind);
-    std::vector<SimTime> times;
-    std::vector<SimTime> seen;
-    for (int i = 0; i < 200; ++i) {
-      // All far beyond the 2^26 ps ring horizon, widely spread.
-      const SimTime at = (u64{1} << 27) + rng.uniform_u64(u64{1} << 40);
-      times.push_back(at);
-      sim.schedule_at(at, [&seen, &sim] { seen.push_back(sim.now()); });
-    }
-    std::sort(times.begin(), times.end());
-    sim.run();
-    EXPECT_EQ(seen, times) << "backend=" << static_cast<int>(kind);
+  Rng rng(99);
+  Simulator sim;
+  std::vector<SimTime> times;
+  std::vector<SimTime> seen;
+  for (int i = 0; i < 200; ++i) {
+    // All far beyond the 2^26 ps ring horizon, widely spread.
+    const SimTime at = (u64{1} << 27) + rng.uniform_u64(u64{1} << 40);
+    times.push_back(at);
+    sim.schedule_at(at, [&seen, &sim] { seen.push_back(sim.now()); });
   }
+  std::sort(times.begin(), times.end());
+  sim.run();
+  EXPECT_EQ(seen, times);
 }
 
 }  // namespace
