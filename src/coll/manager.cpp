@@ -1,10 +1,9 @@
 #include "coll/manager.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <functional>
 #include <limits>
-#include <set>
-#include <unordered_set>
 
 #include "coll/tree_cache.hpp"
 #include "common/assert.hpp"
@@ -26,187 +25,288 @@ bool tree_alive(const net::Network& net, const ReductionTree& tree) {
   return !tree.switches.empty();
 }
 
-std::optional<ReductionTree> NetworkManager::compute_tree(
-    const std::vector<net::Host*>& participants, net::NodeId root) {
+// ----------------------------------------------------- embedding query ---
+//
+// Every embedding query runs the same stages.  freeze_edges reads port
+// usability and the link-cost provider once per usable switch-to-switch
+// port; attach does the same for the participants' access links.  Then,
+// per root, span runs the shortest paths over the frozen edges and marks
+// the switches with participants below them, and score or build walks the
+// tree in BFS order.  A sweep over every root therefore evaluates each
+// link cost once, not once per root.
+
+void NetworkManager::freeze_edges() {
   const u32 n = net_.num_nodes();
+  if (reached_.size() != n) {
+    dist_.assign(n, 0);
+    cost_.assign(n, 0.0);
+    pred_.assign(n, net::kInvalidNode);
+    reached_.assign(n, 0);
+    needed_.assign(n, 0);
+    child_index_.assign(n, 0);
+    access_head_.assign(n, 0);
+    access_tail_.assign(n, 0);
+    access_stamp_.assign(n, 0);
+  }
+  edges_.clear();
+  edge_begin_.resize(n + 1);
+  for (net::NodeId id = 0; id < n; ++id) {
+    edge_begin_[id] = static_cast<u32>(edges_.size());
+    const net::Switch* sw = net_.switch_at(id);
+    // Hosts hang off their single access switch and carry no tree edges;
+    // a failed switch can be neither root nor reached.
+    if (sw == nullptr || sw->failed()) continue;
+    const u64 mark = ++epoch_;  // dedups parallel links toward a peer
+    for (const net::PortPeer& pp : net_.neighbors(id)) {
+      if (net_.switch_at(pp.peer) == nullptr) continue;
+      // port_usable covers the duplex link state and peer liveness.
+      if (!net_.port_usable(id, pp.my_port)) continue;
+      const bool first = reached_[pp.peer] != mark;
+      reached_[pp.peer] = mark;
+      edges_.push_back({pp.peer, pp.my_port, edge_cost(id, pp.my_port), first});
+    }
+  }
+  edge_begin_[n] = static_cast<u32>(edges_.size());
+}
+
+bool NetworkManager::attach(const std::vector<net::Host*>& participants) {
   FLARE_ASSERT(!participants.empty());
-  // The root is caller-supplied (CommunicatorConfig::roots): reject hosts
-  // and out-of-range ids before anything indexes by it.  Fault awareness:
-  // a failed root can host nothing, and the search must not route the
-  // tree across failed switches or down links (port_usable below covers
-  // both the duplex link state and peer liveness).
-  const net::Switch* root_sw = net_.switch_at(root);
-  if (root_sw == nullptr || root_sw->failed()) return std::nullopt;
+  access_epoch_ = ++epoch_;
+  access_.resize(participants.size());
+  for (u32 i = 0; i < participants.size(); ++i) {
+    const net::Host* host = participants[i];
+    const auto& adj = net_.neighbors(host->id());
+    FLARE_ASSERT_MSG(adj.size() == 1, "hosts must be single-homed");
+    // The access link must carry traffic both ways for the host to join.
+    if (!net_.port_usable(host->id(), adj[0].my_port)) return false;
+    Access& a = access_[i];
+    a.leaf = adj[0].peer;
+    a.host_index = host->host_index();
+    a.next = UINT32_MAX;
+    for (const net::PortPeer& pp : net_.neighbors(a.leaf)) {
+      if (pp.peer == host->id()) {
+        a.port = pp.my_port;
+        break;
+      }
+    }
+    a.cost = edge_cost(a.leaf, a.port);
+    // Per-leaf lists in participant order: the leaf's host children.
+    if (access_stamp_[a.leaf] != access_epoch_) {
+      access_stamp_[a.leaf] = access_epoch_;
+      access_head_[a.leaf] = i;
+    } else {
+      access_[access_tail_[a.leaf]].next = i;
+    }
+    access_tail_[a.leaf] = i;
+  }
+  return true;
+}
 
-  // Shortest paths over switches only (hosts hang off their single access
-  // switch): plain BFS under unit hop costs, Dijkstra when a link-cost
-  // provider is set — congested edges become long and the tree routes
-  // around them.  `dist` counts hops either way (it is the tree DEPTH,
-  // which sizes the aggregation pipeline); `cost` carries the provider
-  // metric the predecessor choice minimizes.
-  std::vector<u32> dist(n, std::numeric_limits<u32>::max());
-  std::vector<f64> cost(n, std::numeric_limits<f64>::infinity());
-  std::vector<net::NodeId> pred(n, net::kInvalidNode);
-  std::vector<u32> pred_port(n, UINT32_MAX);  // port on THIS node -> parent
-  dist[root] = 0;
-  cost[root] = 0.0;
-
+bool NetworkManager::span(net::NodeId root) {
+  // Shortest paths from `root` over the frozen switch edges: plain BFS
+  // under unit hop costs, Dijkstra when a link-cost provider is set —
+  // congested edges become long and the tree routes around them.  `dist_`
+  // counts hops either way (it is the tree DEPTH, which sizes the
+  // aggregation pipeline); `cost_` carries the provider metric the
+  // predecessor choice minimizes.
+  const u64 epoch = ++epoch_;
+  reached_[root] = epoch;
+  dist_[root] = 0;
+  cost_[root] = 0.0;
+  pred_[root] = net::kInvalidNode;
+  const auto reach = [&](net::NodeId v, net::NodeId from, f64 c) {
+    reached_[v] = epoch;
+    dist_[v] = dist_[from] + 1;
+    cost_[v] = c;
+    pred_[v] = from;
+  };
   if (!link_cost_) {
-    std::deque<net::NodeId> frontier{root};
-    while (!frontier.empty()) {
-      const net::NodeId cur = frontier.front();
-      frontier.pop_front();
-      for (const net::PortPeer& pp : net_.neighbors(cur)) {
-        if (net_.switch_at(pp.peer) == nullptr) continue;  // skip hosts
-        if (dist[pp.peer] != std::numeric_limits<u32>::max()) continue;
-        if (!net_.port_usable(cur, pp.my_port)) continue;  // dead edge/peer
-        dist[pp.peer] = dist[cur] + 1;
-        cost[pp.peer] = cost[cur] + 1.0;
-        pred[pp.peer] = cur;
-        // Find the peer's port toward cur.
-        for (const net::PortPeer& back : net_.neighbors(pp.peer)) {
-          if (back.peer == cur) {
-            pred_port[pp.peer] = back.my_port;
-            break;
-          }
-        }
-        frontier.push_back(pp.peer);
+    order_.assign(1, root);
+    for (std::size_t head = 0; head < order_.size(); ++head) {
+      const net::NodeId cur = order_[head];
+      for (u32 k = edge_begin_[cur]; k < edge_begin_[cur + 1]; ++k) {
+        const net::NodeId peer = edges_[k].peer;
+        if (reached_[peer] == epoch) continue;
+        reach(peer, cur, cost_[cur] + 1.0);
+        order_.push_back(peer);
       }
     }
   } else {
-    // Dijkstra with a deterministic (cost, node-id) order; ties keep the
-    // first predecessor found, so equal-cost fabrics embed identically on
-    // every run.
-    std::set<std::pair<f64, net::NodeId>> frontier{{0.0, root}};
-    while (!frontier.empty()) {
-      const auto [ccost, cur] = *frontier.begin();
-      frontier.erase(frontier.begin());
-      if (ccost > cost[cur]) continue;  // stale entry
-      for (const net::PortPeer& pp : net_.neighbors(cur)) {
-        if (net_.switch_at(pp.peer) == nullptr) continue;  // skip hosts
-        if (!net_.port_usable(cur, pp.my_port)) continue;
-        const f64 ncost = cost[cur] + link_cost_(cur, pp.my_port);
-        if (ncost >= cost[pp.peer]) continue;
-        frontier.erase({cost[pp.peer], pp.peer});
-        cost[pp.peer] = ncost;
-        dist[pp.peer] = dist[cur] + 1;
-        pred[pp.peer] = cur;
-        for (const net::PortPeer& back : net_.neighbors(pp.peer)) {
-          if (back.peer == cur) {
-            pred_port[pp.peer] = back.my_port;
-            break;
-          }
-        }
-        frontier.insert({ncost, pp.peer});
+    // Dijkstra on a binary min-heap keyed (cost, node id) with lazy
+    // deletion.  Costs are >= 1 and improvements strict, so nodes settle
+    // in (cost, id) order and ties keep the first predecessor found:
+    // equal-cost fabrics embed identically on every run.
+    const auto later = std::greater<std::pair<f64, net::NodeId>>{};
+    heap_.assign(1, {0.0, root});
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), later);
+      const auto [ccost, cur] = heap_.back();
+      heap_.pop_back();
+      if (ccost > cost_[cur]) continue;  // stale entry
+      for (u32 k = edge_begin_[cur]; k < edge_begin_[cur + 1]; ++k) {
+        const Edge& e = edges_[k];
+        const f64 ncost = cost_[cur] + e.cost;
+        const f64 old = reached_[e.peer] == epoch
+                            ? cost_[e.peer]
+                            : std::numeric_limits<f64>::infinity();
+        if (ncost >= old) continue;
+        reach(e.peer, cur, ncost);
+        heap_.emplace_back(ncost, e.peer);
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }
 
-  // Each participant attaches to its single access switch.
-  std::vector<std::vector<net::Host*>> hosts_of(n);
-  for (net::Host* host : participants) {
-    const auto& adj = net_.neighbors(host->id());
-    FLARE_ASSERT_MSG(adj.size() == 1, "hosts must be single-homed");
-    const net::NodeId leaf = adj[0].peer;
-    if (dist[leaf] == std::numeric_limits<u32>::max()) return std::nullopt;
-    // The access link must carry traffic both ways for the host to join.
-    if (!net_.port_usable(host->id(), adj[0].my_port)) return std::nullopt;
-    hosts_of[leaf].push_back(host);
-  }
-
-  // A switch is needed if it has participant hosts below it in the BFS tree.
-  std::vector<bool> needed(n, false);
-  for (net::NodeId id = 0; id < n; ++id) {
-    if (hosts_of[id].empty()) continue;
-    net::NodeId cur = id;
-    while (cur != net::kInvalidNode && !needed[cur]) {
-      needed[cur] = true;
-      cur = pred[cur];
+  // A switch is needed if it has participant hosts below it in the
+  // shortest-path tree.
+  for (const Access& a : access_) {
+    if (reached_[a.leaf] != epoch) return false;  // participant unreachable
+    for (net::NodeId cur = a.leaf;
+         cur != net::kInvalidNode && needed_[cur] != epoch; cur = pred_[cur]) {
+      needed_[cur] = epoch;
     }
   }
-  if (!needed[root]) return std::nullopt;
+  return needed_[root] == epoch;
+}
 
-  // Emit entries in BFS order (root first) and wire up children.
+// score and build walk the same tree: needed switches in BFS order from
+// the root; at each, the participant hosts in participant order, then the
+// needed child switches (pred == cur) through the first usable port toward
+// each, in port order.  Summing edge costs in exactly that order makes a
+// score bit-equal to the built tree's tree_cost.
+
+bool NetworkManager::is_child(const Edge& e, net::NodeId cur) const {
+  return e.first && needed_[e.peer] == epoch_ && pred_[e.peer] == cur;
+}
+
+f64 NetworkManager::score(net::NodeId root) {
+  f64 total = 0.0;
+  order_.assign(1, root);
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const net::NodeId cur = order_[head];
+    if (access_stamp_[cur] == access_epoch_) {
+      for (u32 i = access_head_[cur]; i != UINT32_MAX; i = access_[i].next) {
+        total += access_[i].cost;
+      }
+    }
+    for (u32 k = edge_begin_[cur]; k < edge_begin_[cur + 1]; ++k) {
+      const Edge& e = edges_[k];
+      if (is_child(e, cur)) {
+        total += e.cost;
+        order_.push_back(e.peer);
+      }
+    }
+  }
+  return total;
+}
+
+ReductionTree NetworkManager::build(net::NodeId root) {
   ReductionTree tree;
   tree.root = root;
-  std::vector<net::NodeId> order;
-  {
-    std::deque<net::NodeId> q{root};
-    while (!q.empty()) {
-      const net::NodeId cur = q.front();
-      q.pop_front();
-      if (!needed[cur]) continue;
-      order.push_back(cur);
-      // Children switches = needed switches whose BFS predecessor is cur.
-      // Parallel links (common in small fat trees) would enumerate a child
-      // several times — deduplicate.
-      std::unordered_set<net::NodeId> seen;
-      for (const net::PortPeer& pp : net_.neighbors(cur)) {
-        if (net_.switch_at(pp.peer) != nullptr && pred[pp.peer] == cur &&
-            needed[pp.peer] && seen.insert(pp.peer).second) {
-          q.push_back(pp.peer);
-        }
-      }
-    }
-  }
-
   tree.host_child_index.assign(net_.hosts().size(), 0);
-  tree.switches.resize(order.size());
-  for (u32 i = 0; i < order.size(); ++i) {
-    const net::NodeId id = order[i];
-    TreeSwitchEntry& e = tree.switches[i];
-    e.sw = net_.switch_at(id);
-    e.depth = dist[id];
+  order_.assign(1, root);
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const net::NodeId cur = order_[head];
+    const u32 begin = edge_begin_[cur];
+    const u32 end = edge_begin_[cur + 1];
+    TreeSwitchEntry& e = tree.switches.emplace_back();
+    e.sw = net_.switch_at(cur);
+    e.depth = dist_[cur];
     tree.max_depth = std::max(tree.max_depth, e.depth);
-    if (id != root) e.parent_port = pred_port[id];
-
-    // Children: participant hosts first, then needed child switches.
-    u16 next_index = 0;
-    for (net::Host* host : hosts_of[id]) {
-      for (const net::PortPeer& pp : net_.neighbors(id)) {
-        if (pp.peer == host->id()) {
-          e.child_ports.push_back(pp.my_port);
+    if (cur != root) {
+      e.child_index_at_parent = child_index_[cur];
+      for (u32 k = begin; k < end; ++k) {
+        if (edges_[k].peer == pred_[cur]) {
+          e.parent_port = edges_[k].port;
           break;
         }
       }
-      tree.host_child_index[host->host_index()] = next_index++;
     }
-    std::unordered_set<net::NodeId> seen_children;
-    for (const net::PortPeer& pp : net_.neighbors(id)) {
-      if (net_.switch_at(pp.peer) != nullptr && pred[pp.peer] == id &&
-          needed[pp.peer] && seen_children.insert(pp.peer).second) {
-        e.child_ports.push_back(pp.my_port);
-        // The child switch will learn its index below (after all entries
-        // exist).
-        next_index++;
+    u16 next_index = 0;
+    if (access_stamp_[cur] == access_epoch_) {
+      for (u32 i = access_head_[cur]; i != UINT32_MAX; i = access_[i].next) {
+        e.child_ports.push_back(access_[i].port);
+        tree.host_child_index[access_[i].host_index] = next_index++;
+      }
+    }
+    for (u32 k = begin; k < end; ++k) {
+      const Edge& c = edges_[k];
+      if (is_child(c, cur)) {
+        e.child_ports.push_back(c.port);
+        child_index_[c.peer] = next_index++;
+        order_.push_back(c.peer);
       }
     }
     e.num_children = next_index;
   }
-  // Second pass: assign each non-root switch its child index at the parent.
-  for (u32 i = 1; i < order.size(); ++i) {
-    const net::NodeId id = order[i];
-    const net::NodeId parent = pred[id];
-    // Index = number of host children + position among switch children
-    // (same dedup rule as the child_ports construction above).
-    u16 idx = static_cast<u16>(hosts_of[parent].size());
-    std::unordered_set<net::NodeId> seen_children;
-    bool found = false;
-    for (const net::PortPeer& pp : net_.neighbors(parent)) {
-      if (net_.switch_at(pp.peer) == nullptr || pred[pp.peer] != parent ||
-          !needed[pp.peer] || !seen_children.insert(pp.peer).second) {
-        continue;
-      }
-      if (pp.peer == id) {
-        found = true;
-        break;
-      }
-      ++idx;
-    }
-    FLARE_ASSERT(found);
-    tree.switches[i].child_index_at_parent = idx;
-  }
   tree.cost = tree_cost(tree);
+  return tree;
+}
+
+std::optional<ReductionTree> NetworkManager::embed(net::NodeId root) {
+  // The root is caller-supplied (CommunicatorConfig::roots): reject hosts,
+  // out-of-range ids and failed switches before anything indexes by it.
+  const net::Switch* root_sw = net_.switch_at(root);
+  if (root_sw == nullptr || root_sw->failed() || !span(root)) {
+    return std::nullopt;
+  }
+  return build(root);
+}
+
+std::optional<ReductionTree> NetworkManager::compute_tree(
+    const std::vector<net::Host*>& participants, net::NodeId root) {
+  freeze_edges();
+  if (!attach(participants)) return std::nullopt;
+  return embed(root);
+}
+
+std::optional<ReductionTree> NetworkManager::cheapest_tree(
+    const std::vector<net::Host*>& participants) {
+  freeze_edges();
+  if (!attach(participants)) return std::nullopt;
+  net::NodeId best = net::kInvalidNode;
+  f64 best_cost = 0.0;
+#if FLARE_VALIDATE_ENABLED
+  std::vector<std::pair<net::NodeId, f64>> scores;
+#endif
+  for (const net::Switch* sw : net_.switches()) {
+    if (sw->failed() || !span(sw->id())) continue;
+    const f64 c = score(sw->id());
+#if FLARE_VALIDATE_ENABLED
+    scores.emplace_back(sw->id(), c);
+#endif
+    if (best == net::kInvalidNode || c < best_cost) {  // first root wins ties
+      best = sw->id();
+      best_cost = c;
+    }
+  }
+  std::optional<ReductionTree> tree;
+  if (best != net::kInvalidNode) tree = embed(best);
+#if FLARE_VALIDATE_ENABLED
+  // Root-sweep audit: rebuild every root's tree through compute_tree.
+  // Each cost-only score must equal that tree's cost bit for bit, and the
+  // per-root strict-< loop must pick the sweep's winner.
+  std::optional<ReductionTree> ref_best;
+  std::size_t k = 0;
+  for (const net::Switch* sw : net_.switches()) {
+    std::optional<ReductionTree> ref = compute_tree(participants, sw->id());
+    if (!ref) continue;
+    const bool same = k < scores.size() && scores[k].first == sw->id() &&
+                      std::bit_cast<u64>(scores[k].second) ==
+                          std::bit_cast<u64>(ref->cost);
+    if (!same) {
+      validate::fail("root-sweep",
+                     "switch '" + sw->name() +
+                         "': sweep score differs from its built tree's cost");
+    }
+    ++k;
+    if (!ref_best || ref->cost < ref_best->cost) ref_best = std::move(ref);
+  }
+  if (k != scores.size() ||
+      (ref_best ? ref_best->root : net::kInvalidNode) != best) {
+    validate::fail("root-sweep", "sweep and per-root loop pick different roots");
+  }
+#endif
   return tree;
 }
 
@@ -327,17 +427,36 @@ InstallReport NetworkManager::install_with_retry(
     const std::vector<net::Host*>& participants, core::AllreduceConfig cfg,
     f64 switch_service_bps) {
   InstallReport report;
+  for (ReductionTree& tree : ranked_trees(participants)) {
+    report.attempts += 1;
+    if (!report.any_feasible) {
+      report.any_feasible = std::all_of(
+          tree.switches.begin(), tree.switches.end(),
+          [](const TreeSwitchEntry& e) { return e.sw->max_allreduces() > 0; });
+    }
+    if (install(tree, cfg, switch_service_bps)) {
+      report.tree = std::move(tree);
+      return report;
+    }
+  }
+  return report;
+}
+
+std::vector<ReductionTree> NetworkManager::ranked_trees(
+    const std::vector<net::Host*>& participants) {
+  std::vector<ReductionTree> candidates;
+  freeze_edges();
+  if (!attach(participants)) return candidates;
+  for (const net::Switch* sw : net_.switches()) {
+    std::optional<ReductionTree> tree = embed(sw->id());
+    if (tree) candidates.push_back(std::move(*tree));
+  }
   // Prefer the embedding that uses the fewest switches (and, among those,
   // the shallowest): less switch memory consumed and fewer hops.  Under a
   // link-cost provider the preference inverts to CHEAPEST first — a
   // slightly larger tree over idle links beats a compact one through a
   // congested spine (Canary's placement result) — with size/depth/root as
   // deterministic tie-breaks.
-  std::vector<ReductionTree> candidates;
-  for (net::Switch* candidate : net_.switches()) {
-    auto tree = compute_tree(participants, candidate->id());
-    if (tree) candidates.push_back(std::move(*tree));
-  }
   if (link_cost_) {
     std::sort(candidates.begin(), candidates.end(),
               [](const ReductionTree& a, const ReductionTree& b) {
@@ -356,19 +475,7 @@ InstallReport NetworkManager::install_with_retry(
                 return a.max_depth < b.max_depth;
               });
   }
-  for (ReductionTree& tree : candidates) {
-    report.attempts += 1;
-    if (!report.any_feasible) {
-      report.any_feasible = std::all_of(
-          tree.switches.begin(), tree.switches.end(),
-          [](const TreeSwitchEntry& e) { return e.sw->max_allreduces() > 0; });
-    }
-    if (install(tree, cfg, switch_service_bps)) {
-      report.tree = std::move(tree);
-      return report;
-    }
-  }
-  return report;
+  return candidates;
 }
 
 }  // namespace flare::coll

@@ -98,7 +98,10 @@ class NetworkManager {
   /// (the default) keeps unit hop costs — plain shortest-hop BFS.  Wire a
   /// CongestionMonitor's edge_cost here and compute_tree routes trees
   /// around congested links, while install_with_retry prefers the
-  /// cheapest (least-congested) embedding over the smallest.
+  /// cheapest (least-congested) embedding over the smallest.  The
+  /// provider must be a pure function of (node, port) for the length of
+  /// one query: each query reads every cost it needs once and reuses it
+  /// for every root (FLARE_VALIDATE's root-sweep audit checks this).
   using LinkCostFn = std::function<f64(net::NodeId node, u32 port)>;
   void set_link_cost(LinkCostFn cost) { link_cost_ = std::move(cost); }
   const LinkCostFn& link_cost() const { return link_cost_; }
@@ -108,10 +111,27 @@ class NetworkManager {
   /// decisions need today's number).
   f64 tree_cost(const ReductionTree& tree) const;
 
-  /// Builds the BFS reduction tree rooted at `root` spanning `participants`.
-  /// Returns nullopt if some participant is unreachable from the root.
+  /// The reduction tree rooted at `root` spanning `participants`: each
+  /// switch joins through its shortest path to the root (hop count without
+  /// a provider, provider cost with one), over usable ports only; parent
+  /// and child ports are the first usable port toward the peer.  Returns
+  /// nullopt if the root is not a live switch or some participant is
+  /// unreachable from it.
   std::optional<ReductionTree> compute_tree(
       const std::vector<net::Host*>& participants, net::NodeId root);
+
+  /// The cheapest tree over every live switch as root: the compute_tree
+  /// result with the lowest `cost`, strict `<`, so the first root in
+  /// net.switches() order wins ties.  One root sweep: link costs are read
+  /// once per query, each root is scored without building its tree, and
+  /// only the winner is built.  nullopt when no root spans.
+  std::optional<ReductionTree> cheapest_tree(
+      const std::vector<net::Host*>& participants);
+
+  /// Every spanning root's compute_tree result in install_with_retry's
+  /// preference order (see there).
+  std::vector<ReductionTree> ranked_trees(
+      const std::vector<net::Host*>& participants);
 
   /// Installs `cfg` on every tree switch.  For sparse allreduces the root
   /// switch uses array storage and the others hash storage (Section 7,
@@ -121,9 +141,10 @@ class NetworkManager {
 
   void uninstall(const ReductionTree& tree, u32 allreduce_id);
 
-  /// compute_tree + install, preferring the smallest (then shallowest)
-  /// embedding and retrying every switch as root until one admission
-  /// succeeds.
+  /// install over ranked_trees, retrying every switch as root until one
+  /// admission succeeds.  Without a provider the smallest (then
+  /// shallowest) embedding goes first; with one the cheapest, then
+  /// smallest, shallowest and lowest root id.
   InstallReport install_with_retry(
       const std::vector<net::Host*>& participants, core::AllreduceConfig cfg,
       f64 switch_service_bps);
@@ -150,9 +171,59 @@ class NetworkManager {
     return link_cost_ ? link_cost_(node, port) : 1.0;
   }
 
+  /// One usable switch-to-switch port, frozen at query start.
+  struct Edge {
+    net::NodeId peer = net::kInvalidNode;
+    u32 port = 0;
+    f64 cost = 0.0;
+    bool first = false;  ///< first usable port toward `peer`
+  };
+  /// A participant's access link, seen from its switch.
+  struct Access {
+    net::NodeId leaf = net::kInvalidNode;
+    u32 port = 0;  ///< leaf's port toward the host
+    u32 host_index = 0;
+    u32 next = UINT32_MAX;  ///< next participant on the same leaf
+    f64 cost = 0.0;
+  };
+
+  // One embedding query (manager.cpp): freeze the edge costs, attach the
+  // participants, then per root span (shortest paths, needed switches)
+  // and score or build.
+  void freeze_edges();
+  bool attach(const std::vector<net::Host*>& participants);
+  bool span(net::NodeId root);
+  f64 score(net::NodeId root);
+  ReductionTree build(net::NodeId root);
+  std::optional<ReductionTree> embed(net::NodeId root);
+  /// Whether `e`, an edge of `cur`, leads to a tree child of `cur` under
+  /// the last span: a needed switch whose predecessor is `cur`, through
+  /// the first usable port toward it (parallel links count once).
+  bool is_child(const Edge& e, net::NodeId cur) const;
+
   net::Network& net_;
   ReleaseListener on_release_;
   LinkCostFn link_cost_;
+
+  // Query scratch, reused across calls.  Per-node arrays are indexed by
+  // NodeId; an entry is valid when its stamp equals the epoch that wrote
+  // it (epochs never repeat), so nothing is cleared between roots.
+  std::vector<Edge> edges_;
+  std::vector<u32> edge_begin_;  ///< per node; edge_begin_[n] ends it
+  std::vector<Access> access_;
+  std::vector<u32> access_head_;
+  std::vector<u32> access_tail_;
+  std::vector<u64> access_stamp_;
+  u64 access_epoch_ = 0;
+  std::vector<u32> dist_;
+  std::vector<f64> cost_;
+  std::vector<net::NodeId> pred_;
+  std::vector<u64> reached_;
+  std::vector<u64> needed_;
+  std::vector<u16> child_index_;
+  u64 epoch_ = 0;
+  std::vector<std::pair<f64, net::NodeId>> heap_;
+  std::vector<net::NodeId> order_;
 };
 
 }  // namespace flare::coll

@@ -337,11 +337,8 @@ void TreeOpBase::maybe_migrate() {
     tr->instant(cfg_.trace, "migrate-considered", net_.sim().now(),
                 "migration");
   }
-  std::optional<ReductionTree> best;
-  for (net::Switch* candidate : net_.switches()) {
-    auto tree = manager_.compute_tree(participants_, candidate->id());
-    if (tree && (!best || tree->cost < best->cost)) best = std::move(tree);
-  }
+  const std::optional<ReductionTree> best =
+      manager_.cheapest_tree(participants_);
   // Hysteresis on the WORST edge, in the same excluding view: edges every
   // candidate must cross (the participants' access links) carry the same
   // foreign heat everywhere and cancel out of a max — a migration must

@@ -67,23 +67,24 @@ PlacementOptimizer::PlacementOptimizer(net::Network& net, OptimizerOptions opt)
   });
 }
 
-std::optional<coll::ReductionTree> PlacementOptimizer::tree_for(
-    const CostSnapshot& snap, State& st, u32 j, net::NodeId root) {
+void PlacementOptimizer::set_costs(const CostSnapshot& snap, const State& st,
+                                   u32 j) {
   cost_snap_ = &snap;
   cost_load_ = &st.load;
   cost_exclude_links_ = &st.links[j];
   cost_exclude_weight_ = snap.jobs()[j].weight;
+}
+
+std::optional<coll::ReductionTree> PlacementOptimizer::tree_for(
+    const CostSnapshot& snap, State& st, u32 j, net::NodeId root) {
+  set_costs(snap, st, j);
   return manager_.compute_tree(snap.jobs()[j].participants, root);
 }
 
 std::optional<coll::ReductionTree> PlacementOptimizer::cheapest_tree(
     const CostSnapshot& snap, State& st, u32 j) {
-  std::optional<coll::ReductionTree> best;
-  for (net::Switch* sw : net_.switches()) {
-    std::optional<coll::ReductionTree> t = tree_for(snap, st, j, sw->id());
-    if (t && (!best || t->cost < best->cost)) best = std::move(t);
-  }
-  return best;  // strict less: first in switches() order wins ties
+  set_costs(snap, st, j);
+  return manager_.cheapest_tree(snap.jobs()[j].participants);
 }
 
 f64 PlacementOptimizer::objective(const CostSnapshot& snap,
@@ -240,12 +241,8 @@ f64 PlacementOptimizer::admission_score(
   cost_load_ = &load;
   cost_exclude_links_ = &no_exclude;
   cost_exclude_weight_ = 0.0;
-  std::optional<coll::ReductionTree> best;
-  for (net::Switch* sw : net_.switches()) {
-    std::optional<coll::ReductionTree> t =
-        manager_.compute_tree(participants, sw->id());
-    if (t && (!best || t->cost < best->cost)) best = std::move(t);
-  }
+  const std::optional<coll::ReductionTree> best =
+      manager_.cheapest_tree(participants);
   if (!best) return std::numeric_limits<f64>::infinity();
   f64 score = 0.0;
   for (const u32 l : snap.tree_links(*best)) {

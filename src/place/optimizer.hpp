@@ -87,9 +87,12 @@ class PlacementOptimizer {
  private:
   struct State;  // SA working state (optimizer.cpp)
 
+  /// Points the link-cost closure at `st`'s loads minus job j's own.
+  void set_costs(const CostSnapshot& snap, const State& st, u32 j);
   /// Cheapest embedding for job `j` of `st` rooted anywhere, under edge
-  /// costs that exclude j's own contribution (strict less, first in
-  /// net.switches() order wins).  nullopt when no root spans.
+  /// costs that exclude j's own contribution (NetworkManager::
+  /// cheapest_tree: strict less, first in net.switches() order wins).
+  /// nullopt when no root spans.
   std::optional<coll::ReductionTree> cheapest_tree(const CostSnapshot& snap,
                                                    State& st, u32 j);
   std::optional<coll::ReductionTree> tree_for(const CostSnapshot& snap,
@@ -99,11 +102,11 @@ class PlacementOptimizer {
 
   net::Network& net_;
   OptimizerOptions opt_;
-  /// Private manager: reuses the deterministic congestion-aware Dijkstra
-  /// (compute_tree) against the SNAPSHOT loads via a link-cost closure
-  /// reading cost_* below.  Never installs anything.
+  /// Private manager: reuses the deterministic congestion-aware embedding
+  /// (compute_tree, cheapest_tree) against the SNAPSHOT loads via a
+  /// link-cost closure reading cost_* below.  Never installs anything.
   coll::NetworkManager manager_;
-  // Link-cost closure inputs for the current compute_tree call.
+  // Link-cost closure inputs for the current embedding query.
   const CostSnapshot* cost_snap_ = nullptr;
   const std::vector<f64>* cost_load_ = nullptr;
   const std::vector<u32>* cost_exclude_links_ = nullptr;  ///< sorted

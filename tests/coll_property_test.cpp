@@ -7,11 +7,20 @@
 //     claim), monotone in Z, result independent of topology;
 //   * SparCML: exactly log2(P) rounds, traffic grows with the union;
 //   * barrier: completion scales with tree depth, not host count;
-//   * concurrent nonblocking handles: traffic additivity.
+//   * concurrent nonblocking handles: traffic additivity;
+//   * embedding: the one-sweep cheapest_tree and ranked_trees equal the
+//     per-root compute_tree loop they replace, on healthy and faulted
+//     fabrics, with and without link costs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <tuple>
 
 #include "coll/communicator.hpp"
 #include "coll/flare_sparse.hpp"
+#include "coll/manager.hpp"
+#include "common/rng.hpp"
 #include "net/fault.hpp"
 #include "workload/generators.hpp"
 
@@ -362,6 +371,172 @@ TEST(MultiTenantProperty, TrafficIsAdditive) {
   EXPECT_NEAR(static_cast<f64>(together) / static_cast<f64>(a + b), 1.0,
               0.02);
 }
+
+// ------------------------------------------------------------ root sweep --
+
+enum class CostMode { kNone, kRandom, kQuantized };
+constexpr const char* kCostModes[] = {"NoCosts", "RandomCosts",
+                                      "QuantizedCosts"};
+
+constexpr const char* kSweepFabrics[] = {
+    "single8", "fat16r4", "fat64r8", "fat128r16", "fat32r16", "fat3r8p3"};
+
+std::vector<net::Host*> build_sweep_fabric(net::Network& net, u32 which) {
+  const auto fat = [&net](u32 hosts, u32 radix) {
+    net::FatTreeSpec spec;
+    spec.hosts = hosts;
+    spec.radix = radix;
+    return net::build_fat_tree(net, spec).hosts;
+  };
+  switch (which) {
+    case 0:
+      return net::build_single_switch(net, 8).hosts;
+    case 1:
+      return fat(16, 4);
+    case 2:
+      return fat(64, 8);
+    case 3:
+      return fat(128, 16);
+    case 4:
+      return fat(32, 16);  // 4 parallel links per leaf-spine pair
+    default: {
+      net::FatTree3Spec spec;
+      spec.radix = 8;
+      spec.pods = 3;
+      return net::build_fat_tree_3level(net, spec).hosts;
+    }
+  }
+}
+
+void expect_same_tree(const ReductionTree& a, const ReductionTree& b) {
+  EXPECT_EQ(a.root, b.root);
+  EXPECT_EQ(std::bit_cast<u64>(a.cost), std::bit_cast<u64>(b.cost))
+      << a.cost << " vs " << b.cost;
+  EXPECT_EQ(a.max_depth, b.max_depth);
+  EXPECT_EQ(a.host_child_index, b.host_child_index);
+  ASSERT_EQ(a.switches.size(), b.switches.size());
+  for (std::size_t i = 0; i < a.switches.size(); ++i) {
+    const TreeSwitchEntry& x = a.switches[i];
+    const TreeSwitchEntry& y = b.switches[i];
+    EXPECT_EQ(x.sw, y.sw) << "entry " << i;
+    EXPECT_EQ(x.depth, y.depth) << "entry " << i;
+    EXPECT_EQ(x.parent_port, y.parent_port) << "entry " << i;
+    EXPECT_EQ(x.child_index_at_parent, y.child_index_at_parent)
+        << "entry " << i;
+    EXPECT_EQ(x.child_ports, y.child_ports) << "entry " << i;
+    EXPECT_EQ(x.num_children, y.num_children) << "entry " << i;
+  }
+}
+
+class RootSweep
+    : public ::testing::TestWithParam<std::tuple<u32, CostMode, bool>> {};
+
+TEST_P(RootSweep, EqualsPerRootReference) {
+  const auto [fabric, mode, faults] = GetParam();
+  u32 spanned = 0;
+  for (u32 trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Rng rng(0x5EE9ull * (fabric + 1) + 97 * static_cast<u64>(mode) +
+            (faults ? 7 : 0) + 1000 * trial);
+    net::Network net;
+    const std::vector<net::Host*> hosts = build_sweep_fabric(net, fabric);
+    NetworkManager mgr(net);
+    // A fixed table per directed port: the provider must be a pure
+    // function of (node, port) within one query.
+    std::vector<std::vector<f64>> table(net.num_nodes());
+    for (net::NodeId id = 0; id < net.num_nodes(); ++id) {
+      for (std::size_t p = 0; p < net.neighbors(id).size(); ++p) {
+        table[id].push_back(mode == CostMode::kQuantized
+                                ? 1.0 + static_cast<f64>(rng.uniform_u64(3))
+                                : rng.uniform(1.0, 9.0));
+      }
+    }
+    if (mode != CostMode::kNone) {
+      mgr.set_link_cost(
+          [&table](net::NodeId node, u32 port) { return table[node][port]; });
+    }
+    if (faults) {
+      std::vector<bool> access(net.num_duplex_links(), false);
+      for (const net::Host* h : hosts) {
+        access[net.node(h->id()).port(0).index() / 2] = true;
+      }
+      for (u32 i = 0; i < net.num_duplex_links(); ++i) {
+        if (rng.uniform_u64(access[i] ? 32 : 6) == 0) {
+          net.set_duplex_up(i, false);
+        }
+      }
+      if (net.switches().size() > 1) {
+        net.switches()[rng.uniform_u64(net.switches().size())]->fail();
+      }
+    }
+    // A random participant subset (in random order), at least two hosts;
+    // on even trials only hosts whose access link still works, so faulted
+    // fabrics span too.
+    std::vector<net::Host*> parts;
+    for (net::Host* h : hosts) {
+      if (trial % 2 == 1 || net.port_usable(h->id(), 0)) parts.push_back(h);
+    }
+    ASSERT_GE(parts.size(), 2u);
+    for (std::size_t i = parts.size(); i > 1; --i) {
+      std::swap(parts[i - 1], parts[rng.uniform_u64(i)]);
+    }
+    parts.resize(2 + rng.uniform_u64(parts.size() - 1));
+
+    std::optional<ReductionTree> ref_best;
+    std::vector<ReductionTree> ref_all;
+    for (const net::Switch* sw : net.switches()) {
+      std::optional<ReductionTree> t = mgr.compute_tree(parts, sw->id());
+      if (!t) continue;
+      ref_all.push_back(*t);
+      if (!ref_best || t->cost < ref_best->cost) ref_best = std::move(t);
+    }
+    const std::optional<ReductionTree> best = mgr.cheapest_tree(parts);
+    ASSERT_EQ(best.has_value(), ref_best.has_value());
+    if (best) {
+      ++spanned;
+      expect_same_tree(*best, *ref_best);
+    }
+
+    // install_with_retry's candidate order.
+    if (mode != CostMode::kNone) {
+      std::sort(ref_all.begin(), ref_all.end(),
+                [](const ReductionTree& a, const ReductionTree& b) {
+                  if (a.cost != b.cost) return a.cost < b.cost;
+                  if (a.switches.size() != b.switches.size())
+                    return a.switches.size() < b.switches.size();
+                  if (a.max_depth != b.max_depth)
+                    return a.max_depth < b.max_depth;
+                  return a.root < b.root;
+                });
+    } else {
+      std::sort(ref_all.begin(), ref_all.end(),
+                [](const ReductionTree& a, const ReductionTree& b) {
+                  if (a.switches.size() != b.switches.size())
+                    return a.switches.size() < b.switches.size();
+                  return a.max_depth < b.max_depth;
+                });
+    }
+    const std::vector<ReductionTree> ranked = mgr.ranked_trees(parts);
+    ASSERT_EQ(ranked.size(), ref_all.size());
+    for (std::size_t i = 0; i < ranked.size(); ++i) {
+      SCOPED_TRACE("rank " + std::to_string(i));
+      expect_same_tree(ranked[i], ref_all[i]);
+    }
+  }
+  EXPECT_GT(spanned, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, RootSweep,
+    ::testing::Combine(::testing::Range<u32>(0, 6),
+                       ::testing::Values(CostMode::kNone, CostMode::kRandom,
+                                         CostMode::kQuantized),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(kSweepFabrics[std::get<0>(info.param)]) + "_" +
+             kCostModes[static_cast<u32>(std::get<1>(info.param))] +
+             (std::get<2>(info.param) ? "_Faults" : "_Healthy");
+    });
 
 }  // namespace
 }  // namespace flare::coll

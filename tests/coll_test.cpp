@@ -110,6 +110,46 @@ TEST(Manager, InvalidRootsAreRejected) {
   }
 }
 
+TEST(Manager, DeadParallelLinkIsNeverATreePort) {
+  // 32 hosts on radix-16 switches: 4 leaves, 2 spines, 4 parallel links
+  // per leaf-spine pair.  With leaf0's first link to spine0 down, the tree
+  // must join leaf0 through a live parallel link in both directions, with
+  // and without a link-cost provider.
+  net::Network net;
+  net::FatTreeSpec spec;
+  spec.hosts = 32;
+  spec.radix = 16;
+  auto topo = net::build_fat_tree(net, spec);
+  const net::NodeId leaf0 = topo.leaves[0]->id();
+  const net::NodeId spine0 = topo.spines[0]->id();
+  u32 dead_port = UINT32_MAX;
+  for (const net::PortPeer& pp : net.neighbors(leaf0)) {
+    if (pp.peer == spine0) {
+      dead_port = pp.my_port;
+      break;
+    }
+  }
+  ASSERT_NE(dead_port, UINT32_MAX);
+  net.set_duplex_up(net.node(leaf0).port(dead_port).index() / 2, false);
+  for (const bool with_costs : {false, true}) {
+    NetworkManager mgr(net);
+    if (with_costs) mgr.set_link_cost([](net::NodeId, u32) { return 1.0; });
+    auto tree = mgr.compute_tree(topo.hosts, spine0);
+    ASSERT_TRUE(tree.has_value()) << "with_costs=" << with_costs;
+    EXPECT_TRUE(tree_alive(net, *tree)) << "with_costs=" << with_costs;
+    for (const TreeSwitchEntry& e : tree->switches) {
+      if (e.sw->id() != spine0) {
+        EXPECT_TRUE(net.port_usable(e.sw->id(), e.parent_port))
+            << e.sw->name() << " parent_port=" << e.parent_port;
+      }
+      for (const u32 p : e.child_ports) {
+        EXPECT_TRUE(net.port_usable(e.sw->id(), p))
+            << e.sw->name() << " child_port=" << p;
+      }
+    }
+  }
+}
+
 TEST(Manager, SubsetParticipantsPruneTree) {
   net::Network net;
   net::FatTreeSpec spec;

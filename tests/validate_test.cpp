@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "coll/communicator.hpp"
+#include "coll/manager.hpp"
 #include "net/network.hpp"
 #include "net/telemetry.hpp"
 #include "obs/bridge.hpp"
@@ -195,6 +196,34 @@ TEST(Validate, PlanApplyAuditCatchesHalfAppliedMove) {
   EXPECT_EQ(res.max_abs_err, 0.0);
   pc.release();
   for (Switch* s : net.switches()) EXPECT_EQ(s->installed_reduces(), 0u);
+}
+
+TEST(Validate, RootSweepAuditCatchesImpureCostProvider) {
+  // cheapest_tree scores every root from link costs read once per query;
+  // the audit rebuilds each root through compute_tree.  A provider that
+  // answers differently on every call breaks the purity the sweep relies
+  // on, and the scores stop matching the rebuilt trees.
+  Network net;
+  FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 4;
+  auto topo = build_fat_tree(net, spec);
+  coll::NetworkManager mgr(net);
+  mgr.set_link_cost([](NodeId node, u32 port) {
+    return 1.0 + static_cast<f64>((node * 7 + port) % 5);
+  });
+  {
+    CaptureViolations cap;
+    EXPECT_TRUE(mgr.cheapest_tree(topo.hosts).has_value());
+    EXPECT_TRUE(cap.got().empty());
+  }
+  u64 calls = 0;
+  mgr.set_link_cost([&calls](NodeId, u32) {
+    return 1.0 + static_cast<f64>(calls++ % 5);
+  });
+  CaptureViolations cap;
+  (void)mgr.cheapest_tree(topo.hosts);
+  EXPECT_TRUE(cap.saw("root-sweep"));
 }
 
 TEST(Validate, PacketLifecycleRejectsPayloadlessReduce) {
