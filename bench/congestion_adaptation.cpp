@@ -142,7 +142,6 @@ RunResult run_contender(bool aware, SimTime t_mid, SimTime t_end,
   coll::CollectiveOptions desc = allreduce_desc();
   if (aware) {
     desc.migrate_above = 0.2;
-    desc.migrate_improvement = 0.85;
   }
 
   // Warm-up: let phase A build queues before placement happens.

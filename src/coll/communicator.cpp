@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "coll/flare_sparse.hpp"
+#include "coll/ring.hpp"
 #include "coll/sparcml.hpp"
 #include "coll/tree_cache.hpp"
 #include "core/policy.hpp"
@@ -38,383 +39,6 @@ std::string_view algorithm_name(Algorithm a) {
 }
 
 namespace detail {
-
-// ======================================================== host ring =======
-// Event-driven ring (Rabenseifner) allreduce over the same network: two
-// phases of P-1 steps (scatter-reduce, then allgather).  Each op draws a
-// fresh wire-protocol id and registers per-proto host handlers, so
-// overlapping ring collectives over shared hosts never mix fragments.
-//
-// Fault tolerance (Tuning::retransmit_timeout_ps > 0): the ring advances
-// strictly step by step per host, so loss detection is receiver-driven — a
-// host stalled on its expected (phase, step) chunk for longer than the
-// timeout NACKs its ring predecessor, which re-sends the recorded chunk
-// snapshot.  Fragment bookkeeping is idempotent (per-seq bitmap), so
-// duplicated re-sends and NACK storms are harmless, and a lost NACK is
-// simply re-issued on the next watchdog tick.
-
-class RingOp final : public OpBase {
- public:
-  /// `trace`: attribution/tracer row id.  Nonzero when this ring is the
-  /// fallback plane of an in-network session (it inherits the session's
-  /// stable trace so the attribution plane sees one continuous tenant);
-  /// 0 lets the ring allocate its own.
-  RingOp(net::Network& net, const std::vector<net::Host*>& participants,
-         const CollectiveOptions& desc, u32 trace = 0)
-      : net_(net), participants_(participants), desc_(desc),
-        proto_(0x40000000u + net.alloc_collective_id()),
-        trace_(trace != 0 ? trace : net.alloc_trace_id()), op_(desc.op) {
-    dtype_ = desc_.dtype;
-    esize_ = core::dtype_size(dtype_);
-    elems_total_ = std::max<u64>(1, desc_.data_bytes / esize_);
-    mtu_ = desc_.mtu_bytes;
-    P_ = static_cast<u32>(participants_.size());
-    timeout_ps_ = desc_.retransmit_timeout_ps;
-  }
-
-  ~RingOp() override {
-    if (handlers_set_) {
-      for (net::Host* host : participants_) host->clear_proto_handler(proto_);
-    }
-  }
-
-  void begin(u64 seed, std::shared_ptr<OpState> state) override {
-    FLARE_ASSERT_MSG(state_ == nullptr,
-                     "previous iteration of this collective still running");
-    state_ = std::move(state);
-    complete_ = false;
-    finished_ = false;
-    hosts_done_ = 0;
-    retransmits_ = 0;
-    start_ps_ = net_.sim().now();
-    base_traffic_ = net_.total_traffic_bytes();
-    if (obs::Tracer* tr = net_.tracer()) {
-      tr->name_thread(trace_, "coll-" + std::to_string(trace_));
-      tr->begin(trace_, "ring-iteration", start_ps_, "iteration");
-    }
-
-    auto host_data =
-        workload::make_dense_data(P_, elems_total_, dtype_, seed);
-    expected_ = core::reference_reduce(host_data, op_);
-
-    runs_.clear();
-    runs_.resize(P_);
-    for (u32 h = 0; h < P_; ++h) {
-      runs_[h].host = participants_[h];
-      runs_[h].vec = std::move(host_data[h]);
-      runs_[h].host->set_proto_handler(
-          proto_, [this](const net::HostMsg& msg) { on_msg(msg); });
-    }
-    handlers_set_ = true;
-    if (P_ == 1) {
-      runs_[0].finish_ps = net_.sim().now();
-      finished_ = true;
-      net_.sim().schedule_after(0, [this] { finalize(); });
-      return;
-    }
-    for (RHost& hr : runs_) hr.last_progress_ps = start_ps_;
-    arm_watchdog();
-    // Kick off: every host sends its own chunk h for scatter-reduce step 0.
-    for (u32 h = 0; h < P_; ++h)
-      send_chunk(h, h, Phase::kScatterReduce, 0);
-  }
-
- private:
-  enum class Phase : u8 { kScatterReduce, kAllGather, kDone };
-
-  /// Reassembly state of one logical chunk: per-fragment bitmap so that
-  /// retransmitted fragments never double-count.
-  struct Partial {
-    std::vector<bool> have;
-    u32 have_count = 0;
-    std::shared_ptr<const core::TypedBuffer> data;
-  };
-  /// What a host sent for one tag — kept until the op finishes so a NACK
-  /// can replay it (the working vector has moved on by then).
-  struct SentChunk {
-    u64 bytes = 0;
-    u32 frags = 0;
-    std::shared_ptr<const core::TypedBuffer> snapshot;
-  };
-  struct RHost {
-    net::Host* host = nullptr;
-    core::TypedBuffer vec;  ///< working vector (input, then result)
-    Phase phase = Phase::kScatterReduce;
-    u32 step = 0;
-    SimTime finish_ps = 0;
-    SimTime last_progress_ps = 0;
-    u32 nacks = 0;  ///< NACKs since last progress (backoff input)
-    std::unordered_map<u32, Partial> inbox;
-    std::unordered_map<u32, SentChunk> sent;
-  };
-
-  u64 chunk_begin(u32 c) const {
-    const u64 base = elems_total_ / P_;
-    const u64 rem = elems_total_ % P_;
-    return static_cast<u64>(c) * base + std::min<u64>(c, rem);
-  }
-  u64 chunk_elems(u32 c) const {
-    return chunk_begin(c + 1) - chunk_begin(c);
-  }
-
-  static u32 make_tag(Phase phase, u32 step) {
-    return (phase == Phase::kAllGather ? 0x10000u : 0u) | step;
-  }
-
-  void send_chunk(u32 h, u32 c, Phase phase, u32 step) {
-    RHost& hr = runs_[h];
-    const u64 elems = chunk_elems(c);
-    const u64 bytes = elems * esize_;
-    SentChunk chunk;
-    chunk.bytes = bytes;
-    chunk.frags =
-        std::max<u32>(1, static_cast<u32>((bytes + mtu_ - 1) / mtu_));
-    auto snapshot = std::make_shared<core::TypedBuffer>(dtype_, elems);
-    std::memcpy(snapshot->data(), hr.vec.at_byte(chunk_begin(c)), bytes);
-    chunk.snapshot = std::move(snapshot);
-    const u32 tag = make_tag(phase, step);
-    transmit(h, tag, chunk);
-    if (timeout_ps_ > 0) hr.sent[tag] = std::move(chunk);  // NACK replay
-  }
-
-  /// Sends every fragment of `chunk` to h's ring successor (first send and
-  /// NACK-triggered replays take the same path).
-  void transmit(u32 h, u32 tag, const SentChunk& chunk) {
-    const u32 dst = (h + 1) % P_;
-    for (u32 f = 0; f < chunk.frags; ++f) {
-      auto msg = std::make_shared<net::HostMsg>();
-      msg->src_host = h;
-      msg->dst_host = dst;  ///< job-local rank of the receiver
-      msg->proto = proto_;
-      msg->tag = tag;
-      msg->seq = f;
-      msg->seq_count = chunk.frags;
-      if (f + 1 == chunk.frags) msg->dense = chunk.snapshot;
-      net::NetPacket np;
-      np.kind = net::PacketKind::kHostMsg;
-      np.dst_node = runs_[dst].host->id();
-      // One flow per (op, ring edge): FIFO along one ECMP path.
-      np.flow = (static_cast<u64>(proto_) << 16) | h;
-      np.trace = trace_;
-      const u64 frag_bytes = std::min<u64>(
-          mtu_, chunk.bytes - static_cast<u64>(f) * mtu_);
-      np.wire_bytes = frag_bytes + core::kPacketWireOverhead;
-      np.msg = std::move(msg);
-      runs_[h].host->send(std::move(np));
-    }
-  }
-
-  void on_msg(const net::HostMsg& msg) {
-    if (finished_) return;
-    const u32 h = msg.dst_host;
-    FLARE_ASSERT(h < P_);
-    if (msg.seq_count == 0) {  // NACK: the successor is missing `tag`
-      handle_nack(h, msg.tag);
-      return;
-    }
-    RHost& hr = runs_[h];
-    Partial& partial = hr.inbox[msg.tag];
-    if (partial.have.empty()) partial.have.assign(msg.seq_count, false);
-    if (partial.have.at(msg.seq)) return;  // retransmitted fragment
-    partial.have[msg.seq] = true;
-    partial.have_count += 1;
-    if (msg.dense) partial.data = msg.dense;
-    if (partial.have_count == static_cast<u32>(partial.have.size())) {
-      advance(h);
-    }
-  }
-
-  void handle_nack(u32 h, u32 tag) {
-    RHost& hr = runs_[h];
-    const auto it = hr.sent.find(tag);
-    // Not sent yet: this host is itself behind; the chunk goes out when it
-    // catches up and the requester's next timeout re-NACKs if needed.
-    if (it == hr.sent.end()) return;
-    retransmits_ += 1;
-    if (obs::Tracer* tr = net_.tracer()) {
-      tr->instant(trace_, "retransmit", net_.sim().now(), "recovery");
-    }
-    transmit(h, tag, it->second);
-  }
-
-  void send_nack(u32 h) {
-    RHost& hr = runs_[h];
-    const u32 pred = (h + P_ - 1) % P_;
-    auto msg = std::make_shared<net::HostMsg>();
-    msg->src_host = h;
-    msg->dst_host = pred;
-    msg->proto = proto_;
-    msg->tag = make_tag(hr.phase, hr.step);
-    msg->seq = 0;
-    msg->seq_count = 0;  // seq_count==0 marks a NACK
-    net::NetPacket np;
-    np.kind = net::PacketKind::kHostMsg;
-    np.dst_node = runs_[pred].host->id();
-    np.flow = (static_cast<u64>(proto_) << 16) | (0x8000ull | h);
-    np.trace = trace_;
-    np.wire_bytes = core::kPacketWireOverhead;
-    np.msg = std::move(msg);
-    hr.host->send(std::move(np));
-  }
-
-  void arm_watchdog() {
-    if (timeout_ps_ == 0 || watchdog_armed_) return;
-    watchdog_armed_ = true;
-    std::weak_ptr<char> w = alive_;
-    net_.sim().schedule_after(timeout_ps_, [this, w] {
-      if (w.expired()) return;
-      watchdog_armed_ = false;
-      on_watchdog();
-    });
-  }
-
-  void on_watchdog() {
-    if (finished_ || state_ == nullptr) return;  // iteration over: go idle
-    const SimTime now = net_.sim().now();
-    for (u32 h = 0; h < P_; ++h) {
-      RHost& hr = runs_[h];
-      if (hr.phase == Phase::kDone) continue;
-      // Exponential backoff per stall (reset on progress): repeated NACKs
-      // each trigger a full chunk replay, so pacing them out keeps a long
-      // outage from piling replays onto the healing links.
-      const u32 shift = std::min<u32>(hr.nacks, 6);
-      if (now - hr.last_progress_ps < (timeout_ps_ << shift)) continue;
-      if (hr.nacks >= kMaxNacks) {
-        // Permanent stall (a fault that never repairs): surface a FAILED
-        // result instead of NACKing the calendar forever.
-        give_up();
-        return;
-      }
-      hr.nacks += 1;
-      send_nack(h);  // stalled: ask the predecessor to replay
-    }
-    arm_watchdog();
-  }
-
-  void advance(u32 h) {
-    RHost& hr = runs_[h];
-    while (hr.phase != Phase::kDone) {
-      const u32 tag = make_tag(hr.phase, hr.step);
-      auto it = hr.inbox.find(tag);
-      if (it == hr.inbox.end() || it->second.have.empty() ||
-          it->second.have_count !=
-              static_cast<u32>(it->second.have.size()) ||
-          it->second.data == nullptr) {
-        return;  // expected message not fully here yet
-      }
-      const Partial& partial = it->second;
-      hr.last_progress_ps = net_.sim().now();
-      hr.nacks = 0;
-      if (hr.phase == Phase::kScatterReduce) {
-        const u32 c = (h + P_ - hr.step - 1) % P_;
-        FLARE_ASSERT(partial.data->size() == chunk_elems(c));
-        op_.apply(dtype_, hr.vec.at_byte(chunk_begin(c)),
-                  partial.data->data(), chunk_elems(c));
-        hr.inbox.erase(it);
-        hr.step += 1;
-        if (hr.step < P_ - 1) {
-          send_chunk(h, (h + P_ - hr.step) % P_, Phase::kScatterReduce,
-                     hr.step);
-        } else {
-          hr.phase = Phase::kAllGather;
-          hr.step = 0;
-          send_chunk(h, (h + 1) % P_, Phase::kAllGather, 0);
-        }
-      } else {
-        const u32 c = (h + P_ - hr.step) % P_;
-        FLARE_ASSERT(partial.data->size() == chunk_elems(c));
-        std::memcpy(hr.vec.at_byte(chunk_begin(c)), partial.data->data(),
-                    chunk_elems(c) * esize_);
-        hr.inbox.erase(it);
-        hr.step += 1;
-        if (hr.step < P_ - 1) {
-          send_chunk(h, c, Phase::kAllGather, hr.step);
-        } else {
-          hr.phase = Phase::kDone;
-          hr.finish_ps = net_.sim().now();
-          hosts_done_ += 1;
-          if (hosts_done_ == P_ && !finished_) {
-            finished_ = true;
-            net_.sim().schedule_after(0, [this] { finalize(); });
-          }
-        }
-      }
-    }
-  }
-
-  /// Permanent stall: publish a failed result and release host handlers so
-  /// the calendar can drain.
-  void give_up() {
-    if (obs::Tracer* tr = net_.tracer()) {
-      tr->instant(trace_, "give-up", net_.sim().now(), "recovery");
-      tr->end(trace_, net_.sim().now());
-    }
-    CollectiveResult res;
-    res.ok = false;
-    res.in_network = false;
-    res.retransmits = retransmits_;
-    for (net::Host* host : participants_) host->clear_proto_handler(proto_);
-    handlers_set_ = false;
-    finished_ = true;
-    complete_ = true;
-    publish(std::move(res));  // may destroy *this — nothing after
-  }
-
-  void finalize() {
-    if (obs::Tracer* tr = net_.tracer()) {
-      tr->end(trace_, net_.sim().now());
-    }
-    CollectiveResult res;
-    res.blocks = P_;
-    res.in_network = false;
-    f64 err = 0.0, worst = 0.0, sum = 0.0;
-    for (const RHost& hr : runs_) {
-      err = std::max(err, hr.vec.max_abs_diff(expected_));
-      worst = std::max(worst, static_cast<f64>(hr.finish_ps - start_ps_));
-      sum += static_cast<f64>(hr.finish_ps - start_ps_);
-    }
-    res.max_abs_err = err;
-    res.ok = err <= core::reduce_tolerance(dtype_, P_);
-    res.completion_seconds = worst / kPsPerSecond;
-    res.mean_host_seconds = sum / P_ / kPsPerSecond;
-    res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
-    res.total_packets = net_.total_packets();
-    res.retransmits = retransmits_;
-    for (net::Host* host : participants_) host->clear_proto_handler(proto_);
-    handlers_set_ = false;
-    complete_ = true;
-    publish(std::move(res));  // may destroy *this — nothing after
-  }
-
-  net::Network& net_;
-  const std::vector<net::Host*>& participants_;
-  CollectiveOptions desc_;
-  u32 proto_;
-  u32 trace_;  ///< attribution tag + tracer row (see ctor)
-  core::ReduceOp op_;
-  core::DType dtype_ = core::DType::kFloat32;
-  u32 esize_ = 4;
-  u64 elems_total_ = 0;
-  u64 mtu_ = 4096;
-  u32 P_ = 0;
-  u64 base_traffic_ = 0;
-  SimTime start_ps_ = 0;
-  bool handlers_set_ = false;
-  /// NACK budget per stalled host before the op reports failure: with the
-  /// capped exponential backoff this tolerates outages two orders longer
-  /// than the timeout while still bounding a permanent stall.
-  static constexpr u32 kMaxNacks = 64;
-  SimTime timeout_ps_ = 0;
-  /// Outlives-`this` guard for watchdog events left on the calendar.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
-  bool watchdog_armed_ = false;
-  u64 retransmits_ = 0;
-  core::TypedBuffer expected_;
-  std::vector<RHost> runs_;
-  u32 hosts_done_ = 0;
-  bool finished_ = false;
-};
-
 
 // ========================================================== in-network ====
 // One event-driven driver for ALL in-network dense kinds (Section 8: the
@@ -679,7 +303,6 @@ class InNetOp final : public TreeOpBase {
     res.completion_seconds = worst / kPsPerSecond;
     res.mean_host_seconds = sum / P / kPsPerSecond;
     res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
-    res.total_packets = net_.total_packets();
 
     switch (desc_.kind) {
       case CollectiveKind::kAllreduce: {
@@ -718,8 +341,7 @@ class InNetOp final : public TreeOpBase {
     res.recoveries = recoveries_;
     res.migrations = migrations_iter_;
     res.planned_migrations = planned_iter_;
-    // Iteration bookkeeping (+ closes this iteration's tracer span).
-    record_iteration_time(static_cast<SimTime>(worst));
+    trace_iteration_end();
 
     if (owns_install_) release_install();
     complete_ = true;

@@ -237,7 +237,6 @@ void SparseOp::finalize() {
   res.completion_seconds = worst / kPsPerSecond;
   res.mean_host_seconds = sum / P_ / kPsPerSecond;
   res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
-  res.total_packets = net_.total_packets();
   u64 spills_now = 0;
   for (const TreeSwitchEntry& e : tree_.switches) {
     const core::EngineStats* st = e.sw->engine_stats(cfg_.id);
@@ -282,9 +281,8 @@ void SparseOp::finalize() {
   res.retransmits = retransmits_;
   res.recoveries = recoveries_;
   res.migrations = migrations_iter_;
-    res.planned_migrations = planned_iter_;
-  // Completion-time watch feeding the next iteration's migration check.
-  record_iteration_time(static_cast<SimTime>(worst));
+  res.planned_migrations = planned_iter_;
+  trace_iteration_end();
 
   if (owns_install_) release_install();
   complete_ = true;

@@ -1,8 +1,10 @@
 #include "coll/op.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
+#include "net/node.hpp"
 #include "net/telemetry.hpp"
 #include "obs/trace.hpp"
 
@@ -228,7 +230,7 @@ void TreeOpBase::give_up() {
   res.retransmits = retransmits_;
   res.recoveries = recoveries_;
   res.migrations = migrations_iter_;
-    res.planned_migrations = planned_iter_;
+  res.planned_migrations = planned_iter_;
   finished_ = true;
   complete_ = true;
   publish(std::move(res));  // may destroy *this — nothing after
@@ -272,7 +274,7 @@ void TreeOpBase::on_fallback_done() {
   res.retransmits += retransmits_;
   res.recoveries = recoveries_;
   res.migrations = migrations_iter_;
-    res.planned_migrations = planned_iter_;
+  res.planned_migrations = planned_iter_;
   finished_ = true;
   complete_ = true;
   publish(std::move(res));  // may destroy *this — nothing after
@@ -308,14 +310,6 @@ void TreeOpBase::refresh_persistent_install() {
 
 // ------------------------------------------------ congestion adaptation ---
 
-void TreeOpBase::record_iteration_time(SimTime worst_ps) {
-  last_iter_ps_ = worst_ps;
-  if (best_iter_ps_ == 0 || last_iter_ps_ < best_iter_ps_) {
-    best_iter_ps_ = last_iter_ps_;
-  }
-  trace_iteration_end();
-}
-
 void TreeOpBase::maybe_migrate() {
   if (monitor_ == nullptr || desc_.migrate_above <= 0.0 || !installed_ ||
       fallback_active()) {
@@ -345,7 +339,7 @@ void TreeOpBase::maybe_migrate() {
   // actually shed the hottest foreign load, or the congestion is one no
   // tree can route around.
   if (!best || tree_max_congestion_excluding(*monitor_, *best, cfg_.trace) >
-                   desc_.migrate_improvement * cur_hot) {
+                   kMigrateImprovement * cur_hot) {
     return;
   }
   migrate_to(*best, /*planned=*/false);
@@ -449,6 +443,246 @@ void TreeOpBase::validate_plan_apply(bool planned) {
 #else
   (void)planned;
 #endif
+}
+
+// ======================================================= host chassis ====
+
+HostOpBase::HostOpBase(net::Network& net,
+                       const std::vector<net::Host*>& participants,
+                       const CollectiveOptions& desc, u32 proto_base,
+                       u32 trace, const char* span)
+    : net_(net),
+      participants_(participants),
+      desc_(desc),
+      proto_(proto_base + net.alloc_collective_id()),
+      trace_(trace != 0 ? trace : net.alloc_trace_id()),
+      P_(static_cast<u32>(participants.size())),
+      span_(span),
+      timeout_ps_(desc.retransmit_timeout_ps) {}
+
+HostOpBase::~HostOpBase() { release_handlers(); }
+
+void HostOpBase::release_handlers() {
+  if (!handlers_set_) return;
+  for (net::Host* host : participants_) host->clear_proto_handler(proto_);
+  handlers_set_ = false;
+}
+
+void HostOpBase::begin_iteration(std::shared_ptr<OpState> state) {
+  FLARE_ASSERT_MSG(state_ == nullptr,
+                   "previous iteration of this collective still running");
+  state_ = std::move(state);
+  complete_ = false;
+  finished_ = false;
+  hosts_done_ = 0;
+  retransmits_ = 0;
+  start_ps_ = net_.sim().now();
+  base_traffic_ = net_.total_traffic_bytes();
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->name_thread(trace_, "coll-" + std::to_string(trace_));
+    tr->begin(trace_, span_, start_ps_, "iteration");
+  }
+}
+
+bool HostOpBase::launch() {
+  links_.clear();
+  links_.resize(P_);
+  for (u32 h = 0; h < P_; ++h) {
+    links_[h].last_progress_ps = start_ps_;
+    participants_[h]->set_proto_handler(
+        proto_, [this](const net::HostMsg& msg) { on_msg(msg); });
+  }
+  handlers_set_ = true;
+  if (P_ == 1) {
+    links_[0].finish_ps = net_.sim().now();
+    finished_ = true;
+    net_.sim().schedule_after(0, [this] { finalize(); });
+    return false;
+  }
+  arm_watchdog();
+  return true;
+}
+
+void HostOpBase::send(u32 h, u32 dst, u32 tag, u64 bytes, Payload data) {
+  Sent msg;
+  msg.dst = dst;
+  msg.bytes = bytes;
+  msg.frags = std::max<u32>(
+      1, static_cast<u32>((bytes + desc_.mtu_bytes - 1) / desc_.mtu_bytes));
+  msg.data = std::move(data);
+  transmit(h, tag, msg);
+  if (timeout_ps_ > 0) links_[h].sent[tag] = std::move(msg);  // NACK replay
+}
+
+void HostOpBase::transmit(u32 h, u32 tag, const Sent& msg) {
+  for (u32 f = 0; f < msg.frags; ++f) {
+    auto hm = std::make_shared<net::HostMsg>();
+    hm->src_host = h;
+    hm->dst_host = msg.dst;  ///< job-local rank of the receiver
+    hm->proto = proto_;
+    hm->tag = tag;
+    hm->seq = f;
+    hm->seq_count = msg.frags;
+    if (f + 1 == msg.frags) {
+      hm->dense = msg.data.dense;
+      hm->sparse = msg.data.sparse;
+    }
+    net::NetPacket np;
+    np.kind = net::PacketKind::kHostMsg;
+    np.dst_node = participants_[msg.dst]->id();
+    // One flow per (op, sender): FIFO along one ECMP path.
+    np.flow = (static_cast<u64>(proto_) << 16) | h;
+    np.trace = trace_;
+    const u64 frag_bytes = std::min<u64>(
+        desc_.mtu_bytes, msg.bytes - static_cast<u64>(f) * desc_.mtu_bytes);
+    np.wire_bytes = frag_bytes + core::kPacketWireOverhead;
+    np.msg = std::move(hm);
+    participants_[h]->send(std::move(np));
+  }
+}
+
+void HostOpBase::on_msg(const net::HostMsg& msg) {
+  if (finished_) return;
+  const u32 h = msg.dst_host;
+  FLARE_ASSERT(h < P_);
+  if (msg.seq_count == 0) {  // NACK: the sender is missing `tag`
+    handle_nack(h, msg.tag);
+    return;
+  }
+  Partial& partial = links_[h].inbox[msg.tag];
+  if (partial.have.empty()) partial.have.assign(msg.seq_count, false);
+  if (partial.have.at(msg.seq)) return;  // replayed fragment
+  partial.have[msg.seq] = true;
+  partial.have_count += 1;
+  if (msg.dense) partial.data.dense = msg.dense;
+  if (msg.sparse) partial.data.sparse = msg.sparse;
+  if (partial.have_count == static_cast<u32>(partial.have.size())) {
+    advance(h);
+  }
+}
+
+void HostOpBase::advance(u32 h) {
+  HostLink& link = links_[h];
+  while (const std::optional<Expect> want = expecting(h)) {
+    const auto it = link.inbox.find(want->tag);
+    if (it == link.inbox.end() || it->second.have.empty() ||
+        it->second.have_count != static_cast<u32>(it->second.have.size())) {
+      return;  // expected message not fully here yet
+    }
+    const Payload msg = std::move(it->second.data);
+    link.inbox.erase(it);
+    link.last_progress_ps = net_.sim().now();
+    link.nacks = 0;
+    consume(h, msg);
+    if (expecting(h)) continue;
+    link.finish_ps = net_.sim().now();
+    hosts_done_ += 1;
+    if (hosts_done_ == P_ && !finished_) {
+      finished_ = true;
+      net_.sim().schedule_after(0, [this] { finalize(); });
+    }
+  }
+}
+
+void HostOpBase::handle_nack(u32 h, u32 tag) {
+  const auto it = links_[h].sent.find(tag);
+  // Not sent yet: this host is itself behind; the message goes out when it
+  // catches up and the requester's next timeout re-NACKs if needed.
+  if (it == links_[h].sent.end()) return;
+  retransmits_ += 1;
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->instant(trace_, "retransmit", net_.sim().now(), "recovery");
+  }
+  transmit(h, tag, it->second);
+}
+
+void HostOpBase::send_nack(u32 h, const Expect& want) {
+  auto hm = std::make_shared<net::HostMsg>();
+  hm->src_host = h;
+  hm->dst_host = want.peer;
+  hm->proto = proto_;
+  hm->tag = want.tag;
+  hm->seq = 0;
+  hm->seq_count = 0;  // seq_count==0 marks a NACK
+  net::NetPacket np;
+  np.kind = net::PacketKind::kHostMsg;
+  np.dst_node = participants_[want.peer]->id();
+  np.flow = (static_cast<u64>(proto_) << 16) | (0x8000ull | h);
+  np.trace = trace_;
+  np.wire_bytes = core::kPacketWireOverhead;
+  np.msg = std::move(hm);
+  participants_[h]->send(std::move(np));
+}
+
+void HostOpBase::arm_watchdog() {
+  if (timeout_ps_ == 0 || watchdog_armed_) return;
+  watchdog_armed_ = true;
+  std::weak_ptr<char> w = alive_;
+  net_.sim().schedule_after(timeout_ps_, [this, w] {
+    if (w.expired()) return;
+    watchdog_armed_ = false;
+    on_watchdog();
+  });
+}
+
+void HostOpBase::on_watchdog() {
+  if (finished_ || state_ == nullptr) return;  // iteration over: go idle
+  const SimTime now = net_.sim().now();
+  for (u32 h = 0; h < P_; ++h) {
+    const std::optional<Expect> want = expecting(h);
+    if (!want) continue;
+    HostLink& link = links_[h];
+    // Exponential backoff per stall (reset on progress): every NACK
+    // triggers a full-message replay, so pacing them out keeps a long
+    // outage from piling replays onto the healing links.
+    const u32 shift = std::min<u32>(link.nacks, 6);
+    if (now - link.last_progress_ps < (timeout_ps_ << shift)) continue;
+    if (link.nacks >= kMaxNacks) {
+      // Permanent stall (a fault that never repairs): surface a FAILED
+      // result instead of NACKing the calendar forever.
+      give_up();
+      return;
+    }
+    link.nacks += 1;
+    send_nack(h, *want);  // stalled: ask the sender to replay
+  }
+  arm_watchdog();
+}
+
+void HostOpBase::give_up() {
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->instant(trace_, "give-up", net_.sim().now(), "recovery");
+    tr->end(trace_, net_.sim().now());
+  }
+  CollectiveResult res;
+  res.ok = false;
+  res.in_network = false;
+  res.retransmits = retransmits_;
+  release_handlers();
+  finished_ = true;
+  complete_ = true;
+  publish(std::move(res));  // may destroy *this — nothing after
+}
+
+void HostOpBase::finalize() {
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->end(trace_, net_.sim().now());
+  }
+  CollectiveResult res;
+  res.in_network = false;
+  f64 worst = 0.0, sum = 0.0;
+  for (const HostLink& link : links_) {
+    worst = std::max(worst, static_cast<f64>(link.finish_ps - start_ps_));
+    sum += static_cast<f64>(link.finish_ps - start_ps_);
+  }
+  res.completion_seconds = worst / kPsPerSecond;
+  res.mean_host_seconds = sum / P_ / kPsPerSecond;
+  res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
+  res.retransmits = retransmits_;
+  fill_result(res);
+  release_handlers();
+  complete_ = true;
+  publish(std::move(res));  // may destroy *this — nothing after
 }
 
 }  // namespace flare::coll::detail

@@ -3,10 +3,13 @@
 //
 // detail::OpBase is one in-flight collective on the event calendar: begin()
 // kicks off an iteration, publish() hands the result to the caller's
-// CollectiveHandle.  detail::TreeOpBase is the chassis of the TREE-BACKED
-// in-network ops (dense InNetOp, sparse SparseOp): it owns the installed
-// reduction tree's lifetime and centralizes the three control-plane
-// reactions PRs 3-4 built so dense and sparse share them verbatim:
+// CollectiveHandle.  Two chassis sit on top of it, one per kind of data
+// plane, so each reliability mechanism exists once:
+//
+// detail::TreeOpBase is the chassis of the TREE-BACKED in-network ops
+// (dense InNetOp, sparse SparseOp): it owns the installed reduction tree's
+// lifetime and centralizes the three control-plane reactions so dense and
+// sparse share them verbatim:
 //
 //   * fault recovery — fresh-id uninstall/reinstall on the surviving
 //     fabric, bounded heal-waits, and a pluggable host-side fallback data
@@ -17,18 +20,28 @@
 //     Canary-style dynamic trees, triggered on the worst tree edge's
 //     FOREIGN EWMA utilization (per-collective link attribution subtracts
 //     the session's own traffic; no completion-time gate needed).
+//
+// detail::HostOpBase is the chassis of the HOST-BASED ops (the ring,
+// coll/ring.hpp, and SparCML, coll/sparcml.hpp) — the Figure 15 baselines
+// and the fallback planes above.  It owns the host transport: message
+// framing into MTU fragments, per-fragment reassembly, the receiver-driven
+// NACK/replay watchdog with its bounded give-up, and the common half of
+// the result.  A concrete host op is a schedule: which peer and tag each
+// host waits on next, what a fully arrived message does, and how the
+// result is judged.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <vector>
-
 #include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "coll/manager.hpp"
 #include "coll/options.hpp"
 #include "coll/result.hpp"
 #include "common/validate.hpp"
+#include "net/packet.hpp"
 
 namespace flare::obs {
 class Tracer;
@@ -219,12 +232,6 @@ class TreeOpBase : public OpBase {
       const std::function<bool(u32 host, u32 block)>& block_done,
       const std::function<void(u32 host, u32 block)>& resend);
 
-  /// Completion-time bookkeeping; call from the concrete finalize with the
-  /// iteration's worst host completion.  Also closes the iteration span on
-  /// the tracer (the migration trigger itself no longer consumes this —
-  /// per-collective attribution replaced the regression gate).
-  void record_iteration_time(SimTime worst_ps);
-
   /// The network's tracer when this collective is traceable (nonzero trace
   /// id — the tracer's row key); nullptr otherwise.  Call-sites guard on
   /// it, so an untraced run pays one branch.
@@ -325,9 +332,136 @@ class TreeOpBase : public OpBase {
   u64 fault_listener_ = 0;
   bool listening_ = false;
   bool watchdog_armed_ = false;
-  SimTime last_iter_ps_ = 0;  ///< completion of the previous iteration
-  SimTime best_iter_ps_ = 0;  ///< fastest iteration so far
   std::shared_ptr<OpState> fallback_state_;
+};
+
+/// Chassis of the host-based ops (see the file comment).  The concrete op
+/// stages its inputs, sends each host's first message, and supplies three
+/// hooks; framing, reassembly, NACK replay, give-up and the common result
+/// fields run here, identically for the ring and SparCML.
+///
+/// Loss detection is receiver-driven: every host waits on exactly one
+/// (peer, tag) message at a time, and a host stalled on it past the
+/// timeout NACKs that peer, which replays the recorded payload.
+/// Reassembly is idempotent (per-fragment bitmap), so duplicated replays
+/// and NACK storms are harmless and a lost NACK is re-issued on the next
+/// watchdog tick.
+class HostOpBase : public OpBase {
+ public:
+  ~HostOpBase() override;
+
+ protected:
+  /// One message's payload, dense or sparse (as net::HostMsg carries it).
+  struct Payload {
+    std::shared_ptr<const core::TypedBuffer> dense;
+    std::shared_ptr<const std::vector<core::StoredPair>> sparse;
+  };
+  /// The message a host waits on next: its sender and tag.
+  struct Expect {
+    u32 peer = 0;
+    u32 tag = 0;
+  };
+
+  /// `proto_base` + a fresh collective id is the op's wire protocol (it
+  /// feeds the flow id, hence the ECMP path).  `trace`: attribution/tracer
+  /// row id — nonzero when the op is the fallback plane of an in-network
+  /// session (it inherits the session's stable trace), 0 allocates a
+  /// fresh one.  `span` names the per-iteration tracer span.
+  HostOpBase(net::Network& net, const std::vector<net::Host*>& participants,
+             const CollectiveOptions& desc, u32 proto_base, u32 trace,
+             const char* span);
+
+  // ---- hooks the concrete op supplies -----------------------------------
+
+  /// The message host `h` waits on next; nullopt once h holds its result.
+  virtual std::optional<Expect> expecting(u32 h) const = 0;
+
+  /// Applies h's fully reassembled expected message to its working state
+  /// and sends h's next message, if any.  Runs once per message.
+  virtual void consume(u32 h, const Payload& msg) = 0;
+
+  /// The scheme's half of the result: blocks, error, `ok` rule, extras.
+  virtual void fill_result(CollectiveResult& res) const = 0;
+
+  // ---- shared machinery --------------------------------------------------
+
+  /// begin()'s head: asserts no iteration is running, adopts `state`,
+  /// resets the per-iteration counters and opens the iteration span.
+  void begin_iteration(std::shared_ptr<OpState> state);
+
+  /// After staging: resets the per-host transport and wires the host
+  /// handlers.  Returns false for a single host — already complete, its
+  /// finalize scheduled — and otherwise arms the watchdog; the caller then
+  /// sends every host's first message.
+  bool launch();
+
+  /// Sends `bytes` of `data` from host `h` to host `dst` under `tag`, in
+  /// MTU fragments; recorded for NACK replay when fault handling is on.
+  void send(u32 h, u32 dst, u32 tag, u64 bytes, Payload data);
+
+  net::Network& net_;
+  const std::vector<net::Host*>& participants_;
+  CollectiveOptions desc_;
+  const u32 proto_;
+  const u32 trace_;  ///< attribution tag + tracer row (see ctor)
+  const u32 P_;
+
+ private:
+  /// Reassembly state of one logical message: a per-fragment bitmap so
+  /// that replayed fragments never double-count.
+  struct Partial {
+    std::vector<bool> have;
+    u32 have_count = 0;
+    Payload data;
+  };
+  /// What a host sent under one tag, kept until the op finishes so a NACK
+  /// can replay it (the sender's working state has moved on by then).
+  struct Sent {
+    u32 dst = 0;
+    u32 frags = 0;
+    u64 bytes = 0;
+    Payload data;
+  };
+  struct HostLink {
+    SimTime finish_ps = 0;
+    SimTime last_progress_ps = 0;
+    u32 nacks = 0;  ///< NACKs since last progress (backoff input)
+    std::unordered_map<u32, Partial> inbox;  ///< by tag
+    std::unordered_map<u32, Sent> sent;      ///< by tag (NACK replay)
+  };
+
+  /// Sends every fragment of `msg` (first sends and NACK-triggered replays
+  /// take the same path).
+  void transmit(u32 h, u32 tag, const Sent& msg);
+  void on_msg(const net::HostMsg& msg);
+  void handle_nack(u32 h, u32 tag);
+  void send_nack(u32 h, const Expect& want);
+  void arm_watchdog();
+  void on_watchdog();
+  /// Consumes every expected message of h that has fully arrived.
+  void advance(u32 h);
+  /// Permanent stall: publish a failed result and release host handlers so
+  /// the calendar can drain.
+  void give_up();
+  void finalize();
+  void release_handlers();
+
+  const char* span_;
+  /// NACK budget per stalled host before the op reports failure: with the
+  /// capped exponential backoff this tolerates outages two orders longer
+  /// than the timeout while still bounding a permanent stall.
+  static constexpr u32 kMaxNacks = 64;
+  SimTime timeout_ps_ = 0;
+  SimTime start_ps_ = 0;
+  u64 base_traffic_ = 0;
+  u64 retransmits_ = 0;
+  bool handlers_set_ = false;
+  bool finished_ = false;
+  bool watchdog_armed_ = false;
+  /// Outlives-`this` guard for watchdog events left on the calendar.
+  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  std::vector<HostLink> links_;
+  u32 hosts_done_ = 0;
 };
 
 }  // namespace detail

@@ -84,13 +84,14 @@ struct Tuning {
   /// excluded at the telemetry layer, no completion-time regression gate
   /// is needed: a session running alone reads ~0 and never flees itself.
   f64 migrate_above = 0.0;
-  /// Hysteresis: actually migrate only onto a tree whose WORST-edge
-  /// congestion is at most this fraction of the current embedding's —
-  /// strictly below 1 so a session never hops between equivalent trees,
-  /// and never moves at all when the hot edge (e.g. a participant's access
-  /// link) is one every candidate must cross.
-  f64 migrate_improvement = 0.85;
 };
+
+/// Migration hysteresis: a session migrates only onto a tree whose
+/// WORST-edge congestion is at most this fraction of the current
+/// embedding's — strictly below 1 so a session never hops between
+/// equivalent trees, and never moves at all when the hot edge (e.g. a
+/// participant's access link) is one every candidate must cross.
+inline constexpr f64 kMigrateImprovement = 0.85;
 
 /// Calibrated per-switch aggregation rates (Figures 11 and 13).
 constexpr f64 kDenseSwitchServiceBps = 2.4e12;

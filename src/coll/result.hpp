@@ -13,7 +13,6 @@ struct CollectiveResult {
   f64 completion_seconds = 0.0;   ///< slowest host
   f64 mean_host_seconds = 0.0;
   u64 total_traffic_bytes = 0;    ///< all link bytes, both directions
-  u64 total_packets = 0;
   u64 blocks = 0;                 ///< reduction blocks / chunks processed
   u64 extra_packets = 0;          ///< scheme-specific (e.g. sparse spills)
   /// Peak working memory across the tree switches (in-network schemes).

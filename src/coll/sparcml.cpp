@@ -6,8 +6,6 @@
 #include <cstring>
 
 #include "core/sparse_store.hpp"
-#include "net/node.hpp"
-#include "obs/trace.hpp"
 
 namespace flare::coll::detail {
 
@@ -47,11 +45,9 @@ std::vector<core::SparsePair> merge_pairs(
 SparcmlOp::SparcmlOp(net::Network& net,
                      const std::vector<net::Host*>& participants,
                      const CollectiveOptions& desc, u32 trace)
-    : net_(net), participants_(participants), desc_(desc),
-      proto_(0x53500000u + net.alloc_collective_id()),
-      trace_(trace != 0 ? trace : net.alloc_trace_id()),
+    : HostOpBase(net, participants, desc, 0x53500000u, trace,
+                 "sparcml-iteration"),
       op_(core::OpKind::kSum) {
-  P_ = static_cast<u32>(participants_.size());
   FLARE_ASSERT(P_ >= 1);
   FLARE_ASSERT_MSG(std::has_single_bit(P_),
                    "recursive doubling needs a power-of-two host count");
@@ -59,19 +55,11 @@ SparcmlOp::SparcmlOp(net::Network& net,
                        desc_.sparse.epoch_pairs != nullptr,
                    "SparCML needs a sparse workload");
   rounds_ = static_cast<u32>(std::countr_zero(P_));
-  esize_ = core::dtype_size(desc_.dtype);
   // SparCML reduces ONE global sparse vector: blocks flatten to global
   // indices.
   total_elems_ = static_cast<u64>(desc_.sparse.block_span) *
                  desc_.sparse.num_blocks;
-  dense_bytes_ = total_elems_ * esize_;
-  timeout_ps_ = desc_.retransmit_timeout_ps;
-}
-
-SparcmlOp::~SparcmlOp() {
-  if (handlers_set_) {
-    for (net::Host* host : participants_) host->clear_proto_handler(proto_);
-  }
+  dense_bytes_ = total_elems_ * core::dtype_size(desc_.dtype);
 }
 
 std::vector<core::SparsePair> SparcmlOp::host_pairs(u32 h, u64 seed) const {
@@ -89,21 +77,9 @@ std::vector<core::SparsePair> SparcmlOp::host_pairs(u32 h, u64 seed) const {
 }
 
 void SparcmlOp::begin(u64 seed, std::shared_ptr<OpState> state) {
-  FLARE_ASSERT_MSG(state_ == nullptr,
-                   "previous iteration of this collective still running");
-  state_ = std::move(state);
-  complete_ = false;
-  finished_ = false;
-  hosts_done_ = 0;
+  begin_iteration(std::move(state));
   dense_switchovers_ = 0;
   pairs_exchanged_ = 0;
-  retransmits_ = 0;
-  start_ps_ = net_.sim().now();
-  base_traffic_ = net_.total_traffic_bytes();
-  if (obs::Tracer* tr = net_.tracer()) {
-    tr->name_thread(trace_, "coll-" + std::to_string(trace_));
-    tr->begin(trace_, "sparcml-iteration", start_ps_, "iteration");
-  }
 
   // Reference: dense sum of all hosts' inputs.
   expected_ = core::TypedBuffer(desc_.dtype, total_elems_);
@@ -112,7 +88,6 @@ void SparcmlOp::begin(u64 seed, std::shared_ptr<OpState> state) {
   runs_.resize(P_);
   for (u32 h = 0; h < P_; ++h) {
     SpHost& hr = runs_[h];
-    hr.host = participants_[h];
     hr.sparse = host_pairs(h, seed);
     std::sort(hr.sparse.begin(), hr.sparse.end(),
               [](const core::SparsePair& a, const core::SparsePair& b) {
@@ -123,265 +98,81 @@ void SparcmlOp::begin(u64 seed, std::shared_ptr<OpState> state) {
       one.set_from_f64(0, sp.value);
       op_.apply(desc_.dtype, expected_.at_byte(sp.index), one.data(), 1);
     }
-    hr.host->set_proto_handler(
-        proto_, [this, h](const net::HostMsg& msg) { on_msg(h, msg); });
-    hr.last_progress_ps = start_ps_;
   }
-  handlers_set_ = true;
-
-  if (P_ == 1) {
-    runs_[0].finish_ps = net_.sim().now();
-    finished_ = true;
-    net_.sim().schedule_after(0, [this] { finalize(); });
-    return;
-  }
-  arm_watchdog();
+  if (!launch()) return;
   for (u32 h = 0; h < P_; ++h) send_round(h, 0);
+}
+
+void SparcmlOp::densify(SpHost& hr) const {
+  core::TypedBuffer d(desc_.dtype, total_elems_);
+  d.fill_identity(op_);
+  for (const core::SparsePair& sp : hr.sparse) {
+    d.set_from_f64(sp.index, sp.value);
+  }
+  hr.dense = std::move(d);
+  hr.is_dense = true;
+  hr.sparse.clear();
 }
 
 void SparcmlOp::send_round(u32 h, u32 r) {
   SpHost& hr = runs_[h];
   const u64 sparse_bytes =
       hr.sparse.size() * core::sparse_pair_bytes(desc_.dtype);
-  const bool send_dense = hr.is_dense || sparse_bytes >= dense_bytes_;
-  SentMsg msg;
-  if (send_dense) {
+  const u32 partner = h ^ (1u << r);
+  if (hr.is_dense || sparse_bytes >= dense_bytes_) {
     dense_switchovers_ += 1;
-    if (!hr.is_dense) {
-      // Convert before sending (switchover happens at the sender).
-      core::TypedBuffer d(desc_.dtype, total_elems_);
-      d.fill_identity(op_);
-      for (const core::SparsePair& sp : hr.sparse) {
-        d.set_from_f64(sp.index, sp.value);
-      }
-      hr.dense = std::move(d);
-      hr.is_dense = true;
-      hr.sparse.clear();
-    }
-    msg.dense = std::make_shared<const core::TypedBuffer>(hr.dense);
-    msg.bytes = dense_bytes_;
-  } else {
-    auto stored = std::make_shared<std::vector<core::StoredPair>>();
-    stored->reserve(hr.sparse.size());
-    core::TypedBuffer one(desc_.dtype, 1);
-    for (const core::SparsePair& sp : hr.sparse) {
-      one.set_from_f64(0, sp.value);
-      stored->push_back(
-          core::make_stored_pair(sp.index, one.data(), desc_.dtype));
-    }
-    pairs_exchanged_ += stored->size();
-    msg.sparse = std::move(stored);
-    msg.bytes = sparse_bytes;
-  }
-  msg.frags = std::max<u32>(
-      1, static_cast<u32>((msg.bytes + desc_.mtu_bytes - 1) /
-                          desc_.mtu_bytes));
-  transmit(h, r, msg);
-  if (timeout_ps_ > 0) hr.sent[r] = std::move(msg);  // NACK replay
-}
-
-/// Sends every fragment of round r's message to h's round partner (first
-/// send and NACK-triggered replays take the same path).
-void SparcmlOp::transmit(u32 h, u32 r, const SentMsg& msg) {
-  const u32 dst = h ^ (1u << r);
-  for (u32 f = 0; f < msg.frags; ++f) {
-    auto hm = std::make_shared<net::HostMsg>();
-    hm->src_host = h;
-    hm->dst_host = dst;  ///< job-local rank of the receiver
-    hm->proto = proto_;
-    hm->tag = r;
-    hm->seq = f;
-    hm->seq_count = msg.frags;
-    if (f + 1 == msg.frags) {
-      hm->dense = msg.dense;
-      hm->sparse = msg.sparse;
-    }
-    net::NetPacket np;
-    np.kind = net::PacketKind::kHostMsg;
-    np.dst_node = runs_[dst].host->id();
-    // One flow per (op, sender): FIFO along one ECMP path.
-    np.flow = (static_cast<u64>(proto_) << 16) | h;
-    np.trace = trace_;
-    const u64 frag_bytes = std::min<u64>(
-        desc_.mtu_bytes, msg.bytes - static_cast<u64>(f) * desc_.mtu_bytes);
-    np.wire_bytes = frag_bytes + core::kPacketWireOverhead;
-    np.msg = std::move(hm);
-    runs_[h].host->send(std::move(np));
-  }
-}
-
-void SparcmlOp::on_msg(u32 h, const net::HostMsg& msg) {
-  if (finished_) return;
-  if (msg.seq_count == 0) {  // NACK: the partner is missing round `tag`
-    handle_nack(h, msg.tag);
+    // The switchover happens at the sender: convert before sending.
+    if (!hr.is_dense) densify(hr);
+    send(h, partner, r, dense_bytes_,
+         {std::make_shared<const core::TypedBuffer>(hr.dense), nullptr});
     return;
   }
-  SpHost& hr = runs_[h];
-  Partial& partial = hr.inbox[msg.tag];
-  if (partial.have.empty()) partial.have.assign(msg.seq_count, false);
-  if (partial.have.at(msg.seq)) return;  // replayed fragment
-  partial.have[msg.seq] = true;
-  partial.have_count += 1;
-  if (msg.dense) partial.dense = msg.dense;
-  if (msg.sparse) partial.sparse = msg.sparse;
-  if (partial.have_count == static_cast<u32>(partial.have.size())) {
-    advance(h);
+  auto stored = std::make_shared<std::vector<core::StoredPair>>();
+  stored->reserve(hr.sparse.size());
+  core::TypedBuffer one(desc_.dtype, 1);
+  for (const core::SparsePair& sp : hr.sparse) {
+    one.set_from_f64(0, sp.value);
+    stored->push_back(
+        core::make_stored_pair(sp.index, one.data(), desc_.dtype));
   }
+  pairs_exchanged_ += stored->size();
+  send(h, partner, r, sparse_bytes, {nullptr, std::move(stored)});
 }
 
-void SparcmlOp::handle_nack(u32 h, u32 r) {
+std::optional<HostOpBase::Expect> SparcmlOp::expecting(u32 h) const {
+  const u32 r = runs_[h].round;
+  if (r >= rounds_) return std::nullopt;
+  return Expect{h ^ (1u << r), r};
+}
+
+void SparcmlOp::consume(u32 h, const Payload& msg) {
   SpHost& hr = runs_[h];
-  const auto it = hr.sent.find(r);
-  // Not sent yet: this host is itself behind; the message goes out when it
-  // catches up and the requester's next timeout re-NACKs if needed.
-  if (it == hr.sent.end()) return;
-  retransmits_ += 1;
-  if (obs::Tracer* tr = net_.tracer()) {
-    tr->instant(trace_, "retransmit", net_.sim().now(), "recovery");
-  }
-  transmit(h, r, it->second);
-}
-
-void SparcmlOp::send_nack(u32 h) {
-  SpHost& hr = runs_[h];
-  const u32 partner = h ^ (1u << hr.round);
-  auto hm = std::make_shared<net::HostMsg>();
-  hm->src_host = h;
-  hm->dst_host = partner;
-  hm->proto = proto_;
-  hm->tag = hr.round;
-  hm->seq = 0;
-  hm->seq_count = 0;  // seq_count==0 marks a NACK
-  net::NetPacket np;
-  np.kind = net::PacketKind::kHostMsg;
-  np.dst_node = runs_[partner].host->id();
-  np.flow = (static_cast<u64>(proto_) << 16) | (0x8000ull | h);
-  np.trace = trace_;
-  np.wire_bytes = core::kPacketWireOverhead;
-  np.msg = std::move(hm);
-  hr.host->send(std::move(np));
-}
-
-void SparcmlOp::arm_watchdog() {
-  if (timeout_ps_ == 0 || watchdog_armed_) return;
-  watchdog_armed_ = true;
-  std::weak_ptr<char> w = alive_;
-  net_.sim().schedule_after(timeout_ps_, [this, w] {
-    if (w.expired()) return;
-    watchdog_armed_ = false;
-    on_watchdog();
-  });
-}
-
-void SparcmlOp::on_watchdog() {
-  if (finished_ || state_ == nullptr) return;  // iteration over: go idle
-  const SimTime now = net_.sim().now();
-  for (u32 h = 0; h < P_; ++h) {
-    SpHost& hr = runs_[h];
-    if (hr.round >= rounds_) continue;
-    // Exponential backoff per stall (reset on progress): a NACK triggers a
-    // full-set replay, so pacing them out keeps a long outage from piling
-    // replays onto the healing links.
-    const u32 shift = std::min<u32>(hr.nacks, 6);
-    if (now - hr.last_progress_ps < (timeout_ps_ << shift)) continue;
-    if (hr.nacks >= kMaxNacks) {
-      // Permanent stall (a fault that never repairs): surface a FAILED
-      // result instead of NACKing the calendar forever.
-      give_up();
-      return;
-    }
-    hr.nacks += 1;
-    send_nack(h);  // stalled: ask the round partner to replay
-  }
-  arm_watchdog();
-}
-
-void SparcmlOp::advance(u32 h) {
-  SpHost& hr = runs_[h];
-  while (hr.round < rounds_) {
-    auto it = hr.inbox.find(hr.round);
-    if (it == hr.inbox.end() || it->second.have.empty() ||
-        it->second.have_count != static_cast<u32>(it->second.have.size())) {
-      return;  // expected message not fully here yet
-    }
-    const Partial partial = std::move(it->second);
-    hr.inbox.erase(it);
-    hr.last_progress_ps = net_.sim().now();
-    hr.nacks = 0;
-    if (partial.dense) {
-      if (!hr.is_dense) {
-        core::TypedBuffer d(desc_.dtype, total_elems_);
-        d.fill_identity(op_);
-        for (const core::SparsePair& sp : hr.sparse) {
-          d.set_from_f64(sp.index, sp.value);
-        }
-        hr.dense = std::move(d);
-        hr.is_dense = true;
-        hr.sparse.clear();
+  if (msg.dense) {
+    if (!hr.is_dense) densify(hr);
+    hr.dense.accumulate(*msg.dense, op_);
+  } else {
+    FLARE_ASSERT(msg.sparse != nullptr);
+    if (hr.is_dense) {
+      for (const core::StoredPair& sp : *msg.sparse) {
+        op_.apply(desc_.dtype, hr.dense.at_byte(sp.index), sp.value.data(),
+                  1);
       }
-      hr.dense.accumulate(*partial.dense, op_);
     } else {
-      FLARE_ASSERT(partial.sparse != nullptr);
-      if (hr.is_dense) {
-        for (const core::StoredPair& sp : *partial.sparse) {
-          op_.apply(desc_.dtype, hr.dense.at_byte(sp.index),
-                    sp.value.data(), 1);
-        }
-      } else {
-        hr.sparse = merge_pairs(hr.sparse, *partial.sparse, desc_.dtype);
-      }
-    }
-    hr.round += 1;
-    if (hr.round < rounds_) {
-      send_round(h, hr.round);
-    } else {
-      hr.finish_ps = net_.sim().now();
-      hosts_done_ += 1;
-      if (hosts_done_ == P_ && !finished_) {
-        finished_ = true;
-        net_.sim().schedule_after(0, [this] { finalize(); });
-      }
+      hr.sparse = merge_pairs(hr.sparse, *msg.sparse, desc_.dtype);
     }
   }
+  hr.round += 1;
+  if (hr.round < rounds_) send_round(h, hr.round);
 }
 
-void SparcmlOp::give_up() {
-  if (obs::Tracer* tr = net_.tracer()) {
-    tr->instant(trace_, "give-up", net_.sim().now(), "recovery");
-    tr->end(trace_, net_.sim().now());
-  }
-  CollectiveResult res;
-  res.ok = false;
-  res.in_network = false;
-  res.retransmits = retransmits_;
-  finished_ = true;
-  complete_ = true;
-  publish(std::move(res));  // may destroy *this — nothing after
-}
-
-void SparcmlOp::finalize() {
-  if (obs::Tracer* tr = net_.tracer()) {
-    tr->end(trace_, net_.sim().now());
-  }
-  CollectiveResult res;
+void SparcmlOp::fill_result(CollectiveResult& res) const {
   res.blocks = rounds_;
-  res.in_network = false;
-  f64 worst = 0.0, sum = 0.0;
-  for (const SpHost& hr : runs_) {
-    worst = std::max(worst, static_cast<f64>(hr.finish_ps - start_ps_));
-    sum += static_cast<f64>(hr.finish_ps - start_ps_);
-  }
-  res.completion_seconds = worst / kPsPerSecond;
-  res.mean_host_seconds = sum / P_ / kPsPerSecond;
-  res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
-  res.total_packets = net_.total_packets();
   res.dense_switchovers = dense_switchovers_;
   res.pairs_exchanged = pairs_exchanged_;
-  res.retransmits = retransmits_;
   f64 err = 0.0;
   core::TypedBuffer got(desc_.dtype, total_elems_);
   for (u32 h = 0; h < std::min<u32>(P_, 2); ++h) {
-    SpHost& hr = runs_[h];
+    const SpHost& hr = runs_[h];
     if (hr.is_dense) {
       got = hr.dense;
     } else {
@@ -395,8 +186,6 @@ void SparcmlOp::finalize() {
   res.max_abs_err = err;
   const f64 tol = core::dtype_is_float(desc_.dtype) ? 1e-2 * P_ : 0.0;
   res.ok = err <= tol;
-  complete_ = true;
-  publish(std::move(res));  // may destroy *this — nothing after
 }
 
 }  // namespace flare::coll::detail

@@ -11,106 +11,58 @@
 //
 // Entry point: coll::Communicator with a sparse workload and
 // Algorithm::kSparcml.  detail::SparcmlOp is a first-class op in the
-// Communicator lifecycle (run / start / persistent), mirroring the host
-// ring: each op draws a fresh wire-protocol id so overlapping collectives
-// never mix fragments, persistent requests re-stage fresh per-iteration
-// gradients (SparseWorkload::epoch_pairs), and — with
+// Communicator lifecycle (run / start / persistent): persistent requests
+// re-stage fresh per-iteration gradients (SparseWorkload::epoch_pairs).
+// It is a schedule on detail::HostOpBase (coll/op.hpp), the chassis it
+// shares with the host ring: fragment framing, and — with
 // Tuning::retransmit_timeout_ps enabled — a host stalled on its round
-// partner's message NACKs for a replay of the recorded snapshot, exactly
-// the receiver-driven recovery the ring uses.  SparcmlOp is also the
-// fault-recovery fallback data plane of the in-network sparse engine.
+// partner's message NACKs for a replay of the recorded snapshot.
+// SparcmlOp is also the fault-recovery fallback data plane of the
+// in-network sparse engine.
 #pragma once
-
-#include <unordered_map>
 
 #include "coll/op.hpp"
 #include "core/typed_buffer.hpp"
 
 namespace flare::coll::detail {
 
-class SparcmlOp final : public OpBase {
+class SparcmlOp final : public HostOpBase {
  public:
-  /// `trace`: attribution/tracer row id — nonzero when this op is the
-  /// fallback plane of an in-network sparse session (inherits the
-  /// session's stable trace); 0 allocates a fresh one.
+  /// `trace`: see HostOpBase — nonzero when this op is the fallback plane
+  /// of an in-network sparse session.
   SparcmlOp(net::Network& net, const std::vector<net::Host*>& participants,
             const CollectiveOptions& desc, u32 trace = 0);
-  ~SparcmlOp() override;
 
   void begin(u64 seed, std::shared_ptr<OpState> state) override;
 
  private:
-  /// Reassembly state of one round's message: per-fragment bitmap so that
-  /// replayed fragments never double-count.
-  struct Partial {
-    std::vector<bool> have;
-    u32 have_count = 0;
-    std::shared_ptr<const core::TypedBuffer> dense;
-    std::shared_ptr<const std::vector<core::StoredPair>> sparse;
-  };
-  /// What a host sent for one round — kept until the op finishes so a NACK
-  /// can replay it (the working set has moved on by then).
-  struct SentMsg {
-    u64 bytes = 0;
-    u32 frags = 0;
-    std::shared_ptr<const core::TypedBuffer> dense;
-    std::shared_ptr<const std::vector<core::StoredPair>> sparse;
-  };
   struct SpHost {
-    net::Host* host = nullptr;
     std::vector<core::SparsePair> sparse;  ///< sorted by index
     core::TypedBuffer dense;
     bool is_dense = false;
     u32 round = 0;
-    SimTime finish_ps = 0;
-    SimTime last_progress_ps = 0;
-    u32 nacks = 0;  ///< NACKs since last progress (backoff input)
-    std::unordered_map<u32, Partial> inbox;   ///< by round
-    std::unordered_map<u32, SentMsg> sent;    ///< by round (NACK replay)
   };
+
+  std::optional<Expect> expecting(u32 h) const override;
+  void consume(u32 h, const Payload& msg) override;
+  void fill_result(CollectiveResult& res) const override;
 
   /// Host h's flattened global-index input for this iteration.
   std::vector<core::SparsePair> host_pairs(u32 h, u64 seed) const;
-
+  /// SparCML's sparse-to-dense switchover of h's working set.
+  void densify(SpHost& hr) const;
+  /// Sends h's current set to its round-r partner, dense once the sparse
+  /// encoding would exceed the dense vector.
   void send_round(u32 h, u32 r);
-  void transmit(u32 h, u32 r, const SentMsg& msg);
-  void on_msg(u32 h, const net::HostMsg& msg);
-  void handle_nack(u32 h, u32 r);
-  void send_nack(u32 h);
-  void arm_watchdog();
-  void on_watchdog();
-  void advance(u32 h);
-  void give_up();
-  void finalize();
 
-  net::Network& net_;
-  const std::vector<net::Host*>& participants_;
-  CollectiveOptions desc_;
-  u32 proto_;
-  u32 trace_;  ///< attribution tag + tracer row (see ctor)
   core::ReduceOp op_;
-  u32 P_ = 0;
   u32 rounds_ = 0;
-  u32 esize_ = 4;
   u64 total_elems_ = 0;
   u64 dense_bytes_ = 0;
-  u64 base_traffic_ = 0;
-  SimTime start_ps_ = 0;
-  bool handlers_set_ = false;
-  bool finished_ = false;
   u64 dense_switchovers_ = 0;
   u64 pairs_exchanged_ = 0;
-  u64 retransmits_ = 0;
-  /// NACK budget per stalled host before the op reports failure (see
-  /// RingOp::kMaxNacks — same bounded-recovery contract).
-  static constexpr u32 kMaxNacks = 64;
-  SimTime timeout_ps_ = 0;
-  /// Outlives-`this` guard for watchdog events left on the calendar.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
-  bool watchdog_armed_ = false;
   core::TypedBuffer expected_;
   std::vector<SpHost> runs_;
-  u32 hosts_done_ = 0;
 };
 
 }  // namespace flare::coll::detail

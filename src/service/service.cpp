@@ -77,7 +77,6 @@ coll::CollectiveOptions AllreduceService::descriptor_for(
   }
   if (opt_.monitor != nullptr && opt_.migrate_above > 0.0) {
     desc.migrate_above = opt_.migrate_above;
-    desc.migrate_improvement = opt_.migrate_improvement;
   }
   return desc;
 }

@@ -66,12 +66,11 @@ struct ServiceOptions {
   /// Fabric congestion monitor (must outlive the service).  When set: tree
   /// embedding uses the monitor's link costs, RootPolicy::kLeastCongested
   /// becomes available, cached embeddings are staleness-checked, and the
-  /// migration knobs below reach every job's descriptor.
+  /// migration knob below reaches every job's descriptor.
   net::CongestionMonitor* monitor = nullptr;
   /// Per-job congestion migration (see coll::Tuning::migrate_above);
   /// 0 places congestion-aware but never migrates mid-job.
   f64 migrate_above = 0.0;
-  f64 migrate_improvement = 0.85;
   /// TreeCache staleness bound: cached embeddings whose worst link EWMA
   /// exceeds this are recomputed instead of re-served (0 = liveness-only
   /// validation, the pre-congestion-plane behavior).

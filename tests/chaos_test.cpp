@@ -1,6 +1,7 @@
 // Deterministic chaos harness: seeded fault schedules (link flaps, switch
 // crash/restarts, silent drop and CRC-corruption bursts) replayed against
-// in-network collectives, the host ring and the multi-tenant service.
+// in-network collectives, the host ring, SparCML and the multi-tenant
+// service.
 //
 // Every case asserts the recovery contract end to end:
 //   * the collective COMPLETES despite the schedule (recovered in-network
@@ -17,6 +18,9 @@
 // — the logged FaultPlan::summary shows the exact schedule replayed.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "coll/communicator.hpp"
@@ -412,6 +416,45 @@ TEST(ChaosSparse, TotalSwitchLossFallsBackToSparcml) {
   expect_no_leaked_hash_store(net);
 }
 
+TEST(ChaosTargeted, SparcmlSurvivesLinkFlap) {
+  // The SparCML data plane alone, on the ring's flap schedule: a mid-run
+  // duplex outage on a host access link is healed by NACK/replay.
+  net::Network net;
+  auto topo = net::build_single_switch(net, 8);
+  CollectiveOptions desc = sparse_fault_desc();
+  desc.algorithm = Algorithm::kSparcml;
+
+  net::FaultPlan plan;
+  plan.events.push_back({1 * kPsPerUs, net::FaultKind::kLinkDown, 2, 1});
+  plan.events.push_back({9 * kPsPerUs, net::FaultKind::kLinkUp, 2, 1});
+  net::FaultInjector injector(net);
+  injector.arm(plan);
+
+  Communicator comm(net, topo.hosts);
+  const auto res = comm.run(desc);
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.max_abs_err, 0.0);
+  EXPECT_GE(res.retransmits, 1u);
+  EXPECT_FALSE(res.in_network);
+}
+
+TEST(ChaosTargeted, PermanentSparcmlStallReportsFailure) {
+  // SparCML under a host access link that never comes back: the NACK
+  // budget runs out and the op publishes ok == false instead of hanging.
+  net::Network net;
+  auto topo = net::build_single_switch(net, 4);
+  net.sim().schedule_at(1 * kPsPerUs, [&net] {
+    net.set_duplex_up(0, false);  // h0's access link, down forever
+  });
+
+  CollectiveOptions desc = sparse_fault_desc();
+  desc.algorithm = Algorithm::kSparcml;
+  Communicator comm(net, topo.hosts);
+  const auto res = comm.run(desc);
+  EXPECT_FALSE(res.ok);
+  EXPECT_FALSE(res.in_network);
+}
+
 /// Seeded sparse chaos runs, mirroring the dense sweep: every schedule
 /// completes bit-for-bit and replays identically.
 ChaosOutcome run_sparse_chaos(u64 seed) {
@@ -483,6 +526,153 @@ TEST_P(SparseChaosSweep, CompletesBitForBitAndDeterministically) {
 
 INSTANTIATE_TEST_SUITE_P(SparseSchedules, SparseChaosSweep,
                          ::testing::Range<u64>(1, 13));
+
+// ---------------------------------------------- host data-plane replay -----
+// The ring and SparCML planes share one NACK/replay chassis.  These runs
+// replay fixed fault schedules through both planes — alone, as 3-iteration
+// persistent sessions, and as the fallback of a tree that lost its only
+// switch — and pin every outcome bit for bit.  A change to framing,
+// replay order, flow ids or give-up accounting moves these numbers.
+
+struct HostPlaneRun {
+  u64 completion_bits = 0;  ///< bit pattern of completion_seconds
+  u64 traffic = 0;
+  u64 retransmits = 0;
+  u64 dense_switchovers = 0;
+  u64 pairs_exchanged = 0;
+  bool operator==(const HostPlaneRun&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const HostPlaneRun& r) {
+  return os << "{0x" << std::hex << r.completion_bits << std::dec << "ull, "
+            << r.traffic << ", " << r.retransmits << ", "
+            << r.dense_switchovers << ", " << r.pairs_exchanged << "}";
+}
+
+struct HostPlanePin {
+  std::vector<HostPlaneRun> runs;
+  u64 net_packets = 0;  ///< the fabric's final Network::total_packets()
+};
+
+enum class HostPlaneCase {
+  kRing,
+  kSparcml,
+  kRingPersistent,
+  kSparcmlPersistent,
+  kDenseFallback,
+  kSparseFallback,
+};
+
+HostPlaneRun host_plane_run(const coll::CollectiveResult& res) {
+  EXPECT_TRUE(res.ok);
+  EXPECT_EQ(res.max_abs_err, 0.0);
+  EXPECT_FALSE(res.in_network);
+  return {std::bit_cast<u64>(res.completion_seconds), res.total_traffic_bytes,
+          res.retransmits, res.dense_switchovers, res.pairs_exchanged};
+}
+
+HostPlanePin run_host_plane(HostPlaneCase c) {
+  const bool fallback = c == HostPlaneCase::kDenseFallback ||
+                        c == HostPlaneCase::kSparseFallback;
+  const bool sparse = c == HostPlaneCase::kSparcml ||
+                      c == HostPlaneCase::kSparcmlPersistent ||
+                      c == HostPlaneCase::kSparseFallback;
+  net::Network net;
+  // The fallback runs reuse the TotalSwitchLoss* setups (the only switch
+  // down from 2 us to 40 us); the rest HostRingSurvivesLinkFlap's flap.
+  auto topo =
+      net::build_single_switch(net, fallback ? (sparse ? 4 : 6) : 8);
+  net::FaultPlan plan;
+  if (fallback) {
+    net::Switch* sw = topo.leaves[0];
+    net.sim().schedule_at(2 * kPsPerUs, [sw] { sw->fail(); });
+    net.sim().schedule_at(40 * kPsPerUs, [sw] { sw->restart(); });
+  } else {
+    plan.events.push_back({1 * kPsPerUs, net::FaultKind::kLinkDown, 2, 1});
+    plan.events.push_back({9 * kPsPerUs, net::FaultKind::kLinkUp, 2, 1});
+  }
+  net::FaultInjector injector(net);
+  injector.arm(plan);
+
+  CollectiveOptions desc = sparse ? sparse_fault_desc() : fault_tolerant_desc();
+  if (!fallback) {
+    desc.algorithm = sparse ? Algorithm::kSparcml : Algorithm::kHostRing;
+  }
+
+  HostPlanePin pin;
+  {
+    Communicator comm(net, topo.hosts);
+    if (c == HostPlaneCase::kRingPersistent ||
+        c == HostPlaneCase::kSparcmlPersistent) {
+      coll::PersistentCollective pc = comm.persistent(desc);
+      EXPECT_TRUE(pc.ok());
+      for (u32 i = 0; i < 3; ++i) pin.runs.push_back(host_plane_run(pc.run()));
+      pc.release();
+    } else {
+      const coll::CollectiveResult res = comm.run(desc);
+      EXPECT_EQ(res.fell_back, fallback);
+      pin.runs.push_back(host_plane_run(res));
+    }
+  }
+  pin.net_packets = net.total_packets();
+  return pin;
+}
+
+struct HostPlaneExpect {
+  const char* name;
+  HostPlaneCase c;
+  std::vector<HostPlaneRun> runs;
+  u64 net_packets;
+};
+
+void PrintTo(const HostPlaneExpect& e, std::ostream* os) { *os << e.name; }
+
+class HostPlaneReplay : public ::testing::TestWithParam<HostPlaneExpect> {};
+
+TEST_P(HostPlaneReplay, MatchesPinnedOutcome) {
+  const HostPlaneExpect& want = GetParam();
+  const HostPlanePin got = run_host_plane(want.c);
+  ASSERT_EQ(got.runs.size(), want.runs.size());
+  for (std::size_t i = 0; i < got.runs.size(); ++i) {
+    EXPECT_EQ(got.runs[i], want.runs[i]) << "iteration " << i;
+  }
+  EXPECT_EQ(got.net_packets, want.net_packets);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HostPlanes, HostPlaneReplay,
+    ::testing::Values(
+        HostPlaneExpect{"Ring",
+                        HostPlaneCase::kRing,
+                        {{0x3f076b0051fe0544ull, 1186880, 33, 0, 0}},
+                        369},
+        HostPlaneExpect{"Sparcml",
+                        HostPlaneCase::kSparcml,
+                        {{0x3f000db9b0f71275ull, 628384, 6, 0, 31842}},
+                        201},
+        HostPlaneExpect{"RingPersistent",
+                        HostPlaneCase::kRingPersistent,
+                        {{0x3f076b0051fe0544ull, 1186880, 33, 0, 0},
+                         {0x3ef8737c3f0ee04dull, 931840, 0, 0, 0},
+                         {0x3ef8737c3f0ee04dull, 931840, 0, 0, 0}},
+                        817},
+        HostPlaneExpect{"SparcmlPersistent",
+                        HostPlaneCase::kSparcmlPersistent,
+                        {{0x3f000db9b0f71275ull, 628384, 6, 0, 31842},
+                         {0x3edc0a17cb13b54dull, 527168, 0, 0, 32372},
+                         {0x3edbc1401378d32full, 519984, 0, 0, 31923}},
+                        489},
+        HostPlaneExpect{"DenseFallback",
+                        HostPlaneCase::kDenseFallback,
+                        {{0x3f1183aaabcffbfbull, 706560, 6, 0, 0}},
+                        576},
+        HostPlaneExpect{"SparseFallback",
+                        HostPlaneCase::kSparseFallback,
+                        {{0x3f0bca66092c2030ull, 160400, 4, 0, 8110}},
+                        172}),
+    [](const ::testing::TestParamInfo<HostPlaneExpect>& info) {
+      return std::string(info.param.name);
+    });
 
 // ------------------------------------------------------ service chaos -----
 

@@ -307,7 +307,6 @@ TEST(Migration, PersistentSessionMovesOffHotTree) {
   desc.data_bytes = 64 * kKiB;
   desc.dtype = core::DType::kInt32;
   desc.migrate_above = 0.2;
-  desc.migrate_improvement = 0.85;
 
   coll::PersistentCollective pc = comm.persistent(desc);
   ASSERT_TRUE(pc.ok());
@@ -387,7 +386,6 @@ TEST(Migration, SelfHeatIsExcludedForeignHeatTriggers) {
   // A bound the session's OWN traffic comfortably exceeds on its tree
   // links when iterations run back to back.
   desc.migrate_above = 0.05;
-  desc.migrate_improvement = 0.85;
   coll::PersistentCollective pc = comm.persistent(desc);
   ASSERT_TRUE(pc.ok());
   const NodeId root = pc.tree().root;
