@@ -674,6 +674,321 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// ---------------------------------------------- tree data-plane replay -----
+// The dense and sparse in-network ops share one block chassis (windowed
+// sending, completion, restart, timeout scan, finalize).  These runs replay
+// fixed faults through every dense kind and the sparse engine — single
+// drops on an uplink and a downlink, and 3-iteration persistent sessions
+// whose tree spine crashes mid-iteration — and pin every outcome bit for
+// bit.  A change to block order, window accounting, restart replay or the
+// result's common half moves these numbers.
+
+struct TreePlaneRun {
+  u64 completion_bits = 0;  ///< bit pattern of completion_seconds
+  u64 traffic = 0;
+  u64 retransmits = 0;
+  u32 recoveries = 0;
+  u64 spill_packets = 0;
+  u64 switch_working_mem_hwm = 0;
+  bool operator==(const TreePlaneRun&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const TreePlaneRun& r) {
+  return os << "{0x" << std::hex << r.completion_bits << std::dec << "ull, "
+            << r.traffic << ", " << r.retransmits << ", " << r.recoveries
+            << ", " << r.spill_packets << ", " << r.switch_working_mem_hwm
+            << "}";
+}
+
+struct TreePlanePin {
+  std::vector<TreePlaneRun> runs;
+  u64 net_packets = 0;  ///< the fabric's final Network::total_packets()
+};
+
+enum class TreeFault { kUplinkDrop, kDownlinkDrop, kSpineCrash };
+
+struct TreePlaneCase {
+  bool sparse = false;
+  CollectiveKind kind = CollectiveKind::kAllreduce;
+  TreeFault fault = TreeFault::kUplinkDrop;
+};
+
+/// Drains the calendar for at most 5 ms of simulated time after `h`
+/// started: a stuck or livelocked op fails its pin instead of hanging.
+TreePlaneRun tree_plane_run(net::Network& net,
+                            const coll::CollectiveHandle& h) {
+  net.sim().run_until(net.sim().now() + 5 * kPsPerMs);
+  EXPECT_TRUE(h.done()) << "op still running after 5 ms";
+  if (!h.done()) return {};
+  const coll::CollectiveResult& res = h.result();
+  EXPECT_TRUE(res.ok);
+  EXPECT_EQ(res.max_abs_err, 0.0);
+  EXPECT_TRUE(res.in_network);
+  return {std::bit_cast<u64>(res.completion_seconds),
+          res.total_traffic_bytes,
+          res.retransmits,
+          res.recoveries,
+          res.spill_packets,
+          res.switch_working_mem_hwm};
+}
+
+TreePlanePin run_tree_plane(const TreePlaneCase& c) {
+  net::Network net;
+  std::vector<net::Host*> hosts;
+  std::vector<net::Switch*> spines;
+  CollectiveOptions desc;
+  switch (c.fault) {
+    case TreeFault::kUplinkDrop:
+      // SingleDropHeals*: host 0's first contribution is lost.
+      hosts = net::build_single_switch(net, 8).hosts;
+      net.link(0).drop_next(1);
+      desc = c.sparse ? sparse_fault_desc() : fault_tolerant_desc();
+      break;
+    case TreeFault::kDownlinkDrop:
+      // LostDownMulticast*: two results toward host 0 are lost.
+      hosts = net::build_single_switch(net, 4).hosts;
+      net.link(1).drop_next(2);
+      desc = c.sparse ? sparse_fault_desc(1024, 4)
+                      : fault_tolerant_desc(8_KiB);
+      break;
+    case TreeFault::kSpineCrash: {
+      // SpineCrashRecovers*: two spines; the tree's one dies at 2 us.
+      net::FatTreeSpec spec;
+      spec.hosts = 8;
+      spec.radix = 4;
+      auto topo = net::build_fat_tree(net, spec);
+      hosts = topo.hosts;
+      spines = topo.spines;
+      desc = c.sparse ? sparse_fault_desc() : fault_tolerant_desc(64_KiB);
+      break;
+    }
+  }
+  desc.kind = c.kind;
+  desc.root = 1;  // reduce/broadcast: a root other than the dropped host
+
+  TreePlanePin pin;
+  {
+    Communicator comm(net, hosts);
+    if (c.fault == TreeFault::kSpineCrash) {
+      coll::PersistentCollective pc = comm.persistent(desc);
+      EXPECT_TRUE(pc.ok());
+      net::Switch* spine = nullptr;
+      for (const coll::TreeSwitchEntry& e : pc.tree().switches) {
+        for (net::Switch* sp : spines) {
+          if (e.sw == sp) spine = sp;
+        }
+      }
+      EXPECT_NE(spine, nullptr);
+      if (spine != nullptr) {
+        net.sim().schedule_at(2 * kPsPerUs, [spine] { spine->fail(); });
+      }
+      // A stuck iteration ends the session: the next start() would
+      // assert that it is still running.
+      for (u32 i = 0; i < 3 && !::testing::Test::HasFailure(); ++i) {
+        pin.runs.push_back(tree_plane_run(net, pc.start()));
+      }
+      pc.release();
+    } else {
+      pin.runs.push_back(tree_plane_run(net, comm.start(desc)));
+    }
+  }
+  pin.net_packets = net.total_packets();
+  expect_no_leaked_occupancy(net);
+  expect_no_leaked_hash_store(net);
+  return pin;
+}
+
+struct TreePlaneExpect {
+  const char* name;
+  TreePlaneCase c;
+  std::vector<TreePlaneRun> runs;
+  u64 net_packets;
+};
+
+void PrintTo(const TreePlaneExpect& e, std::ostream* os) { *os << e.name; }
+
+class TreePlaneReplay : public ::testing::TestWithParam<TreePlaneExpect> {};
+
+TEST_P(TreePlaneReplay, MatchesPinnedOutcome) {
+  const TreePlaneExpect& want = GetParam();
+  const TreePlanePin got = run_tree_plane(want.c);
+  ASSERT_EQ(got.runs.size(), want.runs.size());
+  for (std::size_t i = 0; i < got.runs.size(); ++i) {
+    EXPECT_EQ(got.runs[i], want.runs[i]) << "iteration " << i;
+  }
+  EXPECT_EQ(got.net_packets, want.net_packets);
+}
+
+constexpr CollectiveKind kAllreduce = CollectiveKind::kAllreduce;
+
+INSTANTIATE_TEST_SUITE_P(
+    TreePlanes, TreePlaneReplay,
+    ::testing::Values(
+        TreePlaneExpect{"AllreduceUplinkDrop",
+                        {false, kAllreduce, TreeFault::kUplinkDrop},
+                        {{0x3ed185c714c37436ull, 1078208, 96, 0, 0, 8192}},
+                        991},
+        TreePlaneExpect{"AllreduceDownlinkDrop",
+                        {false, kAllreduce, TreeFault::kDownlinkDrop},
+                        {{0x3ed1e33c7441b821ull, 78336, 2, 0, 0, 3072}},
+                        72},
+        TreePlaneExpect{"ReduceUplinkDrop",
+                        {false, CollectiveKind::kReduce,
+                         TreeFault::kUplinkDrop},
+                        {{0x3ed185c714c37436ull, 1078208, 96, 0, 0, 8192}},
+                        991},
+        TreePlaneExpect{"ReduceDownlinkDrop",
+                        {false, CollectiveKind::kReduce,
+                         TreeFault::kDownlinkDrop},
+                        {{0x3ebe29c45f8767c0ull, 78336, 2, 0, 0, 3072}},
+                        72},
+        TreePlaneExpect{"BroadcastUplinkDrop",
+                        {false, CollectiveKind::kBroadcast,
+                         TreeFault::kUplinkDrop},
+                        {{0x3ed185c714c37436ull, 1078208, 96, 0, 0, 8192}},
+                        991},
+        TreePlaneExpect{"BroadcastDownlinkDrop",
+                        {false, CollectiveKind::kBroadcast,
+                         TreeFault::kDownlinkDrop},
+                        {{0x3ed1e33c7441b821ull, 78336, 2, 0, 0, 3072}},
+                        72},
+        TreePlaneExpect{"BarrierUplinkDrop",
+                        {false, CollectiveKind::kBarrier,
+                         TreeFault::kUplinkDrop},
+                        {{0x3ed0d230ed318c2cull, 1472, 8, 0, 0, 0}},
+                        23},
+        TreePlaneExpect{"BarrierDownlinkDrop",
+                        {false, CollectiveKind::kBarrier,
+                         TreeFault::kDownlinkDrop},
+                        {{0x3ee4fe522f213840ull, 1024, 2, 0, 0, 0}},
+                        16},
+        TreePlaneExpect{"SparseUplinkDrop",
+                        {true, kAllreduce, TreeFault::kUplinkDrop},
+                        {{0x3ed241b1bd0cff34ull, 521368, 16, 0, 0, 15840}},
+                        583},
+        TreePlaneExpect{"DensePersistentSpineCrash",
+                        {false, kAllreduce, TreeFault::kSpineCrash},
+                        {{0x3eec26f3f62ed897ull, 3529472, 648, 1, 0, 3072},
+                         {0x3ee0784806665b28ull, 2611200, 448, 0, 0, 3072},
+                         {0x3ee0784806665b28ull, 2611200, 448, 0, 0, 3072}},
+                        26868},
+        TreePlaneExpect{"SparsePersistentSpineCrash",
+                        {true, kAllreduce, TreeFault::kSpineCrash},
+                        {{0x3edb44d339658bd2ull, 685456, 16, 1, 18, 10560},
+                         {0x3ed3207a3b32f093ull, 782472, 48, 0, 20, 10560},
+                         {0x3ed301a3bcddbf57ull, 762144, 48, 0, 15, 10560}},
+                        7657}),
+    [](const ::testing::TestParamInfo<TreePlaneExpect>& info) {
+      return std::string(info.param.name);
+    });
+
+// ------------------------------------------- tree reliability regressions -----
+
+/// Starts `desc` on a healthy 16-host radix-4 fat tree and drains the
+/// calendar up to `bound` of simulated time: a livelocked op is still
+/// running there instead of hanging the test.
+coll::CollectiveResult run_bounded(const CollectiveOptions& desc,
+                                   SimTime bound, bool* done) {
+  net::Network net;
+  net::FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 4;
+  auto topo = net::build_fat_tree(net, spec);
+  Communicator comm(net, topo.hosts);
+  coll::CollectiveHandle h = comm.start(desc);
+  net.sim().run_until(bound);
+  *done = h.done();
+  return *done ? h.result() : coll::CollectiveResult{};
+}
+
+TEST(ChaosTreeReliability, DenseTimeoutShorterThanIterationTerminates) {
+  // No fault at all, but the retransmit timeout (4 us) is shorter than one
+  // iteration (~27 us): blocks exhaust their retries, each escalation
+  // reinstalls a healthy tree, and the restarted iteration must be given
+  // a growing wait instead of the same too-short one forever.
+  CollectiveOptions desc = fault_tolerant_desc(256_KiB);
+  desc.retransmit_timeout_ps = 4 * kPsPerUs;
+  bool done = false;
+  const coll::CollectiveResult res =
+      run_bounded(desc, 2 * kPsPerMs, &done);
+  ASSERT_TRUE(done) << "op still running after 2 ms of simulated time";
+  EXPECT_TRUE(res.ok);
+  EXPECT_TRUE(res.in_network);
+  EXPECT_EQ(res.max_abs_err, 0.0);
+}
+
+TEST(ChaosTreeReliability, SparseTimeoutShorterThanIterationTerminates) {
+  // The sparse engine under the same too-short timeout (3 us against a
+  // ~12 us iteration), with small hash stores so spills lengthen it.
+  CollectiveOptions desc = sparse_fault_desc(2048, 4);
+  desc.sparse.epoch_pairs = [](u64 epoch, u32 h, u32 b) {
+    workload::SparseSpec spec{2048, 0.2, 0.5, core::DType::kInt32, epoch};
+    return workload::sparse_block_pairs(spec, h, b);
+  };
+  desc.hash_capacity_pairs = 32;
+  bool done = false;
+  const coll::CollectiveResult res =
+      run_bounded(desc, 2 * kPsPerMs, &done);
+  ASSERT_TRUE(done) << "op still running after 2 ms of simulated time";
+  EXPECT_TRUE(res.ok);
+  EXPECT_TRUE(res.in_network);
+  EXPECT_EQ(res.max_abs_err, 0.0);
+}
+
+TEST(ChaosTreeReliability, SparseSpillsAcrossMidIterationReinstall) {
+  // Iteration 1 runs sparse (few spills) on the persistent tree; in
+  // iteration 2 the gradients densify and the tree's spine crashes 1 us
+  // in.  The reinstalled tree's engines are fresh, so iteration 2 must
+  // report their whole spill count — which iteration 3, same density on
+  // the same tree, reproduces — not that count minus iteration 1's.
+  net::Network net;
+  net::FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 4;
+  auto topo = net::build_fat_tree(net, spec);
+
+  f64 density = 0.03;
+  CollectiveOptions desc = sparse_fault_desc(2048, 4);
+  desc.sparse.epoch_pairs = [&density](u64 epoch, u32 h, u32 b) {
+    workload::SparseSpec s{2048, density, 0.5, core::DType::kInt32, 7};
+    (void)epoch;  // same draw every iteration: only the density moves
+    return workload::sparse_block_pairs(s, h, b);
+  };
+  desc.hash_capacity_pairs = 32;
+  desc.retransmit_timeout_ps = 20 * kPsPerUs;
+
+  Communicator comm(net, topo.hosts);
+  coll::PersistentCollective pc = comm.persistent(desc);
+  ASSERT_TRUE(pc.ok());
+  const coll::CollectiveResult first = pc.run();
+  ASSERT_TRUE(first.ok);
+
+  net::Switch* tree_spine = nullptr;
+  for (const coll::TreeSwitchEntry& e : pc.tree().switches) {
+    for (net::Switch* sp : topo.spines) {
+      if (e.sw == sp) tree_spine = sp;
+    }
+  }
+  ASSERT_NE(tree_spine, nullptr);
+  density = 0.2;
+  const SimTime crash = net.sim().now() + 1 * kPsPerUs;
+  net.sim().schedule_at(crash, [tree_spine] { tree_spine->fail(); });
+  const coll::CollectiveResult crashed = pc.run();
+  ASSERT_TRUE(crashed.ok);
+  EXPECT_GE(crashed.recoveries, 1u);
+  EXPECT_FALSE(crashed.fell_back);
+  const coll::CollectiveResult steady = pc.run();
+  ASSERT_TRUE(steady.ok);
+  EXPECT_EQ(steady.recoveries, 0u);
+
+  EXPECT_GT(first.spill_packets, 0u);
+  EXPECT_GT(steady.spill_packets, first.spill_packets);
+  EXPECT_EQ(crashed.spill_packets, steady.spill_packets);
+  pc.release();
+  expect_no_leaked_occupancy(net);
+  expect_no_leaked_hash_store(net);
+}
+
 // ------------------------------------------------------ service chaos -----
 
 TEST(ChaosService, JobsSurviveMidRunFaults) {
