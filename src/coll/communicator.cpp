@@ -67,9 +67,12 @@ namespace detail {
 //      data plane (reduce/broadcast/barrier retry once the fabric heals).
 // Persistent requests reinstall transparently between iterations.
 //
-// All of 1-3, the persistent upkeep and the congestion migration live in
+// All of 1-3, the block windowing, completion and restart they act on, the
+// persistent upkeep and the congestion migration live in
 // detail::TreeOpBase (coll/op.{hpp,cpp}) and are shared verbatim with the
-// sparse engine's SparseOp; this class is the DENSE data plane only.
+// sparse engine's SparseOp; this class is the DENSE block schedule only:
+// what each host contributes per block, where a result block lands, and
+// how the result is judged.
 
 class InNetOp final : public TreeOpBase {
  public:
@@ -79,88 +82,30 @@ class InNetOp final : public TreeOpBase {
           ReductionTree tree, bool owns_install,
           net::CongestionMonitor* monitor = nullptr)
       : TreeOpBase(net, manager, participants, desc, cfg, std::move(tree),
-                   owns_install, /*sparse=*/false, monitor),
-        op_(cfg.op) {
-    const u32 esize = core::dtype_size(desc_.dtype);
-    if (desc_.kind == CollectiveKind::kBarrier) {
-      elems_total_ = 0;
-      elems_per_pkt_ = 0;
-      nb_ = 1;
-    } else {
-      elems_total_ = std::max<u64>(1, desc_.data_bytes / esize);
-      elems_per_pkt_ = cfg_.elems_per_packet;
-      FLARE_ASSERT(elems_per_pkt_ >= 1);
-      nb_ = static_cast<u32>((elems_total_ + elems_per_pkt_ - 1) /
-                             elems_per_pkt_);
-    }
-    // Staggered sending keeps every block of the operation in flight
-    // (Section 5); windowed flow control applies to aligned sending.
-    window_ = desc_.order == core::SendOrder::kStaggered
-                  ? std::max(desc_.window_blocks, nb_)
-                  : std::max(1u, desc_.window_blocks);
-  }
-
-  void begin(u64 seed, std::shared_ptr<OpState> state) override {
-    if (!begin_prologue(seed, std::move(state))) return;
-    hosts_done_ = 0;
-    start_ps_ = net_.sim().now();
-    base_traffic_ = net_.total_traffic_bytes();
-    const u32 P = static_cast<u32>(participants_.size());
-
-    switch (desc_.kind) {
-      case CollectiveKind::kAllreduce:
-      case CollectiveKind::kReduce:
-        host_data_ = workload::make_dense_data(P, elems_total_, desc_.dtype,
-                                               seed);
-        expected_ = core::reference_reduce(host_data_, op_);
-        break;
-      case CollectiveKind::kBroadcast: {
-        Rng rng(seed);
-        payload_ = core::TypedBuffer(desc_.dtype, elems_total_);
-        payload_.fill_random(rng);
-        identity_ = core::TypedBuffer(desc_.dtype, elems_per_pkt_);
-        identity_.fill_identity(op_);
-        break;
-      }
-      case CollectiveKind::kBarrier:
-        break;
-    }
-
-    runs_.clear();
-    runs_.resize(P);
-    for (u32 h = 0; h < P; ++h) {
-      HostRun& hr = runs_[h];
-      hr.host = participants_[h];
-      if (consumes_payload()) {
-        hr.result = core::TypedBuffer(desc_.dtype, elems_total_);
-      }
-      hr.schedule = core::send_schedule(h, P, nb_, desc_.order);
-      hr.block_done.assign(nb_, false);
-      hr.retry.reset(nb_);
-      hr.host->set_reduce_handler(
-          cfg_.id, [this, h](const core::Packet& pkt) { on_down(h, pkt); });
-    }
-    for (u32 h = 0; h < P; ++h) try_send(h);
-    subscribe_faults();
-    arm_watchdog();
-  }
+                   owns_install, /*sparse=*/false, blocks_of(desc, cfg),
+                   monitor),
+        op_(cfg.op),
+        elems_total_(elems_of(desc)),
+        elems_per_pkt_(barrier(desc) ? 0 : cfg.elems_per_packet) {}
 
  private:
-  struct HostRun {
-    net::Host* host = nullptr;
-    core::TypedBuffer result;
-    std::vector<u32> schedule;
-    std::size_t next = 0;
-    u32 outstanding = 0;
-    u64 blocks_done = 0;
-    SimTime finish_ps = 0;
-    std::vector<bool> block_done;
-    BlockRetryState retry;  ///< shared watchdog bookkeeping (TreeOpBase)
-  };
-
-  bool consumes_payload() const {
-    return desc_.kind != CollectiveKind::kBarrier;
+  static bool barrier(const CollectiveOptions& desc) {
+    return desc.kind == CollectiveKind::kBarrier;
   }
+  static u64 elems_of(const CollectiveOptions& desc) {
+    if (barrier(desc)) return 0;
+    return std::max<u64>(1, desc.data_bytes / core::dtype_size(desc.dtype));
+  }
+  /// A barrier is one 0-byte block.
+  static u32 blocks_of(const CollectiveOptions& desc,
+                       const core::AllreduceConfig& cfg) {
+    if (barrier(desc)) return 1;
+    FLARE_ASSERT(cfg.elems_per_packet >= 1);
+    return static_cast<u32>((elems_of(desc) + cfg.elems_per_packet - 1) /
+                            cfg.elems_per_packet);
+  }
+
+  bool consumes_payload() const { return !barrier(desc_); }
 
   u32 block_elems(u32 b) const {
     if (elems_per_pkt_ == 0) return 0;  // barrier
@@ -184,71 +129,86 @@ class InNetOp final : public TreeOpBase {
     return nullptr;
   }
 
-  void send_block(u32 h, u32 b, u16 extra_flags) {
-    HostRun& hr = runs_[h];
-    core::Packet p = core::make_dense_packet(
-        cfg_.id, b, tree_.host_child_index[hr.host->host_index()],
-        contribution(h, b), block_elems(b), desc_.dtype);
-    p.hdr.flags |= extra_flags;
-    net::NetPacket np;
-    np.kind = net::PacketKind::kReduceUp;
-    np.allreduce_id = cfg_.id;
-    np.trace = cfg_.trace;
-    np.wire_bytes = p.wire_bytes();
-    np.reduce = core::make_pooled_packet(std::move(p));
-    hr.host->send(std::move(np));
-  }
+  // ------------------------------------------------ TreeOpBase hooks ----
 
-  void try_send(u32 h) {
-    HostRun& hr = runs_[h];
-    while (hr.next < hr.schedule.size()) {
-      const u32 b = hr.schedule[hr.next];
-      // After a recovery restart the schedule replays from the top: blocks
-      // this host already holds results for are re-contributed (the fresh
-      // engines need every child's input) but consume no window slot and
-      // await no multicast.
-      const bool need_result = !hr.block_done[b];
-      if (need_result && hr.outstanding >= window_) break;
-      hr.next += 1;
-      if (need_result) {
-        hr.outstanding += 1;
-        hr.retry.sent[b] = true;
-        hr.retry.sent_ps[b] = net_.sim().now();
+  void stage(u64 seed) override {
+    const u32 P = static_cast<u32>(participants_.size());
+    switch (desc_.kind) {
+      case CollectiveKind::kAllreduce:
+      case CollectiveKind::kReduce:
+        host_data_ = workload::make_dense_data(P, elems_total_, desc_.dtype,
+                                               seed);
+        expected_ = core::reference_reduce(host_data_, op_);
+        break;
+      case CollectiveKind::kBroadcast: {
+        Rng rng(seed);
+        payload_ = core::TypedBuffer(desc_.dtype, elems_total_);
+        payload_.fill_random(rng);
+        identity_ = core::TypedBuffer(desc_.dtype, elems_per_pkt_);
+        identity_.fill_identity(op_);
+        break;
       }
-      send_block(h, b, 0);
+      case CollectiveKind::kBarrier:
+        break;
     }
+    results_.assign(consumes_payload() ? P : 0,
+                    core::TypedBuffer(desc_.dtype, elems_total_));
   }
 
-  void on_down(u32 h, const core::Packet& pkt) {
-    HostRun& me = runs_[h];
+  void send_block(u32 h, u32 b, u16 flags) override {
+    core::Packet p =
+        core::make_dense_packet(cfg_.id, b, child_index(h),
+                                contribution(h, b), block_elems(b),
+                                desc_.dtype);
+    p.hdr.flags |= flags;
+    send_up(h, std::move(p));
+  }
+
+  bool on_block_packet(u32 h, const core::Packet& pkt) override {
     const u32 b = pkt.hdr.block_id;
-    FLARE_ASSERT(b < nb_);
-    if (me.block_done[b]) return;  // duplicated multicast replica
-    me.block_done[b] = true;
     FLARE_ASSERT(pkt.hdr.elem_count == block_elems(b));
     if (consumes_payload()) {
       const u64 first = static_cast<u64>(b) * elems_per_pkt_;
-      std::memcpy(me.result.at_byte(first), pkt.payload.data(),
+      std::memcpy(results_[h].at_byte(first), pkt.payload.data(),
                   pkt.payload.size());
     }
-    me.blocks_done += 1;
-    me.outstanding -= 1;
-    if (me.blocks_done == nb_) {
-      me.finish_ps = net_.sim().now();
-      hosts_done_ += 1;
-    }
-    try_send(h);
-    if (hosts_done_ == runs_.size() && !finished_) {
-      finished_ = true;
-      // Finalize off this packet's call stack: by the time every host
-      // holds every block, all switch-side events of this collective have
-      // run (host delivery is causally last on each path), so releasing or
-      // resetting switch state afterwards is race-free.
-      net_.sim().schedule_after(0, [this] { finalize(); });
-    }
+    return true;
   }
 
-  // --------------------------------------------- TreeOpBase data hooks ----
+  void fill_result(CollectiveResult& res) const override {
+    const u32 P = static_cast<u32>(participants_.size());
+    switch (desc_.kind) {
+      case CollectiveKind::kAllreduce: {
+        f64 err = 0.0;
+        for (const core::TypedBuffer& r : results_)
+          err = std::max(err, r.max_abs_diff(expected_));
+        res.max_abs_err = err;
+        res.ok = err <= core::reduce_tolerance(desc_.dtype, P);
+        break;
+      }
+      case CollectiveKind::kReduce:
+        // Only the destination consumes the result; its delivery time is
+        // the reduce latency even though the shared multicast reaches
+        // everyone.
+        res.completion_seconds =
+            static_cast<f64>(runs_[desc_.root].finish_ps - start_ps_) /
+            kPsPerSecond;
+        res.max_abs_err = results_[desc_.root].max_abs_diff(expected_);
+        res.ok = res.max_abs_err <= core::reduce_tolerance(desc_.dtype, P);
+        break;
+      case CollectiveKind::kBroadcast: {
+        f64 err = 0.0;
+        for (const core::TypedBuffer& r : results_)
+          err = std::max(err, r.max_abs_diff(payload_));
+        res.max_abs_err = err;
+        res.ok = err <= (core::dtype_is_float(desc_.dtype) ? 1e-4 : 0.0);
+        break;
+      }
+      case CollectiveKind::kBarrier:
+        res.ok = true;  // finalize fires only once every host is released
+        break;
+    }
+  }
 
   /// Fallback data plane: the host ring (dense allreduce only; the other
   /// kinds wait for the fabric to heal).
@@ -261,106 +221,14 @@ class InNetOp final : public TreeOpBase {
     return std::make_unique<RingOp>(net_, participants_, rdesc, cfg_.trace);
   }
 
-  /// Replays the iteration against a freshly installed tree: engines are
-  /// new, so every host re-contributes every block; already-delivered
-  /// results are kept (their multicast duplicates are dropped on arrival).
-  void restart_iteration() override {
-    for (u32 h = 0; h < runs_.size(); ++h) {
-      HostRun& hr = runs_[h];
-      hr.host->set_reduce_handler(
-          cfg_.id, [this, h](const core::Packet& pkt) { on_down(h, pkt); });
-      hr.next = 0;
-      hr.outstanding = 0;
-      hr.retry.reset(nb_);
-    }
-    for (u32 h = 0; h < runs_.size(); ++h) try_send(h);
-    arm_watchdog();
-  }
-
-  bool scan_timeouts() override {
-    return scan_block_timeouts(
-        static_cast<u32>(runs_.size()), nb_,
-        [this](u32 h) -> BlockRetryState& { return runs_[h].retry; },
-        [this](u32 h, u32 b) { return bool{runs_[h].block_done[b]}; },
-        [this](u32 h, u32 b) { send_block(h, b, core::kFlagRetransmit); });
-  }
-
-  void finalize() {
-    const u32 P = static_cast<u32>(runs_.size());
-    CollectiveResult res;
-    res.blocks = nb_;
-    res.in_network = true;
-    f64 worst = 0.0, sum = 0.0;
-    for (const HostRun& hr : runs_) {
-      worst = std::max(worst, static_cast<f64>(hr.finish_ps - start_ps_));
-      sum += static_cast<f64>(hr.finish_ps - start_ps_);
-    }
-    if (desc_.kind == CollectiveKind::kReduce) {
-      // Only the destination consumes the result; its delivery time is the
-      // reduce latency even though the shared multicast reaches everyone.
-      worst = static_cast<f64>(runs_[desc_.root].finish_ps - start_ps_);
-    }
-    res.completion_seconds = worst / kPsPerSecond;
-    res.mean_host_seconds = sum / P / kPsPerSecond;
-    res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
-
-    switch (desc_.kind) {
-      case CollectiveKind::kAllreduce: {
-        f64 err = 0.0;
-        for (const HostRun& hr : runs_)
-          err = std::max(err, hr.result.max_abs_diff(expected_));
-        res.max_abs_err = err;
-        res.ok = err <= core::reduce_tolerance(desc_.dtype, P);
-        break;
-      }
-      case CollectiveKind::kReduce:
-        res.max_abs_err = runs_[desc_.root].result.max_abs_diff(expected_);
-        res.ok = res.max_abs_err <= core::reduce_tolerance(desc_.dtype, P);
-        break;
-      case CollectiveKind::kBroadcast: {
-        f64 err = 0.0;
-        for (const HostRun& hr : runs_)
-          err = std::max(err, hr.result.max_abs_diff(payload_));
-        res.max_abs_err = err;
-        res.ok = err <= (core::dtype_is_float(desc_.dtype) ? 1e-4 : 0.0);
-        break;
-      }
-      case CollectiveKind::kBarrier:
-        res.ok = true;  // finalize fires only once every host is released
-        break;
-    }
-
-    for (const TreeSwitchEntry& e : tree_.switches) {
-      const net::ReduceRole* role = e.sw->role(cfg_.id);
-      if (role != nullptr && role->engine != nullptr) {
-        res.switch_working_mem_hwm = std::max(
-            res.switch_working_mem_hwm, role->engine->pool().high_water());
-      }
-    }
-    res.retransmits = retransmits_;
-    res.recoveries = recoveries_;
-    res.migrations = migrations_iter_;
-    res.planned_migrations = planned_iter_;
-    trace_iteration_end();
-
-    if (owns_install_) release_install();
-    complete_ = true;
-    publish(std::move(res));  // may destroy *this — nothing after
-  }
-
   core::ReduceOp op_;
-  u64 elems_total_ = 0;
-  u32 elems_per_pkt_ = 0;
-  u32 nb_ = 0;
-  u32 window_ = 0;
-  u64 base_traffic_ = 0;
-  SimTime start_ps_ = 0;
+  const u64 elems_total_;
+  const u32 elems_per_pkt_;
   std::vector<core::TypedBuffer> host_data_;
   core::TypedBuffer payload_;   ///< broadcast source vector
   core::TypedBuffer identity_;  ///< broadcast non-root contribution
   core::TypedBuffer expected_;
-  std::vector<HostRun> runs_;
-  u32 hosts_done_ = 0;
+  std::vector<core::TypedBuffer> results_;  ///< per host; none for barrier
 };
 
 }  // namespace detail

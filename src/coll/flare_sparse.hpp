@@ -12,12 +12,15 @@
 //
 // Entry point: coll::Communicator with a sparse workload attached to
 // CollectiveOptions (algorithm kAuto or kFlareSparse).  detail::SparseOp is
-// a first-class op in the Communicator lifecycle, riding detail::TreeOpBase
-// exactly as the dense InNetOp does: run() blocking, start() nonblocking
-// handles composing on one calendar, persistent() install-once/run-many
-// with per-iteration switch hash-store reset, timeout-retransmission +
-// fresh-id reinstall fault recovery with a SparCML host fallback, and
-// congestion-aware embedding + runtime migration.
+// a block schedule on detail::TreeOpBase, exactly as the dense InNetOp is:
+// the chassis sends each host's blocks through the window, completes,
+// times out, retransmits and restarts them, and owns the install's
+// lifetime (run()/start()/persistent(), per-iteration hash-store reset,
+// fresh-id reinstall with a SparCML host fallback, congestion migration).
+// This file supplies only what is sparse: a block is a shard sequence up
+// and down, tracked per host so that re-emitted shards are idempotent;
+// host 0 aggregates the down pairs for the reference check; and the
+// result carries the switches' spill count.
 #pragma once
 
 #include "coll/op.hpp"
@@ -26,10 +29,7 @@
 
 namespace flare::coll::detail {
 
-/// The in-network sparse data plane (see the file comment).  Everything
-/// about the install's lifetime — fault recovery, persistent upkeep,
-/// congestion migration — lives in TreeOpBase, shared with the dense
-/// engine.
+/// The in-network sparse block schedule (see the file comment).
 class SparseOp final : public TreeOpBase {
  public:
   SparseOp(net::Network& net, NetworkManager& manager,
@@ -38,55 +38,39 @@ class SparseOp final : public TreeOpBase {
            ReductionTree tree, bool owns_install,
            net::CongestionMonitor* monitor = nullptr);
 
-  void begin(u64 seed, std::shared_ptr<OpState> state) override;
-
  protected:
+  void stage(u64 seed) override;
+  /// (Re)transmits every shard of host h's contribution to block b.
+  void send_block(u32 h, u32 b, u16 flags) override;
+  bool on_block_packet(u32 h, const core::Packet& pkt) override;
+  void on_restart() override;
+  void fill_result(CollectiveResult& res) const override;
   std::unique_ptr<OpBase> make_fallback_op() override;
-  void restart_iteration() override;
-  bool scan_timeouts() override;
 
  private:
-  struct HostRun {
-    net::Host* host = nullptr;
-    std::vector<u32> schedule;
-    std::size_t next = 0;
-    u32 outstanding = 0;
-    u64 blocks_done = 0;
-    SimTime finish_ps = 0;
-    /// Down-multicast shard bookkeeping per block: the per-seq bitmap makes
-    /// switch re-emits of cached results idempotent at the host.
-    std::vector<core::ShardTracker> down;
-    std::vector<bool> block_done;
-    BlockRetryState retry;  ///< shared watchdog bookkeeping (TreeOpBase)
-  };
-
-  void stage(u64 seed);
-  void try_send(u32 h);
-  /// (Re)transmits every shard of host h's contribution to block b.
-  void send_block(u32 h, u32 b, u16 extra_flags);
-  void on_down(u32 h, const core::Packet& pkt);
-  void finalize();
+  /// Engine spill counters summed over the current tree's switches.
+  u64 tree_spills() const;
 
   core::ReduceOp op_;
-  u32 P_ = 0;
-  u32 nb_ = 0;     ///< reduction blocks
-  u32 span_ = 0;   ///< index space per block
-  u32 ppp_ = 0;    ///< pairs per packet
-  u32 esize_ = 4;
-  u32 window_ = 0;
-  u64 base_traffic_ = 0;
-  SimTime start_ps_ = 0;
-  u64 spills_at_begin_ = 0;  ///< engine spill counters at iteration start
+  const u32 P_;
+  const u32 span_;  ///< index space per block
+  const u32 ppp_;   ///< pairs per packet
+  const u32 esize_;
+  /// tree_spills() when the current engines started this iteration: the
+  /// persistent install's counters run on across iterations, fresh
+  /// engines after a reinstall start at zero.
+  u64 spills_at_begin_ = 0;
   /// Staged (host, block) pair lists for the CURRENT iteration; shared by
   /// the data plane and the reference check.
   std::vector<std::vector<std::vector<core::SparsePair>>> staged_;
+  /// Down-multicast shard bookkeeping per (host, block): the per-seq bitmap
+  /// makes switch re-emits of cached results idempotent at the host.
+  std::vector<std::vector<core::ShardTracker>> down_;
   /// Host 0's accumulation of the down-multicast stream (contents are
   /// identical across hosts, so one copy is checked against the reference).
   core::TypedBuffer result_;
   u64 down_pairs_ = 0;
   u64 host_pairs_sent_ = 0;
-  std::vector<HostRun> runs_;
-  u32 hosts_done_ = 0;
 };
 
 }  // namespace flare::coll::detail

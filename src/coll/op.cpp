@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/staggered.hpp"
 #include "net/node.hpp"
 #include "net/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -33,14 +34,17 @@ TreeOpBase::TreeOpBase(net::Network& net, NetworkManager& manager,
                        const std::vector<net::Host*>& participants,
                        const CollectiveOptions& desc,
                        core::AllreduceConfig cfg, ReductionTree tree,
-                       bool owns_install, bool sparse,
+                       bool owns_install, bool sparse, u32 blocks,
                        net::CongestionMonitor* monitor)
     : net_(net), manager_(manager), participants_(participants),
-      desc_(desc), cfg_(cfg), tree_(std::move(tree)),
-      owns_install_(owns_install), sparse_(sparse), monitor_(monitor) {
-  timeout_ps_ = desc_.retransmit_timeout_ps;
-  max_retry_ = desc_.max_retransmits;
-}
+      desc_(desc), cfg_(cfg), tree_(std::move(tree)), nb_(blocks),
+      owns_install_(owns_install), sparse_(sparse),
+      window_(desc.order == core::SendOrder::kStaggered
+                  ? std::max(desc.window_blocks, blocks)
+                  : std::max(1u, desc.window_blocks)),
+      timeout_ps_(desc.retransmit_timeout_ps),
+      max_retry_(desc.max_retransmits),
+      monitor_(monitor) {}
 
 TreeOpBase::~TreeOpBase() {
   // Abandoned mid-flight (communicator destroyed): release switch slots
@@ -91,6 +95,169 @@ bool TreeOpBase::begin_prologue(u64 seed, std::shared_ptr<OpState> state) {
   return true;
 }
 
+void TreeOpBase::begin(u64 seed, std::shared_ptr<OpState> state) {
+  if (!begin_prologue(seed, std::move(state))) return;
+  hosts_done_ = 0;
+  start_ps_ = net_.sim().now();
+  base_traffic_ = net_.total_traffic_bytes();
+  stage(seed);
+  const u32 P = static_cast<u32>(participants_.size());
+  runs_.clear();
+  runs_.resize(P);
+  for (u32 h = 0; h < P; ++h) {
+    HostRun& hr = runs_[h];
+    hr.host = participants_[h];
+    hr.schedule = core::send_schedule(h, P, nb_, desc_.order);
+    hr.blocks.assign(nb_, Block{});
+    wire(h);
+  }
+  for (u32 h = 0; h < P; ++h) try_send(h);
+  subscribe_faults();
+  arm_watchdog();
+}
+
+// ------------------------------------------------------ block machinery ---
+
+void TreeOpBase::wire(u32 h) {
+  runs_[h].host->set_reduce_handler(
+      cfg_.id, [this, h](const core::Packet& pkt) { on_down(h, pkt); });
+}
+
+void TreeOpBase::send_up(u32 h, core::Packet&& pkt) {
+  net::NetPacket np;
+  np.kind = net::PacketKind::kReduceUp;
+  np.allreduce_id = cfg_.id;
+  np.trace = cfg_.trace;
+  np.wire_bytes = pkt.wire_bytes();
+  np.reduce = core::make_pooled_packet(std::move(pkt));
+  runs_[h].host->send(std::move(np));
+}
+
+void TreeOpBase::try_send(u32 h) {
+  HostRun& hr = runs_[h];
+  while (hr.next < hr.schedule.size()) {
+    const u32 b = hr.schedule[hr.next];
+    Block& blk = hr.blocks[b];
+    // After a recovery restart the schedule replays from the top: blocks
+    // this host already holds results for are re-contributed (the fresh
+    // engines need every child's input) but consume no window slot and
+    // await no multicast.
+    if (!blk.done && hr.outstanding >= window_) break;
+    hr.next += 1;
+    if (!blk.done) {
+      hr.outstanding += 1;
+      blk.pending = true;
+      blk.sent_ps = net_.sim().now();
+    }
+    send_block(h, b, 0);
+  }
+}
+
+void TreeOpBase::on_down(u32 h, const core::Packet& pkt) {
+  HostRun& me = runs_[h];
+  const u32 b = pkt.hdr.block_id;
+  FLARE_ASSERT(b < nb_);
+  if (me.blocks[b].done) return;  // duplicated multicast replica
+  if (!on_block_packet(h, pkt)) return;
+  me.blocks[b].done = true;
+  me.blocks_done += 1;
+  me.outstanding -= 1;
+  if (me.blocks_done == nb_) {
+    me.finish_ps = net_.sim().now();
+    hosts_done_ += 1;
+  }
+  try_send(h);
+  if (hosts_done_ == runs_.size() && !finished_) {
+    finished_ = true;
+    // Finalize off this packet's call stack: by the time every host holds
+    // every block, all switch-side events of this collective have run
+    // (host delivery is causally last on each path), so releasing or
+    // resetting switch state afterwards is race-free.
+    net_.sim().schedule_after(0, [this] { finalize(); });
+  }
+}
+
+void TreeOpBase::restart_iteration() {
+  on_restart();
+  for (u32 h = 0; h < runs_.size(); ++h) {
+    HostRun& hr = runs_[h];
+    wire(h);
+    hr.next = 0;
+    hr.outstanding = 0;
+    for (Block& blk : hr.blocks) {
+      blk.pending = false;
+      blk.retries = 0;
+      blk.sent_ps = 0;
+    }
+  }
+  for (u32 h = 0; h < runs_.size(); ++h) try_send(h);
+  arm_watchdog();
+}
+
+bool TreeOpBase::scan_timeouts() {
+  const SimTime now = net_.sim().now();
+  bool escalate = false;
+  for (u32 h = 0; h < runs_.size(); ++h) {
+    for (u32 b = 0; b < nb_; ++b) {
+      Block& blk = runs_[h].blocks[b];
+      if (!blk.pending || blk.done) continue;
+      // Exponential backoff: each retry doubles the wait.  Without it a
+      // full-message resend (serialization time > timeout) can outlast
+      // the timer, triggering a self-sustaining retransmission storm
+      // that congests the access links faster than they drain.
+      const u32 shift = std::min<u32>(blk.retries, 6);
+      if (now - blk.sent_ps < (timeout_ps_ << shift)) continue;
+      if (blk.retries >= max_retry_) {
+        escalate = true;  // retransmission is not healing this block
+        continue;
+      }
+      blk.retries += 1;
+      retransmits_ += 1;
+      blk.sent_ps = now;
+      if (obs::Tracer* tr = tracer()) {
+        tr->instant(cfg_.trace, "retransmit", now, "recovery");
+      }
+      // Sparse: every shard is re-sent; the switch trackers deduplicate
+      // by (child, shard_seq), and a switch that already completed the
+      // block replays its cached result off the retransmitted packet.
+      send_block(h, b, core::kFlagRetransmit);
+    }
+  }
+  return escalate;
+}
+
+void TreeOpBase::finalize() {
+  CollectiveResult res;
+  res.blocks = nb_;
+  res.in_network = true;
+  f64 worst = 0.0, sum = 0.0;
+  for (const HostRun& hr : runs_) {
+    worst = std::max(worst, static_cast<f64>(hr.finish_ps - start_ps_));
+    sum += static_cast<f64>(hr.finish_ps - start_ps_);
+  }
+  res.completion_seconds = worst / kPsPerSecond;
+  res.mean_host_seconds =
+      sum / static_cast<f64>(runs_.size()) / kPsPerSecond;
+  res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
+  for (const TreeSwitchEntry& e : tree_.switches) {
+    const net::ReduceRole* role = e.sw->role(cfg_.id);
+    if (role != nullptr && role->engine != nullptr) {
+      res.switch_working_mem_hwm = std::max(
+          res.switch_working_mem_hwm, role->engine->pool().high_water());
+    }
+  }
+  res.retransmits = retransmits_;
+  res.recoveries = recoveries_;
+  res.migrations = migrations_iter_;
+  res.planned_migrations = planned_iter_;
+  fill_result(res);
+  trace_iteration_end();
+
+  if (owns_install_) release_install();
+  complete_ = true;
+  publish(std::move(res));  // may destroy *this — nothing after
+}
+
 // ------------------------------------------------------ fault recovery ----
 
 void TreeOpBase::subscribe_faults() {
@@ -136,39 +303,6 @@ void TreeOpBase::on_watchdog() {
     if (!iteration_active() || fallback_active()) return;
   }
   arm_watchdog();
-}
-
-bool TreeOpBase::scan_block_timeouts(
-    u32 hosts, u32 blocks,
-    const std::function<BlockRetryState&(u32 host)>& retry_of,
-    const std::function<bool(u32 host, u32 block)>& block_done,
-    const std::function<void(u32 host, u32 block)>& resend) {
-  const SimTime now = net_.sim().now();
-  bool escalate = false;
-  for (u32 h = 0; h < hosts; ++h) {
-    BlockRetryState& rs = retry_of(h);
-    for (u32 b = 0; b < blocks; ++b) {
-      if (!rs.sent[b] || block_done(h, b)) continue;
-      // Exponential backoff: each retry doubles the wait.  Without it a
-      // full-message resend (serialization time > timeout) can outlast
-      // the timer, triggering a self-sustaining retransmission storm
-      // that congests the access links faster than they drain.
-      const u32 shift = std::min<u32>(rs.retries[b], 6);
-      if (now - rs.sent_ps[b] < (timeout_ps_ << shift)) continue;
-      if (rs.retries[b] >= max_retry_) {
-        escalate = true;  // retransmission is not healing this block
-        continue;
-      }
-      rs.retries[b] += 1;
-      retransmits_ += 1;
-      rs.sent_ps[b] = now;
-      if (obs::Tracer* tr = tracer()) {
-        tr->instant(cfg_.trace, "retransmit", now, "recovery");
-      }
-      resend(h, b);
-    }
-  }
-  return escalate;
 }
 
 bool TreeOpBase::try_reinstall() {

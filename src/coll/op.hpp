@@ -126,32 +126,27 @@ class OpBase {
   bool complete_ = false;
 };
 
-/// Per-host, per-block retry bookkeeping shared by the tree-backed data
-/// planes: which sent blocks still await a result, when each was last
-/// (re)transmitted, and how many times.
-struct BlockRetryState {
-  std::vector<bool> sent;        ///< result still pending for a sent block
-  std::vector<SimTime> sent_ps;  ///< last (re)transmission time per block
-  std::vector<u32> retries;      ///< retransmissions per block this epoch
-  void reset(u32 blocks) {
-    sent.assign(blocks, false);
-    sent_ps.assign(blocks, 0);
-    retries.assign(blocks, 0);
-  }
-};
-
 /// Chassis of the tree-backed in-network ops (see the file comment).  The
-/// concrete op supplies the data plane through four hooks; everything
-/// about the install's lifetime — recovery, persistence, migration — runs
-/// here, identically for the dense and sparse engines.
+/// concrete op is a block schedule: it stages an iteration's inputs, builds
+/// one host's packets for one block, consumes the down multicast and judges
+/// the result through the hooks below.  Per-host windowed sending, block
+/// completion, the timeout scan, restart on a fresh install, the common
+/// half of the result and the install's lifetime — recovery, persistence,
+/// migration — run here, identically for the dense and sparse engines.
 class TreeOpBase : public OpBase {
  public:
+  /// `blocks`: reduction blocks per iteration (the send schedule's length).
   TreeOpBase(net::Network& net, NetworkManager& manager,
              const std::vector<net::Host*>& participants,
              const CollectiveOptions& desc, core::AllreduceConfig cfg,
-             ReductionTree tree, bool owns_install, bool sparse,
+             ReductionTree tree, bool owns_install, bool sparse, u32 blocks,
              net::CongestionMonitor* monitor);
   ~TreeOpBase() override;
+
+  /// Persistent upkeep, then stage() and every host's first window of
+  /// blocks — or the whole iteration on the fallback plane once the
+  /// fabric was lost for good.
+  void begin(u64 seed, std::shared_ptr<OpState> state) final;
 
   const ReductionTree* current_tree() const override {
     return installed_ ? &tree_ : nullptr;
@@ -173,31 +168,96 @@ class TreeOpBase : public OpBase {
  protected:
   // ---- hooks the concrete op supplies -----------------------------------
 
+  /// Stages the iteration drawn from `seed`: inputs, reference, per-host
+  /// result state.  Runs after the persistent upkeep, on tree_.
+  virtual void stage(u64 seed) = 0;
+
+  /// Sends host h's contribution to block b through send_up() — one packet
+  /// or a shard sequence — with `flags` OR-ed into each header
+  /// (core::kFlagRetransmit on a timeout re-send).
+  virtual void send_block(u32 h, u32 b, u16 flags) = 0;
+
+  /// Consumes a down-multicast packet of a block host h does not hold yet;
+  /// true once h holds the block.
+  virtual bool on_block_packet(u32 h, const core::Packet& pkt) = 0;
+
+  /// Clears the kind's partial state of every block still pending before
+  /// the iteration replays on a fresh install (fresh engines, counters).
+  virtual void on_restart() {}
+
+  /// The kind's half of the result: error, the `ok` rule and extras, on
+  /// top of the common half (timing, traffic, working-memory peak,
+  /// recovery and migration counters).
+  virtual void fill_result(CollectiveResult& res) const = 0;
+
   /// Host-side fallback data plane once no viable tree remains (the ring
   /// for dense allreduce, SparCML for sparse allreduce); nullptr when the
   /// kind has none (reduce/broadcast/barrier wait for the fabric to heal).
   virtual std::unique_ptr<OpBase> make_fallback_op() = 0;
 
-  /// Replays the CURRENT iteration against a freshly installed tree
-  /// (engines are new: every host re-contributes every block).
-  virtual void restart_iteration() = 0;
+  // ---- block machinery the hooks use ------------------------------------
 
-  /// One watchdog pass over the outstanding blocks: retransmit what timed
-  /// out (with the caller-side exponential backoff) and return true when
-  /// some block exhausted max_retransmits — the base then escalates into
-  /// recover().
-  virtual bool scan_timeouts() = 0;
+  /// One block as one host sees it.
+  struct Block {
+    bool done = false;     ///< the host holds the block's result
+    bool pending = false;  ///< sent in this epoch, result awaited
+    u32 retries = 0;       ///< timeout re-sends in this epoch
+    SimTime sent_ps = 0;   ///< last (re)transmission
+  };
+  /// One host's walk through the iteration's blocks.
+  struct HostRun {
+    net::Host* host = nullptr;
+    std::vector<u32> schedule;  ///< block send order (core::send_schedule)
+    std::size_t next = 0;       ///< next schedule slot to send
+    u32 outstanding = 0;        ///< results awaited (the window's fill)
+    u64 blocks_done = 0;
+    SimTime finish_ps = 0;
+    std::vector<Block> blocks;
+  };
 
-  // ---- shared machinery --------------------------------------------------
+  /// Sends `pkt` up the current install as host h's reduction packet.
+  void send_up(u32 h, core::Packet&& pkt);
+  /// Host h's child slot at its tree leaf.
+  u16 child_index(u32 h) const {
+    return tree_.host_child_index[participants_[h]->host_index()];
+  }
 
-  /// Everything begin() does before the data plane stages an iteration:
-  /// asserts no iteration is running, resets per-iteration counters,
-  /// performs persistent upkeep (engine reset / transparent reinstall /
-  /// migration check) and routes the iteration to the fallback data plane
-  /// when the fabric was lost for good.  Returns false in that last case —
-  /// the caller must not run the in-network path.  On true, state_ has
-  /// been adopted and the op is live.
+  net::Network& net_;
+  NetworkManager& manager_;
+  const std::vector<net::Host*>& participants_;
+  CollectiveOptions desc_;
+  core::AllreduceConfig cfg_;
+  ReductionTree tree_;
+  const u32 nb_;           ///< reduction blocks per iteration
+  SimTime start_ps_ = 0;   ///< iteration start
+  std::vector<HostRun> runs_;
+
+ private:
+  /// Everything begin() does before staging: asserts no iteration is
+  /// running, resets per-iteration counters, performs persistent upkeep
+  /// (engine reset / transparent reinstall / migration check) and routes
+  /// the iteration to the fallback data plane when the fabric was lost for
+  /// good.  Returns false in that last case; on true, state_ has been
+  /// adopted and the op is live.
   bool begin_prologue(u64 seed, std::shared_ptr<OpState> state);
+
+  /// Points host h's reduce handler at the current install.
+  void wire(u32 h);
+  /// Sends host h's next blocks while its window has room.
+  void try_send(u32 h);
+  void on_down(u32 h, const core::Packet& pkt);
+  void finalize();
+
+  /// Replays the CURRENT iteration against a freshly installed tree
+  /// (engines are new: every host re-contributes every block; results
+  /// already delivered are kept).
+  void restart_iteration();
+
+  /// One watchdog pass over every (host, block) whose result is pending:
+  /// re-sends timed-out blocks under the exponential backoff and returns
+  /// true when some block exhausted max_retransmits — the signal to
+  /// escalate into recover().
+  bool scan_timeouts();
 
   /// An iteration is executing (guards watchdog and fault-notice events).
   bool iteration_active() const { return !finished_ && state_ != nullptr; }
@@ -219,18 +279,8 @@ class TreeOpBase : public OpBase {
 
   void subscribe_faults();
   void arm_watchdog();
-
-  /// The shared body of scan_timeouts(): walks every (host, block) whose
-  /// result is pending, applies the exponential backoff, re-sends timed-out
-  /// blocks via `resend(h, b)` with retransmits_/retry bookkeeping, and
-  /// returns true when some block exhausted max_retransmits (the caller's
-  /// signal to escalate into recover()).  One backoff policy for every
-  /// tree-backed data plane — tweak it here, not per engine.
-  bool scan_block_timeouts(
-      u32 hosts, u32 blocks,
-      const std::function<BlockRetryState&(u32 host)>& retry_of,
-      const std::function<bool(u32 host, u32 block)>& block_done,
-      const std::function<void(u32 host, u32 block)>& resend);
+  void on_fault(const net::FaultNotice& notice);
+  void on_watchdog();
 
   /// The network's tracer when this collective is traceable (nonzero trace
   /// id — the tracer's row key); nullptr otherwise.  Call-sites guard on
@@ -239,49 +289,6 @@ class TreeOpBase : public OpBase {
   /// Opens/closes the per-iteration span on the collective's row.
   void trace_iteration_begin();
   void trace_iteration_end();
-
-  net::Network& net_;
-  NetworkManager& manager_;
-  const std::vector<net::Host*>& participants_;
-  CollectiveOptions desc_;
-  core::AllreduceConfig cfg_;
-  ReductionTree tree_;
-  bool owns_install_;
-  /// This op owns the install's lifetime in both modes (one-shot releases
-  /// at finalize; persistent on PersistentCollective::release()); false
-  /// only after release or while a fault left the op treeless.
-  bool installed_ = true;
-  /// Sparse engines run at the sparse calibrated service rate and install
-  /// hash/array stores — the only dense/sparse asymmetry the base carries.
-  const bool sparse_;
-  bool finished_ = false;
-  u64 seed_ = 0;
-
-  // --- fault tolerance ---
-  /// Heal-wait budget for kinds with no host fallback: ~64 timeout periods
-  /// of continuous no-viable-tree before the op publishes a failed result.
-  static constexpr u32 kMaxRecoverWaits = 64;
-  SimTime timeout_ps_ = 0;
-  u32 max_retry_ = 4;
-  u32 recover_waits_ = 0;
-  /// Outlives-`this` guard for watchdog/listener events on the calendar.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
-  u64 retransmits_ = 0;
-  u32 recoveries_ = 0;
-
-  // --- congestion adaptation ---
-  net::CongestionMonitor* monitor_ = nullptr;
-  u32 migrations_iter_ = 0;   ///< while preparing the CURRENT iteration
-  u32 migrations_total_ = 0;  ///< over the op's lifetime
-  u32 planned_iter_ = 0;      ///< optimizer-planned, CURRENT iteration
-  u32 planned_total_ = 0;     ///< optimizer-planned, op lifetime
-
-  /// Host-side fallback data plane once no viable tree remains.
-  std::unique_ptr<OpBase> fallback_op_;
-
- private:
-  void on_fault(const net::FaultNotice& notice);
-  void on_watchdog();
 
   /// Persistent re-run upkeep: reset healthy engines, transparently
   /// reinstall a damaged tree, or probe a healed fabric to leave the
@@ -319,6 +326,44 @@ class TreeOpBase : public OpBase {
   void start_fallback_iteration(u64 seed);
   void begin_fallback_iteration(u64 seed, std::shared_ptr<OpState> state);
   void on_fallback_done();
+
+  const bool owns_install_;
+  /// This op owns the install's lifetime in both modes (one-shot releases
+  /// at finalize; persistent on PersistentCollective::release()); false
+  /// only after release or while a fault left the op treeless.
+  bool installed_ = true;
+  /// Sparse engines run at the sparse calibrated service rate and install
+  /// hash/array stores — the only dense/sparse asymmetry the base carries.
+  const bool sparse_;
+  /// Staggered sending keeps every block in flight (Section 5); windowed
+  /// flow control applies to aligned sending.
+  const u32 window_;
+  bool finished_ = false;
+  u64 seed_ = 0;
+  u64 base_traffic_ = 0;  ///< fabric traffic at iteration start
+  u32 hosts_done_ = 0;
+
+  // --- fault tolerance ---
+  /// Heal-wait budget for kinds with no host fallback: ~64 timeout periods
+  /// of continuous no-viable-tree before the op publishes a failed result.
+  static constexpr u32 kMaxRecoverWaits = 64;
+  SimTime timeout_ps_ = 0;
+  u32 max_retry_ = 4;
+  u32 recover_waits_ = 0;
+  /// Outlives-`this` guard for watchdog/listener events on the calendar.
+  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  u64 retransmits_ = 0;
+  u32 recoveries_ = 0;
+
+  // --- congestion adaptation ---
+  net::CongestionMonitor* monitor_ = nullptr;
+  u32 migrations_iter_ = 0;   ///< while preparing the CURRENT iteration
+  u32 migrations_total_ = 0;  ///< over the op's lifetime
+  u32 planned_iter_ = 0;      ///< optimizer-planned, CURRENT iteration
+  u32 planned_total_ = 0;     ///< optimizer-planned, op lifetime
+
+  /// Host-side fallback data plane once no viable tree remains.
+  std::unique_ptr<OpBase> fallback_op_;
 
   /// Re-embedding staged by plan_migration(), consumed at the next
   /// iteration boundary by apply_planned_migration().
