@@ -107,10 +107,11 @@ bool SparseOp::on_block_packet(u32 h, const core::Packet& pkt) {
 }
 
 void SparseOp::on_restart() {
-  // Fresh engines emit fresh shard sequences: incomplete blocks restart
-  // from scratch — down trackers and host 0's partial accumulation (its
-  // block region returns to the identity; completed regions and their
-  // duplicate multicasts are untouched).
+  // Fresh engines count spills from zero and emit fresh shard sequences:
+  // incomplete blocks restart from scratch — down trackers and host 0's
+  // partial accumulation (its block region returns to the identity;
+  // completed regions and their duplicate multicasts are untouched).
+  spills_at_begin_ = 0;
   core::TypedBuffer identity(desc_.dtype, span_);
   identity.fill_identity(op_);
   for (u32 b = 0; b < nb_; ++b) {
@@ -126,12 +127,7 @@ void SparseOp::on_restart() {
 }
 
 void SparseOp::fill_result(CollectiveResult& res) const {
-  const u64 spills_now = tree_spills();
-  // A mid-iteration recovery swaps in fresh engines whose counters restart:
-  // saturate instead of underflowing the delta.
-  res.spill_packets =
-      spills_now >= spills_at_begin_ ? spills_now - spills_at_begin_
-                                     : spills_now;
+  res.spill_packets = tree_spills() - spills_at_begin_;
   res.extra_packets = res.spill_packets;
   res.host_pairs_sent = host_pairs_sent_;
   res.down_pairs = down_pairs_;

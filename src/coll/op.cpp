@@ -69,6 +69,8 @@ bool TreeOpBase::begin_prologue(u64 seed, std::shared_ptr<OpState> state) {
   retransmits_ = 0;
   recoveries_ = 0;
   recover_waits_ = 0;
+  stalls_ = 0;
+  done_at_restart_ = kNoRestart;
   migrations_iter_ = 0;
   planned_iter_ = 0;
   if (!owns_install_ && !first_begin_) {
@@ -177,7 +179,14 @@ void TreeOpBase::on_down(u32 h, const core::Packet& pkt) {
   }
 }
 
+u64 TreeOpBase::blocks_done() const {
+  u64 done = 0;
+  for (const HostRun& hr : runs_) done += hr.blocks_done;
+  return done;
+}
+
 void TreeOpBase::restart_iteration() {
+  done_at_restart_ = blocks_done();
   on_restart();
   for (u32 h = 0; h < runs_.size(); ++h) {
     HostRun& hr = runs_[h];
@@ -205,7 +214,8 @@ bool TreeOpBase::scan_timeouts() {
       // full-message resend (serialization time > timeout) can outlast
       // the timer, triggering a self-sustaining retransmission storm
       // that congests the access links faster than they drain.
-      const u32 shift = std::min<u32>(blk.retries, 6);
+      // Restarts that completed no block stretch it further (stalls_).
+      const u32 shift = std::min<u32>(blk.retries, 6) + stalls_;
       if (now - blk.sent_ps < (timeout_ps_ << shift)) continue;
       if (blk.retries >= max_retry_) {
         escalate = true;  // retransmission is not healing this block
@@ -326,7 +336,16 @@ bool TreeOpBase::try_reinstall() {
 void TreeOpBase::recover(bool force) {
   if (!iteration_active() || fallback_active()) return;
   if (!force && installed_ && tree_alive(net_, tree_)) return;
-  if (try_reinstall()) {
+  // A timeout escalation right after a restart that completed no block:
+  // the timeout is too short for this iteration (or the tree silently
+  // drops everything).  Each such stall doubles the restarted blocks'
+  // waits; past kMaxStalls the tree counts as dead.
+  bool dead = false;
+  if (force) {
+    stalls_ = blocks_done() == done_at_restart_ ? stalls_ + 1 : 0;
+    dead = stalls_ > kMaxStalls;
+  }
+  if (!dead && try_reinstall()) {
     recover_waits_ = 0;
     restart_iteration();
     return;
@@ -341,7 +360,8 @@ void TreeOpBase::recover(bool force) {
   // No host fallback for this kind: wait for the fabric to heal (repairs
   // also notify, this is the backstop poll).  Bounded: a fault that is
   // never repaired must surface as a FAILED result, not hang the calendar.
-  if (recover_waits_ >= kMaxRecoverWaits) {
+  // A tree that looks healthy but stalls has nothing to heal.
+  if (dead || recover_waits_ >= kMaxRecoverWaits) {
     give_up();
     return;
   }

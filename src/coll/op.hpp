@@ -252,6 +252,8 @@ class TreeOpBase : public OpBase {
   /// (engines are new: every host re-contributes every block; results
   /// already delivered are kept).
   void restart_iteration();
+  /// Blocks completed this iteration, summed over hosts.
+  u64 blocks_done() const;
 
   /// One watchdog pass over every (host, block) whose result is pending:
   /// re-sends timed-out blocks under the exponential backoff and returns
@@ -350,6 +352,15 @@ class TreeOpBase : public OpBase {
   SimTime timeout_ps_ = 0;
   u32 max_retry_ = 4;
   u32 recover_waits_ = 0;
+  /// Stall budget: forced restarts in a row that complete no block, each
+  /// doubling the restarted blocks' timeout, before the tree counts as
+  /// dead (fallback plane, else a failed result).  An iteration up to
+  /// ~2^kMaxStalls timeouts long still completes in-network.
+  static constexpr u32 kMaxStalls = 10;
+  static constexpr u64 kNoRestart = ~u64{0};
+  u32 stalls_ = 0;
+  /// blocks_done() when the iteration last restarted on a fresh install.
+  u64 done_at_restart_ = kNoRestart;
   /// Outlives-`this` guard for watchdog/listener events on the calendar.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   u64 retransmits_ = 0;
