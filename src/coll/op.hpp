@@ -7,19 +7,35 @@
 // plane, so each reliability mechanism exists once:
 //
 // detail::TreeOpBase is the chassis of the TREE-BACKED in-network ops
-// (dense InNetOp, sparse SparseOp): it owns the installed reduction tree's
-// lifetime and centralizes the three control-plane reactions so dense and
-// sparse share them verbatim:
+// (dense InNetOp in coll/communicator.cpp, sparse SparseOp in
+// coll/flare_sparse.hpp).  It owns the host side of the block protocol
+// once: each host walks its staggered or aligned block schedule under the
+// send window (paper Section 5), a block completes when the host holds its
+// multicast result, and the iteration finishes — timing, traffic and
+// working-memory peak measured here — once every host holds every block.
+// On top of it sit the reliability layer and the install's lifetime,
+// shared verbatim by dense and sparse:
 //
+//   * timeouts — a watchdog re-sends blocks whose result is overdue, with
+//     per-block exponential backoff;
 //   * fault recovery — fresh-id uninstall/reinstall on the surviving
-//     fabric, bounded heal-waits, and a pluggable host-side fallback data
-//     plane (the ring for dense allreduce, SparCML for sparse);
+//     fabric with the iteration restarted on the fresh engines, bounded
+//     heal-waits, a stall budget for restarts that complete nothing, and
+//     a pluggable host-side fallback data plane (the ring for dense
+//     allreduce, SparCML for sparse);
 //   * persistent upkeep — per-iteration engine reset, transparent
 //     reinstall after a crash, fallback probing once the fabric heals;
 //   * congestion migration — break-before-make re-embedding of the
 //     Canary-style dynamic trees, triggered on the worst tree edge's
 //     FOREIGN EWMA utilization (per-collective link attribution subtracts
 //     the session's own traffic; no completion-time gate needed).
+//
+// A concrete tree op is a block schedule on six hooks: stage() draws an
+// iteration's inputs, send_block() builds one host's packets for one
+// block, on_block_packet() consumes the down multicast and says when a
+// host holds a block, on_restart() clears partial state before a restart,
+// and fill_result() judges the result; make_fallback_op() names the host
+// plane.
 //
 // detail::HostOpBase is the chassis of the HOST-BASED ops (the ring,
 // coll/ring.hpp, and SparCML, coll/sparcml.hpp) — the Figure 15 baselines
@@ -127,12 +143,12 @@ class OpBase {
 };
 
 /// Chassis of the tree-backed in-network ops (see the file comment).  The
-/// concrete op is a block schedule: it stages an iteration's inputs, builds
-/// one host's packets for one block, consumes the down multicast and judges
-/// the result through the hooks below.  Per-host windowed sending, block
-/// completion, the timeout scan, restart on a fresh install, the common
-/// half of the result and the install's lifetime — recovery, persistence,
-/// migration — run here, identically for the dense and sparse engines.
+/// concrete op is a block schedule on six hooks — stage, send_block,
+/// on_block_packet, on_restart, fill_result and make_fallback_op.  Per-host
+/// windowed sending, block completion, the timeout scan, restart on a
+/// fresh install, the common half of the result and the install's
+/// lifetime — recovery, persistence, migration — run here, identically
+/// for the dense and sparse engines.
 class TreeOpBase : public OpBase {
  public:
   /// `blocks`: reduction blocks per iteration (the send schedule's length).

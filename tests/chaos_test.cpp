@@ -882,7 +882,7 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// ------------------------------------------- tree reliability regressions -----
+// --------------------------------------- tree reliability regressions -----
 
 /// Starts `desc` on a healthy 16-host radix-4 fat tree and drains the
 /// calendar up to `bound` of simulated time: a livelocked op is still
