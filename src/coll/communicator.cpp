@@ -10,7 +10,6 @@
 #include "coll/sparcml.hpp"
 #include "coll/tree_cache.hpp"
 #include "core/policy.hpp"
-#include "core/staggered.hpp"
 #include "net/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "workload/generators.hpp"

@@ -196,7 +196,6 @@ void TreeOpBase::restart_iteration() {
     for (Block& blk : hr.blocks) {
       blk.pending = false;
       blk.retries = 0;
-      blk.sent_ps = 0;
     }
   }
   for (u32 h = 0; h < runs_.size(); ++h) try_send(h);
