@@ -1,5 +1,6 @@
 // Wall-clock microbenchmarks (google-benchmark) of the hot aggregation
-// kernels: element-wise reduction per dtype/operator, fp16 conversion,
+// kernels: element-wise reduction per dtype/operator, the gradient fill
+// (exact integer path and floating-point path), fp16 conversion,
 // sparse hash/array store inserts and scans, packet encode, and the tree
 // shape construction.  These measure THIS implementation on the build
 // machine — they complement the simulated switch numbers rather than
@@ -57,6 +58,28 @@ FLARE_BENCH_APPLY(BM_SumI64, DType::kInt64, OpKind::kSum);
 FLARE_BENCH_APPLY(BM_MaxF32, DType::kFloat32, OpKind::kMax);
 FLARE_BENCH_APPLY(BM_ProdI32, DType::kInt32, OpKind::kProd);
 FLARE_BENCH_APPLY(BM_BxorI32, DType::kInt32, OpKind::kBxor);
+
+void BM_Fill(benchmark::State& state, DType dtype) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  core::TypedBuffer buf(dtype, n);
+  for (auto _ : state) {
+    buf.fill_random(rng);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(n));
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(buf.size_bytes()));
+}
+
+// Default range (-8, 8): int32 takes the exact integer path, f32 the
+// floating-point one.
+void BM_FillInt32(benchmark::State& s) { BM_Fill(s, DType::kInt32); }
+BENCHMARK(BM_FillInt32)->Arg(4096);
+void BM_FillF32(benchmark::State& s) { BM_Fill(s, DType::kFloat32); }
+BENCHMARK(BM_FillF32)->Arg(4096);
 
 void BM_CustomOp(benchmark::State& state) {
   auto op = core::ReduceOp::custom_binary(

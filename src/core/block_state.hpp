@@ -56,6 +56,24 @@ class ChildBitmap {
   std::vector<u64> words_;
 };
 
+/// Set of block ids of one collective.  Block ids are dense per
+/// collective (0..blocks-1; the PsPIN experiments continue the count across
+/// rounds), so a bitmap grown on demand stands in for a hash set.
+class BlockSet {
+ public:
+  bool contains(u32 block_id) const {
+    return block_id < bits_.size() && bits_[block_id];
+  }
+  void insert(u32 block_id) {
+    if (block_id >= bits_.size()) bits_.resize(block_id + 1);
+    bits_[block_id] = true;
+  }
+  void clear() { bits_.clear(); }
+
+ private:
+  std::vector<bool> bits_;
+};
+
 /// Sparse-block shard bookkeeping for one child.
 class ShardTracker {
  public:

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -71,6 +73,17 @@ bool operator==(const PoolAllocator<T>&, const PoolAllocator<U>&) {
 /// arena.  The simulator allocates one of these per simulated packet, which
 /// is exactly the churn the freelists absorb.
 using PayloadVec = std::vector<std::byte, PoolAllocator<std::byte>>;
+
+/// A PayloadVec holding a copy of `src`, filled by one memcpy.  Copy a
+/// payload range only through here, never with PayloadVec's copy
+/// constructor, `assign(first, last)` or `insert`: libstdc++ copies the
+/// elements of a vector whose allocator is not std::allocator one at a
+/// time, so those compile to a byte loop of payload-size iterations.
+inline PayloadVec copy_payload(std::span<const std::byte> src) {
+  PayloadVec out(src.size());
+  if (!src.empty()) std::memcpy(out.data(), src.data(), src.size());
+  return out;
+}
 
 class BufferPool {
  public:

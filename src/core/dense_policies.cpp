@@ -176,9 +176,6 @@ MultiBufferAggregator::MultiBufferAggregator(EngineHost& host,
 
 MultiBufferAggregator::Block& MultiBufferAggregator::get_block(u32 block_id,
                                                                SimTime now) {
-  if (cached_block_ != nullptr && cached_block_id_ == block_id) {
-    return *cached_block_;
-  }
   auto [it, inserted] = blocks_.try_emplace(block_id);
   Block& blk = it->second;
   if (inserted) {
@@ -186,15 +183,12 @@ MultiBufferAggregator::Block& MultiBufferAggregator::get_block(u32 block_id,
     blk.subs.resize(cfg_.num_buffers);
     blk.first_arrival = now;
   }
-  cached_block_id_ = block_id;
-  cached_block_ = &blk;
   return blk;
 }
 
 void MultiBufferAggregator::reset() {
   FLARE_ASSERT_MSG(blocks_.empty(),
                    "reset with open blocks: packets still in flight");
-  cached_block_ = nullptr;
   completed_.clear();
 }
 
@@ -245,7 +239,7 @@ void MultiBufferAggregator::run_on_sub(u32 block_id, u32 sub_idx,
                                        std::shared_ptr<const Packet> pkt,
                                        SimTime enqueued_at, SimTime start,
                                        HandlerDone done) {
-  Block& blk = block_ref(block_id);
+  Block& blk = blocks_.at(block_id);
   Sub& s = blk.subs[sub_idx];
   stats_.cs_wait_cycles.add(static_cast<f64>(start - enqueued_at));
   const auto& costs = host_.costs();
@@ -279,7 +273,7 @@ void MultiBufferAggregator::run_on_sub(u32 block_id, u32 sub_idx,
   const SimTime end = start + work;
   host_.simulator().schedule_at(
       end, [this, block_id, sub_idx, done = std::move(done)]() mutable {
-        Block& b = block_ref(block_id);
+        Block& b = blocks_.at(block_id);
         b.aggregated += 1;
         const SimTime now = host_.simulator().now();
         if (b.aggregated == cfg_.num_children && b.bitmap.complete()) {
@@ -294,7 +288,7 @@ void MultiBufferAggregator::run_on_sub(u32 block_id, u32 sub_idx,
 
 void MultiBufferAggregator::release_sub(u32 block_id, u32 sub_idx,
                                         SimTime at) {
-  Block& blk = block_ref(block_id);
+  Block& blk = blocks_.at(block_id);
   if (!blk.waiters.empty()) {
     auto fn = std::move(blk.waiters.front());
     blk.waiters.pop_front();
@@ -306,7 +300,7 @@ void MultiBufferAggregator::release_sub(u32 block_id, u32 sub_idx,
 
 void MultiBufferAggregator::merge_chain(u32 block_id, u32 my_sub, SimTime t,
                                         HandlerDone done) {
-  Block& blk = block_ref(block_id);
+  Block& blk = blocks_.at(block_id);
   // By construction no other handler is active on this block (aggregated ==
   // P), so the remaining buffers are idle and can be folded sequentially.
   for (u32 j = 0; j < blk.subs.size(); ++j) {
@@ -319,7 +313,7 @@ void MultiBufferAggregator::merge_chain(u32 block_id, u32 my_sub, SimTime t,
     host_.simulator().schedule_at(
         t + merge_cost,
         [this, block_id, my_sub, j, done = std::move(done)]() mutable {
-          Block& b = block_ref(block_id);
+          Block& b = blocks_.at(block_id);
           cfg_.op.apply(cfg_.dtype, b.subs[my_sub].buf.data(),
                         b.subs[j].buf.data(), b.elems);
           b.subs[j].has_data = false;
@@ -336,7 +330,7 @@ void MultiBufferAggregator::merge_chain(u32 block_id, u32 my_sub, SimTime t,
 
 void MultiBufferAggregator::finish_block(u32 block_id, u32 my_sub, SimTime t,
                                          HandlerDone done) {
-  Block& blk = block_ref(block_id);
+  Block& blk = blocks_.at(block_id);
   const SimTime end = t + host_.costs().emit_packet_cycles;
   stats_.block_mem_bytes.add(static_cast<f64>(blk.max_allocated) *
                              static_cast<f64>(cfg_.dense_block_bytes()));
@@ -351,7 +345,6 @@ void MultiBufferAggregator::finish_block(u32 block_id, u32 my_sub, SimTime t,
     pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
   });
   completed_.insert(block_id);
-  if (cached_block_id_ == block_id) cached_block_ = nullptr;
   blocks_.erase(block_id);
   done(end);
 }
@@ -371,7 +364,9 @@ TreeAggregator::TreeShape TreeAggregator::build_shape(u32 p) {
     u32 build(u32 lo, u32 hi, i32 parent) {
       const u32 idx = static_cast<u32>(s.nodes.size());
       s.nodes.push_back({lo, hi, -1, -1, parent});
-      if (hi - lo > 1) {
+      if (hi - lo == 1) {
+        s.leaves[lo] = idx;
+      } else {
         const u32 mid = lo + (hi - lo + 1) / 2;
         const u32 l = build(lo, mid, static_cast<i32>(idx));
         const u32 r = build(mid, hi, static_cast<i32>(idx));
@@ -381,15 +376,9 @@ TreeAggregator::TreeShape TreeAggregator::build_shape(u32 p) {
       return idx;
     }
   };
+  shape.leaves.resize(p);
   Builder{shape}.build(0, p, -1);
   return shape;
-}
-
-u32 TreeAggregator::TreeShape::leaf_of(u32 child) const {
-  for (u32 i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].left < 0 && nodes[i].lo == child) return i;
-  }
-  FLARE_UNREACHABLE("child outside tree");
 }
 
 TreeAggregator::TreeAggregator(EngineHost& host, const AllreduceConfig& cfg,
@@ -398,9 +387,9 @@ TreeAggregator::TreeAggregator(EngineHost& host, const AllreduceConfig& cfg,
       shape_(build_shape(cfg.num_children)) {}
 
 TreeAggregator::Block& TreeAggregator::get_block(u32 block_id, SimTime now) {
-  auto [it, inserted] = blocks_.try_emplace(block_id);
-  Block& blk = it->second;
-  if (inserted) {
+  if (block_id >= blocks_.size()) blocks_.resize(block_id + 1);
+  Block& blk = blocks_[block_id];
+  if (blk.nodes.empty()) {
     blk.bitmap.reset(cfg_.num_children);
     blk.nodes.resize(shape_.nodes.size());
     blk.first_arrival = now;
@@ -409,8 +398,10 @@ TreeAggregator::Block& TreeAggregator::get_block(u32 block_id, SimTime now) {
 }
 
 void TreeAggregator::reset() {
-  FLARE_ASSERT_MSG(blocks_.empty(),
+  FLARE_ASSERT_MSG(std::all_of(blocks_.begin(), blocks_.end(),
+                               [](const Block& b) { return b.nodes.empty(); }),
                    "reset with open blocks: packets still in flight");
+  blocks_.clear();
   completed_.clear();
 }
 
@@ -453,22 +444,20 @@ void TreeAggregator::on_ready(std::shared_ptr<const Packet> pkt,
   FLARE_ASSERT_MSG(ok, "working-memory pool exhausted");
   blk.alive_buffers += 1;
   blk.max_alive = std::max(blk.max_alive, blk.alive_buffers);
-  blk.nodes[leaf].buf.assign(pkt->payload.begin(), pkt->payload.end());
+  blk.nodes[leaf].buf = copy_payload(pkt->payload);
 
   // The copy is DMA-assisted (64 cycles, Section 6.3) — far cheaper than the
   // 1024-cycle aggregation, which is the whole point of the tree design.
   const SimTime copy_done = now + host_.costs().dma_packet_cycles;
   sim.schedule_at(copy_done, [this, bid, leaf, done = std::move(done)]() mutable {
-    auto it = blocks_.find(bid);
-    FLARE_ASSERT(it != blocks_.end());
-    it->second.nodes[leaf].done = true;
+    open_block(bid).nodes[leaf].done = true;
     climb(bid, leaf, host_.simulator().now(), std::move(done));
   });
 }
 
 void TreeAggregator::climb(u32 block_id, u32 node, SimTime t,
                            HandlerDone done) {
-  Block& blk = blocks_.at(block_id);
+  Block& blk = open_block(block_id);
   const i32 parent = shape_.nodes[node].parent;
   if (parent < 0) {
     // `node` is the root and it is done: emit the block result.
@@ -493,7 +482,7 @@ void TreeAggregator::climb(u32 block_id, u32 node, SimTime t,
   host_.simulator().schedule_at(
       t + combine_cost,
       [this, block_id, parent, done = std::move(done)]() mutable {
-        Block& b = blocks_.at(block_id);
+        Block& b = open_block(block_id);
         const auto& p = shape_.nodes[static_cast<u32>(parent)];
         NodeState& left = b.nodes[static_cast<u32>(p.left)];
         NodeState& right = b.nodes[static_cast<u32>(p.right)];
@@ -513,7 +502,7 @@ void TreeAggregator::climb(u32 block_id, u32 node, SimTime t,
 
 void TreeAggregator::complete_root(u32 block_id, SimTime t,
                                    HandlerDone done) {
-  Block& blk = blocks_.at(block_id);
+  Block& blk = open_block(block_id);
   const SimTime end = t + host_.costs().emit_packet_cycles;
   Packet out = make_result_packet(cfg_, block_id, std::move(blk.nodes[0].buf),
                                   blk.elems);
@@ -528,7 +517,7 @@ void TreeAggregator::complete_root(u32 block_id, SimTime t,
     pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
   });
   completed_.insert(block_id);
-  blocks_.erase(block_id);
+  blk = Block();
   done(end);
 }
 

@@ -26,7 +26,6 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -155,7 +154,7 @@ class SingleBufferAggregator final : public Aggregator {
   AllreduceConfig cfg_;
   BufferPool& pool_;
   std::unordered_map<u32, Block> blocks_;
-  std::unordered_set<u32> completed_;
+  BlockSet completed_;
 };
 
 // ---------------------------------------------------------------------------
@@ -185,19 +184,6 @@ class MultiBufferAggregator final : public Aggregator {
   };
 
   Block& get_block(u32 block_id, SimTime now);
-  /// Cached blocks_.at(): a block's packets are handled in a burst (arrive,
-  /// aggregate, merge, finish), so consecutive lookups overwhelmingly hit
-  /// the same block.  unordered_map references are stable under insert, so
-  /// the cache only needs invalidating when the block is erased.
-  Block& block_ref(u32 block_id) {
-    if (cached_block_ != nullptr && cached_block_id_ == block_id) {
-      return *cached_block_;
-    }
-    Block& b = blocks_.at(block_id);
-    cached_block_id_ = block_id;
-    cached_block_ = &b;
-    return b;
-  }
   void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
   void run_on_sub(u32 block_id, u32 sub_idx,
                   std::shared_ptr<const Packet> pkt, SimTime enqueued_at,
@@ -210,9 +196,7 @@ class MultiBufferAggregator final : public Aggregator {
   AllreduceConfig cfg_;
   BufferPool& pool_;
   std::unordered_map<u32, Block> blocks_;
-  u32 cached_block_id_ = 0;
-  Block* cached_block_ = nullptr;  ///< one-entry cache over blocks_
-  std::unordered_set<u32> completed_;
+  BlockSet completed_;
 };
 
 // ---------------------------------------------------------------------------
@@ -234,7 +218,12 @@ class TreeAggregator final : public Aggregator {
       i32 parent = -1;
     };
     std::vector<Node> nodes;
-    u32 leaf_of(u32 child) const;  ///< node index of leaf for `child`
+    std::vector<u32> leaves;  ///< node index of each child's leaf
+    /// Node index of the leaf for `child`.
+    u32 leaf_of(u32 child) const {
+      FLARE_ASSERT_MSG(child < leaves.size(), "child outside tree");
+      return leaves[child];
+    }
   };
   static TreeShape build_shape(u32 p);
 
@@ -244,6 +233,7 @@ class TreeAggregator final : public Aggregator {
     bool claimed = false;  ///< a handler is (or has) combining this node
     PayloadVec buf;  ///< subtree result, valid when done
   };
+  /// Open while `nodes` is non-empty; a closed block is value-initialized.
   struct Block {
     std::vector<NodeState> nodes;
     ChildBitmap bitmap;
@@ -254,6 +244,11 @@ class TreeAggregator final : public Aggregator {
   };
 
   Block& get_block(u32 block_id, SimTime now);
+  /// The open block `block_id`.
+  Block& open_block(u32 block_id) {
+    FLARE_ASSERT(block_id < blocks_.size() && !blocks_[block_id].nodes.empty());
+    return blocks_[block_id];
+  }
   void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
   void climb(u32 block_id, u32 node, SimTime t, HandlerDone done);
   void complete_root(u32 block_id, SimTime t, HandlerDone done);
@@ -262,8 +257,8 @@ class TreeAggregator final : public Aggregator {
   AllreduceConfig cfg_;
   BufferPool& pool_;
   TreeShape shape_;
-  std::unordered_map<u32, Block> blocks_;
-  std::unordered_set<u32> completed_;
+  std::vector<Block> blocks_;  ///< by block id (dense per collective)
+  BlockSet completed_;
 };
 
 /// Factory over AllreduceConfig::policy (dense only; sparse lives in

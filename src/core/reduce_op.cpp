@@ -15,57 +15,68 @@ namespace {
 constexpr std::size_t kBuiltinOps = 7;  // kSum..kBxor (kCustom excluded)
 constexpr std::size_t kDTypeCount = std::size(kAllDTypes);
 
-/// One fully monomorphized element loop per (dtype, op).  The switch that
-/// used to sit inside Kernels<T>::apply is hoisted into the table lookup
-/// below, so each loop body is branch-free with `__restrict` operands —
-/// the shape GCC/Clang auto-vectorize (verified via bench/kernels.cpp).
+/// One fully monomorphized element loop per (dtype, op), dispatched by the
+/// table below so no dtype or op branch sits inside a loop.
 using KernelFn = void (*)(void* acc, const void* in, std::size_t n);
 
 template <typename T, OpKind K>
-void kernel(void* accv, const void* inv, std::size_t n) {
-  T* __restrict acc = static_cast<T*>(accv);
-  const T* __restrict in = static_cast<const T*>(inv);
-  for (std::size_t i = 0; i < n; ++i) {
-    if constexpr (K == OpKind::kSum) {
-      acc[i] = static_cast<T>(acc[i] + in[i]);
-    } else if constexpr (K == OpKind::kProd) {
-      acc[i] = static_cast<T>(acc[i] * in[i]);
-    } else if constexpr (K == OpKind::kMin) {
-      acc[i] = std::min(acc[i], in[i]);
-    } else if constexpr (K == OpKind::kMax) {
-      acc[i] = std::max(acc[i], in[i]);
-    } else if constexpr (K == OpKind::kBand) {
-      acc[i] = static_cast<T>(acc[i] & in[i]);
-    } else if constexpr (K == OpKind::kBor) {
-      acc[i] = static_cast<T>(acc[i] | in[i]);
-    } else if constexpr (K == OpKind::kBxor) {
-      acc[i] = static_cast<T>(acc[i] ^ in[i]);
+T combine(T a, T b) {
+  if constexpr (K == OpKind::kSum) {
+    return static_cast<T>(a + b);
+  } else if constexpr (K == OpKind::kProd) {
+    return static_cast<T>(a * b);
+  } else if constexpr (K == OpKind::kMin) {
+    return std::min(a, b);
+  } else if constexpr (K == OpKind::kMax) {
+    return std::max(a, b);
+  } else if constexpr (K == OpKind::kBand) {
+    return static_cast<T>(a & b);
+  } else if constexpr (K == OpKind::kBor) {
+    return static_cast<T>(a | b);
+  } else {
+    return static_cast<T>(a ^ b);
+  }
+}
+
+/// Bytes per chunk of the builtin kernels: four 16-byte SSE vectors.
+constexpr std::size_t kChunkBytes = 64;
+
+// GCC's default -O2 cost model ("very cheap") vectorizes only a loop whose
+// trip count is known and that needs no runtime alias check, and it honours
+// `__restrict` on parameters but not on locals.  So the kernels take
+// `__restrict` parameters and run constant-width chunks plus a scalar tail.
+// The chunk loop compiles to SIMD (`paddd` in kernel<int, kSum>), and the
+// unroll pragma then turns its four vector iterations into straight-line
+// code.  (A full unroll pragma would unroll before vectorizing, leaving the
+// i8 kernels scalar.)  Every element still sees the same operation with the
+// accumulator on the left, so results match a scalar loop bit for bit.
+template <typename T, OpKind K>
+void kernel(void* __restrict accv, const void* __restrict inv,
+            std::size_t n) {
+  T* acc = static_cast<T*>(accv);
+  const T* in = static_cast<const T*>(inv);
+  constexpr std::size_t kWidth = kChunkBytes / sizeof(T);
+  std::size_t i = 0;
+  for (; i + kWidth <= n; i += kWidth) {
+#pragma GCC unroll 4  // kChunkBytes / 16
+    for (std::size_t j = 0; j < kWidth; ++j) {
+      acc[i + j] = combine<T, K>(acc[i + j], in[i + j]);
     }
   }
+  for (; i < n; ++i) acc[i] = combine<T, K>(acc[i], in[i]);
 }
 
 // Float16: convert through f32 per element, exactly like handler code on an
 // FP16-capable FPU that widens to f32 internally.
+// The conversions are out-of-line calls, so this loop stays scalar.
 template <OpKind K>
-void kernel_f16(void* accv, const void* inv, std::size_t n) {
-  u16* __restrict acc = static_cast<u16*>(accv);
-  const u16* __restrict in = static_cast<const u16*>(inv);
+void kernel_f16(void* __restrict accv, const void* __restrict inv,
+                std::size_t n) {
+  u16* acc = static_cast<u16*>(accv);
+  const u16* in = static_cast<const u16*>(inv);
   for (std::size_t i = 0; i < n; ++i) {
-    const f32 a = f16_to_f32(acc[i]);
-    const f32 b = f16_to_f32(in[i]);
-    f32 r = 0.0f;
-    if constexpr (K == OpKind::kSum) {
-      r = a + b;
-    } else if constexpr (K == OpKind::kProd) {
-      r = a * b;
-    } else if constexpr (K == OpKind::kMin) {
-      r = std::min(a, b);
-    } else if constexpr (K == OpKind::kMax) {
-      r = std::max(a, b);
-    } else {
-      FLARE_UNREACHABLE("unsupported f16 op");
-    }
-    acc[i] = f32_to_f16(r);
+    acc[i] =
+        f32_to_f16(combine<f32, K>(f16_to_f32(acc[i]), f16_to_f32(in[i])));
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 
 namespace flare::core {
 namespace {
@@ -10,24 +12,89 @@ namespace {
 // of every host buffer (inside the simulator's timed region when jobs spawn
 // mid-run), so the dtype dispatch is hoisted out of the loop here and the
 // per-element body reduces to a fixed-size memcpy the compiler turns into a
-// plain load/store.  The scalar get/set_as_f64 entry points stay as the
-// general (and test-visible) element API.
+// plain load/store.  fill_loop draws from a local copy of the generator and
+// stores it back once: the `std::byte` stores may alias the caller's Rng,
+// so drawing through the reference would write xoshiro's four state words
+// back to memory after every element.
 
-template <typename T, bool Floor>
-void fill_loop(std::byte* p, std::size_t n, Rng& rng, f64 lo, f64 hi) {
-  for (std::size_t i = 0; i < n; ++i) {
-    f64 v = rng.uniform(lo, hi);
-    if constexpr (Floor) v = std::floor(v);
-    const T x = static_cast<T>(v);
-    std::memcpy(p + i * sizeof(T), &x, sizeof(T));
+/// Calls f(T{}) with T the storage type of dtype `t`; u16 holds f16 bits.
+template <typename F>
+decltype(auto) with_storage_type(DType t, F&& f) {
+  switch (t) {
+    case DType::kInt8: return f(i8{});
+    case DType::kInt16: return f(i16{});
+    case DType::kInt32: return f(i32{});
+    case DType::kInt64: return f(i64{});
+    case DType::kFloat16: return f(u16{});
+    case DType::kFloat32: return f(f32{});
+  }
+  FLARE_UNREACHABLE("unknown dtype");
+}
+
+template <typename T>
+constexpr bool kIsHalf = std::is_same_v<T, u16>;
+
+template <typename T>
+f64 widen(T x) {
+  if constexpr (kIsHalf<T>) {
+    return static_cast<f64>(f16_to_f32(x));
+  } else {
+    return static_cast<f64>(x);
   }
 }
 
-void fill_loop_f16(std::byte* p, std::size_t n, Rng& rng, f64 lo, f64 hi) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const u16 x = f32_to_f16(static_cast<f32>(rng.uniform(lo, hi)));
-    std::memcpy(p + i * sizeof(u16), &x, sizeof(u16));
+/// Narrows like handler code would.
+template <typename T>
+T narrow(f64 v) {
+  if constexpr (kIsHalf<T>) {
+    return f32_to_f16(static_cast<f32>(v));
+  } else {
+    return static_cast<T>(v);
   }
+}
+
+/// m when floor(lo + (hi - lo) * u) can be drawn exactly in integers: lo
+/// and hi are integers, hi - lo = 2^m with m <= 53, |lo|, |hi| <= 2^m and
+/// every value lo + [0, 2^m) fits in T.  With u = k * 2^-53 (k = x >> 11,
+/// Rng::uniform), lo + (hi - lo) * u is then exact in f64, so its floor is
+/// lo + (k >> (53 - m)).  -1 otherwise.
+template <typename T>
+int exact_int_span_log2(f64 lo, f64 hi) {
+  int e = 0;
+  if (lo != std::floor(lo) || hi != std::floor(hi) ||
+      std::frexp(hi - lo, &e) != 0.5 || e > 54) {
+    return -1;
+  }
+  const f64 span = std::ldexp(1.0, e - 1);
+  const bool in_range = std::abs(lo) <= span && std::abs(hi) <= span &&
+      lo >= static_cast<f64>(std::numeric_limits<T>::lowest()) &&
+      lo + (span - 1.0) <= static_cast<f64>(std::numeric_limits<T>::max());
+  return in_range ? e - 1 : -1;
+}
+
+/// Integer dtypes draw floor(uniform(lo, hi)), float dtypes uniform(lo, hi).
+template <typename T>
+void fill_loop(std::byte* p, std::size_t n, Rng& rng_state, f64 lo, f64 hi) {
+  constexpr bool kInteger = std::is_integral_v<T> && !kIsHalf<T>;
+  Rng rng = rng_state;
+  int m = -1;
+  if constexpr (kInteger) m = exact_int_span_log2<T>(lo, hi);
+  if (m >= 0) {
+    const i64 base = static_cast<i64>(lo);
+    for (std::size_t i = 0; i < n; ++i) {
+      const u64 k = (rng() >> 11) >> (53 - m);
+      const T x = static_cast<T>(base + static_cast<i64>(k));
+      std::memcpy(p + i * sizeof(T), &x, sizeof(T));
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      f64 v = rng.uniform(lo, hi);
+      if constexpr (kInteger) v = std::floor(v);
+      const T x = narrow<T>(v);
+      std::memcpy(p + i * sizeof(T), &x, sizeof(T));
+    }
+  }
+  rng_state = rng;
 }
 
 template <typename T>
@@ -37,20 +104,7 @@ f64 diff_loop(const std::byte* a, const std::byte* b, std::size_t n) {
     T x, y;
     std::memcpy(&x, a + i * sizeof(T), sizeof(T));
     std::memcpy(&y, b + i * sizeof(T), sizeof(T));
-    worst = std::max(worst,
-                     std::abs(static_cast<f64>(x) - static_cast<f64>(y)));
-  }
-  return worst;
-}
-
-f64 diff_loop_f16(const std::byte* a, const std::byte* b, std::size_t n) {
-  f64 worst = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    u16 x, y;
-    std::memcpy(&x, a + i * sizeof(u16), sizeof(u16));
-    std::memcpy(&y, b + i * sizeof(u16), sizeof(u16));
-    worst = std::max(worst, std::abs(static_cast<f64>(f16_to_f32(x)) -
-                                     static_cast<f64>(f16_to_f32(y))));
+    worst = std::max(worst, std::abs(widen(x) - widen(y)));
   }
   return worst;
 }
@@ -59,89 +113,25 @@ f64 diff_loop_f16(const std::byte* a, const std::byte* b, std::size_t n) {
 
 f64 TypedBuffer::get_as_f64(std::size_t i) const {
   FLARE_ASSERT(i < elems_);
-  const std::byte* p = at_byte(i);
-  switch (dtype_) {
-    case DType::kInt8: {
-      i8 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-    case DType::kInt16: {
-      i16 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-    case DType::kInt32: {
-      i32 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-    case DType::kInt64: {
-      i64 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-    case DType::kFloat16: {
-      u16 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(f16_to_f32(v));
-    }
-    case DType::kFloat32: {
-      f32 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-  }
-  return 0.0;
+  return with_storage_type(dtype_, [&](auto tag) {
+    decltype(tag) v;
+    std::memcpy(&v, at_byte(i), sizeof(v));
+    return widen(v);
+  });
 }
 
 void TypedBuffer::set_from_f64(std::size_t i, f64 v) {
   FLARE_ASSERT(i < elems_);
-  std::byte* p = at_byte(i);
-  switch (dtype_) {
-    case DType::kInt8: {
-      const i8 x = static_cast<i8>(v);
-      std::memcpy(p, &x, sizeof(x));
-      break;
-    }
-    case DType::kInt16: {
-      const i16 x = static_cast<i16>(v);
-      std::memcpy(p, &x, sizeof(x));
-      break;
-    }
-    case DType::kInt32: {
-      const i32 x = static_cast<i32>(v);
-      std::memcpy(p, &x, sizeof(x));
-      break;
-    }
-    case DType::kInt64: {
-      const i64 x = static_cast<i64>(v);
-      std::memcpy(p, &x, sizeof(x));
-      break;
-    }
-    case DType::kFloat16: {
-      const u16 x = f32_to_f16(static_cast<f32>(v));
-      std::memcpy(p, &x, sizeof(x));
-      break;
-    }
-    case DType::kFloat32: {
-      const f32 x = static_cast<f32>(v);
-      std::memcpy(p, &x, sizeof(x));
-      break;
-    }
-  }
+  with_storage_type(dtype_, [&](auto tag) {
+    const auto x = narrow<decltype(tag)>(v);
+    std::memcpy(at_byte(i), &x, sizeof(x));
+  });
 }
 
 void TypedBuffer::fill_random(Rng& rng, f64 lo, f64 hi) {
-  std::byte* p = bytes_.data();
-  switch (dtype_) {
-    case DType::kInt8: fill_loop<i8, true>(p, elems_, rng, lo, hi); break;
-    case DType::kInt16: fill_loop<i16, true>(p, elems_, rng, lo, hi); break;
-    case DType::kInt32: fill_loop<i32, true>(p, elems_, rng, lo, hi); break;
-    case DType::kInt64: fill_loop<i64, true>(p, elems_, rng, lo, hi); break;
-    case DType::kFloat16: fill_loop_f16(p, elems_, rng, lo, hi); break;
-    case DType::kFloat32: fill_loop<f32, false>(p, elems_, rng, lo, hi); break;
-  }
+  with_storage_type(dtype_, [&](auto tag) {
+    fill_loop<decltype(tag)>(bytes_.data(), elems_, rng, lo, hi);
+  });
 }
 
 f64 TypedBuffer::max_abs_diff(const TypedBuffer& other) const {
@@ -152,15 +142,9 @@ f64 TypedBuffer::max_abs_diff(const TypedBuffer& other) const {
   // have an elementwise diff of zero everywhere; one memcmp beats a
   // widen-and-subtract loop over every element.
   if (elems_ > 0 && std::memcmp(a, b, bytes_.size()) == 0) return 0.0;
-  switch (dtype_) {
-    case DType::kInt8: return diff_loop<i8>(a, b, elems_);
-    case DType::kInt16: return diff_loop<i16>(a, b, elems_);
-    case DType::kInt32: return diff_loop<i32>(a, b, elems_);
-    case DType::kInt64: return diff_loop<i64>(a, b, elems_);
-    case DType::kFloat16: return diff_loop_f16(a, b, elems_);
-    case DType::kFloat32: return diff_loop<f32>(a, b, elems_);
-  }
-  return 0.0;
+  return with_storage_type(dtype_, [&](auto tag) {
+    return diff_loop<decltype(tag)>(a, b, elems_);
+  });
 }
 
 std::size_t TypedBuffer::count_mismatches(const TypedBuffer& other) const {

@@ -73,7 +73,6 @@ void Switch::fail() {
   failed_ = true;
   // Crash-stop: installed engines, cached results and queued service work
   // vanish.  Occupancy drops to zero — the partition is empty again.
-  invalidate_role_cache();
   roles_.clear();
   occupancy_.set(0, net_.sim().now());
   net_.notify_fault({FaultKind::kSwitchFail, id_, UINT32_MAX,
@@ -90,9 +89,10 @@ void Switch::restart() {
 bool Switch::install_reduce(const core::AllreduceConfig& cfg,
                             ReduceRole&& role) {
   if (!can_install()) return false;
+  FLARE_ASSERT_MSG(find_role(cfg.id) == nullptr,
+                   "allreduce id already installed on switch");
   role.engine = std::make_unique<core::AllreduceEngine>(*this, cfg);
-  auto [it, inserted] = roles_.try_emplace(cfg.id, std::move(role));
-  FLARE_ASSERT_MSG(inserted, "allreduce id already installed on switch");
+  roles_.push_back({cfg.id, std::move(role)});
   occupancy_.set(roles_.size(), net_.sim().now());
 #if FLARE_VALIDATE_ENABLED
   validate_occupancy();
@@ -101,8 +101,11 @@ bool Switch::install_reduce(const core::AllreduceConfig& cfg,
 }
 
 void Switch::uninstall_reduce(u32 allreduce_id) {
-  invalidate_role_cache();
-  if (roles_.erase(allreduce_id) != 0) {
+  const auto it =
+      std::find_if(roles_.begin(), roles_.end(),
+                   [&](const RoleSlot& s) { return s.id == allreduce_id; });
+  if (it != roles_.end()) {
+    roles_.erase(it);
     occupancy_.set(roles_.size(), net_.sim().now());
   }
 #if FLARE_VALIDATE_ENABLED
@@ -111,16 +114,15 @@ void Switch::uninstall_reduce(u32 allreduce_id) {
 }
 
 bool Switch::reset_reduce(u32 allreduce_id) {
-  auto it = roles_.find(allreduce_id);
-  if (it == roles_.end()) return false;
-  it->second.engine->reset();
-  it->second.completed.clear();
-  it->second.completed_sparse.clear();
+  ReduceRole* r = find_role(allreduce_id);
+  if (r == nullptr) return false;
+  r->engine->reset();
+  r->completed.clear();
 #if FLARE_VALIDATE_ENABLED
   // A persistent reset must return every acquired hash/array-store byte:
   // anything still out after engine->reset() is the sparse leak class
   // the chaos tests can only sample — here it is checked on EVERY reset.
-  if (const u64 in_use = it->second.engine->pool().in_use(); in_use != 0) {
+  if (const u64 in_use = r->engine->pool().in_use(); in_use != 0) {
     validate::fail("engine-pool-leak",
                    "switch '" + name_ + "': engine for allreduce " +
                        std::to_string(allreduce_id) + " still holds " +
@@ -137,8 +139,10 @@ void Switch::debug_leak_occupancy() {
 #endif
 
 const ReduceRole* Switch::role(u32 allreduce_id) const {
-  auto it = roles_.find(allreduce_id);
-  return it == roles_.end() ? nullptr : &it->second;
+  for (const RoleSlot& slot : roles_) {
+    if (slot.id == allreduce_id) return &slot.role;
+  }
+  return nullptr;
 }
 
 const core::EngineStats* Switch::engine_stats(u32 allreduce_id) const {
@@ -229,38 +233,28 @@ void Switch::on_reduce_up(NetPacket&& pkt) {
       serialization_ps(pkt.wire_bytes, role2.service_bps);
   const SimTime start = std::max(now, role2.server_busy_until);
   role2.server_busy_until = start + service;
-  if ((pkt.reduce->hdr.flags & core::kFlagRetransmit) != 0) {
-    const u32 blk = pkt.reduce->hdr.block_id;
-    if (role2.completed.contains(blk)) {
-      // Retransmission for a block this switch already finished: the loss
-      // was downstream of aggregation (our up-aggregate or the down-
-      // multicast).  Re-emit the cached result instead of feeding the
-      // engine, which would just drop the packet as a duplicate.
-      net_.sim().schedule_at(role2.server_busy_until,
-                             [this, id = pkt.allreduce_id, blk] {
-                               reemit_completed(id, blk);
-                             });
+  // A retransmitted last shard for a block this switch already finished:
+  // the loss was downstream of aggregation (our up-aggregate or the down-
+  // multicast).  Replay the cached emission instead of feeding the engine,
+  // which would just drop the packet as a duplicate.  Dense packets are
+  // single last shards.  A host re-sends a whole sparse block per timeout,
+  // so replaying only off its LAST shard keeps recovery traffic linear
+  // (one replay per round per tree level, where replaying on every
+  // arriving shard would multiply sequence-length-fold at each level).
+  // Other duplicate shards, and any shard of a block still incomplete
+  // here, fall through to the engine, whose shard trackers absorb them and
+  // aggregate only what was lost.
+  const core::Packet& in = *pkt.reduce;
+  if ((in.hdr.flags & core::kFlagRetransmit) != 0 && in.is_last_shard() &&
+      in.hdr.block_id < role2.completed.size()) {
+    const auto& seq = role2.completed[in.hdr.block_id];
+    if (!seq.empty() && seq.back()->is_last_shard()) {
+      net_.sim().schedule_at(
+          role2.server_busy_until,
+          [this, id = pkt.allreduce_id, blk = in.hdr.block_id] {
+            reemit_completed(id, blk);
+          });
       return;
-    }
-    // Sparse analogue: the block's whole emission sequence (shards +
-    // spills) is cached; it is re-emittable once the last-shard marker
-    // went out.  Only the retransmitted LAST shard triggers the replay —
-    // a host re-sends the whole block per timeout, so one replay per
-    // round per tree level keeps recovery traffic linear (replaying on
-    // EVERY arriving shard would multiply sequence-length-fold at each
-    // level).  Other duplicate shards, and any shard of a block still
-    // incomplete here, fall through to the engine, whose shard trackers
-    // absorb them and aggregate only what was lost.
-    if (pkt.reduce->is_last_shard()) {
-      const auto sit = role2.completed_sparse.find(blk);
-      if (sit != role2.completed_sparse.end() && !sit->second.empty() &&
-          sit->second.back()->is_last_shard()) {
-        net_.sim().schedule_at(role2.server_busy_until,
-                               [this, id = pkt.allreduce_id, blk] {
-                                 reemit_completed_sparse(id, blk);
-                               });
-        return;
-      }
     }
   }
   net_.sim().schedule_at(
@@ -278,52 +272,24 @@ void Switch::on_reduce_up(NetPacket&& pkt) {
 }
 
 void Switch::reemit_completed(u32 allreduce_id, u32 block_id) {
-  auto it = roles_.find(allreduce_id);
-  if (it == roles_.end()) return;  // uninstalled/crashed while queued
-  ReduceRole& role2 = it->second;
-  auto cit = role2.completed.find(block_id);
-  if (cit == role2.completed.end()) return;
-  core::Packet copy = *cit->second;
-  copy.hdr.flags |= core::kFlagRetransmit;  // keep the cache path upstream
-  NetPacket np;
-  np.allreduce_id = allreduce_id;
-  np.trace = role2.engine->config().trace;
-  np.wire_bytes = copy.wire_bytes();
-  if (role2.is_root || copy.is_down()) {
-    np.kind = PacketKind::kReduceDown;
-    np.reduce = core::make_pooled_packet(std::move(copy));
-    on_reduce_down(std::move(np));
-  } else {
-    np.kind = PacketKind::kReduceUp;
-    np.reduce = core::make_pooled_packet(std::move(copy));
-    port(role2.parent_port).send(std::move(np));
-  }
-}
-
-void Switch::reemit_completed_sparse(u32 allreduce_id, u32 block_id) {
-  auto it = roles_.find(allreduce_id);
-  if (it == roles_.end()) return;  // uninstalled/crashed while queued
-  ReduceRole& role2 = it->second;
-  const auto cit = role2.completed_sparse.find(block_id);
-  if (cit == role2.completed_sparse.end()) return;
-  // Replay the whole emission sequence in order; receivers deduplicate by
-  // (child, shard_seq) — host-side via the down ShardTrackers — so only
-  // what was actually lost takes effect.
-  for (const std::shared_ptr<const core::Packet>& cached : cit->second) {
-    core::Packet copy = *cached;
+  const ReduceRole* r = find_role(allreduce_id);
+  // Uninstalled, crashed or reset while queued.
+  if (r == nullptr || block_id >= r->completed.size()) return;
+  for (const std::shared_ptr<const core::Packet>& cached :
+       r->completed[block_id]) {
+    core::Packet copy{cached->hdr, core::copy_payload(cached->payload)};
     copy.hdr.flags |= core::kFlagRetransmit;  // keep the cache path upstream
     NetPacket np;
     np.allreduce_id = allreduce_id;
-    np.trace = role2.engine->config().trace;
+    np.trace = r->engine->config().trace;
     np.wire_bytes = copy.wire_bytes();
-    if (role2.is_root || copy.is_down()) {
-      np.kind = PacketKind::kReduceDown;
-      np.reduce = core::make_pooled_packet(std::move(copy));
+    const bool down = r->is_root || copy.is_down();
+    np.kind = down ? PacketKind::kReduceDown : PacketKind::kReduceUp;
+    np.reduce = core::make_pooled_packet(std::move(copy));
+    if (down) {
       on_reduce_down(std::move(np));
     } else {
-      np.kind = PacketKind::kReduceUp;
-      np.reduce = core::make_pooled_packet(std::move(copy));
-      port(role2.parent_port).send(std::move(np));
+      port(r->parent_port).send(std::move(np));
     }
   }
 }
@@ -345,44 +311,30 @@ void Switch::on_reduce_down(NetPacket&& pkt) {
 void Switch::emit(core::Packet&& pkt, SimTime when) {
   const u32 id = pkt.hdr.allreduce_id;
   const u32 block = pkt.hdr.block_id;
-  // Dense results are one packet per block: cache them for retransmission
-  // re-emit.  A sparse block's output spans several shard/spill packets, so
-  // the sparse cache records the whole emission sequence in order (valid
-  // for re-emit once its last-shard marker lands — see on_reduce_up); it
-  // is kept only when fault recovery is armed, since nothing can request
-  // a replay otherwise and large sparse iterations would pay the memory
-  // for nothing.
   ReduceRole* found = find_role(id);
   FLARE_ASSERT_MSG(found != nullptr, "emit for an uninstalled allreduce");
   ReduceRole& role2 = *found;
-  const bool sparse = pkt.is_sparse();
-  const bool cache_sparse =
-      sparse && role2.engine->config().fault_recovery;
+  const bool down = role2.is_root || pkt.is_down();
+  if (!down) pkt.hdr.child_index = role2.child_index_at_parent;
   NetPacket np;
   np.allreduce_id = id;
   np.trace = role2.engine->config().trace;
   np.wire_bytes = pkt.wire_bytes();
-  if (role2.is_root || pkt.is_down()) {
-    np.kind = PacketKind::kReduceDown;
-    np.reduce = core::make_pooled_packet(std::move(pkt));
-    if (cache_sparse) {
-      role2.completed_sparse[block].push_back(np.reduce);
-    } else if (!sparse) {
-      role2.completed[block] = np.reduce;
-    }
+  np.kind = down ? PacketKind::kReduceDown : PacketKind::kReduceUp;
+  np.reduce = core::make_pooled_packet(std::move(pkt));
+  // Cache the emission for retransmission replay (see on_reduce_up) only
+  // when fault recovery is armed: nothing can request a replay otherwise,
+  // and every block would hold its results for the whole iteration.
+  if (role2.engine->config().fault_recovery) {
+    if (block >= role2.completed.size()) role2.completed.resize(block + 1);
+    role2.completed[block].push_back(np.reduce);
+  }
+  if (down) {
     net_.sim().schedule_at(when, [this, np = std::move(np)]() mutable {
       if (failed_) return;
       on_reduce_down(std::move(np));
     });
   } else {
-    np.kind = PacketKind::kReduceUp;
-    pkt.hdr.child_index = role2.child_index_at_parent;
-    np.reduce = core::make_pooled_packet(std::move(pkt));
-    if (cache_sparse) {
-      role2.completed_sparse[block].push_back(np.reduce);
-    } else if (!sparse) {
-      role2.completed[block] = np.reduce;
-    }
     const u32 out = role2.parent_port;
     net_.sim().schedule_at(when, [this, out, np = std::move(np)]() mutable {
       if (failed_) return;

@@ -105,20 +105,19 @@ struct ReduceRole {
   /// Calibrated aggregation service rate (bits/s of up-traffic processed).
   f64 service_bps = 0.0;
   SimTime server_busy_until = 0;
-  /// Result packets already emitted for completed blocks this iteration,
-  /// by block id.  A host-timeout retransmission arriving for a completed
-  /// block re-emits the cached result instead of re-aggregating — the
-  /// recovery path for lost switch-to-switch aggregates and lost
-  /// down-multicasts.  Cleared by reset_reduce() between iterations.
-  std::unordered_map<u32, std::shared_ptr<const core::Packet>> completed;
-  /// The SPARSE analogue: a sparse block's output spans several shard and
-  /// spill packets, so the cache keeps the whole emission sequence in
-  /// order.  Valid for re-emit only once the last-shard marker was emitted
-  /// (the final packet of the sequence); receivers deduplicate replays by
-  /// (child, shard_seq), so re-emitting the full sequence is idempotent.
-  /// Cleared by reset_reduce() between iterations.
-  std::unordered_map<u32, std::vector<std::shared_ptr<const core::Packet>>>
-      completed_sparse;
+  /// The packets this switch emitted for each block this iteration, in
+  /// order, indexed by block id (dense per collective).  A host-timeout
+  /// retransmission arriving for a completed block re-emits them instead
+  /// of re-aggregating — the recovery path for lost switch-to-switch
+  /// aggregates and lost down-multicasts.  A dense block emits one result
+  /// packet; a sparse block's output spans several shard and spill
+  /// packets.  A sequence is complete, and re-emittable, once it ends with
+  /// a last-shard packet (dense results always carry the flag); receivers
+  /// deduplicate replays by (child, shard_seq), so replaying the whole
+  /// sequence is idempotent.  Filled only when the collective arms fault
+  /// recovery, since nothing can request a replay otherwise; cleared by
+  /// reset_reduce() between iterations.
+  std::vector<std::vector<std::shared_ptr<const core::Packet>>> completed;
 };
 
 /// A switch's destination routing, keyed by host index (the topology
@@ -203,9 +202,8 @@ class Switch final : public Node, public core::EngineHost {
   /// the installs themselves stay resident (persistent sessions).
   u64 engine_pool_in_use() const {
     u64 total = 0;
-    // flare-lint: allow(unordered-iter) integer sum, order-insensitive
-    for (const auto& [id, role] : roles_) {
-      total += role.engine->pool().in_use();
+    for (const RoleSlot& slot : roles_) {
+      total += slot.role.engine->pool().in_use();
     }
     return total;
   }
@@ -238,38 +236,31 @@ class Switch final : public Node, public core::EngineHost {
 #endif
 
  private:
-  /// Cached roles_ lookup for the per-packet data plane: reduction packets
-  /// of one collective arrive in bursts, so most lookups repeat the
-  /// previous id.  unordered_map references are stable under insert and
-  /// rehash, so the cache only needs invalidating when a role is erased
-  /// (uninstall_reduce, fail).  Misses are never cached — a stale-drop id
-  /// can be installed later without the cache masking it.
+  /// One installed role.  A switch holds at most max_allreduces_ of them
+  /// (default 8), so a linear scan of this small array finds a role
+  /// faster than hashing its id.
+  struct RoleSlot {
+    u32 id = 0;
+    ReduceRole role;
+  };
   ReduceRole* find_role(u32 allreduce_id) {
-    if (cached_role_ != nullptr && cached_role_id_ == allreduce_id) {
-      return cached_role_;
+    for (RoleSlot& slot : roles_) {
+      if (slot.id == allreduce_id) return &slot.role;
     }
-    auto it = roles_.find(allreduce_id);
-    if (it == roles_.end()) return nullptr;
-    cached_role_id_ = allreduce_id;
-    cached_role_ = &it->second;
-    return cached_role_;
+    return nullptr;
   }
-  void invalidate_role_cache() { cached_role_ = nullptr; }
 
   void forward_host_msg(NetPacket&& pkt);
   void on_reduce_up(NetPacket&& pkt);
   void on_reduce_down(NetPacket&& pkt);
-  /// Re-sends the cached result of a completed block (retransmission hit).
+  /// Replays a completed block's cached emission sequence in order
+  /// (retransmission hit).
   void reemit_completed(u32 allreduce_id, u32 block_id);
-  /// Sparse analogue: replays the block's whole cached emission sequence.
-  void reemit_completed_sparse(u32 allreduce_id, u32 block_id);
 
   bool failed_ = false;
   u32 max_allreduces_;
   HostRouteTable host_routes_;
-  std::unordered_map<u32, ReduceRole> roles_;
-  u32 cached_role_id_ = 0;
-  ReduceRole* cached_role_ = nullptr;  ///< one-entry cache over roles_
+  std::vector<RoleSlot> roles_;
   Gauge occupancy_;
   core::CostModel zero_costs_;
   u64 reduce_packets_ = 0;

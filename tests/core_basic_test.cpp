@@ -149,6 +149,54 @@ INSTANTIATE_TEST_SUITE_P(
                           OpKind::kMax, OpKind::kBand, OpKind::kBor,
                           OpKind::kBxor)));
 
+// fill_random pinned bit for bit per dtype and range: an FNV-1a hash, over
+// seeds 0-63, of each filled buffer followed by the generator's next output
+// (so the number of draws is pinned too).  The constants were computed with
+// the plain floating-point fill loop.  For integer dtypes (-8, 8),
+// (-128, 128), (0, 1) and (-3, 5) have power-of-two spans and take the
+// exact integer path; (-3, 4) does not and takes the floating-point loop.
+TEST(TypedBuffer, FillRandomIsPinned) {
+  constexpr std::pair<f64, f64> kRanges[] = {
+      {-8.0, 8.0}, {-128.0, 128.0}, {0.0, 1.0}, {-3.0, 5.0}, {-3.0, 4.0}};
+  // [dtype in kAllDTypes order][range]
+  constexpr u64 kPinned[6][5] = {
+      {0xa3f84dff451e50a0ull, 0xbf01b86f450a087cull, 0xd7d71dc2728e714bull,
+       0x30adeb50e07a7811ull, 0x7c92f6b82a335284ull},
+      {0xa8e9d9260a933e1dull, 0x7c1db0829b4ec7b7ull, 0x69a1878814cd3601ull,
+       0x2d87514405a8f1ddull, 0x065874038cbc837full},
+      {0x28d9229bb6155ec7ull, 0x0108e1f5d38613e1ull, 0x12d2e4ea03e44309ull,
+       0x19c03b059bd65f85ull, 0x1dc3f7d6f3088a39ull},
+      {0x0c77acbc880a478bull, 0x7e87cfb57678755dull, 0x596844372c87e5f9ull,
+       0xaf0d5dccc694b115ull, 0x91f8875c1ddc244dull},
+      {0x119394b13a271294ull, 0xdf036b065d368f59ull, 0x182ba16ae1dc8687ull,
+       0x4b88d6f0ff745a6cull, 0x743cd30152f734b5ull},
+      {0x17540e62c377d423ull, 0x2642b5f89225de93ull, 0x66796048d47c994aull,
+       0xb24c970dab8e2624ull, 0x052e5bcd370db0c2ull}};
+  auto fnv = [](u64 h, const void* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= static_cast<u64>(static_cast<const unsigned char*>(p)[i]);
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  for (std::size_t d = 0; d < std::size(kAllDTypes); ++d) {
+    for (std::size_t r = 0; r < std::size(kRanges); ++r) {
+      u64 h = 1469598103934665603ull;
+      for (u64 seed = 0; seed < 64; ++seed) {
+        Rng rng(seed);
+        TypedBuffer buf(kAllDTypes[d], 203);
+        buf.fill_random(rng, kRanges[r].first, kRanges[r].second);
+        h = fnv(h, buf.data(), buf.size_bytes());
+        const u64 next = rng();
+        h = fnv(h, &next, sizeof(next));
+      }
+      EXPECT_EQ(h, kPinned[d][r])
+          << dtype_name(kAllDTypes[d]) << " [" << kRanges[r].first << ", "
+          << kRanges[r].second << ")";
+    }
+  }
+}
+
 TEST(ReduceOp, VectorSum) {
   ReduceOp op(OpKind::kSum);
   TypedBuffer a(DType::kInt32, 100), b(DType::kInt32, 100);

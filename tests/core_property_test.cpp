@@ -12,8 +12,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/cost_model.hpp"
@@ -331,22 +333,42 @@ void ref_apply(OpKind k, DType t, TypedBuffer& acc, const TypedBuffer& in) {
   }
 }
 
+// The builtin kernels run 64-byte chunks plus a scalar tail, so an i8
+// chunk is 64 elements.  Every length from 0 to three such chunks plus five
+// runs every chunk count and every tail length of every dtype, once on
+// aligned buffers and once with both operands one byte off alignment
+// (apply's bounce path, which works in 256-byte pieces: hence 1000 too).
 TEST(ReduceOpProperty, ApplyMatchesScalarOracleForEveryOpDtypePair) {
+  std::vector<std::size_t> lengths(3 * 64 + 6);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(1000);
   Rng rng(4242);
   for (const OpKind k : kBuiltinOpKinds) {
     const ReduceOp op(k);
     for (const DType t : kAllDTypes) {
       if (!op.supports(t)) continue;
-      // Odd lengths included so the vectorized loop tails are exercised.
-      for (const std::size_t n : {1u, 3u, 64u, 255u, 1000u}) {
-        TypedBuffer acc(t, n), in(t, n), ref(t, n);
+      const std::size_t es = dtype_size(t);
+      for (const std::size_t n : lengths) {
+        TypedBuffer acc(t, n), in(t, n);
         acc.fill_random(rng);
         in.fill_random(rng);
-        std::memcpy(ref.data(), acc.data(), acc.size_bytes());
-        acc.accumulate(in, op);
+        TypedBuffer ref = acc;
         ref_apply(k, t, ref, in);
+        // One byte past an aligned vector's start: misaligned for es > 1.
+        std::vector<std::byte> acc_off(n * es + 1), in_off(n * es + 1);
+        if (n > 0) {
+          std::memcpy(acc_off.data() + 1, acc.data(), n * es);
+          std::memcpy(in_off.data() + 1, in.data(), n * es);
+        }
+        op.apply(t, acc_off.data() + 1, in_off.data() + 1, n);
+        acc.accumulate(in, op);
+
         EXPECT_TRUE(acc.bitwise_equal(ref))
             << op_name(k) << "/" << dtype_name(t) << " n=" << n;
+        EXPECT_TRUE(n == 0 || std::memcmp(acc_off.data() + 1, ref.data(),
+                                          n * es) == 0)
+            << op_name(k) << "/" << dtype_name(t) << " n=" << n
+            << " misaligned";
       }
     }
   }

@@ -421,6 +421,47 @@ TEST(SwitchReduce, SingleSwitchAggregatesAndMulticasts) {
   EXPECT_EQ(sw->reduce_packets_processed(), 3u);
 }
 
+// A switch caches its emissions for retransmission replay only when the
+// collective arms fault recovery.  With recovery off no host ever sends a
+// retransmission, so after the iteration no result may stay cached.
+TEST(SwitchReduce, CachesResultsOnlyWithFaultRecovery) {
+  for (const bool recovery : {false, true}) {
+    Network net;
+    auto topo = build_single_switch(net, 2);
+    Switch* sw = topo.leaves[0];
+    ReduceRole role;
+    role.is_root = true;
+    role.service_bps = 100e9;
+    role.child_ports = {0, 1};
+    core::AllreduceConfig cfg = reduce_cfg(1, 2);
+    cfg.fault_recovery = recovery;
+    ASSERT_TRUE(sw->install_reduce(cfg, std::move(role)));
+    u32 results = 0;
+    topo.hosts[0]->set_reduce_handler(
+        1, [&](const core::Packet&) { results += 1; });
+    for (u32 h = 0; h < 2; ++h) {
+      for (u32 b = 0; b < 3; ++b) {
+        std::vector<i32> data(8, static_cast<i32>(h + b));
+        core::Packet p = core::make_dense_packet(
+            1, b, static_cast<u16>(h), data.data(), 8, core::DType::kInt32);
+        NetPacket np;
+        np.kind = PacketKind::kReduceUp;
+        np.allreduce_id = 1;
+        np.wire_bytes = p.wire_bytes();
+        np.reduce = std::make_shared<const core::Packet>(std::move(p));
+        topo.hosts[h]->send(std::move(np));
+      }
+    }
+    net.sim().run();
+    EXPECT_EQ(results, 3u);
+    const ReduceRole* r = sw->role(1);
+    ASSERT_NE(r, nullptr);
+    std::size_t cached = 0;
+    for (const auto& seq : r->completed) cached += seq.size();
+    EXPECT_EQ(cached, recovery ? 3u : 0u) << "recovery " << recovery;
+  }
+}
+
 TEST(SwitchReduce, AdmissionControlLimitsInstalls) {
   Network net;
   auto topo = build_single_switch(net, 2, LinkSpec{}, /*max_allreduces=*/2);
