@@ -66,10 +66,12 @@ int exact_int_span_log2(f64 lo, f64 hi) {
     return -1;
   }
   const f64 span = std::ldexp(1.0, e - 1);
-  const bool in_range = std::abs(lo) <= span && std::abs(hi) <= span &&
-      lo >= static_cast<f64>(std::numeric_limits<T>::lowest()) &&
-      lo + (span - 1.0) <= static_cast<f64>(std::numeric_limits<T>::max());
-  return in_range ? e - 1 : -1;
+  if (std::abs(lo) > span || std::abs(hi) > span ||
+      lo < static_cast<f64>(std::numeric_limits<T>::lowest()) ||
+      lo + (span - 1.0) > static_cast<f64>(std::numeric_limits<T>::max())) {
+    return -1;
+  }
+  return e - 1;
 }
 
 /// Integer dtypes draw floor(uniform(lo, hi)), float dtypes uniform(lo, hi).

@@ -245,15 +245,15 @@ void Switch::on_reduce_up(NetPacket&& pkt) {
   // here, fall through to the engine, whose shard trackers absorb them and
   // aggregate only what was lost.
   const core::Packet& in = *pkt.reduce;
+  const u32 blk = in.hdr.block_id;
   if ((in.hdr.flags & core::kFlagRetransmit) != 0 && in.is_last_shard() &&
-      in.hdr.block_id < role2.completed.size()) {
-    const auto& seq = role2.completed[in.hdr.block_id];
+      blk < role2.completed.size()) {
+    const auto& seq = role2.completed[blk];
     if (!seq.empty() && seq.back()->is_last_shard()) {
-      net_.sim().schedule_at(
-          role2.server_busy_until,
-          [this, id = pkt.allreduce_id, blk = in.hdr.block_id] {
-            reemit_completed(id, blk);
-          });
+      net_.sim().schedule_at(role2.server_busy_until,
+                             [this, id = pkt.allreduce_id, blk] {
+                               reemit_completed(id, blk);
+                             });
       return;
     }
   }
@@ -275,8 +275,7 @@ void Switch::reemit_completed(u32 allreduce_id, u32 block_id) {
   const ReduceRole* r = find_role(allreduce_id);
   // Uninstalled, crashed or reset while queued.
   if (r == nullptr || block_id >= r->completed.size()) return;
-  for (const std::shared_ptr<const core::Packet>& cached :
-       r->completed[block_id]) {
+  for (const core::PacketPtr& cached : r->completed[block_id]) {
     core::Packet copy{cached->hdr, core::copy_payload(cached->payload)};
     copy.hdr.flags |= core::kFlagRetransmit;  // keep the cache path upstream
     NetPacket np;

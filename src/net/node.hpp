@@ -117,7 +117,7 @@ struct ReduceRole {
   /// sequence is idempotent.  Filled only when the collective arms fault
   /// recovery, since nothing can request a replay otherwise; cleared by
   /// reset_reduce() between iterations.
-  std::vector<std::vector<std::shared_ptr<const core::Packet>>> completed;
+  std::vector<std::vector<core::PacketPtr>> completed;
 };
 
 /// A switch's destination routing, keyed by host index (the topology
