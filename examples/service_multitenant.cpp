@@ -35,7 +35,9 @@ int main() {
 
   std::printf("%-4s %-11s %8s %10s %12s %12s %6s\n", "job", "served",
               "hosts", "queue(us)", "service(us)", "root-switch", "check");
+  bool ok = true;
   for (const service::JobRecord& rec : svc.records()) {
+    ok = ok && rec.ok;
     std::printf("%-4u %-11s %8u %10.2f %12.2f %12s %6s\n", rec.job_id,
                 rec.in_network ? "in-network" : "fallback", rec.participants,
                 rec.queue_delay_seconds() * 1e6,
@@ -60,5 +62,5 @@ int main() {
                 static_cast<unsigned long long>(occ.peak), occ.capacity,
                 occ.mean);
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -47,6 +47,7 @@ int main() {
     return trace.window_pairs(h, b * buckets_per_block, buckets_per_block);
   };
 
+  bool ok = true;
   // --- Flare in-network sparse ------------------------------------------
   {
     net::Network net;
@@ -59,6 +60,7 @@ int main() {
     desc.sparse = w;
     coll::Communicator comm(net, topo.hosts);
     const auto res = comm.run(desc);
+    ok = ok && res.ok;
     std::printf("\n  Flare in-network sparse: %s\n",
                 res.ok ? "PASS" : "FAIL");
     std::printf("    completion : %.3f ms\n", res.completion_seconds * 1e3);
@@ -83,11 +85,12 @@ int main() {
     desc.sparse = w;
     coll::Communicator comm(net, topo.hosts);
     const auto res = comm.run(desc);
+    ok = ok && res.ok;
     std::printf("\n  SparCML host-based sparse: %s\n",
                 res.ok ? "PASS" : "FAIL");
     std::printf("    completion : %.3f ms\n", res.completion_seconds * 1e3);
     std::printf("    traffic    : %.2f MiB\n",
                 static_cast<f64>(res.total_traffic_bytes) / (1024.0 * 1024));
   }
-  return 0;
+  return ok ? 0 : 1;
 }

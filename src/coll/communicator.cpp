@@ -78,11 +78,9 @@ class InNetOp final : public TreeOpBase {
   InNetOp(net::Network& net, NetworkManager& manager,
           const std::vector<net::Host*>& participants,
           const CollectiveOptions& desc, core::AllreduceConfig cfg,
-          ReductionTree tree, bool owns_install,
-          net::CongestionMonitor* monitor = nullptr)
+          ReductionTree tree, net::CongestionMonitor* monitor = nullptr)
       : TreeOpBase(net, manager, participants, desc, cfg, std::move(tree),
-                   owns_install, /*sparse=*/false, blocks_of(desc, cfg),
-                   monitor),
+                   /*sparse=*/false, blocks_of(desc, cfg), monitor),
         op_(cfg.op),
         elems_total_(elems_of(desc)),
         elems_per_pkt_(barrier(desc) ? 0 : cfg.elems_per_packet) {}
@@ -190,7 +188,7 @@ class InNetOp final : public TreeOpBase {
         // the reduce latency even though the shared multicast reaches
         // everyone.
         res.completion_seconds =
-            static_cast<f64>(runs_[desc_.root].finish_ps - start_ps_) /
+            static_cast<f64>(finish_ps_[desc_.root] - start_ps_) /
             kPsPerSecond;
         res.max_abs_err = results_[desc_.root].max_abs_diff(expected_);
         res.ok = res.max_abs_err <= core::reduce_tolerance(desc_.dtype, P);
@@ -217,7 +215,7 @@ class InNetOp final : public TreeOpBase {
     rdesc.algorithm = Algorithm::kHostRing;
     // The ring inherits the session's trace id: the attribution plane sees
     // one continuous tenant across the in-network -> host transition.
-    return std::make_unique<RingOp>(net_, participants_, rdesc, cfg_.trace);
+    return std::make_unique<RingOp>(net_, participants_, rdesc, trace_);
   }
 
   core::ReduceOp op_;
@@ -254,10 +252,9 @@ PersistentCollective& PersistentCollective::operator=(
     release();
     comm_ = std::exchange(other.comm_, nullptr);
     desc_ = std::move(other.desc_);
-    cfg_ = other.cfg_;
+    trace_ = other.trace_;
     report_ = std::move(other.report_);
     op_ = std::move(other.op_);
-    host_ring_ = other.host_ring_;
     iterations_ = other.iterations_;
   }
   return *this;
@@ -298,7 +295,6 @@ bool PersistentCollective::debug_break_next_plan_apply() {
 void PersistentCollective::release() {
   if (op_ != nullptr) op_->release_install();
   op_.reset();
-  report_.tree.reset();
   comm_ = nullptr;
 }
 
@@ -447,96 +443,32 @@ InstallReport Communicator::install(const CollectiveOptions& desc,
 }
 
 void Communicator::reap() {
-  std::erase_if(ops_, [](const std::unique_ptr<detail::OpBase>& op) {
-    return op->reapable();
+  std::erase_if(ops_, [](const PersistentCollective& pc) {
+    return pc.op_->reapable();
   });
-}
-
-std::unique_ptr<detail::OpBase> Communicator::make_host_op(
-    const CollectiveOptions& desc, Algorithm alg) {
-  FLARE_ASSERT_MSG(desc.kind == CollectiveKind::kAllreduce,
-                   "the host data planes serve allreduce only");
-  if (alg == Algorithm::kSparcml) {
-    CollectiveOptions sdesc = desc;
-    sdesc.algorithm = Algorithm::kSparcml;
-    return std::make_unique<detail::SparcmlOp>(net_, participants_, sdesc);
-  }
-  FLARE_ASSERT(alg == Algorithm::kHostRing);
-  CollectiveOptions rdesc = desc;
-  rdesc.algorithm = Algorithm::kHostRing;
-  return std::make_unique<detail::RingOp>(net_, participants_, rdesc);
-}
-
-CollectiveHandle Communicator::start_op(
-    std::unique_ptr<detail::OpBase> op, u64 seed, CompletionFn on_complete) {
-  auto state = std::make_shared<detail::OpState>();
-  state->on_complete = std::move(on_complete);
-  CollectiveHandle handle(state);
-  detail::OpBase* raw = op.get();
-  ops_.push_back(std::move(op));
-  raw->begin(seed, std::move(state));
-  return handle;
 }
 
 CollectiveHandle Communicator::start(const CollectiveOptions& desc,
                                      CompletionFn on_complete) {
   reap();
-  if (desc.kind == CollectiveKind::kReduce ||
-      desc.kind == CollectiveKind::kBroadcast) {
-    FLARE_ASSERT_MSG(desc.root < participants_.size(),
-                     "root must index the participant group");
+  PersistentCollective pc = persistent(desc);
+  if (!pc.ok()) {
+    // Explicit in-network request rejected by admission: report failure
+    // through an immediately-complete handle.
+    auto state = std::make_shared<detail::OpState>();
+    state->done = true;
+    if (on_complete) on_complete(state->result);
+    return CollectiveHandle(std::move(state));
   }
-  const Algorithm alg = resolve_algorithm(desc);
-  switch (alg) {
-    case Algorithm::kFlareDense:
-    case Algorithm::kFlareSparse: {
-      const bool sparse = alg == Algorithm::kFlareSparse;
-      if (sparse) {
-        FLARE_ASSERT_MSG(desc.kind == CollectiveKind::kAllreduce,
-                         "sparse engines serve allreduce only");
-        FLARE_ASSERT_MSG(desc.sparse.pairs != nullptr ||
-                             desc.sparse.epoch_pairs != nullptr,
-                         "sparse collective without a sparse workload");
-      }
-      const core::AllreduceConfig cfg = make_config(desc, alg);
-      InstallReport report = install(desc, cfg, sparse);
-      if (!report) {
-        if (desc.algorithm == Algorithm::kAuto &&
-            desc.kind == CollectiveKind::kAllreduce &&
-            (!sparse || sparcml_feasible(participants_.size()))) {
-          // The paper's admission policy: fall back to the host data plane
-          // (the ring; SparCML for sparse workloads).
-          return start_op(make_host_op(desc, sparse ? Algorithm::kSparcml
-                                                    : Algorithm::kHostRing),
-                          desc.seed, std::move(on_complete));
-        }
-        // Explicit in-network request rejected by admission: report
-        // failure through an immediately-complete handle.
-        auto state = std::make_shared<detail::OpState>();
-        state->done = true;
-        if (on_complete) on_complete(state->result);
-        return CollectiveHandle(std::move(state));
-      }
-      std::unique_ptr<detail::OpBase> op;
-      if (sparse) {
-        op = std::make_unique<detail::SparseOp>(
-            net_, *manager_, participants_, desc, cfg, std::move(*report),
-            /*owns_install=*/true, cfg_.monitor);
-      } else {
-        op = std::make_unique<detail::InNetOp>(
-            net_, *manager_, participants_, desc, cfg, std::move(*report),
-            /*owns_install=*/true, cfg_.monitor);
-      }
-      return start_op(std::move(op), desc.seed, std::move(on_complete));
-    }
-    case Algorithm::kHostRing:
-    case Algorithm::kSparcml:
-      return start_op(make_host_op(desc, alg), desc.seed,
-                      std::move(on_complete));
-    case Algorithm::kAuto:
-      break;  // resolved above
-  }
-  FLARE_UNREACHABLE("unresolved algorithm");
+  // A one-shot is a one-iteration persistent request: its install is
+  // released as that iteration publishes, before the caller's callback.
+  detail::OpBase* op = pc.op_.get();
+  PersistentCollective& request = ops_.emplace_back(std::move(pc));
+  return request.start(
+      [op, cb = std::move(on_complete)](const CollectiveResult& res) {
+        op->release_install();
+        if (cb) cb(res);
+      });
 }
 
 CollectiveResult Communicator::run(const CollectiveOptions& desc) {
@@ -556,48 +488,51 @@ PersistentCollective Communicator::persistent(const CollectiveOptions& desc) {
   PersistentCollective pc;
   pc.comm_ = this;
   pc.desc_ = desc;
-  const Algorithm alg = resolve_algorithm(desc);
-  if (alg == Algorithm::kHostRing || alg == Algorithm::kSparcml) {
-    // Host data planes need no switch state: the persistent request is just
-    // the reusable op.
-    pc.host_ring_ = true;
-    pc.op_ = make_host_op(desc, alg);
-    return pc;
-  }
+  Algorithm alg = resolve_algorithm(desc);
   const bool sparse = alg == Algorithm::kFlareSparse;
-  FLARE_ASSERT_MSG(alg == Algorithm::kFlareDense || sparse,
-                   "unresolved algorithm");
-  if (sparse) {
-    FLARE_ASSERT_MSG(desc.kind == CollectiveKind::kAllreduce,
-                     "sparse engines serve allreduce only");
-    FLARE_ASSERT_MSG(desc.sparse.pairs != nullptr ||
-                         desc.sparse.epoch_pairs != nullptr,
-                     "sparse collective without a sparse workload");
-  }
-  pc.cfg_ = make_config(desc, alg);
-  pc.report_ = install(desc, pc.cfg_, sparse);
-  if (!pc.report_) {
-    if (desc.algorithm == Algorithm::kAuto &&
-        desc.kind == CollectiveKind::kAllreduce &&
-        (!sparse || sparcml_feasible(participants_.size()))) {
-      // Admission rejected: a persistent host data plane needs no switch
-      // state (the ring; SparCML for sparse workloads).
-      pc.host_ring_ = true;
-      pc.op_ = make_host_op(desc, sparse ? Algorithm::kSparcml
-                                         : Algorithm::kHostRing);
+  if (alg == Algorithm::kFlareDense || sparse) {
+    if (sparse) {
+      FLARE_ASSERT_MSG(desc.kind == CollectiveKind::kAllreduce,
+                       "sparse engines serve allreduce only");
+      FLARE_ASSERT_MSG(desc.sparse.pairs != nullptr ||
+                           desc.sparse.epoch_pairs != nullptr,
+                       "sparse collective without a sparse workload");
     }
-    return pc;  // !ok() when no fallback applies
+    const core::AllreduceConfig cfg = make_config(desc, alg);
+    pc.trace_ = cfg.trace;
+    pc.report_ = install(desc, cfg, sparse);
+    if (pc.report_) {
+      ReductionTree tree = std::move(*pc.report_);
+      pc.report_.tree.reset();  // the op holds the live tree
+      if (sparse) {
+        pc.op_ = std::make_unique<detail::SparseOp>(
+            net_, *manager_, participants_, desc, cfg, std::move(tree),
+            cfg_.monitor);
+      } else {
+        pc.op_ = std::make_unique<detail::InNetOp>(
+            net_, *manager_, participants_, desc, cfg, std::move(tree),
+            cfg_.monitor);
+      }
+      return pc;
+    }
+    if (desc.algorithm != Algorithm::kAuto ||
+        desc.kind != CollectiveKind::kAllreduce ||
+        (sparse && !sparcml_feasible(participants_.size()))) {
+      return pc;  // !ok(): no fallback applies
+    }
+    // The paper's admission policy: fall back to the host data plane (the
+    // ring; SparCML for sparse workloads), which needs no switch state.
+    alg = sparse ? Algorithm::kSparcml : Algorithm::kHostRing;
   }
-  // The op keeps its own copy of the tree; the report's copy backs
-  // tree()/release() and survives moves of the PersistentCollective.
-  if (sparse) {
-    pc.op_ = std::make_unique<detail::SparseOp>(
-        net_, *manager_, participants_, desc, pc.cfg_, *pc.report_,
-        /*owns_install=*/false, cfg_.monitor);
+  FLARE_ASSERT_MSG(desc.kind == CollectiveKind::kAllreduce,
+                   "the host data planes serve allreduce only");
+  CollectiveOptions hdesc = desc;
+  hdesc.algorithm = alg;
+  if (alg == Algorithm::kSparcml) {
+    pc.op_ = std::make_unique<detail::SparcmlOp>(net_, participants_, hdesc);
   } else {
-    pc.op_ = std::make_unique<detail::InNetOp>(
-        net_, *manager_, participants_, desc, pc.cfg_, *pc.report_,
-        /*owns_install=*/false, cfg_.monitor);
+    FLARE_ASSERT(alg == Algorithm::kHostRing);
+    pc.op_ = std::make_unique<detail::RingOp>(net_, participants_, hdesc);
   }
   return pc;
 }

@@ -3,23 +3,23 @@
 //
 // A Communicator binds a participant group to a net::Network + a
 // NetworkManager control plane and executes CollectiveOptions descriptors
-// three ways:
+// as requests:
 //
-//   * run(desc)          — blocking one-shot: install (in-network schemes),
-//                          drive the event calendar to idle, uninstall,
-//                          return the result;
-//   * start(desc, cb)    — nonblocking: wires the collective onto the
-//                          SHARED event calendar and returns a
-//                          CollectiveHandle; the caller drives
-//                          net.sim().run() (possibly with other collectives
-//                          in flight) and reads result() post-drain;
 //   * persistent(desc)   — computes + installs the reduction tree and
 //                          switch engines ONCE, then run()/start() executes
 //                          iterations against the installed state,
 //                          amortizing compute_tree/install across a
 //                          training loop (iteration i uses seed + i); the
 //                          per-iteration reset clears engine block state
-//                          but never touches the admission slot.
+//                          but never touches the admission slot;
+//   * start(desc, cb)    — nonblocking one-shot: a one-iteration persistent
+//                          request on the SHARED event calendar, whose
+//                          install is released as that iteration publishes
+//                          (before `cb`); the caller drives net.sim().run()
+//                          (possibly with other collectives in flight) and
+//                          reads the handle's result() post-drain;
+//   * run(desc)          — blocking one-shot: start(), then drive the
+//                          calendar to idle and return the result.
 //
 // The paper's training workloads re-issue the same allreduce every
 // iteration (Section 4's network manager installs the tree once per
@@ -94,9 +94,8 @@ class PersistentCollective {
   /// run()/start() must not be called.
   bool ok() const { return op_ != nullptr; }
   /// Admission outcome of the one-time install (attempts, cache_hit,
-  /// any_feasible; empty tree for host-ring persistents, which need none).
-  /// After a fault recovery this reports the ORIGINAL admission; tree()
-  /// always reflects the live (possibly reinstalled) embedding.
+  /// any_feasible).  Its tree is always empty: the op holds the installed
+  /// one, and tree() reflects the live (possibly reinstalled) embedding.
   const InstallReport& install_report() const { return report_; }
   /// True when this request currently holds an installed reduction tree
   /// (false for host-ring persistents — including the kAuto admission
@@ -104,8 +103,8 @@ class PersistentCollective {
   /// and are finishing on the host ring).
   bool in_network() const;
   /// Asserts in_network(): host-ring persistents have no tree.  Returns
-  /// the LIVE tree, which may differ from install_report()'s after a
-  /// fault-triggered reinstall or a congestion migration.
+  /// the LIVE tree, which moves on a fault-triggered reinstall or a
+  /// congestion migration.
   const ReductionTree& tree() const;
   u32 iterations() const { return iterations_; }
   /// Congestion-triggered re-embeddings over the session's lifetime (each
@@ -117,7 +116,7 @@ class PersistentCollective {
   /// Traffic-attribution tag (core::AllreduceConfig::trace) of this
   /// session — stable across reinstalls and migrations; 0 when empty.
   /// The co-placement snapshot keys per-job link EWMAs off it.
-  u32 trace() const { return cfg_.trace; }
+  u32 trace() const { return trace_; }
 
   /// Stages a PlacementPlan move: the session re-embeds onto `target` at
   /// its next iteration boundary via the break-before-make fresh-id path.
@@ -150,10 +149,9 @@ class PersistentCollective {
   friend class Communicator;
   Communicator* comm_ = nullptr;
   CollectiveOptions desc_;
-  core::AllreduceConfig cfg_{};
+  u32 trace_ = 0;
   InstallReport report_;
   std::unique_ptr<detail::OpBase> op_;  ///< reused across iterations
-  bool host_ring_ = false;
   u32 iterations_ = 0;
 };
 
@@ -165,25 +163,28 @@ class Communicator {
   Communicator(const Communicator&) = delete;
   Communicator& operator=(const Communicator&) = delete;
 
-  /// Blocking one-shot collective.  Requires an otherwise-idle calendar
-  /// position (it drives net.sim().run() to completion).  On admission
-  /// rejection: kAuto allreduce falls back to the host ring; explicit
-  /// in-network algorithms return ok == false.
+  /// Blocking one-shot collective: start(), then net.sim().run() to
+  /// completion, so it requires an otherwise-idle calendar position.
   CollectiveResult run(const CollectiveOptions& desc);
 
-  /// Nonblocking one-shot: installs (in-network schemes) and enqueues the
-  /// first sends, then returns.  The caller drives the calendar; `cb` (if
-  /// any) fires at completion, on the calendar.  Every algorithm — dense,
-  /// sparse, host-based — composes on the one shared calendar.
+  /// Nonblocking one-shot: persistent(desc) run for one iteration, its
+  /// install released as that iteration publishes, before `on_complete`
+  /// fires on the calendar.  Every algorithm — dense, sparse, host-based —
+  /// composes on the one shared calendar.  When admission rejects an
+  /// explicit in-network request the handle completes at once with
+  /// ok == false.
   CollectiveHandle start(const CollectiveOptions& desc,
                          CompletionFn on_complete = {});
 
-  /// Install-once / run-many (see PersistentCollective).  Supported for
-  /// every engine: the in-network dense kinds, the in-network sparse
-  /// allreduce (per-iteration switch hash-store reset, fresh gradients via
-  /// SparseWorkload::epoch_pairs), the host ring and SparCML.  kAuto falls
-  /// back to a persistent host data plane (ring, or SparCML for sparse
-  /// workloads) when admission rejects the install.
+  /// Install-once / run-many (see PersistentCollective) — the one way a
+  /// request is built: resolve the algorithm, check the descriptor,
+  /// install, fall back on admission rejection and construct the op.
+  /// Supported for every engine: the in-network dense kinds, the
+  /// in-network sparse allreduce (per-iteration switch hash-store reset,
+  /// fresh gradients via SparseWorkload::epoch_pairs), the host ring and
+  /// SparCML.  kAuto allreduce falls back to a host data plane (ring, or
+  /// SparCML for sparse workloads) when admission rejects the install;
+  /// a rejected explicit in-network request is !ok().
   PersistentCollective persistent(const CollectiveOptions& desc);
 
   net::Network& network() { return net_; }
@@ -200,14 +201,6 @@ class Communicator {
                                     Algorithm alg) const;
   InstallReport install(const CollectiveOptions& desc,
                         const core::AllreduceConfig& cfg, bool sparse);
-  /// Adopts `op` into ops_, wires a handle/state pair and begins the
-  /// first iteration — the one completion contract for every engine.
-  CollectiveHandle start_op(std::unique_ptr<detail::OpBase> op, u64 seed,
-                            CompletionFn on_complete);
-  /// Host-side data plane for `alg` (kHostRing or kSparcml), used both for
-  /// explicit requests and for kAuto admission fallbacks.
-  std::unique_ptr<detail::OpBase> make_host_op(const CollectiveOptions& desc,
-                                               Algorithm alg);
   void reap();
 
   net::Network& net_;
@@ -215,8 +208,8 @@ class Communicator {
   CommunicatorConfig cfg_;
   std::unique_ptr<NetworkManager> owned_manager_;
   NetworkManager* manager_ = nullptr;
-  /// One-shot ops in flight (completed ops are reaped lazily).
-  std::vector<std::unique_ptr<detail::OpBase>> ops_;
+  /// One-shot requests in flight (completed ones are reaped lazily).
+  std::vector<PersistentCollective> ops_;
 };
 
 }  // namespace flare::coll

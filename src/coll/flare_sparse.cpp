@@ -13,11 +13,9 @@ namespace flare::coll::detail {
 SparseOp::SparseOp(net::Network& net, NetworkManager& manager,
                    const std::vector<net::Host*>& participants,
                    const CollectiveOptions& desc, core::AllreduceConfig cfg,
-                   ReductionTree tree, bool owns_install,
-                   net::CongestionMonitor* monitor)
+                   ReductionTree tree, net::CongestionMonitor* monitor)
     : TreeOpBase(net, manager, participants, desc, cfg, std::move(tree),
-                 owns_install, /*sparse=*/true, desc.sparse.num_blocks,
-                 monitor),
+                 /*sparse=*/true, desc.sparse.num_blocks, monitor),
       op_(cfg.op),
       P_(static_cast<u32>(participants.size())),
       span_(desc.sparse.block_span),
@@ -162,7 +160,7 @@ std::unique_ptr<OpBase> SparseOp::make_fallback_op() {
   CollectiveOptions sdesc = desc_;
   sdesc.algorithm = Algorithm::kSparcml;
   // Inherit the session's trace: one continuous tenant for attribution.
-  return std::make_unique<SparcmlOp>(net_, participants_, sdesc, cfg_.trace);
+  return std::make_unique<SparcmlOp>(net_, participants_, sdesc, trace_);
 }
 
 }  // namespace flare::coll::detail

@@ -14,13 +14,14 @@
 // CollectiveOptions (algorithm kAuto or kFlareSparse).  detail::SparseOp is
 // a block schedule on detail::TreeOpBase, exactly as the dense InNetOp is:
 // the chassis sends each host's blocks through the window, completes,
-// times out, retransmits and restarts them, and owns the install's
-// lifetime (run()/start()/persistent(), per-iteration hash-store reset,
-// fresh-id reinstall with a SparCML host fallback, congestion migration).
-// This file supplies only what is sparse: a block is a shard sequence up
-// and down, tracked per host so that re-emitted shards are idempotent;
-// host 0 aggregates the down pairs for the reference check; and the
-// result carries the switches' spill count.
+// times out, retransmits and restarts them, and keeps the install up
+// between iterations (per-iteration hash-store reset, fresh-id reinstall
+// with a SparCML host fallback, congestion migration).  A one-shot is a
+// one-iteration persistent request: the Communicator releases its install
+// as that iteration publishes.  This file supplies only what is sparse: a
+// block is a shard sequence up and down, tracked per host so that
+// re-emitted shards are idempotent; host 0 aggregates the down pairs for
+// the reference check; and the result carries the switches' spill count.
 #pragma once
 
 #include "coll/op.hpp"
@@ -35,8 +36,7 @@ class SparseOp final : public TreeOpBase {
   SparseOp(net::Network& net, NetworkManager& manager,
            const std::vector<net::Host*>& participants,
            const CollectiveOptions& desc, core::AllreduceConfig cfg,
-           ReductionTree tree, bool owns_install,
-           net::CongestionMonitor* monitor = nullptr);
+           ReductionTree tree, net::CongestionMonitor* monitor = nullptr);
 
  protected:
   void stage(u64 seed) override;

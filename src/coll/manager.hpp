@@ -104,7 +104,6 @@ class NetworkManager {
   /// for every root (FLARE_VALIDATE's root-sweep audit checks this).
   using LinkCostFn = std::function<f64(net::NodeId node, u32 port)>;
   void set_link_cost(LinkCostFn cost) { link_cost_ = std::move(cost); }
-  const LinkCostFn& link_cost() const { return link_cost_; }
 
   /// Re-scores an existing tree under the CURRENT provider (a tree's
   /// stored cost reflects the congestion at compute time; migration

@@ -11,38 +11,116 @@
 
 namespace flare::coll::detail {
 
-obs::Tracer* TreeOpBase::tracer() const {
-  return cfg_.trace != 0 ? net_.tracer() : nullptr;
+// ============================================================ lifecycle ===
+
+OpBase::OpBase(net::Network& net, const std::vector<net::Host*>& participants,
+               const CollectiveOptions& desc, u32 trace, const char* span)
+    : net_(net),
+      participants_(participants),
+      desc_(desc),
+      trace_(trace),
+      timeout_ps_(desc.retransmit_timeout_ps),
+      span_(span) {}
+
+void OpBase::begin_iteration(std::shared_ptr<OpState> state) {
+  FLARE_ASSERT_MSG(state_ == nullptr,
+                   "previous iteration of this collective still running");
+  state_ = std::move(state);
+  complete_ = false;
+  finished_ = false;
+  retransmits_ = 0;
+  start_ps_ = net_.sim().now();
+  base_traffic_ = net_.total_traffic_bytes();
+  finish_ps_.assign(participants_.size(), 0);
+  hosts_done_ = 0;
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->name_thread(trace_, "coll-" + std::to_string(trace_));
+    tr->begin(trace_, span_, start_ps_, "iteration");
+    span_open_ = true;
+  }
 }
 
-void TreeOpBase::trace_iteration_begin() {
-  obs::Tracer* tr = tracer();
-  if (tr == nullptr || iter_span_open_) return;
-  tr->name_thread(cfg_.trace, "coll-" + std::to_string(cfg_.trace));
-  tr->begin(cfg_.trace, "iteration", net_.sim().now(), "iteration");
-  iter_span_open_ = true;
+void OpBase::trace_iteration_end() {
+  obs::Tracer* tr = net_.tracer();
+  if (tr == nullptr || !span_open_) return;
+  tr->end(trace_, net_.sim().now());
+  span_open_ = false;
 }
 
-void TreeOpBase::trace_iteration_end() {
-  obs::Tracer* tr = tracer();
-  if (tr == nullptr || !iter_span_open_) return;
-  tr->end(cfg_.trace, net_.sim().now());
-  iter_span_open_ = false;
+void OpBase::host_done(u32 h) {
+  finish_ps_[h] = net_.sim().now();
+  hosts_done_ += 1;
+  if (hosts_done_ < finish_ps_.size() || finished_) return;
+  finished_ = true;
+  net_.sim().schedule_after(0, [this] { finalize(); });
 }
+
+void OpBase::finalize() {
+  CollectiveResult res;
+  f64 worst = 0.0, sum = 0.0;
+  for (const SimTime t : finish_ps_) {
+    worst = std::max(worst, static_cast<f64>(t - start_ps_));
+    sum += static_cast<f64>(t - start_ps_);
+  }
+  res.completion_seconds = worst / kPsPerSecond;
+  res.mean_host_seconds =
+      sum / static_cast<f64>(finish_ps_.size()) / kPsPerSecond;
+  res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
+  res.retransmits = retransmits_;
+  fill_result(res);
+  trace_iteration_end();
+  settle(res, /*gave_up=*/false);
+  publish(std::move(res));  // may destroy *this — nothing after
+}
+
+void OpBase::arm_watchdog() {
+  if (timeout_ps_ == 0 || watchdog_armed_) return;
+  watchdog_armed_ = true;
+  std::weak_ptr<char> w = alive_;
+  net_.sim().schedule_after(timeout_ps_, [this, w] {
+    if (w.expired()) return;
+    watchdog_armed_ = false;
+    on_watchdog();
+  });
+}
+
+void OpBase::give_up() {
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->instant(trace_, "give-up", net_.sim().now(), "recovery");
+  }
+  trace_iteration_end();
+  CollectiveResult res;  // ok == false
+  res.retransmits = retransmits_;
+  settle(res, /*gave_up=*/true);
+  publish(std::move(res));  // may destroy *this — nothing after
+}
+
+void OpBase::publish(CollectiveResult&& res) {
+  finished_ = true;
+  complete_ = true;
+  auto st = std::move(state_);
+  st->result = std::move(res);
+  st->done = true;
+  auto cb = std::move(st->on_complete);
+  if (cb) cb(st->result);  // 'this' may be destroyed here
+}
+
+// ========================================================= tree chassis ===
 
 TreeOpBase::TreeOpBase(net::Network& net, NetworkManager& manager,
                        const std::vector<net::Host*>& participants,
                        const CollectiveOptions& desc,
                        core::AllreduceConfig cfg, ReductionTree tree,
-                       bool owns_install, bool sparse, u32 blocks,
-                       net::CongestionMonitor* monitor)
-    : net_(net), manager_(manager), participants_(participants),
-      desc_(desc), cfg_(cfg), tree_(std::move(tree)), nb_(blocks),
-      owns_install_(owns_install), sparse_(sparse),
+                       bool sparse, u32 blocks, net::CongestionMonitor* monitor)
+    : OpBase(net, participants, desc, cfg.trace, "iteration"),
+      manager_(manager),
+      cfg_(cfg),
+      tree_(std::move(tree)),
+      nb_(blocks),
+      sparse_(sparse),
       window_(desc.order == core::SendOrder::kStaggered
                   ? std::max(desc.window_blocks, blocks)
                   : std::max(1u, desc.window_blocks)),
-      timeout_ps_(desc.retransmit_timeout_ps),
       max_retry_(desc.max_retransmits),
       monitor_(monitor) {}
 
@@ -62,18 +140,15 @@ void TreeOpBase::release_install() {
   installed_ = false;
 }
 
-bool TreeOpBase::begin_prologue(u64 seed, std::shared_ptr<OpState> state) {
-  FLARE_ASSERT_MSG(state_ == nullptr,
-                   "previous iteration of this collective still running");
+void TreeOpBase::begin(u64 seed, std::shared_ptr<OpState> state) {
   seed_ = seed;
-  retransmits_ = 0;
   recoveries_ = 0;
   recover_waits_ = 0;
   stalls_ = 0;
   done_at_restart_ = kNoRestart;
   migrations_iter_ = 0;
   planned_iter_ = 0;
-  if (!owns_install_ && !first_begin_) {
+  if (!first_begin_) {
     refresh_persistent_install();
     // Congestion adaptation happens at the iteration boundary, after the
     // fault-driven refresh: a healthy tree on hot links is still the
@@ -84,24 +159,13 @@ bool TreeOpBase::begin_prologue(u64 seed, std::shared_ptr<OpState> state) {
     if (!apply_planned_migration()) maybe_migrate();
   }
   first_begin_ = false;
-  trace_iteration_begin();
+  begin_iteration(std::move(state));
   if (fallback_active()) {
     // Earlier iterations lost the fabric for good: run on the host-side
     // fallback data plane.
-    begin_fallback_iteration(seed, std::move(state));
-    return false;
+    start_fallback_iteration(seed);
+    return;
   }
-  state_ = std::move(state);
-  complete_ = false;
-  finished_ = false;
-  return true;
-}
-
-void TreeOpBase::begin(u64 seed, std::shared_ptr<OpState> state) {
-  if (!begin_prologue(seed, std::move(state))) return;
-  hosts_done_ = 0;
-  start_ps_ = net_.sim().now();
-  base_traffic_ = net_.total_traffic_bytes();
   stage(seed);
   const u32 P = static_cast<u32>(participants_.size());
   runs_.clear();
@@ -129,7 +193,7 @@ void TreeOpBase::send_up(u32 h, core::Packet&& pkt) {
   net::NetPacket np;
   np.kind = net::PacketKind::kReduceUp;
   np.allreduce_id = cfg_.id;
-  np.trace = cfg_.trace;
+  np.trace = trace_;
   np.wire_bytes = pkt.wire_bytes();
   np.reduce = core::make_pooled_packet(std::move(pkt));
   runs_[h].host->send(std::move(np));
@@ -164,19 +228,8 @@ void TreeOpBase::on_down(u32 h, const core::Packet& pkt) {
   me.blocks[b].done = true;
   me.blocks_done += 1;
   me.outstanding -= 1;
-  if (me.blocks_done == nb_) {
-    me.finish_ps = net_.sim().now();
-    hosts_done_ += 1;
-  }
   try_send(h);
-  if (hosts_done_ == runs_.size() && !finished_) {
-    finished_ = true;
-    // Finalize off this packet's call stack: by the time every host holds
-    // every block, all switch-side events of this collective have run
-    // (host delivery is causally last on each path), so releasing or
-    // resetting switch state afterwards is race-free.
-    net_.sim().schedule_after(0, [this] { finalize(); });
-  }
+  if (me.blocks_done == nb_) host_done(h);
 }
 
 u64 TreeOpBase::blocks_done() const {
@@ -223,8 +276,8 @@ bool TreeOpBase::scan_timeouts() {
       blk.retries += 1;
       retransmits_ += 1;
       blk.sent_ps = now;
-      if (obs::Tracer* tr = tracer()) {
-        tr->instant(cfg_.trace, "retransmit", now, "recovery");
+      if (obs::Tracer* tr = net_.tracer()) {
+        tr->instant(trace_, "retransmit", now, "recovery");
       }
       // Sparse: every shard is re-sent; the switch trackers deduplicate
       // by (child, shard_seq), and a switch that already completed the
@@ -235,36 +288,23 @@ bool TreeOpBase::scan_timeouts() {
   return escalate;
 }
 
-void TreeOpBase::finalize() {
-  CollectiveResult res;
-  res.blocks = nb_;
-  res.in_network = true;
-  f64 worst = 0.0, sum = 0.0;
-  for (const HostRun& hr : runs_) {
-    worst = std::max(worst, static_cast<f64>(hr.finish_ps - start_ps_));
-    sum += static_cast<f64>(hr.finish_ps - start_ps_);
-  }
-  res.completion_seconds = worst / kPsPerSecond;
-  res.mean_host_seconds =
-      sum / static_cast<f64>(runs_.size()) / kPsPerSecond;
-  res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
-  for (const TreeSwitchEntry& e : tree_.switches) {
-    const net::ReduceRole* role = e.sw->role(cfg_.id);
-    if (role != nullptr && role->engine != nullptr) {
-      res.switch_working_mem_hwm = std::max(
-          res.switch_working_mem_hwm, role->engine->pool().high_water());
+void TreeOpBase::settle(CollectiveResult& res, bool gave_up) {
+  if (gave_up) {
+    release_install();
+  } else {
+    res.blocks = nb_;
+    res.in_network = true;
+    for (const TreeSwitchEntry& e : tree_.switches) {
+      const net::ReduceRole* role = e.sw->role(cfg_.id);
+      if (role != nullptr && role->engine != nullptr) {
+        res.switch_working_mem_hwm = std::max(
+            res.switch_working_mem_hwm, role->engine->pool().high_water());
+      }
     }
   }
-  res.retransmits = retransmits_;
   res.recoveries = recoveries_;
   res.migrations = migrations_iter_;
   res.planned_migrations = planned_iter_;
-  fill_result(res);
-  trace_iteration_end();
-
-  if (owns_install_) release_install();
-  complete_ = true;
-  publish(std::move(res));  // may destroy *this — nothing after
 }
 
 // ------------------------------------------------------ fault recovery ----
@@ -294,17 +334,6 @@ void TreeOpBase::on_fault(const net::FaultNotice&) {
   });
 }
 
-void TreeOpBase::arm_watchdog() {
-  if (timeout_ps_ == 0 || watchdog_armed_) return;
-  watchdog_armed_ = true;
-  std::weak_ptr<char> w = alive_;
-  net_.sim().schedule_after(timeout_ps_, [this, w] {
-    if (w.expired()) return;
-    watchdog_armed_ = false;
-    on_watchdog();
-  });
-}
-
 void TreeOpBase::on_watchdog() {
   if (!iteration_active() || fallback_active()) return;
   if (scan_timeouts()) {
@@ -326,8 +355,8 @@ bool TreeOpBase::try_reinstall() {
   tree_ = std::move(*report);
   installed_ = true;
   recoveries_ += 1;
-  if (obs::Tracer* tr = tracer()) {
-    tr->instant(cfg_.trace, "reinstall", net_.sim().now(), "recovery");
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->instant(trace_, "reinstall", net_.sim().now(), "recovery");
   }
   return true;
 }
@@ -372,23 +401,6 @@ void TreeOpBase::recover(bool force) {
   });
 }
 
-void TreeOpBase::give_up() {
-  if (obs::Tracer* tr = tracer()) {
-    tr->instant(cfg_.trace, "give-up", net_.sim().now(), "recovery");
-  }
-  trace_iteration_end();
-  release_install();
-  CollectiveResult res;
-  res.ok = false;
-  res.retransmits = retransmits_;
-  res.recoveries = recoveries_;
-  res.migrations = migrations_iter_;
-  res.planned_migrations = planned_iter_;
-  finished_ = true;
-  complete_ = true;
-  publish(std::move(res));  // may destroy *this — nothing after
-}
-
 // ------------------------------------------------- fallback data plane ----
 
 bool TreeOpBase::prepare_fallback() {
@@ -396,8 +408,8 @@ bool TreeOpBase::prepare_fallback() {
   if (fallback == nullptr) return false;
   release_install();
   fallback_op_ = std::move(fallback);
-  if (obs::Tracer* tr = tracer()) {
-    tr->instant(cfg_.trace, "fallback", net_.sim().now(), "recovery");
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->instant(trace_, "fallback", net_.sim().now(), "recovery");
   }
   return true;
 }
@@ -412,14 +424,6 @@ void TreeOpBase::start_fallback_iteration(u64 seed) {
   fallback_op_->begin(seed, fallback_state_);
 }
 
-void TreeOpBase::begin_fallback_iteration(u64 seed,
-                                          std::shared_ptr<OpState> state) {
-  state_ = std::move(state);
-  complete_ = false;
-  finished_ = false;
-  start_fallback_iteration(seed);
-}
-
 void TreeOpBase::on_fallback_done() {
   trace_iteration_end();
   CollectiveResult res = fallback_state_->result;
@@ -428,8 +432,6 @@ void TreeOpBase::on_fallback_done() {
   res.recoveries = recoveries_;
   res.migrations = migrations_iter_;
   res.planned_migrations = planned_iter_;
-  finished_ = true;
-  complete_ = true;
   publish(std::move(res));  // may destroy *this — nothing after
 }
 
@@ -478,10 +480,10 @@ void TreeOpBase::maybe_migrate() {
   // alone reads ~0 here no matter how hard it drives its tree.
   monitor_->sample();  // fresh snapshot at the decision point
   const f64 cur_hot =
-      tree_max_congestion_excluding(*monitor_, tree_, cfg_.trace);
+      tree_max_congestion_excluding(*monitor_, tree_, trace_);
   if (cur_hot < desc_.migrate_above) return;
-  if (obs::Tracer* tr = tracer()) {
-    tr->instant(cfg_.trace, "migrate-considered", net_.sim().now(),
+  if (obs::Tracer* tr = net_.tracer()) {
+    tr->instant(trace_, "migrate-considered", net_.sim().now(),
                 "migration");
   }
   const std::optional<ReductionTree> best =
@@ -491,7 +493,7 @@ void TreeOpBase::maybe_migrate() {
   // foreign heat everywhere and cancel out of a max — a migration must
   // actually shed the hottest foreign load, or the congestion is one no
   // tree can route around.
-  if (!best || tree_max_congestion_excluding(*monitor_, *best, cfg_.trace) >
+  if (!best || tree_max_congestion_excluding(*monitor_, *best, trace_) >
                    kMigrateImprovement * cur_hot) {
     return;
   }
@@ -562,8 +564,8 @@ void TreeOpBase::migrate_to(const ReductionTree& target, bool planned) {
       migrations_iter_ += 1;
       migrations_total_ += 1;
     }
-    if (obs::Tracer* tr = tracer()) {
-      tr->instant(cfg_.trace, planned ? "planned-migrate" : "migrate",
+    if (obs::Tracer* tr = net_.tracer()) {
+      tr->instant(trace_, planned ? "planned-migrate" : "migrate",
                   net_.sim().now(), "migration");
     }
   }
@@ -604,14 +606,10 @@ HostOpBase::HostOpBase(net::Network& net,
                        const std::vector<net::Host*>& participants,
                        const CollectiveOptions& desc, u32 proto_base,
                        u32 trace, const char* span)
-    : net_(net),
-      participants_(participants),
-      desc_(desc),
+    : OpBase(net, participants, desc,
+             trace != 0 ? trace : net.alloc_trace_id(), span),
       proto_(proto_base + net.alloc_collective_id()),
-      trace_(trace != 0 ? trace : net.alloc_trace_id()),
-      P_(static_cast<u32>(participants.size())),
-      span_(span),
-      timeout_ps_(desc.retransmit_timeout_ps) {}
+      P_(static_cast<u32>(participants.size())) {}
 
 HostOpBase::~HostOpBase() { release_handlers(); }
 
@@ -619,22 +617,6 @@ void HostOpBase::release_handlers() {
   if (!handlers_set_) return;
   for (net::Host* host : participants_) host->clear_proto_handler(proto_);
   handlers_set_ = false;
-}
-
-void HostOpBase::begin_iteration(std::shared_ptr<OpState> state) {
-  FLARE_ASSERT_MSG(state_ == nullptr,
-                   "previous iteration of this collective still running");
-  state_ = std::move(state);
-  complete_ = false;
-  finished_ = false;
-  hosts_done_ = 0;
-  retransmits_ = 0;
-  start_ps_ = net_.sim().now();
-  base_traffic_ = net_.total_traffic_bytes();
-  if (obs::Tracer* tr = net_.tracer()) {
-    tr->name_thread(trace_, "coll-" + std::to_string(trace_));
-    tr->begin(trace_, span_, start_ps_, "iteration");
-  }
 }
 
 bool HostOpBase::launch() {
@@ -647,9 +629,7 @@ bool HostOpBase::launch() {
   }
   handlers_set_ = true;
   if (P_ == 1) {
-    links_[0].finish_ps = net_.sim().now();
-    finished_ = true;
-    net_.sim().schedule_after(0, [this] { finalize(); });
+    host_done(0);
     return false;
   }
   arm_watchdog();
@@ -727,13 +707,7 @@ void HostOpBase::advance(u32 h) {
     link.last_progress_ps = net_.sim().now();
     link.nacks = 0;
     consume(h, msg);
-    if (expecting(h)) continue;
-    link.finish_ps = net_.sim().now();
-    hosts_done_ += 1;
-    if (hosts_done_ == P_ && !finished_) {
-      finished_ = true;
-      net_.sim().schedule_after(0, [this] { finalize(); });
-    }
+    if (!expecting(h)) host_done(h);
   }
 }
 
@@ -767,19 +741,8 @@ void HostOpBase::send_nack(u32 h, const Expect& want) {
   participants_[h]->send(std::move(np));
 }
 
-void HostOpBase::arm_watchdog() {
-  if (timeout_ps_ == 0 || watchdog_armed_) return;
-  watchdog_armed_ = true;
-  std::weak_ptr<char> w = alive_;
-  net_.sim().schedule_after(timeout_ps_, [this, w] {
-    if (w.expired()) return;
-    watchdog_armed_ = false;
-    on_watchdog();
-  });
-}
-
 void HostOpBase::on_watchdog() {
-  if (finished_ || state_ == nullptr) return;  // iteration over: go idle
+  if (!iteration_active()) return;
   const SimTime now = net_.sim().now();
   for (u32 h = 0; h < P_; ++h) {
     const std::optional<Expect> want = expecting(h);
@@ -802,40 +765,6 @@ void HostOpBase::on_watchdog() {
   arm_watchdog();
 }
 
-void HostOpBase::give_up() {
-  if (obs::Tracer* tr = net_.tracer()) {
-    tr->instant(trace_, "give-up", net_.sim().now(), "recovery");
-    tr->end(trace_, net_.sim().now());
-  }
-  CollectiveResult res;
-  res.ok = false;
-  res.in_network = false;
-  res.retransmits = retransmits_;
-  release_handlers();
-  finished_ = true;
-  complete_ = true;
-  publish(std::move(res));  // may destroy *this — nothing after
-}
-
-void HostOpBase::finalize() {
-  if (obs::Tracer* tr = net_.tracer()) {
-    tr->end(trace_, net_.sim().now());
-  }
-  CollectiveResult res;
-  res.in_network = false;
-  f64 worst = 0.0, sum = 0.0;
-  for (const HostLink& link : links_) {
-    worst = std::max(worst, static_cast<f64>(link.finish_ps - start_ps_));
-    sum += static_cast<f64>(link.finish_ps - start_ps_);
-  }
-  res.completion_seconds = worst / kPsPerSecond;
-  res.mean_host_seconds = sum / P_ / kPsPerSecond;
-  res.total_traffic_bytes = net_.total_traffic_bytes() - base_traffic_;
-  res.retransmits = retransmits_;
-  fill_result(res);
-  release_handlers();
-  complete_ = true;
-  publish(std::move(res));  // may destroy *this — nothing after
-}
+void HostOpBase::settle(CollectiveResult&, bool) { release_handlers(); }
 
 }  // namespace flare::coll::detail

@@ -1,23 +1,28 @@
 // The collective-op lifecycle shared by every engine the Communicator
 // drives (coll/communicator.hpp is the public entry point).
 //
-// detail::OpBase is one in-flight collective on the event calendar: begin()
-// kicks off an iteration, publish() hands the result to the caller's
-// CollectiveHandle.  Two chassis sit on top of it, one per kind of data
-// plane, so each reliability mechanism exists once:
+// detail::OpBase is one collective request on the event calendar, and it
+// owns the iteration lifecycle once for every engine: begin_iteration()
+// adopts the caller's completion state and takes the start time and
+// traffic baseline; each host's finish time is recorded as it gets its
+// result, and after the last one finalize() runs off the current call
+// stack.  It fills the common half of the result (completion and mean
+// host time, traffic, retransmits) and publish()es it.  OpBase also owns
+// the alive_-guarded watchdog, the give-up publication of a permanent
+// stall (ok == false) and the iteration span on the op's tracer row.  Two
+// chassis sit on top of it, one per kind of data plane, and each adds
+// only what differs:
 //
 // detail::TreeOpBase is the chassis of the TREE-BACKED in-network ops
 // (dense InNetOp in coll/communicator.cpp, sparse SparseOp in
-// coll/flare_sparse.hpp).  It owns the host side of the block protocol
-// once: each host walks its staggered or aligned block schedule under the
-// send window (paper Section 5), a block completes when the host holds its
-// multicast result, and the iteration finishes — timing, traffic and
-// working-memory peak measured here — once every host holds every block.
-// On top of it sit the reliability layer and the install's lifetime,
-// shared verbatim by dense and sparse:
+// coll/flare_sparse.hpp).  It owns the host side of the block protocol:
+// each host walks its staggered or aligned block schedule under the send
+// window (paper Section 5), and a block completes when the host holds its
+// multicast result.  On top of it sit the reliability layer and the
+// install's upkeep, shared verbatim by dense and sparse:
 //
-//   * timeouts — a watchdog re-sends blocks whose result is overdue, with
-//     per-block exponential backoff;
+//   * timeouts — the watchdog re-sends blocks whose result is overdue,
+//     with per-block exponential backoff;
 //   * fault recovery — fresh-id uninstall/reinstall on the surviving
 //     fabric with the iteration restarted on the fresh engines, bounded
 //     heal-waits, a stall budget for restarts that complete nothing, and
@@ -40,11 +45,10 @@
 // detail::HostOpBase is the chassis of the HOST-BASED ops (the ring,
 // coll/ring.hpp, and SparCML, coll/sparcml.hpp) — the Figure 15 baselines
 // and the fallback planes above.  It owns the host transport: message
-// framing into MTU fragments, per-fragment reassembly, the receiver-driven
-// NACK/replay watchdog with its bounded give-up, and the common half of
-// the result.  A concrete host op is a schedule: which peer and tag each
-// host waits on next, what a fully arrived message does, and how the
-// result is judged.
+// framing into MTU fragments, per-fragment reassembly and the
+// receiver-driven NACK/replay on the watchdog.  A concrete host op is a
+// schedule: which peer and tag each host waits on next, what a fully
+// arrived message does, and how the result is judged.
 #pragma once
 
 #include <functional>
@@ -58,10 +62,6 @@
 #include "coll/result.hpp"
 #include "common/validate.hpp"
 #include "net/packet.hpp"
-
-namespace flare::obs {
-class Tracer;
-}  // namespace flare::obs
 
 namespace flare::coll {
 
@@ -118,44 +118,96 @@ class OpBase {
 #endif
 
   /// Releases installed switch state and host handlers; idempotent, no-op
-  /// for host-based ops.  Called by PersistentCollective::release().
+  /// for host-based ops.  Called by PersistentCollective::release(), and
+  /// for a one-shot as its single iteration publishes.
   virtual void release_install() {}
 
-  /// True once finalize ran and (for one-shot ops) resources are released.
-  bool reapable() const { return complete_; }
+  /// True once the last iteration published and no install is held.
+  bool reapable() const { return complete_ && current_tree() == nullptr; }
 
  protected:
-  OpBase() = default;
+  /// `trace`: the op's attribution tag and tracer row; `span` names the
+  /// per-iteration tracer span.
+  OpBase(net::Network& net, const std::vector<net::Host*>& participants,
+         const CollectiveOptions& desc, u32 trace, const char* span);
+
+  /// The concrete op's half of a finished iteration's result (error, the
+  /// `ok` rule, extras) on top of the common and chassis halves.
+  virtual void fill_result(CollectiveResult& res) const = 0;
+
+  /// The chassis' half of a result about to be published — after a
+  /// finished iteration, or on give-up — and the release of what only the
+  /// iteration held.
+  virtual void settle(CollectiveResult& res, bool gave_up) = 0;
+
+  /// begin()'s head: asserts no iteration is running, adopts `state`,
+  /// resets the clock, traffic baseline, host finish times and retransmit
+  /// count, and opens the iteration span.
+  void begin_iteration(std::shared_ptr<OpState> state);
+
+  /// Host h holds its result.  Once every host does, finalize() runs off
+  /// the caller's stack: by then every switch- and host-side event of the
+  /// iteration has run (host delivery is causally last on each path), so
+  /// releasing or resetting state afterwards is race-free.
+  void host_done(u32 h);
+
+  void arm_watchdog();
+
+  /// Permanent stall or outage: publishes ok == false so callers observe
+  /// the failure instead of spinning the calendar forever.
+  void give_up();
+
+  /// Closes the iteration span.
+  void trace_iteration_end();
 
   /// Publishes the result and invokes the completion callback.  MUST be
-  /// the last thing a finalize path does: the callback may destroy the op
-  /// (service jobs self-erase), so no member access is allowed after it.
-  void publish(CollectiveResult&& res) {
-    auto st = std::move(state_);
-    st->result = std::move(res);
-    st->done = true;
-    auto cb = std::move(st->on_complete);
-    if (cb) cb(st->result);  // 'this' may be destroyed here
-  }
+  /// the last thing a publication path does: the callback may destroy the
+  /// op (service jobs self-erase), so no member access is allowed after it.
+  void publish(CollectiveResult&& res);
 
+  /// An iteration is executing (guards watchdog and fault-notice events).
+  bool iteration_active() const { return !finished_ && state_ != nullptr; }
+
+  net::Network& net_;
+  const std::vector<net::Host*>& participants_;
+  CollectiveOptions desc_;
+  const u32 trace_;  ///< attribution tag + tracer row (see ctor)
+  const SimTime timeout_ps_;
   std::shared_ptr<OpState> state_;
+  SimTime start_ps_ = 0;            ///< iteration start
+  std::vector<SimTime> finish_ps_;  ///< per host, once it holds its result
+  u64 retransmits_ = 0;
+  bool finished_ = false;
+  /// Outlives-`this` guard for watchdog/listener events on the calendar.
+  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+
+ private:
+  /// One watchdog tick while the watchdog is armed.
+  virtual void on_watchdog() = 0;
+  void finalize();
+
+  const char* span_;
+  bool span_open_ = false;  ///< balances B/E on the tracer row
   bool complete_ = false;
+  bool watchdog_armed_ = false;
+  u64 base_traffic_ = 0;  ///< fabric traffic at iteration start
+  u32 hosts_done_ = 0;
 };
 
 /// Chassis of the tree-backed in-network ops (see the file comment).  The
 /// concrete op is a block schedule on six hooks — stage, send_block,
 /// on_block_packet, on_restart, fill_result and make_fallback_op.  Per-host
 /// windowed sending, block completion, the timeout scan, restart on a
-/// fresh install, the common half of the result and the install's
-/// lifetime — recovery, persistence, migration — run here, identically
-/// for the dense and sparse engines.
+/// fresh install, the tree's half of the result and the install's upkeep
+/// — recovery, persistence, migration — run here, identically for the
+/// dense and sparse engines.
 class TreeOpBase : public OpBase {
  public:
   /// `blocks`: reduction blocks per iteration (the send schedule's length).
   TreeOpBase(net::Network& net, NetworkManager& manager,
              const std::vector<net::Host*>& participants,
              const CollectiveOptions& desc, core::AllreduceConfig cfg,
-             ReductionTree tree, bool owns_install, bool sparse, u32 blocks,
+             ReductionTree tree, bool sparse, u32 blocks,
              net::CongestionMonitor* monitor);
   ~TreeOpBase() override;
 
@@ -201,11 +253,6 @@ class TreeOpBase : public OpBase {
   /// the iteration replays on a fresh install (fresh engines, counters).
   virtual void on_restart() {}
 
-  /// The kind's half of the result: error, the `ok` rule and extras, on
-  /// top of the common half (timing, traffic, working-memory peak,
-  /// recovery and migration counters).
-  virtual void fill_result(CollectiveResult& res) const = 0;
-
   /// Host-side fallback data plane once no viable tree remains (the ring
   /// for dense allreduce, SparCML for sparse allreduce); nullptr when the
   /// kind has none (reduce/broadcast/barrier wait for the fabric to heal).
@@ -227,7 +274,6 @@ class TreeOpBase : public OpBase {
     std::size_t next = 0;       ///< next schedule slot to send
     u32 outstanding = 0;        ///< results awaited (the window's fill)
     u64 blocks_done = 0;
-    SimTime finish_ps = 0;
     std::vector<Block> blocks;
   };
 
@@ -238,31 +284,22 @@ class TreeOpBase : public OpBase {
     return tree_.host_child_index[participants_[h]->host_index()];
   }
 
-  net::Network& net_;
   NetworkManager& manager_;
-  const std::vector<net::Host*>& participants_;
-  CollectiveOptions desc_;
   core::AllreduceConfig cfg_;
   ReductionTree tree_;
-  const u32 nb_;           ///< reduction blocks per iteration
-  SimTime start_ps_ = 0;   ///< iteration start
+  const u32 nb_;  ///< reduction blocks per iteration
   std::vector<HostRun> runs_;
 
  private:
-  /// Everything begin() does before staging: asserts no iteration is
-  /// running, resets per-iteration counters, performs persistent upkeep
-  /// (engine reset / transparent reinstall / migration check) and routes
-  /// the iteration to the fallback data plane when the fabric was lost for
-  /// good.  Returns false in that last case; on true, state_ has been
-  /// adopted and the op is live.
-  bool begin_prologue(u64 seed, std::shared_ptr<OpState> state);
+  /// Block count, install release on give-up, working-memory peak and the
+  /// recovery and migration counters.
+  void settle(CollectiveResult& res, bool gave_up) override;
 
   /// Points host h's reduce handler at the current install.
   void wire(u32 h);
   /// Sends host h's next blocks while its window has room.
   void try_send(u32 h);
   void on_down(u32 h, const core::Packet& pkt);
-  void finalize();
 
   /// Replays the CURRENT iteration against a freshly installed tree
   /// (engines are new: every host re-contributes every block; results
@@ -277,8 +314,6 @@ class TreeOpBase : public OpBase {
   /// escalate into recover().
   bool scan_timeouts();
 
-  /// An iteration is executing (guards watchdog and fault-notice events).
-  bool iteration_active() const { return !finished_ && state_ != nullptr; }
   bool fallback_active() const { return fallback_op_ != nullptr; }
 
   /// Fresh-id reinstall on the surviving fabric; false when admission
@@ -291,22 +326,9 @@ class TreeOpBase : public OpBase {
   /// schedule a bounded heal-wait; gives up past the wait budget.
   void recover(bool force);
 
-  /// Permanent outage: publish ok == false so callers observe the failure
-  /// instead of spinning the calendar forever.
-  void give_up();
-
   void subscribe_faults();
-  void arm_watchdog();
   void on_fault(const net::FaultNotice& notice);
-  void on_watchdog();
-
-  /// The network's tracer when this collective is traceable (nonzero trace
-  /// id — the tracer's row key); nullptr otherwise.  Call-sites guard on
-  /// it, so an untraced run pays one branch.
-  obs::Tracer* tracer() const;
-  /// Opens/closes the per-iteration span on the collective's row.
-  void trace_iteration_begin();
-  void trace_iteration_end();
+  void on_watchdog() override;
 
   /// Persistent re-run upkeep: reset healthy engines, transparently
   /// reinstall a damaged tree, or probe a healed fabric to leave the
@@ -342,13 +364,11 @@ class TreeOpBase : public OpBase {
   /// install; false when no fallback applies.
   bool prepare_fallback();
   void start_fallback_iteration(u64 seed);
-  void begin_fallback_iteration(u64 seed, std::shared_ptr<OpState> state);
   void on_fallback_done();
 
-  const bool owns_install_;
-  /// This op owns the install's lifetime in both modes (one-shot releases
-  /// at finalize; persistent on PersistentCollective::release()); false
-  /// only after release or while a fault left the op treeless.
+  /// The op holds its install until release_install() (a one-shot's
+  /// publication, PersistentCollective::release()); false after release
+  /// or while a fault left the op treeless.
   bool installed_ = true;
   /// Sparse engines run at the sparse calibrated service rate and install
   /// hash/array stores — the only dense/sparse asymmetry the base carries.
@@ -356,16 +376,12 @@ class TreeOpBase : public OpBase {
   /// Staggered sending keeps every block in flight (Section 5); windowed
   /// flow control applies to aligned sending.
   const u32 window_;
-  bool finished_ = false;
   u64 seed_ = 0;
-  u64 base_traffic_ = 0;  ///< fabric traffic at iteration start
-  u32 hosts_done_ = 0;
 
   // --- fault tolerance ---
   /// Heal-wait budget for kinds with no host fallback: ~64 timeout periods
   /// of continuous no-viable-tree before the op publishes a failed result.
   static constexpr u32 kMaxRecoverWaits = 64;
-  SimTime timeout_ps_ = 0;
   u32 max_retry_ = 4;
   u32 recover_waits_ = 0;
   /// Stall budget: forced restarts in a row that complete no block, each
@@ -377,9 +393,6 @@ class TreeOpBase : public OpBase {
   u32 stalls_ = 0;
   /// blocks_done() when the iteration last restarted on a fresh install.
   u64 done_at_restart_ = kNoRestart;
-  /// Outlives-`this` guard for watchdog/listener events on the calendar.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
-  u64 retransmits_ = 0;
   u32 recoveries_ = 0;
 
   // --- congestion adaptation ---
@@ -400,17 +413,15 @@ class TreeOpBase : public OpBase {
 #endif
 
   bool first_begin_ = true;
-  bool iter_span_open_ = false;  ///< balances B/E on the tracer row
   u64 fault_listener_ = 0;
   bool listening_ = false;
-  bool watchdog_armed_ = false;
   std::shared_ptr<OpState> fallback_state_;
 };
 
 /// Chassis of the host-based ops (see the file comment).  The concrete op
 /// stages its inputs, sends each host's first message, and supplies three
-/// hooks; framing, reassembly, NACK replay, give-up and the common result
-/// fields run here, identically for the ring and SparCML.
+/// hooks; framing, reassembly and NACK replay run here, identically for
+/// the ring and SparCML.
 ///
 /// Loss detection is receiver-driven: every host waits on exactly one
 /// (peer, tag) message at a time, and a host stalled on it past the
@@ -452,14 +463,7 @@ class HostOpBase : public OpBase {
   /// and sends h's next message, if any.  Runs once per message.
   virtual void consume(u32 h, const Payload& msg) = 0;
 
-  /// The scheme's half of the result: blocks, error, `ok` rule, extras.
-  virtual void fill_result(CollectiveResult& res) const = 0;
-
   // ---- shared machinery --------------------------------------------------
-
-  /// begin()'s head: asserts no iteration is running, adopts `state`,
-  /// resets the per-iteration counters and opens the iteration span.
-  void begin_iteration(std::shared_ptr<OpState> state);
 
   /// After staging: resets the per-host transport and wires the host
   /// handlers.  Returns false for a single host — already complete, its
@@ -471,11 +475,7 @@ class HostOpBase : public OpBase {
   /// MTU fragments; recorded for NACK replay when fault handling is on.
   void send(u32 h, u32 dst, u32 tag, u64 bytes, Payload data);
 
-  net::Network& net_;
-  const std::vector<net::Host*>& participants_;
-  CollectiveOptions desc_;
   const u32 proto_;
-  const u32 trace_;  ///< attribution tag + tracer row (see ctor)
   const u32 P_;
 
  private:
@@ -495,12 +495,14 @@ class HostOpBase : public OpBase {
     Payload data;
   };
   struct HostLink {
-    SimTime finish_ps = 0;
     SimTime last_progress_ps = 0;
     u32 nacks = 0;  ///< NACKs since last progress (backoff input)
     std::unordered_map<u32, Partial> inbox;  ///< by tag
     std::unordered_map<u32, Sent> sent;      ///< by tag (NACK replay)
   };
+
+  /// Releases the host handlers.
+  void settle(CollectiveResult& res, bool gave_up) override;
 
   /// Sends every fragment of `msg` (first sends and NACK-triggered replays
   /// take the same path).
@@ -508,32 +510,18 @@ class HostOpBase : public OpBase {
   void on_msg(const net::HostMsg& msg);
   void handle_nack(u32 h, u32 tag);
   void send_nack(u32 h, const Expect& want);
-  void arm_watchdog();
-  void on_watchdog();
+  /// NACKs every stalled host's peer; gives up past the NACK budget.
+  void on_watchdog() override;
   /// Consumes every expected message of h that has fully arrived.
   void advance(u32 h);
-  /// Permanent stall: publish a failed result and release host handlers so
-  /// the calendar can drain.
-  void give_up();
-  void finalize();
   void release_handlers();
 
-  const char* span_;
   /// NACK budget per stalled host before the op reports failure: with the
   /// capped exponential backoff this tolerates outages two orders longer
   /// than the timeout while still bounding a permanent stall.
   static constexpr u32 kMaxNacks = 64;
-  SimTime timeout_ps_ = 0;
-  SimTime start_ps_ = 0;
-  u64 base_traffic_ = 0;
-  u64 retransmits_ = 0;
   bool handlers_set_ = false;
-  bool finished_ = false;
-  bool watchdog_armed_ = false;
-  /// Outlives-`this` guard for watchdog events left on the calendar.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   std::vector<HostLink> links_;
-  u32 hosts_done_ = 0;
 };
 
 }  // namespace detail

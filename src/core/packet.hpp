@@ -60,7 +60,6 @@ struct Packet {
   u64 wire_bytes() const { return kPacketWireOverhead + payload.size(); }
   bool is_sparse() const { return (hdr.flags & kFlagSparse) != 0; }
   bool is_last_shard() const { return (hdr.flags & kFlagLastShard) != 0; }
-  bool is_spill() const { return (hdr.flags & kFlagSpill) != 0; }
   bool is_down() const { return (hdr.flags & kFlagDown) != 0; }
 };
 

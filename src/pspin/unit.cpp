@@ -58,10 +58,6 @@ void PsPinUnit::inject(core::Packet pkt, SimTime when) {
   sim_.schedule_at(when, [this, pkt = std::move(pkt)]() mutable {
     const SimTime now = sim_.now();
     packets_injected_ += 1;
-    if (!saw_injection_) {
-      saw_injection_ = true;
-      first_injection_ = now;
-    }
     core::AllreduceEngine* engine = find(pkt.hdr.allreduce_id);
     if (engine == nullptr) {
       packets_unmatched_ += 1;

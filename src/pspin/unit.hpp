@@ -60,7 +60,6 @@ class PsPinUnit final : public core::EngineHost {
   const TrafficCounter& emitted() const { return emitted_; }
   /// Sum over engines of working-memory high-water marks.
   u64 working_memory_high_water() const;
-  SimTime first_injection() const { return first_injection_; }
   SimTime last_emission() const { return last_emission_; }
   u64 payload_bytes_processed() const { return payload_bytes_processed_; }
 
@@ -101,8 +100,6 @@ class PsPinUnit final : public core::EngineHost {
   u64 packets_unmatched_ = 0;
   u64 handlers_run_ = 0;
   u64 payload_bytes_processed_ = 0;
-  SimTime first_injection_ = 0;
-  bool saw_injection_ = false;
   SimTime last_emission_ = 0;
 };
 

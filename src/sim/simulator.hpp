@@ -238,11 +238,9 @@ class BucketCalendar {
 class Simulator {
  public:
   explicit Simulator(const CalendarOptions& opts = {})
-      : opts_(opts), calendar_(opts) {}
+      : calendar_(opts) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  const CalendarOptions& calendar_options() const { return opts_; }
 
   /// Current simulated time.  Valid inside event callbacks and after run().
   SimTime now() const { return now_; }
@@ -290,7 +288,6 @@ class Simulator {
  private:
   void dispatch(Event&& ev);
 
-  CalendarOptions opts_;
   detail::BucketCalendar calendar_;
   SimTime now_ = 0;
   u64 next_seq_ = 0;

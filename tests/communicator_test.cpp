@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "coll/communicator.hpp"
@@ -649,6 +650,118 @@ TEST(Communicator, NoSwitchStateLeaksAfterMixedWorkload) {
   for (const auto& occ :
        service::snapshot_occupancy(net, net.sim().now())) {
     EXPECT_EQ(occ.current, 0u) << occ.name << " still holds switch state";
+  }
+}
+
+// ---------------------------------------------------------- one-shot -------
+
+void expect_bit_identical(const CollectiveResult& a,
+                          const CollectiveResult& b) {
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.in_network, b.in_network);
+  EXPECT_EQ(a.max_abs_err, b.max_abs_err);
+  EXPECT_EQ(a.completion_seconds, b.completion_seconds);
+  EXPECT_EQ(a.mean_host_seconds, b.mean_host_seconds);
+  EXPECT_EQ(a.total_traffic_bytes, b.total_traffic_bytes);
+  EXPECT_EQ(a.blocks, b.blocks);
+  EXPECT_EQ(a.extra_packets, b.extra_packets);
+  EXPECT_EQ(a.switch_working_mem_hwm, b.switch_working_mem_hwm);
+  EXPECT_EQ(a.spill_packets, b.spill_packets);
+  EXPECT_EQ(a.host_pairs_sent, b.host_pairs_sent);
+  EXPECT_EQ(a.down_pairs, b.down_pairs);
+  EXPECT_EQ(a.dense_switchovers, b.dense_switchovers);
+  EXPECT_EQ(a.pairs_exchanged, b.pairs_exchanged);
+  EXPECT_EQ(a.retransmits, b.retransmits);
+  EXPECT_EQ(a.recoveries, b.recoveries);
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.planned_migrations, b.planned_migrations);
+  EXPECT_EQ(a.fell_back, b.fell_back);
+}
+
+/// Crash-stops `spine` at 2 us and restarts it at 10 us.
+void schedule_spine_crash(net::Network& net, net::Switch* spine) {
+  net.sim().schedule_at(2 * kPsPerUs, [spine] { spine->fail(); });
+  net.sim().schedule_at(10 * kPsPerUs, [spine] { spine->restart(); });
+}
+
+TEST(OneShot, EqualsFirstPersistentIteration) {
+  // A one-shot is a one-iteration persistent request: for every algorithm
+  // x kind pair, with fault handling off and with it on plus a spine crash
+  // and restart, comm.run(desc) and comm.persistent(desc).run() on fresh
+  // identical fabrics agree bit for bit — result, events and packets —
+  // and the one-shot leaves no switch state behind.
+  struct Case {
+    Algorithm alg;
+    CollectiveKind kind;
+  };
+  std::vector<Case> cases;
+  for (const Algorithm alg : {Algorithm::kAuto, Algorithm::kFlareDense}) {
+    for (const CollectiveKind kind :
+         {CollectiveKind::kAllreduce, CollectiveKind::kReduce,
+          CollectiveKind::kBroadcast, CollectiveKind::kBarrier}) {
+      cases.push_back({alg, kind});
+    }
+  }
+  for (const Algorithm alg : {Algorithm::kFlareSparse, Algorithm::kHostRing,
+                              Algorithm::kSparcml}) {
+    cases.push_back({alg, CollectiveKind::kAllreduce});
+  }
+  net::FatTreeSpec spec;
+  spec.hosts = 8;
+  spec.radix = 4;
+
+  for (const bool faults : {false, true}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(algorithm_name(c.alg)) + " " +
+                   std::string(collective_kind_name(c.kind)) +
+                   (faults ? " with a spine crash" : ""));
+      const bool sparse =
+          c.alg == Algorithm::kFlareSparse || c.alg == Algorithm::kSparcml;
+      CollectiveOptions desc =
+          sparse ? int_sparse_allreduce() : int_allreduce(32_KiB);
+      desc.algorithm = c.alg;
+      desc.kind = c.kind;
+      desc.root = 3;
+      if (faults) {
+        desc.retransmit_timeout_ps = 10 * kPsPerUs;
+      }
+
+      net::Network pnet;
+      const net::BuiltTopology ptopo = net::build_fat_tree(pnet, spec);
+      Communicator pcomm(pnet, ptopo.hosts);
+      PersistentCollective pc = pcomm.persistent(desc);
+      ASSERT_TRUE(pc.ok());
+      // Crash the spine under the tree (the one-shot embeds the same tree
+      // on its identical fabric), else the first one.
+      std::size_t spine = 0;
+      if (pc.in_network()) {
+        for (const TreeSwitchEntry& e : pc.tree().switches) {
+          for (std::size_t i = 0; i < ptopo.spines.size(); ++i) {
+            if (e.sw == ptopo.spines[i]) spine = i;
+          }
+        }
+      }
+      if (faults) schedule_spine_crash(pnet, ptopo.spines[spine]);
+      const CollectiveResult persistent = pc.run();
+
+      net::Network onet;
+      const net::BuiltTopology otopo = net::build_fat_tree(onet, spec);
+      if (faults) schedule_spine_crash(onet, otopo.spines[spine]);
+      Communicator ocomm(onet, otopo.hosts);
+      const CollectiveResult one_shot = ocomm.run(desc);
+
+      EXPECT_TRUE(one_shot.ok);
+      if (faults && one_shot.in_network) {
+        EXPECT_EQ(one_shot.recoveries, 1u) << "the crash hit the tree";
+      }
+      expect_bit_identical(one_shot, persistent);
+      EXPECT_EQ(onet.sim().total_events_run(), pnet.sim().total_events_run());
+      EXPECT_EQ(onet.total_packets(), pnet.total_packets());
+      for (const net::Switch* sw : onet.switches()) {
+        EXPECT_EQ(sw->installed_reduces(), 0u) << sw->name();
+        EXPECT_EQ(sw->engine_pool_in_use(), 0u) << sw->name();
+      }
+    }
   }
 }
 
