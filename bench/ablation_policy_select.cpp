@@ -3,6 +3,8 @@
 // For each reduction size, report every policy's modeled AND simulated
 // bandwidth, and the policy Flare's selector would pick; the selector
 // should track the per-size winner (crossovers at ~128/256/512 KiB).
+//
+// Exits 1 if any simulated run fails its reference check.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -46,6 +48,7 @@ int main() {
   std::printf("  %-8s |", "size");
   for (const Alg& a : kAlgs) std::printf(" %8s-mod %8s-sim |", a.name, a.name);
   std::printf(" %10s\n", "selected");
+  bool all_correct = true;
   for (const u64 z : {32_KiB, 64_KiB, 128_KiB, 192_KiB, 256_KiB, 384_KiB,
                       512_KiB, 1_MiB}) {
     std::printf("  %-8s |", bench::fmt_size(z).c_str());
@@ -65,6 +68,7 @@ int main() {
       opt.rounds = z <= 64_KiB ? 4 : 1;
       opt.seed = 3;
       const auto res = pspin::run_single_switch(opt);
+      all_correct = all_correct && res.correct;
       const f64 simulated = res.goodput_bps * 64.0 / opt.unit.n_clusters;
       std::printf(" %12s %12s |", bench::fmt_tbps(modeled).c_str(),
                   bench::fmt_tbps(simulated).c_str());
@@ -73,5 +77,5 @@ int main() {
     report.add("selected_" + bench::fmt_size(z), selected_name(z));
   }
   report.emit();
-  return 0;
+  return all_correct ? 0 : 1;
 }

@@ -4,6 +4,8 @@
 //      prone single-buffer policy across sizes;
 //  (b) hierarchical FCFS (block -> cluster-local core subset) vs global
 //      FCFS, which pays remote-L1 penalties on nearly every aggregation.
+//
+// Exits 1 if any simulated run fails its reference check.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -35,6 +37,7 @@ int main() {
               "(Tbps, scaled to 64 clusters):\n");
   std::printf("  %-8s %12s %12s %9s | %14s %14s\n", "size", "staggered",
               "aligned", "gain", "cs-wait stag", "cs-wait align");
+  bool all_correct = true;
   for (const u64 z : {64_KiB, 256_KiB, 1_MiB}) {
     pspin::SingleSwitchOptions stag = base(z);
     stag.order = core::SendOrder::kStaggered;
@@ -42,6 +45,7 @@ int main() {
     pspin::SingleSwitchOptions ali = base(z);
     ali.order = core::SendOrder::kAligned;
     const auto ra = pspin::run_single_switch(ali);
+    all_correct = all_correct && rs.correct && ra.correct;
     const f64 scale = 64.0 / 16.0;
     std::printf("  %-8s %12s %12s %8.2fx | %14.0f %14.0f\n",
                 bench::fmt_size(z).c_str(),
@@ -63,6 +67,7 @@ int main() {
     pspin::SingleSwitchOptions glob = base(z);
     glob.unit.scheduler = pspin::SchedulerKind::kGlobalFcfs;
     const auto rg = pspin::run_single_switch(glob);
+    all_correct = all_correct && rh.correct && rg.correct;
     const f64 scale = 64.0 / 16.0;
     std::printf("  %-8s %14s %14s %8.2fx\n", bench::fmt_size(z).c_str(),
                 bench::fmt_tbps(rh.goodput_bps * scale).c_str(),
@@ -72,5 +77,5 @@ int main() {
                rh.goodput_bps / rg.goodput_bps);
   }
   report.emit();
-  return 0;
+  return all_correct ? 0 : 1;
 }

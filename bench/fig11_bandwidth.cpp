@@ -10,6 +10,8 @@
 // --full uses the paper's full unit (512 cores) and size grid; the default
 // scales the unit down 4x for a quick run (bandwidths scale ~linearly with
 // the core count, Section 6.4).
+//
+// Exits 1 if any simulated run fails its reference check.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -72,6 +74,7 @@ int main(int argc, char** argv) {
   std::printf("  %-8s", "size");
   for (const Alg& a : kAlgs) std::printf(" %10s", a.name);
   std::printf(" %10s %10s\n", "SwitchML", "SHARP");
+  bool all_correct = true;
   for (const u64 z : sizes) {
     std::printf("  %-8s", bench::fmt_size(z).c_str());
     for (const Alg& a : kAlgs) {
@@ -84,6 +87,7 @@ int main(int argc, char** argv) {
       opt.rounds = static_cast<u32>(
           std::max<u64>(1, 256_KiB / std::max<u64>(z, 1)));
       const auto res = pspin::run_single_switch(opt);
+      all_correct = all_correct && res.correct;
       const f64 bw = res.goodput_bps * cluster_scale(opt);
       std::printf(" %10s%s", bench::fmt_tbps(bw).c_str(),
                   res.correct ? "" : "!");
@@ -106,6 +110,7 @@ int main(int argc, char** argv) {
     opt.dtype = t;
     opt.policy = core::AggPolicy::kSingleBuffer;
     const auto res = pspin::run_single_switch(opt);
+    all_correct = all_correct && res.correct;
     const f64 bw = res.goodput_bps * cluster_scale(opt);
     const f64 flare_eps = model::elements_per_second(bw, t);
     const f64 sw_eps = model::switchml_elements_per_second(t);
@@ -124,5 +129,5 @@ int main(int argc, char** argv) {
               "SHARP); narrower integers raise\n  Flare's element rate via "
               "SIMD while SwitchML is flat and float-less.\n");
   report.emit();
-  return 0;
+  return all_correct ? 0 : 1;
 }

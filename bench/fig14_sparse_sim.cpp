@@ -9,6 +9,8 @@
 // extra-traffic trend.  Array storage at 1% density is reported for
 // completeness; the paper omits it because the per-block arrays exhaust
 // the switch working memory.
+//
+// Exits 1 if any simulated run fails its reference check.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -41,6 +43,7 @@ int main(int argc, char** argv) {
 
   std::printf("  %-10s %-7s | %11s %14s %14s %9s\n", "storage", "density",
               "Band (Tbps)", "BlockMem(KiB)", "ExtraTraf(%)", "check");
+  bool all_correct = true;
   for (const bool hash : {true, false}) {
     for (const f64 density : {0.20, 0.10, 0.01}) {
       pspin::SingleSwitchOptions opt;
@@ -59,6 +62,7 @@ int main(int argc, char** argv) {
       // (at 1% a single operation is only a few KiB of wire data).
       opt.rounds = static_cast<u32>(std::max(1.0, 0.20 / density));
       const auto res = pspin::run_single_switch(opt);
+      all_correct = all_correct && res.correct;
       const f64 bw = res.goodput_bps * 64.0 / opt.unit.n_clusters;
       std::printf("  %-10s %5.0f%% | %11s %14s %14.1f %9s\n",
                   hash ? "hash" : "array", density * 100,
@@ -79,5 +83,5 @@ int main(int argc, char** argv) {
               "never spills, with memory growing as 1/density (prohibitive "
               "at 1%%).\n");
   report.emit();
-  return 0;
+  return all_correct ? 0 : 1;
 }

@@ -5,6 +5,8 @@
 // (F1), a sparse reduction with irregular per-host data (F2), and a
 // bitwise-reproducibility check across adversarial arrival orders (F3),
 // all executed on the PsPIN-based switch simulator.
+//
+// Exits 1 if any demonstration fails its check.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -66,6 +68,7 @@ int main() {
 
   std::printf("\n  Live capability demonstrations on the PsPIN switch:\n");
   bench::JsonReport report("tab01_features");
+  bool all_ok = true;
 
   // F1: custom operator (saturating int8 sum, a quantized-training op no
   // fixed-function or RMT switch offers).
@@ -78,6 +81,7 @@ int main() {
                 static_cast<unsigned long long>(res.blocks_completed),
                 res.correct ? "OK" : "FAILED");
     report.add("f1_custom_op_ok", res.correct);
+    all_ok = all_ok && res.correct;
   }
 
   // F2: sparse allreduce with irregular per-host non-zeros.
@@ -91,6 +95,7 @@ int main() {
                 "(extra traffic %.1f%%)\n",
                 res.correct ? "OK" : "FAILED", res.extra_traffic_pct);
     report.add("f2_sparse_ok", res.correct);
+    all_ok = all_ok && res.correct;
   }
 
   // F3: bitwise reproducibility across different arrival orders.
@@ -110,7 +115,8 @@ int main() {
                 static_cast<unsigned long long>(a.result_checksum),
                 static_cast<unsigned long long>(b.result_checksum));
     report.add("f3_reproducible", reproducible);
+    all_ok = all_ok && reproducible;
   }
   report.emit();
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -137,8 +137,10 @@ struct CollectiveOptions : Tuning {
   /// message.  Staggered sending matters inside the PsPIN unit (src/pspin).
   core::SendOrder order = core::SendOrder::kAligned;
   bool reproducible = false;
-  /// 0 -> auto-select by size (Section 6.4 thresholds).
+  /// The dense aggregation policy, used only when `auto_policy` is off
+  /// (`reproducible` still forces the tree).
   core::AggPolicy policy = core::AggPolicy::kSingleBuffer;
+  /// Select the policy by size (Section 6.4 thresholds) instead.
   bool auto_policy = true;
 
   // --- host-based extras ---

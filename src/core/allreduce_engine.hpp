@@ -24,8 +24,9 @@ class AllreduceEngine {
   AllreduceEngine(const AllreduceEngine&) = delete;
   AllreduceEngine& operator=(const AllreduceEngine&) = delete;
 
-  void process(std::shared_ptr<const Packet> pkt, HandlerDone done) {
-    agg_->process(std::move(pkt), std::move(done));
+  /// Runs handler `handler` for `pkt` (see Aggregator::process).
+  void process(std::shared_ptr<const Packet> pkt, u32 handler) {
+    agg_->process(std::move(pkt), handler);
   }
 
   /// Between iterations of a persistent collective: clears per-iteration

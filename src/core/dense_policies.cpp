@@ -26,100 +26,116 @@ Packet make_result_packet(const AllreduceConfig& cfg, u32 block_id,
 }  // namespace
 
 // ===========================================================================
-// SingleBufferAggregator
+// Aggregator: the shared handler front end
 // ===========================================================================
 
-SingleBufferAggregator::SingleBufferAggregator(EngineHost& host,
-                                               const AllreduceConfig& cfg,
-                                               BufferPool& pool)
-    : host_(host), cfg_(cfg), pool_(pool) {
-  FLARE_ASSERT(cfg_.num_children >= 1);
-}
-
-SingleBufferAggregator::Block& SingleBufferAggregator::get_block(
-    u32 block_id, SimTime now) {
-  auto [it, inserted] = blocks_.try_emplace(block_id);
-  Block& blk = it->second;
-  if (inserted) {
-    blk.bitmap.reset(cfg_.num_children);
-    blk.buf.resize(cfg_.dense_block_bytes());
-    blk.first_arrival = now;
-    const bool ok = pool_.acquire(cfg_.dense_block_bytes(), now);
-    FLARE_ASSERT_MSG(ok, "working-memory pool exhausted (host window too "
-                         "large for the allocated buffers)");
-  }
-  return blk;
-}
-
-void SingleBufferAggregator::reset() {
-  FLARE_ASSERT_MSG(blocks_.empty(),
-                   "reset with open blocks: packets still in flight");
-  completed_.clear();
-}
-
-void SingleBufferAggregator::process(std::shared_ptr<const Packet> pkt,
-                                     HandlerDone done) {
+void Aggregator::process(std::shared_ptr<const Packet> pkt, u32 handler) {
   stats_.packets_in += 1;
   stats_.payload_bytes_in += pkt->payload_bytes();
   const auto& costs = host_.costs();
   const u64 pre = costs.handler_dispatch_cycles + costs.dma_packet_cycles;
-  host_.simulator().schedule_after(
-      pre, [this, pkt = std::move(pkt), done = std::move(done)]() mutable {
-        on_ready(std::move(pkt), std::move(done));
-      });
+  at(now() + pre, [this, pkt = std::move(pkt), handler]() mutable {
+    on_ready(std::move(pkt), handler);
+  });
 }
 
-void SingleBufferAggregator::on_ready(std::shared_ptr<const Packet> pkt,
-                                      HandlerDone done) {
-  sim::Simulator& sim = host_.simulator();
-  const SimTime now = sim.now();
-  const u32 bid = pkt->hdr.block_id;
-  if (completed_.contains(bid)) {
+void Aggregator::on_ready(std::shared_ptr<const Packet> pkt, u32 handler) {
+  const SimTime t = now();
+  if (completed_.contains(pkt->hdr.block_id) || !admit(*pkt, t)) {
     stats_.duplicates_dropped += 1;
-    done(now);
+    host_.handler_done(handler, t);
     return;
   }
-  Block& blk = get_block(bid, now);
-  if (!blk.bitmap.mark(pkt->hdr.child_index)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
-  if (!blk.cs_busy) {
-    blk.cs_busy = true;
-    in_critical_section(bid, std::move(pkt), now, now, std::move(done));
-  } else {
-    blk.waiters.emplace_back(
-        [this, bid, pkt = std::move(pkt), now,
-         done = std::move(done)](SimTime start) mutable {
-          in_critical_section(bid, std::move(pkt), now, start,
-                              std::move(done));
-        });
-  }
+  accept(Waiter{std::move(pkt), t, handler});
 }
 
-void SingleBufferAggregator::in_critical_section(
-    u32 block_id, std::shared_ptr<const Packet> pkt, SimTime enqueued_at,
-    SimTime start, HandlerDone done) {
-  Block& blk = blocks_.at(block_id);
-  stats_.cs_wait_cycles.add(static_cast<f64>(start - enqueued_at));
+void Aggregator::run_on_slot(u32, u32, Waiter, SimTime) {
+  FLARE_UNREACHABLE("policy without working slots");
+}
+
+void Aggregator::acquire(SlotQueue& slots, u32 block_id, Waiter&& w) {
+  const u32 slot = slots.claim();
+  if (slot == SlotQueue::kNone) {
+    slots.wait(std::move(w));  // spin until a slot frees (FIFO hand-over)
+    return;
+  }
+  const SimTime start = w.enqueued_at;
+  stats_.cs_wait_cycles.add(0.0);  // an idle slot: no spin
+  run_on_slot(block_id, slot, std::move(w), start);
+}
+
+void Aggregator::release(SlotQueue& slots, u32 block_id, u32 slot,
+                         SimTime t) {
+  Waiter w;
+  if (!slots.pop(w)) {
+    slots.free(slot);
+    return;
+  }
+  stats_.cs_wait_cycles.add(static_cast<f64>(t - w.enqueued_at));
+  run_on_slot(block_id, slot, std::move(w), t);
+}
+
+void Aggregator::emit(Packet&& out, SimTime when) {
+  stats_.packets_emitted += 1;
+  stats_.bytes_emitted += out.wire_bytes();
+  host_.emit(std::move(out), when);
+}
+
+void Aggregator::close_block(u32 block_id, SimTime first_arrival,
+                             SimTime end, u64 mem_bytes) {
+  stats_.blocks_completed += 1;
+  stats_.block_latency.add(static_cast<f64>(end - first_arrival));
+  stats_.block_mem_bytes.add(static_cast<f64>(mem_bytes));
+  completed_.insert(block_id);
+}
+
+void Aggregator::release_at(SimTime t, u64 bytes) {
+  at(t, [this, bytes] { pool_.release(bytes, now()); });
+}
+
+// ===========================================================================
+// SingleBufferAggregator
+// ===========================================================================
+
+bool SingleBufferAggregator::admit(const Packet& pkt, SimTime now) {
+  Block& blk = entry(blocks_, pkt.hdr.block_id);
+  if (!blk.open()) {
+    blk.bitmap.reset(cfg_.num_children);
+    blk.buf.resize(cfg_.dense_block_bytes());
+    blk.first_arrival = now;
+    blk.cs.reset(1);
+    const bool ok = pool_.acquire(cfg_.dense_block_bytes(), now);
+    FLARE_ASSERT_MSG(ok, "working-memory pool exhausted (host window too "
+                         "large for the allocated buffers)");
+  }
+  return blk.bitmap.mark(pkt.hdr.child_index);
+}
+
+void SingleBufferAggregator::accept(Waiter w) {
+  const u32 bid = w.pkt->hdr.block_id;
+  acquire(blocks_[bid].cs, bid, std::move(w));
+}
+
+void SingleBufferAggregator::run_on_slot(u32 block_id, u32 /*slot*/,
+                                         Waiter w, SimTime start) {
+  Block& blk = blocks_[block_id];
+  const Packet& pkt = *w.pkt;
   const auto& costs = host_.costs();
-  const u32 elems = pkt->hdr.elem_count;
-  FLARE_ASSERT(pkt->payload.size() ==
+  const u32 elems = pkt.hdr.elem_count;
+  FLARE_ASSERT(pkt.payload.size() ==
                static_cast<std::size_t>(elems) * dtype_size(cfg_.dtype));
 
   u64 work;
   if (!blk.has_data) {
     // First packet of the block: plain buffer initialization via DMA.
     // (Barrier blocks are 0-byte; memcpy must not see a null source.)
-    if (!pkt->payload.empty()) {
-      std::memcpy(blk.buf.data(), pkt->payload.data(),
-                  pkt->payload.size());
+    if (!pkt.payload.empty()) {
+      std::memcpy(blk.buf.data(), pkt.payload.data(), pkt.payload.size());
     }
     blk.has_data = true;
     work = costs.dma_packet_cycles;
   } else {
-    cfg_.op.apply(cfg_.dtype, blk.buf.data(), pkt->payload.data(), elems);
+    cfg_.op.apply(cfg_.dtype, blk.buf.data(), pkt.payload.data(), elems);
     work = costs.aggregation_cycles(cfg_.dtype, elems, cfg_.remote_l1);
   }
 
@@ -128,123 +144,50 @@ void SingleBufferAggregator::in_critical_section(
   if (blk.aggregated == cfg_.num_children) {
     FLARE_ASSERT(blk.bitmap.complete());
     end += costs.emit_packet_cycles;
-    Packet out =
-        make_result_packet(cfg_, block_id, std::move(blk.buf), elems);
-    stats_.packets_emitted += 1;
-    stats_.bytes_emitted += out.wire_bytes();
-    stats_.blocks_completed += 1;
-    stats_.block_latency.add(static_cast<f64>(end - blk.first_arrival));
-    stats_.block_mem_bytes.add(static_cast<f64>(cfg_.dense_block_bytes()));
-    blk.completed = true;
-    host_.emit(std::move(out), end);
+    emit(make_result_packet(cfg_, block_id, std::move(blk.buf), elems), end);
+    close_block(block_id, blk.first_arrival, end, cfg_.dense_block_bytes());
   }
-  leave_cs(block_id, end);
-  done(end);
-}
-
-void SingleBufferAggregator::leave_cs(u32 block_id, SimTime end) {
-  host_.simulator().schedule_at(end, [this, block_id] {
-    auto it = blocks_.find(block_id);
-    if (it == blocks_.end()) return;
-    Block& blk = it->second;
-    if (!blk.waiters.empty()) {
-      auto fn = std::move(blk.waiters.front());
-      blk.waiters.pop_front();
-      fn(host_.simulator().now());  // lock hands over; cs_busy stays true
-      return;
-    }
-    blk.cs_busy = false;
-    if (blk.completed) {
-      pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-      completed_.insert(block_id);
-      blocks_.erase(it);
+  // Leave the critical section: the lock hands over to the next spinning
+  // handler, or frees; a completed block's buffer goes back to the pool.
+  at(end, [this, block_id] {
+    release(blocks_[block_id].cs, block_id, 0, now());
+    Block& b = blocks_[block_id];
+    if (!b.cs.busy(0) && completed_.contains(block_id)) {
+      pool_.release(cfg_.dense_block_bytes(), now());
+      b = Block();
     }
   });
+  host_.handler_done(w.handler, end);
 }
 
 // ===========================================================================
 // MultiBufferAggregator
 // ===========================================================================
 
-MultiBufferAggregator::MultiBufferAggregator(EngineHost& host,
-                                             const AllreduceConfig& cfg,
-                                             BufferPool& pool)
-    : host_(host), cfg_(cfg), pool_(pool) {
-  FLARE_ASSERT(cfg_.num_children >= 1);
-  FLARE_ASSERT_MSG(cfg_.num_buffers >= 1, "multi-buffer needs B >= 1");
-}
-
-MultiBufferAggregator::Block& MultiBufferAggregator::get_block(u32 block_id,
-                                                               SimTime now) {
-  auto [it, inserted] = blocks_.try_emplace(block_id);
-  Block& blk = it->second;
-  if (inserted) {
+bool MultiBufferAggregator::admit(const Packet& pkt, SimTime now) {
+  Block& blk = entry(blocks_, pkt.hdr.block_id);
+  if (!blk.open()) {
     blk.bitmap.reset(cfg_.num_children);
     blk.subs.resize(cfg_.num_buffers);
+    blk.slots.reset(cfg_.num_buffers);
     blk.first_arrival = now;
   }
-  return blk;
+  return blk.bitmap.mark(pkt.hdr.child_index);
 }
 
-void MultiBufferAggregator::reset() {
-  FLARE_ASSERT_MSG(blocks_.empty(),
-                   "reset with open blocks: packets still in flight");
-  completed_.clear();
+void MultiBufferAggregator::accept(Waiter w) {
+  const u32 bid = w.pkt->hdr.block_id;
+  acquire(blocks_[bid].slots, bid, std::move(w));
 }
 
-void MultiBufferAggregator::process(std::shared_ptr<const Packet> pkt,
-                                    HandlerDone done) {
-  stats_.packets_in += 1;
-  stats_.payload_bytes_in += pkt->payload_bytes();
-  const auto& costs = host_.costs();
-  const u64 pre = costs.handler_dispatch_cycles + costs.dma_packet_cycles;
-  host_.simulator().schedule_after(
-      pre, [this, pkt = std::move(pkt), done = std::move(done)]() mutable {
-        on_ready(std::move(pkt), std::move(done));
-      });
-}
-
-void MultiBufferAggregator::on_ready(std::shared_ptr<const Packet> pkt,
-                                     HandlerDone done) {
-  sim::Simulator& sim = host_.simulator();
-  const SimTime now = sim.now();
-  const u32 bid = pkt->hdr.block_id;
-  if (completed_.contains(bid)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
-  Block& blk = get_block(bid, now);
-  if (!blk.bitmap.mark(pkt->hdr.child_index)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
-  for (u32 i = 0; i < blk.subs.size(); ++i) {
-    if (!blk.subs[i].busy) {
-      blk.subs[i].busy = true;
-      run_on_sub(bid, i, std::move(pkt), now, now, std::move(done));
-      return;
-    }
-  }
-  // All B buffers locked: spin until one frees (FIFO hand-over).
-  blk.waiters.emplace_back(
-      [this, bid, pkt = std::move(pkt), now,
-       done = std::move(done)](SimTime start, u32 sub) mutable {
-        run_on_sub(bid, sub, std::move(pkt), now, start, std::move(done));
-      });
-}
-
-void MultiBufferAggregator::run_on_sub(u32 block_id, u32 sub_idx,
-                                       std::shared_ptr<const Packet> pkt,
-                                       SimTime enqueued_at, SimTime start,
-                                       HandlerDone done) {
-  Block& blk = blocks_.at(block_id);
+void MultiBufferAggregator::run_on_slot(u32 block_id, u32 sub_idx, Waiter w,
+                                        SimTime start) {
+  Block& blk = blocks_[block_id];
   Sub& s = blk.subs[sub_idx];
-  stats_.cs_wait_cycles.add(static_cast<f64>(start - enqueued_at));
+  const Packet& pkt = *w.pkt;
   const auto& costs = host_.costs();
-  const u32 elems = pkt->hdr.elem_count;
-  FLARE_ASSERT(pkt->payload.size() ==
+  const u32 elems = pkt.hdr.elem_count;
+  FLARE_ASSERT(pkt.payload.size() ==
                static_cast<std::size_t>(elems) * dtype_size(cfg_.dtype));
 
   if (blk.elems == 0) blk.elems = elems;
@@ -260,93 +203,66 @@ void MultiBufferAggregator::run_on_sub(u32 block_id, u32 sub_idx,
     blk.max_allocated = std::max(blk.max_allocated, allocated);
   }
   if (!s.has_data) {
-    if (!pkt->payload.empty()) {
-      std::memcpy(s.buf.data(), pkt->payload.data(), pkt->payload.size());
+    if (!pkt.payload.empty()) {
+      std::memcpy(s.buf.data(), pkt.payload.data(), pkt.payload.size());
     }
     s.has_data = true;
     work = costs.dma_packet_cycles;
   } else {
-    cfg_.op.apply(cfg_.dtype, s.buf.data(), pkt->payload.data(), elems);
+    cfg_.op.apply(cfg_.dtype, s.buf.data(), pkt.payload.data(), elems);
     work = costs.aggregation_cycles(cfg_.dtype, elems, cfg_.remote_l1);
   }
 
-  const SimTime end = start + work;
-  host_.simulator().schedule_at(
-      end, [this, block_id, sub_idx, done = std::move(done)]() mutable {
-        Block& b = blocks_.at(block_id);
-        b.aggregated += 1;
-        const SimTime now = host_.simulator().now();
-        if (b.aggregated == cfg_.num_children && b.bitmap.complete()) {
-          // Causally-last handler: fold the partial buffers (Section 6.2).
-          merge_chain(block_id, sub_idx, now, std::move(done));
-        } else {
-          release_sub(block_id, sub_idx, now);
-          done(now);
-        }
-      });
-}
-
-void MultiBufferAggregator::release_sub(u32 block_id, u32 sub_idx,
-                                        SimTime at) {
-  Block& blk = blocks_.at(block_id);
-  if (!blk.waiters.empty()) {
-    auto fn = std::move(blk.waiters.front());
-    blk.waiters.pop_front();
-    fn(at, sub_idx);  // buffer hands over while staying busy
-    return;
-  }
-  blk.subs[sub_idx].busy = false;
+  at(start + work, [this, block_id, sub_idx, handler = w.handler] {
+    Block& b = blocks_[block_id];
+    b.aggregated += 1;
+    const SimTime t = now();
+    if (b.aggregated == cfg_.num_children && b.bitmap.complete()) {
+      // Causally-last handler: fold the partial buffers (Section 6.2).
+      merge_chain(block_id, sub_idx, t, handler);
+    } else {
+      release(b.slots, block_id, sub_idx, t);
+      host_.handler_done(handler, t);
+    }
+  });
 }
 
 void MultiBufferAggregator::merge_chain(u32 block_id, u32 my_sub, SimTime t,
-                                        HandlerDone done) {
-  Block& blk = blocks_.at(block_id);
+                                        u32 handler) {
+  Block& blk = blocks_[block_id];
   // By construction no other handler is active on this block (aggregated ==
   // P), so the remaining buffers are idle and can be folded sequentially.
   for (u32 j = 0; j < blk.subs.size(); ++j) {
     if (j == my_sub) continue;
-    Sub& s = blk.subs[j];
-    FLARE_ASSERT_MSG(!s.busy, "merge with an active buffer");
-    if (!s.has_data) continue;
+    FLARE_ASSERT_MSG(!blk.slots.busy(j), "merge with an active buffer");
+    if (!blk.subs[j].has_data) continue;
     const u64 merge_cost =
         host_.costs().aggregation_cycles(cfg_.dtype, blk.elems, cfg_.remote_l1);
-    host_.simulator().schedule_at(
-        t + merge_cost,
-        [this, block_id, my_sub, j, done = std::move(done)]() mutable {
-          Block& b = blocks_.at(block_id);
-          cfg_.op.apply(cfg_.dtype, b.subs[my_sub].buf.data(),
-                        b.subs[j].buf.data(), b.elems);
-          b.subs[j].has_data = false;
-          b.subs[j].allocated = false;
-          b.subs[j].buf = {};
-          pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-          merge_chain(block_id, my_sub, host_.simulator().now(),
-                      std::move(done));
-        });
+    at(t + merge_cost, [this, block_id, my_sub, j, handler] {
+      Block& b = blocks_[block_id];
+      cfg_.op.apply(cfg_.dtype, b.subs[my_sub].buf.data(),
+                    b.subs[j].buf.data(), b.elems);
+      b.subs[j] = Sub();
+      pool_.release(cfg_.dense_block_bytes(), now());
+      merge_chain(block_id, my_sub, now(), handler);
+    });
     return;
   }
-  finish_block(block_id, my_sub, t, std::move(done));
+  finish_block(block_id, my_sub, t, handler);
 }
 
 void MultiBufferAggregator::finish_block(u32 block_id, u32 my_sub, SimTime t,
-                                         HandlerDone done) {
-  Block& blk = blocks_.at(block_id);
+                                         u32 handler) {
+  Block& blk = blocks_[block_id];
   const SimTime end = t + host_.costs().emit_packet_cycles;
-  stats_.block_mem_bytes.add(static_cast<f64>(blk.max_allocated) *
-                             static_cast<f64>(cfg_.dense_block_bytes()));
-  Packet out = make_result_packet(cfg_, block_id,
-                                  std::move(blk.subs[my_sub].buf), blk.elems);
-  stats_.packets_emitted += 1;
-  stats_.bytes_emitted += out.wire_bytes();
-  stats_.blocks_completed += 1;
-  stats_.block_latency.add(static_cast<f64>(end - blk.first_arrival));
-  host_.emit(std::move(out), end);
-  host_.simulator().schedule_at(end, [this] {
-    pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-  });
-  completed_.insert(block_id);
-  blocks_.erase(block_id);
-  done(end);
+  emit(make_result_packet(cfg_, block_id, std::move(blk.subs[my_sub].buf),
+                          blk.elems),
+       end);
+  release_at(end, cfg_.dense_block_bytes());
+  close_block(block_id, blk.first_arrival, end,
+              u64{blk.max_allocated} * cfg_.dense_block_bytes());
+  blk = Block();
+  host_.handler_done(handler, end);
 }
 
 // ===========================================================================
@@ -381,87 +297,47 @@ TreeAggregator::TreeShape TreeAggregator::build_shape(u32 p) {
   return shape;
 }
 
-TreeAggregator::TreeAggregator(EngineHost& host, const AllreduceConfig& cfg,
-                               BufferPool& pool)
-    : host_(host), cfg_(cfg), pool_(pool),
-      shape_(build_shape(cfg.num_children)) {}
-
-TreeAggregator::Block& TreeAggregator::get_block(u32 block_id, SimTime now) {
-  if (block_id >= blocks_.size()) blocks_.resize(block_id + 1);
-  Block& blk = blocks_[block_id];
-  if (blk.nodes.empty()) {
+bool TreeAggregator::admit(const Packet& pkt, SimTime now) {
+  Block& blk = entry(blocks_, pkt.hdr.block_id);
+  if (!blk.open()) {
     blk.bitmap.reset(cfg_.num_children);
     blk.nodes.resize(shape_.nodes.size());
     blk.first_arrival = now;
   }
-  return blk;
+  return blk.bitmap.mark(pkt.hdr.child_index);
 }
 
-void TreeAggregator::reset() {
-  FLARE_ASSERT_MSG(std::all_of(blocks_.begin(), blocks_.end(),
-                               [](const Block& b) { return b.nodes.empty(); }),
-                   "reset with open blocks: packets still in flight");
-  blocks_.clear();
-  completed_.clear();
-}
-
-void TreeAggregator::process(std::shared_ptr<const Packet> pkt,
-                             HandlerDone done) {
-  stats_.packets_in += 1;
-  stats_.payload_bytes_in += pkt->payload_bytes();
-  const auto& costs = host_.costs();
-  const u64 pre = costs.handler_dispatch_cycles + costs.dma_packet_cycles;
-  host_.simulator().schedule_after(
-      pre, [this, pkt = std::move(pkt), done = std::move(done)]() mutable {
-        on_ready(std::move(pkt), std::move(done));
-      });
-}
-
-void TreeAggregator::on_ready(std::shared_ptr<const Packet> pkt,
-                              HandlerDone done) {
-  sim::Simulator& sim = host_.simulator();
-  const SimTime now = sim.now();
-  const u32 bid = pkt->hdr.block_id;
-  if (completed_.contains(bid)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
-  Block& blk = get_block(bid, now);
-  const u32 child = pkt->hdr.child_index;
-  if (!blk.bitmap.mark(child)) {
-    stats_.duplicates_dropped += 1;
-    done(now);
-    return;
-  }
-  const u32 elems = pkt->hdr.elem_count;
-  FLARE_ASSERT(pkt->payload.size() ==
+void TreeAggregator::accept(Waiter w) {
+  const Packet& pkt = *w.pkt;
+  const u32 bid = pkt.hdr.block_id;
+  Block& blk = blocks_[bid];
+  const u32 elems = pkt.hdr.elem_count;
+  FLARE_ASSERT(pkt.payload.size() ==
                static_cast<std::size_t>(elems) * dtype_size(cfg_.dtype));
   if (blk.elems == 0) blk.elems = elems;
 
-  const u32 leaf = shape_.leaf_of(child);
-  const bool ok = pool_.acquire(cfg_.dense_block_bytes(), now);
+  const u32 leaf = shape_.leaf_of(pkt.hdr.child_index);
+  const bool ok = pool_.acquire(cfg_.dense_block_bytes(), w.enqueued_at);
   FLARE_ASSERT_MSG(ok, "working-memory pool exhausted");
   blk.alive_buffers += 1;
   blk.max_alive = std::max(blk.max_alive, blk.alive_buffers);
-  blk.nodes[leaf].buf = copy_payload(pkt->payload);
+  blk.nodes[leaf].buf = copy_payload(pkt.payload);
 
   // The copy is DMA-assisted (64 cycles, Section 6.3) — far cheaper than the
   // 1024-cycle aggregation, which is the whole point of the tree design.
-  const SimTime copy_done = now + host_.costs().dma_packet_cycles;
-  sim.schedule_at(copy_done, [this, bid, leaf, done = std::move(done)]() mutable {
+  const SimTime copy_done = w.enqueued_at + host_.costs().dma_packet_cycles;
+  at(copy_done, [this, bid, leaf, handler = w.handler] {
     open_block(bid).nodes[leaf].done = true;
-    climb(bid, leaf, host_.simulator().now(), std::move(done));
+    climb(bid, leaf, now(), handler);
   });
 }
 
-void TreeAggregator::climb(u32 block_id, u32 node, SimTime t,
-                           HandlerDone done) {
+void TreeAggregator::climb(u32 block_id, u32 node, SimTime t, u32 handler) {
   Block& blk = open_block(block_id);
   const i32 parent = shape_.nodes[node].parent;
   if (parent < 0) {
     // `node` is the root and it is done: emit the block result.
-    complete_root(block_id, t, std::move(done));
+    complete_root(block_id, t, handler);
     return;
   }
   const auto& pn = shape_.nodes[static_cast<u32>(parent)];
@@ -473,52 +349,41 @@ void TreeAggregator::climb(u32 block_id, u32 node, SimTime t,
   if (!sib.done || par.claimed) {
     // Sibling subtree not ready (its handler will continue the climb) or
     // another handler already owns this combine: terminate without waiting.
-    done(t);
+    host_.handler_done(handler, t);
     return;
   }
   par.claimed = true;
   const u64 combine_cost =
       host_.costs().aggregation_cycles(cfg_.dtype, blk.elems, cfg_.remote_l1);
-  host_.simulator().schedule_at(
-      t + combine_cost,
-      [this, block_id, parent, done = std::move(done)]() mutable {
-        Block& b = open_block(block_id);
-        const auto& p = shape_.nodes[static_cast<u32>(parent)];
-        NodeState& left = b.nodes[static_cast<u32>(p.left)];
-        NodeState& right = b.nodes[static_cast<u32>(p.right)];
-        // Fixed operand order: parent = op(left, right).
-        cfg_.op.apply(cfg_.dtype, left.buf.data(), right.buf.data(), b.elems);
-        NodeState& par2 = b.nodes[static_cast<u32>(parent)];
-        par2.buf = std::move(left.buf);
-        left.buf = {};
-        right.buf = {};
-        pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-        b.alive_buffers -= 1;
-        par2.done = true;
-        climb(block_id, static_cast<u32>(parent), host_.simulator().now(),
-              std::move(done));
-      });
+  at(t + combine_cost, [this, block_id, parent, handler] {
+    Block& b = open_block(block_id);
+    const auto& p = shape_.nodes[static_cast<u32>(parent)];
+    NodeState& left = b.nodes[static_cast<u32>(p.left)];
+    NodeState& right = b.nodes[static_cast<u32>(p.right)];
+    // Fixed operand order: parent = op(left, right).
+    cfg_.op.apply(cfg_.dtype, left.buf.data(), right.buf.data(), b.elems);
+    NodeState& par2 = b.nodes[static_cast<u32>(parent)];
+    par2.buf = std::move(left.buf);
+    left.buf = {};
+    right.buf = {};
+    pool_.release(cfg_.dense_block_bytes(), now());
+    b.alive_buffers -= 1;
+    par2.done = true;
+    climb(block_id, static_cast<u32>(parent), now(), handler);
+  });
 }
 
-void TreeAggregator::complete_root(u32 block_id, SimTime t,
-                                   HandlerDone done) {
+void TreeAggregator::complete_root(u32 block_id, SimTime t, u32 handler) {
   Block& blk = open_block(block_id);
   const SimTime end = t + host_.costs().emit_packet_cycles;
-  Packet out = make_result_packet(cfg_, block_id, std::move(blk.nodes[0].buf),
-                                  blk.elems);
-  stats_.packets_emitted += 1;
-  stats_.bytes_emitted += out.wire_bytes();
-  stats_.blocks_completed += 1;
-  stats_.block_latency.add(static_cast<f64>(end - blk.first_arrival));
-  stats_.block_mem_bytes.add(static_cast<f64>(blk.max_alive) *
-                             static_cast<f64>(cfg_.dense_block_bytes()));
-  host_.emit(std::move(out), end);
-  host_.simulator().schedule_at(end, [this] {
-    pool_.release(cfg_.dense_block_bytes(), host_.simulator().now());
-  });
-  completed_.insert(block_id);
+  emit(make_result_packet(cfg_, block_id, std::move(blk.nodes[0].buf),
+                          blk.elems),
+       end);
+  release_at(end, cfg_.dense_block_bytes());
+  close_block(block_id, blk.first_arrival, end,
+              u64{blk.max_alive} * cfg_.dense_block_bytes());
   blk = Block();
-  done(end);
+  host_.handler_done(handler, end);
 }
 
 // ===========================================================================

@@ -1,4 +1,23 @@
-// Dense aggregation policies (Section 6 of the paper).
+// The aggregator chassis and the dense aggregation policies (Sections 6-7
+// of the paper).
+//
+// `Aggregator` is the sPIN handler front end every policy, dense and
+// sparse, runs on, written once:
+//
+//  * process(): counts the packet and charges handler dispatch + DMA;
+//  * admission: a `BlockSet` of closed blocks, then the policy's per-block
+//    open/mark hook (a ChildBitmap for dense, a SparseBlockTracker for
+//    sparse); duplicates are counted and their handler released here;
+//  * bookkeeping: `emit` for every result or spill packet, `close_block`
+//    for the per-block completion stats and the dedup set;
+//  * the FIFO hand-over of a block's working slots (one lock for the single
+//    buffer, B buffers or B sparse stores): handlers that find every slot
+//    busy queue as plain `Waiter` records and resume, in arrival order,
+//    when a slot frees.
+//
+// Every continuation a policy schedules goes through `at`, which expires it
+// if the engine is uninstalled first.  A handler ends by calling
+// EngineHost::handler_done exactly once.
 //
 // Three organisations of the per-block working memory:
 //
@@ -18,14 +37,14 @@
 //    exploits associativity or commutativity, floating-point results are
 //    bitwise reproducible across arrival orders (F3).
 //
-// All three are continuation-based state machines over the shared event
-// calendar: every cycle charged is causally ordered, so lock waits, merge
-// stalls and climb hand-offs happen at their true simulated times.
+// All are continuation-based state machines over the shared event calendar:
+// every cycle charged is causally ordered, so lock waits, merge stalls and
+// climb hand-offs happen at their true simulated times.  Per-block state is
+// a vector indexed by block id (ids are dense per collective); a closed
+// block is value-initialized and owns no memory.
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -62,8 +81,9 @@ struct AllreduceConfig {
   bool remote_l1 = false;
 
   /// Host-side fault recovery is armed (Tuning::retransmit_timeout_ps):
-  /// switches cache sparse emission sequences for retransmission replay
-  /// only when someone can actually ask for them.
+  /// switches cache every completed block's emission sequence, dense or
+  /// sparse, for retransmission replay only when someone can actually ask
+  /// for them.
   bool fault_recovery = false;
 
   // --- sparse allreduce (Section 7) ---
@@ -94,28 +114,156 @@ struct EngineStats {
   RunningStats cs_wait_cycles;  ///< per-handler critical-section spin time
 };
 
-/// Common interface driven by the hosting simulator.  `process` is invoked
-/// when an HPU core *starts* the handler for `pkt`; the aggregator charges
-/// dispatch/DMA/aggregation cycles on the event calendar and calls `done`
-/// exactly once with the core-release time.
+/// A handler waiting for a working slot of its block: its packet, the time
+/// it started waiting, and the host's handler id.
+struct Waiter {
+  std::shared_ptr<const Packet> pkt;
+  SimTime enqueued_at = 0;
+  u32 handler = 0;
+};
+
+/// The B interchangeable working slots of one block (the single buffer's
+/// lock, the multi-buffer's B buffers, the sparse engine's B stores) and
+/// the FIFO of handlers spinning until one frees.  Default-constructed it
+/// owns no memory.
+class SlotQueue {
+ public:
+  static constexpr u32 kNone = UINT32_MAX;
+
+  void reset(u32 slots) {
+    FLARE_ASSERT_MSG(slots >= 1 && slots <= 64, "1..64 slots per block");
+    n_ = slots;
+    busy_ = 0;
+  }
+  bool busy(u32 slot) const { return (busy_ >> slot) & 1u; }
+  /// Claims the lowest idle slot, or returns kNone if all are busy.
+  u32 claim() {
+    for (u32 i = 0; i < n_; ++i) {
+      if (!busy(i)) {
+        busy_ |= 1ull << i;
+        return i;
+      }
+    }
+    return kNone;
+  }
+  void wait(Waiter&& w) { waiters_.push_back(std::move(w)); }
+  /// Takes the oldest waiter into `out`; false if none waits.
+  bool pop(Waiter& out) {
+    if (head_ == waiters_.size()) return false;
+    out = std::move(waiters_[head_++]);
+    if (head_ == waiters_.size()) {
+      waiters_.clear();
+      head_ = 0;
+    }
+    return true;
+  }
+  void free(u32 slot) { busy_ &= ~(1ull << slot); }
+
+ private:
+  u32 n_ = 0;
+  u64 busy_ = 0;
+  std::vector<Waiter> waiters_;
+  std::size_t head_ = 0;
+};
+
+/// The handler front end shared by every aggregation policy, driven by the
+/// hosting simulator.
 class Aggregator {
  public:
   virtual ~Aggregator() = default;
-  virtual void process(std::shared_ptr<const Packet> pkt,
-                       HandlerDone done) = 0;
+  Aggregator(const Aggregator&) = delete;  // calendar events hold `this`
+  Aggregator& operator=(const Aggregator&) = delete;
+
+  /// An HPU core *starts* handler `handler` (an id of the host's choosing)
+  /// for `pkt`.  The aggregator charges dispatch/DMA/aggregation cycles on
+  /// the event calendar and reports the core-release time through
+  /// EngineHost::handler_done.
+  void process(std::shared_ptr<const Packet> pkt, u32 handler);
 
   /// Clears per-iteration block state (open blocks + completed-block
-  /// dedup sets) so an installed engine can serve the next iteration of a
+  /// dedup set) so an installed engine can serve the next iteration of a
   /// persistent collective with the same block ids.  Must only be called
-  /// between iterations: open blocks at reset time indicate in-flight
-  /// packets and are a protocol bug.  Cumulative stats are preserved.
-  virtual void reset() = 0;
+  /// between iterations.  Cumulative stats are preserved.
+  void reset() {
+    clear_blocks();
+    completed_.clear();
+  }
 
   const EngineStats& stats() const { return stats_; }
   EngineStats& stats() { return stats_; }
 
  protected:
+  Aggregator(EngineHost& host, const AllreduceConfig& cfg, BufferPool& pool)
+      : host_(host), cfg_(cfg), pool_(pool) {
+    FLARE_ASSERT(cfg_.num_children >= 1);
+  }
+
+  // --- policy hooks ---
+  /// Opens `pkt`'s block if it is closed and marks the packet's child (or
+  /// shard) in it.  Returns false for a duplicate.
+  virtual bool admit(const Packet& pkt, SimTime now) = 0;
+  /// Starts the aggregation work of a fresh packet.
+  virtual void accept(Waiter w) = 0;
+  /// Runs `w` on `slot` of `block_id`, which it holds from `start`.  Only
+  /// the slot policies (single, multi, sparse) acquire slots.
+  virtual void run_on_slot(u32 block_id, u32 slot, Waiter w, SimTime start);
+  /// Drops the per-block table (Aggregator::reset).  Open blocks at reset
+  /// time are in-flight packets: the dense policies treat them as a
+  /// protocol bug.
+  virtual void clear_blocks() = 0;
+
+  // --- chassis services ---
+  SimTime now() { return host_.simulator().now(); }
+  /// Schedules a continuation at `t`.  The recovery plane can uninstall
+  /// (destroy) an engine while its events are queued: they then expire
+  /// instead of touching the dead engine.
+  template <typename F>
+  void at(SimTime t, F&& fn) {
+    host_.simulator().schedule_at(
+        t, [alive = std::weak_ptr<char>(alive_),
+            fn = std::forward<F>(fn)]() mutable {
+          if (!alive.expired()) fn();
+        });
+  }
+  /// Runs `w` on an idle slot of `slots`, or queues it until one frees.
+  void acquire(SlotQueue& slots, u32 block_id, Waiter&& w);
+  /// Hands `slot` over to the oldest waiter at `t` (the slot stays
+  /// busy), or idles it.
+  void release(SlotQueue& slots, u32 block_id, u32 slot, SimTime t);
+  /// Sends a block result or spill packet leaving the unit at `when`.
+  void emit(Packet&& out, SimTime when);
+  /// Records `block_id`'s completion at `end`: latency from its first
+  /// arrival, its working-memory footprint, and the dedup set.
+  void close_block(u32 block_id, SimTime first_arrival, SimTime end,
+                   u64 mem_bytes);
+  /// Returns `bytes` of working memory to the pool at `t`.
+  void release_at(SimTime t, u64 bytes);
+  /// `blocks[block_id]`, growing the table on demand.
+  template <typename Block>
+  static Block& entry(std::vector<Block>& blocks, u32 block_id) {
+    if (block_id >= blocks.size()) blocks.resize(block_id + 1);
+    return blocks[block_id];
+  }
+  /// Asserts that no block is open, then drops the table.
+  template <typename Block>
+  static void clear_closed(std::vector<Block>& blocks) {
+    for (const Block& b : blocks) {
+      FLARE_ASSERT_MSG(!b.open(),
+                       "reset with open blocks: packets still in flight");
+    }
+    blocks.clear();
+  }
+
+  EngineHost& host_;
+  AllreduceConfig cfg_;
+  BufferPool& pool_;
   EngineStats stats_;
+  BlockSet completed_;
+
+ private:
+  void on_ready(std::shared_ptr<const Packet> pkt, u32 handler);
+
+  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 };
 
 // ---------------------------------------------------------------------------
@@ -123,9 +271,8 @@ class Aggregator {
 class SingleBufferAggregator final : public Aggregator {
  public:
   SingleBufferAggregator(EngineHost& host, const AllreduceConfig& cfg,
-                         BufferPool& pool);
-  void process(std::shared_ptr<const Packet> pkt, HandlerDone done) override;
-  void reset() override;
+                         BufferPool& pool)
+      : Aggregator(host, cfg, pool) {}
 
  private:
   struct Block {
@@ -135,26 +282,17 @@ class SingleBufferAggregator final : public Aggregator {
                          ///< bitmap marks arrivals, but completion requires
                          ///< the aggregation work itself to have run
     bool has_data = false;
-    bool cs_busy = false;
-    bool completed = false;
     SimTime first_arrival = 0;
-    /// FIFO of handlers spinning on the critical section; each entry is
-    /// resumed with the time at which it acquires the lock.
-    std::deque<std::function<void(SimTime)>> waiters;
+    SlotQueue cs;  ///< the critical section: one slot
+    bool open() const { return bitmap.expected() != 0; }
   };
 
-  Block& get_block(u32 block_id, SimTime now);
-  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
-  void in_critical_section(u32 block_id, std::shared_ptr<const Packet> pkt,
-                           SimTime enqueued_at, SimTime start,
-                           HandlerDone done);
-  void leave_cs(u32 block_id, SimTime end);
+  bool admit(const Packet& pkt, SimTime now) override;
+  void accept(Waiter w) override;
+  void run_on_slot(u32 block_id, u32 slot, Waiter w, SimTime start) override;
+  void clear_blocks() override { clear_closed(blocks_); }
 
-  EngineHost& host_;
-  AllreduceConfig cfg_;
-  BufferPool& pool_;
-  std::unordered_map<u32, Block> blocks_;
-  BlockSet completed_;
+  std::vector<Block> blocks_;  ///< by block id
 };
 
 // ---------------------------------------------------------------------------
@@ -162,41 +300,34 @@ class SingleBufferAggregator final : public Aggregator {
 class MultiBufferAggregator final : public Aggregator {
  public:
   MultiBufferAggregator(EngineHost& host, const AllreduceConfig& cfg,
-                        BufferPool& pool);
-  void process(std::shared_ptr<const Packet> pkt, HandlerDone done) override;
-  void reset() override;
+                        BufferPool& pool)
+      : Aggregator(host, cfg, pool) {}
 
  private:
   struct Sub {
     PayloadVec buf;
     bool allocated = false;
     bool has_data = false;
-    bool busy = false;
   };
   struct Block {
     std::vector<Sub> subs;
+    SlotQueue slots;  ///< which subs are locked, and who waits for one
     ChildBitmap bitmap;
     u32 aggregated = 0;  ///< packets whose aggregation work has finished
     u32 elems = 0;       ///< payload elements (ragged last block support)
     u32 max_allocated = 0;  ///< peak simultaneously-allocated sub-buffers
     SimTime first_arrival = 0;
-    std::deque<std::function<void(SimTime, u32)>> waiters;  ///< (time, sub)
+    bool open() const { return bitmap.expected() != 0; }
   };
 
-  Block& get_block(u32 block_id, SimTime now);
-  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
-  void run_on_sub(u32 block_id, u32 sub_idx,
-                  std::shared_ptr<const Packet> pkt, SimTime enqueued_at,
-                  SimTime start, HandlerDone done);
-  void release_sub(u32 block_id, u32 sub_idx, SimTime at);
-  void merge_chain(u32 block_id, u32 my_sub, SimTime t, HandlerDone done);
-  void finish_block(u32 block_id, u32 my_sub, SimTime t, HandlerDone done);
+  bool admit(const Packet& pkt, SimTime now) override;
+  void accept(Waiter w) override;
+  void run_on_slot(u32 block_id, u32 slot, Waiter w, SimTime start) override;
+  void clear_blocks() override { clear_closed(blocks_); }
+  void merge_chain(u32 block_id, u32 my_sub, SimTime t, u32 handler);
+  void finish_block(u32 block_id, u32 my_sub, SimTime t, u32 handler);
 
-  EngineHost& host_;
-  AllreduceConfig cfg_;
-  BufferPool& pool_;
-  std::unordered_map<u32, Block> blocks_;
-  BlockSet completed_;
+  std::vector<Block> blocks_;  ///< by block id
 };
 
 // ---------------------------------------------------------------------------
@@ -204,9 +335,8 @@ class MultiBufferAggregator final : public Aggregator {
 class TreeAggregator final : public Aggregator {
  public:
   TreeAggregator(EngineHost& host, const AllreduceConfig& cfg,
-                 BufferPool& pool);
-  void process(std::shared_ptr<const Packet> pkt, HandlerDone done) override;
-  void reset() override;
+                 BufferPool& pool)
+      : Aggregator(host, cfg, pool), shape_(build_shape(cfg.num_children)) {}
 
   /// Exposed for tests: the fixed combine tree over `p` leaves.  Node 0 is
   /// the root; leaves are identified by child index.
@@ -233,7 +363,6 @@ class TreeAggregator final : public Aggregator {
     bool claimed = false;  ///< a handler is (or has) combining this node
     PayloadVec buf;  ///< subtree result, valid when done
   };
-  /// Open while `nodes` is non-empty; a closed block is value-initialized.
   struct Block {
     std::vector<NodeState> nodes;
     ChildBitmap bitmap;
@@ -241,24 +370,22 @@ class TreeAggregator final : public Aggregator {
     u32 alive_buffers = 0;  ///< currently-held leaf/internal buffers
     u32 max_alive = 0;      ///< peak — the paper's M = (P-1)/log2(P) profile
     SimTime first_arrival = 0;
+    bool open() const { return !nodes.empty(); }
   };
 
-  Block& get_block(u32 block_id, SimTime now);
   /// The open block `block_id`.
   Block& open_block(u32 block_id) {
-    FLARE_ASSERT(block_id < blocks_.size() && !blocks_[block_id].nodes.empty());
+    FLARE_ASSERT(block_id < blocks_.size() && blocks_[block_id].open());
     return blocks_[block_id];
   }
-  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
-  void climb(u32 block_id, u32 node, SimTime t, HandlerDone done);
-  void complete_root(u32 block_id, SimTime t, HandlerDone done);
+  bool admit(const Packet& pkt, SimTime now) override;
+  void accept(Waiter w) override;
+  void clear_blocks() override { clear_closed(blocks_); }
+  void climb(u32 block_id, u32 node, SimTime t, u32 handler);
+  void complete_root(u32 block_id, SimTime t, u32 handler);
 
-  EngineHost& host_;
-  AllreduceConfig cfg_;
-  BufferPool& pool_;
   TreeShape shape_;
-  std::vector<Block> blocks_;  ///< by block id (dense per collective)
-  BlockSet completed_;
+  std::vector<Block> blocks_;  ///< by block id
 };
 
 /// Factory over AllreduceConfig::policy (dense only; sparse lives in

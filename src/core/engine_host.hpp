@@ -7,8 +7,6 @@
 // sink for the packets the engine produces.
 #pragma once
 
-#include <functional>
-
 #include "core/cost_model.hpp"
 #include "core/packet.hpp"
 #include "sim/simulator.hpp"
@@ -26,11 +24,13 @@ class EngineHost {
   /// or a sparse spill flush).  `when` is the cycle at which the packet
   /// leaves the processing unit; it is never before the current sim time.
   virtual void emit(Packet&& pkt, SimTime when) = 0;
-};
 
-/// Completion callback of one handler invocation: `end` is the cycle at
-/// which the HPU core is released.  Invoked exactly once, at a simulation
-/// event whose time is <= end.
-using HandlerDone = std::function<void(SimTime end)>;
+  /// Handler `handler` (the id the host passed to Aggregator::process)
+  /// releases its HPU core at `end`.  Called once per handler, from a
+  /// simulation event at a time <= end.  A handler whose engine is
+  /// destroyed, or whose block a reset drops, while it runs never
+  /// completes.
+  virtual void handler_done(u32 handler, SimTime end) = 0;
+};
 
 }  // namespace flare::core

@@ -16,16 +16,10 @@
 // aggregated pairs.
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "core/block_state.hpp"
-#include "core/buffer_pool.hpp"
 #include "core/dense_policies.hpp"
-#include "core/engine_host.hpp"
 #include "core/sparse_store.hpp"
 
 namespace flare::core {
@@ -40,10 +34,6 @@ class SparseAggregator final : public Aggregator {
  public:
   SparseAggregator(EngineHost& host, const AllreduceConfig& cfg,
                    BufferPool& pool);
-  ~SparseAggregator() override;
-
-  void process(std::shared_ptr<const Packet> pkt, HandlerDone done) override;
-  void reset() override;
 
   /// Total collisions observed across all hash stores (telemetry).
   u64 total_collisions() const { return total_collisions_; }
@@ -52,42 +42,34 @@ class SparseAggregator final : public Aggregator {
   struct StoreSlot {
     std::unique_ptr<SparseStore> store;
     std::vector<StoredPair> spill;
-    bool busy = false;
   };
   struct Block {
     std::vector<StoreSlot> stores;
+    SlotQueue slots;  ///< which stores are locked, and who waits for one
     std::unique_ptr<SparseBlockTracker> tracker;
     u32 seen = 0;      ///< fresh packets registered (at mark time)
     u32 inserted = 0;  ///< fresh packets whose work completed (at end time)
     u32 emit_seq = 0;  ///< shard_seq for packets this node emits
     SimTime first_arrival = 0;
-    std::deque<std::function<void(SimTime, u32)>> waiters;
+    bool open() const { return tracker != nullptr; }
   };
 
-  Block& get_block(u32 block_id, SimTime now);
   std::unique_ptr<SparseStore> make_store() const;
   u64 store_footprint() const;
 
-  void on_ready(std::shared_ptr<const Packet> pkt, HandlerDone done);
-  void run_on_store(u32 block_id, u32 store_idx,
-                    std::shared_ptr<const Packet> pkt, SimTime enqueued_at,
-                    SimTime start, HandlerDone done);
-  void release_store(u32 block_id, u32 store_idx, SimTime at);
+  bool admit(const Packet& pkt, SimTime now) override;
+  void accept(Waiter w) override;
+  void run_on_slot(u32 block_id, u32 store_idx, Waiter w,
+                   SimTime start) override;
+  /// Open blocks are legal here: a persistent session can reset an engine
+  /// whose iteration the recovery plane abandoned.  Their memory returns.
+  void clear_blocks() override;
   /// Flushes `slot`'s spill buffer as a packet leaving at `when`.
   void flush_spill(Block& blk, StoreSlot& slot, u32 block_id, SimTime when);
-  void finalize_block(u32 block_id, u32 my_store, SimTime t,
-                      HandlerDone done);
+  void finalize_block(u32 block_id, u32 my_store, SimTime t, u32 handler);
 
-  EngineHost& host_;
-  AllreduceConfig cfg_;
-  BufferPool& pool_;
-  std::unordered_map<u32, Block> blocks_;
-  std::unordered_set<u32> completed_;
+  std::vector<Block> blocks_;  ///< by block id
   u64 total_collisions_ = 0;
-  /// Outlives-`this` guard for calendar events: the recovery plane can
-  /// uninstall (destroy) an engine while its insert/release events are
-  /// still scheduled — they must expire, not dereference a dead engine.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 };
 
 std::unique_ptr<Aggregator> make_sparse_aggregator(EngineHost& host,

@@ -267,7 +267,7 @@ void Switch::on_reduce_up(NetPacket&& pkt) {
           net_.count_stale_reduce_drop();
           return;
         }
-        r->engine->process(reduce, [](SimTime) {});
+        r->engine->process(reduce, 0);
       });
 }
 

@@ -213,6 +213,8 @@ class Switch final : public Node, public core::EngineHost {
   sim::Simulator& simulator() override;
   const core::CostModel& costs() override { return zero_costs_; }
   void emit(core::Packet&& pkt, SimTime when) override;
+  /// The calibrated server, not the engine, paces the switch.
+  void handler_done(u32 /*handler*/, SimTime /*end*/) override {}
 
   u64 reduce_packets_processed() const { return reduce_packets_; }
 

@@ -111,15 +111,11 @@ void PsPinUnit::start_handler(u32 core_id, u32 subset_idx, QueuedPacket qp) {
     core.warm = true;
     if (cfg_.charge_cold_start) cold = cfg_.costs.cold_start_cycles;
   }
-  const u64 wire = qp.pkt->wire_bytes();
-  const u64 payload = qp.pkt->payload_bytes();
-  auto run = [this, core_id, subset_idx, wire, payload,
-              pkt = std::move(qp.pkt), engine = qp.engine]() mutable {
-    engine->process(std::move(pkt),
-                    [this, core_id, subset_idx, wire, payload](SimTime end) {
-                      payload_bytes_processed_ += payload;
-                      finish_handler(core_id, subset_idx, wire, end);
-                    });
+  core.subset = subset_idx;
+  core.wire_bytes = qp.pkt->wire_bytes();
+  core.payload_bytes = qp.pkt->payload_bytes();
+  auto run = [core_id, pkt = std::move(qp.pkt), engine = qp.engine]() mutable {
+    engine->process(std::move(pkt), core_id);
   };
   if (cold == 0) {
     run();
@@ -128,16 +124,17 @@ void PsPinUnit::start_handler(u32 core_id, u32 subset_idx, QueuedPacket qp) {
   }
 }
 
-void PsPinUnit::finish_handler(u32 core_id, u32 subset_idx, u64 wire_bytes,
-                               SimTime end) {
+void PsPinUnit::handler_done(u32 core_id, SimTime end) {
   FLARE_ASSERT(end >= sim_.now());
-  sim_.schedule_at(end, [this, core_id, subset_idx, wire_bytes] {
+  payload_bytes_processed_ += cores_[core_id].payload_bytes;
+  sim_.schedule_at(end, [this, core_id] {
     const SimTime now = sim_.now();
-    cores_[core_id].busy = false;
+    Core& core = cores_[core_id];
+    core.busy = false;
     busy_cores_.add(-1, now);
     // The input buffer is held for the whole handler lifetime (Section 4.2).
-    l2_bytes_.add(-static_cast<i64>(wire_bytes), now);
-    dispatch(subset_idx);
+    l2_bytes_.add(-static_cast<i64>(core.wire_bytes), now);
+    dispatch(core.subset);
   });
 }
 

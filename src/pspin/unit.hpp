@@ -44,6 +44,8 @@ class PsPinUnit final : public core::EngineHost {
   sim::Simulator& simulator() override { return sim_; }
   const core::CostModel& costs() override { return cfg_.costs; }
   void emit(core::Packet&& pkt, SimTime when) override;
+  /// `handler` is the id of the core running it.
+  void handler_done(u32 core_id, SimTime end) override;
 
   // --- telemetry ---
   const PsPinConfig& config() const { return cfg_; }
@@ -76,13 +78,15 @@ class PsPinUnit final : public core::EngineHost {
     bool busy = false;
     bool warm = false;  ///< handler code already in the i-cache
     u64 handlers = 0;
+    // The running handler: its subset, and the bytes it holds.
+    u32 subset = 0;
+    u64 wire_bytes = 0;  ///< L2 input buffer, held until the core frees
+    u64 payload_bytes = 0;
   };
 
   u32 subset_of(const core::Packet& pkt) const;
   void dispatch(u32 subset_idx);
   void start_handler(u32 core_id, u32 subset_idx, QueuedPacket qp);
-  void finish_handler(u32 core_id, u32 subset_idx, u64 wire_bytes,
-                      SimTime end);
 
   sim::Simulator& sim_;
   PsPinConfig cfg_;

@@ -6,12 +6,15 @@
 // randomized arrival times, bitwise reproducibility of the tree policy (F3),
 // retransmission idempotence, critical-section serialization timing,
 // multi-buffer merge behaviour, tree no-wait property, ragged last blocks,
-// buffer-pool lifecycle, and multi-block interleaving.
+// buffer-pool lifecycle, multi-block interleaving, and engines destroyed
+// with handlers still queued (every policy, sparse included).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/allreduce_engine.hpp"
@@ -27,10 +30,21 @@ class TestHost : public EngineHost {
   void emit(Packet&& pkt, SimTime when) override {
     emitted.emplace_back(std::move(pkt), when);
   }
+  void handler_done(u32 handler, SimTime end) override {
+    done.emplace_back(handler, end);
+  }
+
+  /// Handler end times, in completion order.
+  std::vector<SimTime> handler_ends() const {
+    std::vector<SimTime> ends;
+    for (const auto& [handler, end] : done) ends.push_back(end);
+    return ends;
+  }
 
   sim::Simulator sim;
   CostModel cost;
   std::vector<std::pair<Packet, SimTime>> emitted;
+  std::vector<std::pair<u32, SimTime>> done;  ///< (handler, end)
 };
 
 AllreduceConfig base_config(u32 children, AggPolicy policy, u32 buffers = 1,
@@ -69,12 +83,12 @@ RunResult run_one_block(const AllreduceConfig& cfg,
     Packet p = make_dense_packet(cfg.id, /*block=*/0, static_cast<u16>(h),
                                  data[h].data(),
                                  static_cast<u32>(data[h].size()), cfg.dtype);
-    host.sim.schedule_at(arrivals[h], [&engine, p = std::move(p), &rr]() mutable {
-      engine.process(std::make_shared<const Packet>(std::move(p)),
-                     [&rr](SimTime end) { rr.handler_ends.push_back(end); });
+    host.sim.schedule_at(arrivals[h], [&engine, p = std::move(p), h]() mutable {
+      engine.process(std::make_shared<const Packet>(std::move(p)), h);
     });
   }
   host.sim.run();
+  rr.handler_ends = host.handler_ends();
   EXPECT_EQ(host.emitted.size(), 1u);
   if (!host.emitted.empty()) {
     rr.result = std::move(host.emitted.front().first);
@@ -291,14 +305,12 @@ TEST_P(RetransmitTest, DuplicatesAreNotAggregatedTwice) {
       base_config(P, policy, 2, DType::kInt32, OpKind::kSum, 16);
   TestHost host;
   AllreduceEngine engine(host, cfg);
-  u32 handler_count = 0;
   auto inject = [&](u32 h, SimTime at) {
     Packet p = make_dense_packet(cfg.id, 0, static_cast<u16>(h),
                                  data[h].data(), 16, cfg.dtype);
     if (at > 2000) p.hdr.flags |= kFlagRetransmit;
-    host.sim.schedule_at(at, [&engine, p = std::move(p), &handler_count]() mutable {
-      engine.process(std::make_shared<const Packet>(std::move(p)),
-                     [&handler_count](SimTime) { ++handler_count; });
+    host.sim.schedule_at(at, [&engine, p = std::move(p), h]() mutable {
+      engine.process(std::make_shared<const Packet>(std::move(p)), h);
     });
   };
   // Child 1's packet "times out" and is retransmitted mid-flight; child 2's
@@ -310,7 +322,7 @@ TEST_P(RetransmitTest, DuplicatesAreNotAggregatedTwice) {
 
   ASSERT_EQ(host.emitted.size(), 1u);
   EXPECT_EQ(engine.stats().duplicates_dropped, 2u);
-  EXPECT_EQ(handler_count, P + 2);
+  EXPECT_EQ(host.done.size(), P + 2);
   TypedBuffer got(DType::kInt32, 16);
   std::memcpy(got.data(), host.emitted[0].first.payload.data(), 64);
   const TypedBuffer expected = reference_reduce(data, cfg.op);
@@ -367,16 +379,15 @@ TEST(TreePolicy, HandlersNeverWait) {
   TestHost host;
   AllreduceEngine engine(host, cfg);
   // All packets at once — worst case for lock-based designs.
-  std::vector<SimTime> ends;
   for (u32 h = 0; h < P; ++h) {
     Packet p = make_dense_packet(cfg.id, 0, static_cast<u16>(h),
                                  data[h].data(), 256, cfg.dtype);
-    host.sim.schedule_at(0, [&engine, p = std::move(p), &ends]() mutable {
-      engine.process(std::make_shared<const Packet>(std::move(p)),
-                     [&ends](SimTime end) { ends.push_back(end); });
+    host.sim.schedule_at(0, [&engine, p = std::move(p), h]() mutable {
+      engine.process(std::make_shared<const Packet>(std::move(p)), h);
     });
   }
   host.sim.run();
+  const std::vector<SimTime> ends = host.handler_ends();
   ASSERT_EQ(ends.size(), P);
   // The longest handler carries the full climb: copy + log2(P) combines.
   const auto& c = host.cost;
@@ -471,9 +482,8 @@ TEST(DensePolicies, InterleavedBlocksKeepSeparateState) {
   auto inject = [&](u32 block, u32 h, const TypedBuffer& buf, SimTime at) {
     Packet p = make_dense_packet(cfg.id, block, static_cast<u16>(h),
                                  buf.data(), 8, cfg.dtype);
-    host.sim.schedule_at(at, [&engine, p = std::move(p)]() mutable {
-      engine.process(std::make_shared<const Packet>(std::move(p)),
-                     [](SimTime) {});
+    host.sim.schedule_at(at, [&engine, p = std::move(p), h]() mutable {
+      engine.process(std::make_shared<const Packet>(std::move(p)), h);
     });
   };
   inject(0, 0, d0[0], 0);
@@ -528,6 +538,80 @@ TEST(DensePolicies, SingleChildDegenerateCase) {
     EXPECT_TRUE(got.bitwise_equal(data[0]));
   }
 }
+
+// ------------------------------------------------------------- lifetime --
+
+// The recovery plane can uninstall (destroy) an engine while its handlers
+// are still on the calendar.  Their events must expire: nothing is
+// emitted, no further handler completes, and nothing reads the freed
+// engine (a FLARE_SANITIZE build reports any such read).
+struct UninstallCase {
+  const char* name;
+  AggPolicy policy;
+  u32 buffers;
+  bool sparse;
+};
+
+void PrintTo(const UninstallCase& c, std::ostream* os) { *os << c.name; }
+
+class EngineUninstall : public ::testing::TestWithParam<UninstallCase> {};
+
+TEST_P(EngineUninstall, QueuedHandlersExpireWithTheEngine) {
+  const UninstallCase c = GetParam();
+  AllreduceConfig cfg =
+      base_config(2, c.policy, c.buffers, DType::kFloat32, OpKind::kSum, 8);
+  cfg.sparse = c.sparse;
+  cfg.block_span = 64;
+  const std::vector<f32> dense(8, 1.0f);
+  const std::vector<SparsePair> pairs = {{1, 1.0}, {5, 2.0}};
+  auto packet = [&](u16 child) {
+    if (!c.sparse) {
+      return std::make_shared<const Packet>(
+          make_dense_packet(cfg.id, 0, child, dense.data(), 8, cfg.dtype));
+    }
+    Packet p = make_sparse_packet(cfg.id, 0, child, pairs, cfg.dtype,
+                                  kFlagLastShard);
+    p.hdr.shard_count = 1;
+    return std::make_shared<const Packet>(std::move(p));
+  };
+  const u64 pre = CostModel{}.handler_dispatch_cycles +
+                  CostModel{}.dma_packet_cycles;
+
+  // Uninstalled before the handler's first continuation runs.
+  {
+    TestHost host;
+    auto engine = std::make_unique<AllreduceEngine>(host, cfg);
+    engine->process(packet(0), 0);
+    engine->process(packet(1), 1);
+    engine.reset();
+    host.sim.run();
+    EXPECT_TRUE(host.emitted.empty());
+    EXPECT_TRUE(host.done.empty());
+  }
+  // Uninstalled mid-aggregation: both packets were admitted, their lock,
+  // copy or insert continuations are queued.
+  {
+    TestHost host;
+    auto engine = std::make_unique<AllreduceEngine>(host, cfg);
+    engine->process(packet(0), 0);
+    engine->process(packet(1), 1);
+    host.sim.run_until(pre);
+    const std::size_t done_before = host.done.size();
+    engine.reset();
+    host.sim.run();
+    EXPECT_TRUE(host.emitted.empty());
+    EXPECT_EQ(host.done.size(), done_before);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, EngineUninstall,
+    ::testing::Values(
+        UninstallCase{"Single", AggPolicy::kSingleBuffer, 1, false},
+        UninstallCase{"Multi", AggPolicy::kMultiBuffer, 2, false},
+        UninstallCase{"Tree", AggPolicy::kTree, 1, false},
+        UninstallCase{"Sparse", AggPolicy::kSingleBuffer, 1, true}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace flare::core

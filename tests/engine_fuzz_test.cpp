@@ -31,9 +31,13 @@ class FuzzHost : public EngineHost {
   void emit(Packet&& pkt, SimTime when) override {
     emitted.emplace_back(std::move(pkt), when);
   }
+  void handler_done(u32 /*handler*/, SimTime /*end*/) override {
+    handlers_done += 1;
+  }
   sim::Simulator sim;
   CostModel cost;
   std::vector<std::pair<Packet, SimTime>> emitted;
+  u64 handlers_done = 0;
 };
 
 struct FuzzParam {
@@ -83,7 +87,7 @@ TEST_P(DenseFuzz, InvariantsHoldUnderArrivalStorms) {
         const SimTime at = rng.uniform_u64(50000);
         host.sim.schedule_at(at, [&engine, copy = std::move(copy)]() mutable {
           engine.process(std::make_shared<const Packet>(std::move(copy)),
-                         [](SimTime) {});
+                         0);
         });
         injected += 1;
         if (c > 0) dup_injected += 1;
@@ -113,6 +117,7 @@ TEST_P(DenseFuzz, InvariantsHoldUnderArrivalStorms) {
   EXPECT_EQ(st.packets_in, injected);
   EXPECT_EQ(st.duplicates_dropped, dup_injected);
   EXPECT_EQ(st.blocks_completed, blocks);
+  EXPECT_EQ(host.handlers_done, injected) << "each handler ends once";
   EXPECT_EQ(engine.pool().in_use(), 0u) << "working-memory leak";
   u64 wire = 0;
   for (const auto& [pkt, when] : host.emitted) wire += pkt.wire_bytes();
@@ -201,9 +206,8 @@ TEST_P(SparseFuzz, InvariantsHoldUnderShardStorms) {
           host.sim.schedule_at(
               rng.uniform_u64(20000),
               [&engine, copy = std::move(copy)]() mutable {
-                engine.process(
-                    std::make_shared<const Packet>(std::move(copy)),
-                    [](SimTime) {});
+                engine.process(std::make_shared<const Packet>(std::move(copy)),
+                         0);
               });
         }
       }
@@ -238,6 +242,7 @@ TEST_P(SparseFuzz, InvariantsHoldUnderShardStorms) {
     EXPECT_LE(acc.max_abs_diff(want), 1e-3) << "block " << b;
   }
   EXPECT_EQ(engine.stats().blocks_completed, blocks);
+  EXPECT_EQ(host.handlers_done, engine.stats().packets_in);
   EXPECT_EQ(engine.pool().in_use(), 0u);
 }
 

@@ -1,8 +1,13 @@
 // PsPIN unit simulator + single-switch experiment driver: scheduling
 // (hierarchical FCFS core affinity, global FCFS), L2 accounting and drops,
-// cold start, and end-to-end correctness/performance properties of
-// run_single_switch across policies, dtypes, dense and sparse.
+// cold start, end-to-end correctness/performance properties of
+// run_single_switch across policies, dtypes, dense and sparse, and a replay
+// pin of every aggregator under contention.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <ostream>
+#include <string>
 
 #include "pspin/experiment.hpp"
 #include "pspin/unit.hpp"
@@ -315,6 +320,93 @@ TEST(Experiment, InputBufferStaysWithinL2) {
   EXPECT_LE(res.input_buffer_hwm_bytes, opt.unit.l2_packet_bytes);
   EXPECT_EQ(res.drops, 0u);
 }
+
+// ------------------------------------------------------------ replay pin --
+
+// The network switch runs its engines with a zero cost model, so only the
+// PsPIN unit sees lock waits, merge chains and spill flushes at their true
+// cycle times.  Each case runs one contended single-switch experiment
+// (aligned send order, deterministic arrivals, small hash stores) and pins
+// its timing and result bit for bit.
+struct SwitchReplayCase {
+  const char* name;
+  core::AggPolicy policy;
+  u32 buffers;
+  u32 subset;  ///< S; the unit has 8 cores per cluster
+  bool sparse;
+  bool hash;
+  // Pinned outcome.
+  u64 makespan_cycles;
+  u64 cs_wait_mean_bits;   ///< std::bit_cast<u64>(f64)
+  u64 block_latency_bits;  ///< std::bit_cast<u64>(f64)
+  u64 emitted_wire_bytes;
+  u64 result_checksum;
+};
+
+void PrintTo(const SwitchReplayCase& c, std::ostream* os) { *os << c.name; }
+
+class SwitchReplay : public ::testing::TestWithParam<SwitchReplayCase> {};
+
+TEST_P(SwitchReplay, MatchesPinnedOutcome) {
+  const SwitchReplayCase& want = GetParam();
+  SingleSwitchOptions opt;
+  opt.unit.n_clusters = 4;
+  opt.unit.cores_per_cluster = 8;
+  opt.unit.subset_cores = want.subset;
+  opt.hosts = 16;
+  opt.data_bytes = 32_KiB;
+  opt.policy = want.policy;
+  opt.num_buffers = want.buffers;
+  opt.order = core::SendOrder::kAligned;
+  opt.arrivals = workload::ArrivalKind::kDeterministic;
+  opt.seed = 5;
+  opt.sparse = want.sparse;
+  if (want.sparse) {
+    opt.dtype = core::DType::kFloat32;
+    opt.density = 0.2;
+    opt.index_overlap = 0.3;
+    opt.hash_storage = want.hash;
+    opt.hash_capacity_pairs = 64;
+    opt.spill_capacity_pairs = 16;
+  }
+  const SingleSwitchResult got = run_single_switch(opt);
+  ASSERT_TRUE(got.correct) << "err=" << got.max_abs_err;
+  EXPECT_EQ(got.makespan_cycles, want.makespan_cycles);
+  EXPECT_EQ(std::bit_cast<u64>(got.cs_wait_mean_cycles),
+            want.cs_wait_mean_bits)
+      << got.cs_wait_mean_cycles;
+  EXPECT_EQ(std::bit_cast<u64>(got.block_latency_mean_cycles),
+            want.block_latency_bits)
+      << got.block_latency_mean_cycles;
+  EXPECT_EQ(got.emitted_wire_bytes, want.emitted_wire_bytes);
+  EXPECT_EQ(got.result_checksum, want.result_checksum);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Contended, SwitchReplay,
+    ::testing::Values(
+        SwitchReplayCase{"SingleS1", core::AggPolicy::kSingleBuffer, 1, 1,
+                         false, false, 26312, 0x0000000000000000ull,
+                         0x40c9800000000000ull, 34816, 0xedd817a990d53081ull},
+        SwitchReplayCase{"SingleSC", core::AggPolicy::kSingleBuffer, 1, 8,
+                         false, false, 66566, 0x40a565d800000001ull,
+                         0x40c6ca1fffffffffull, 34816, 0xedd817a990d53081ull},
+        SwitchReplayCase{"MultiB2", core::AggPolicy::kMultiBuffer, 2, 8, false,
+                         false, 62563, 0x4092ef8000000002ull,
+                         0x40b969ffffffffffull, 34816, 0xedd817a990d53081ull},
+        SwitchReplayCase{"MultiB4", core::AggPolicy::kMultiBuffer, 4, 8, false,
+                         false, 62984, 0x40641dfffffffffdull,
+                         0x40b521e000000000ull, 34816, 0xedd817a990d53081ull},
+        SwitchReplayCase{"Tree", core::AggPolicy::kTree, 1, 8, false, false,
+                         19695, 0x0000000000000000ull, 0x40b0a60000000001ull,
+                         34816, 0xedd817a990d53081ull},
+        SwitchReplayCase{"SparseHash", core::AggPolicy::kSingleBuffer, 2, 8,
+                         true, true, 110238, 0x40a1f9fcafa335dcull,
+                         0x40da974ec4ec4ec6ull, 188720, 0xab45b0ccd42b6c3full},
+        SwitchReplayCase{"SparseArray", core::AggPolicy::kSingleBuffer, 1, 8,
+                         true, false, 90476, 0x40b41e848e7f95f4ull,
+                         0x40db37c9d89d89d9ull, 66136, 0xd58d3801bf2e13ddull}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace flare::pspin

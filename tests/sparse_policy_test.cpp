@@ -22,9 +22,13 @@ class TestHost : public EngineHost {
   void emit(Packet&& pkt, SimTime when) override {
     emitted.emplace_back(std::move(pkt), when);
   }
+  void handler_done(u32 /*handler*/, SimTime /*end*/) override {
+    handlers_done += 1;
+  }
   sim::Simulator sim;
   CostModel cost;
   std::vector<std::pair<Packet, SimTime>> emitted;
+  u64 handlers_done = 0;
 };
 
 AllreduceConfig sparse_config(u32 children, u32 span, bool hash,
@@ -75,7 +79,7 @@ void send_block(TestHost& host, AllreduceEngine& engine,
                          [&engine, p = std::move(p)]() mutable {
                            engine.process(
                                std::make_shared<const Packet>(std::move(p)),
-                               [](SimTime) {});
+                               0);
                          });
   }
 }
@@ -274,8 +278,7 @@ TEST(SparsePolicy, RetransmittedShardIsDeduplicated) {
       DType::kFloat32, static_cast<u16>(kFlagRetransmit));
   dup.hdr.shard_seq = 0;
   host.sim.schedule_at(60, [&engine, dup = std::move(dup)]() mutable {
-    engine.process(std::make_shared<const Packet>(std::move(dup)),
-                   [](SimTime) {});
+    engine.process(std::make_shared<const Packet>(std::move(dup)), 0);
   });
   host.sim.run();
   const TypedBuffer got = collect_block(host, 0, span);
