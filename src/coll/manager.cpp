@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
-#include <limits>
 
 #include "coll/tree_cache.hpp"
 #include "common/assert.hpp"
@@ -27,13 +25,39 @@ bool tree_alive(const net::Network& net, const ReductionTree& tree) {
 
 // ----------------------------------------------------- embedding query ---
 //
-// Every embedding query runs the same stages.  freeze_edges reads port
-// usability and the link-cost provider once per usable switch-to-switch
-// port; attach does the same for the participants' access links.  Then,
-// per root, span runs the shortest paths over the frozen edges and marks
-// the switches with participants below them, and score or build walks the
-// tree in BFS order.  A sweep over every root therefore evaluates each
-// link cost once, not once per root.
+// Every embedding query runs the same stages.  freeze_edges brings the
+// fabric view up to date — the usable switch-to-switch ports, rebuilt only
+// when the fabric changed — and reads the link-cost provider once per
+// usable port; attach does the same for the participants' access links.
+// Then, per root, span runs the shortest paths over the frozen edges until
+// every participant leaf is settled and marks the switches with
+// participants below them, and score or build walks the tree in BFS order.
+// A sweep over every root therefore evaluates each link cost once, not
+// once per root.
+
+void NetworkManager::build_view(std::vector<Edge>& edges,
+                                std::vector<u32>& begin) {
+  const u32 n = net_.num_nodes();
+  edges.clear();
+  begin.resize(n + 1);
+  for (net::NodeId id = 0; id < n; ++id) {
+    begin[id] = static_cast<u32>(edges.size());
+    const net::Switch* sw = net_.switch_at(id);
+    // Hosts hang off their single access switch and carry no tree edges;
+    // a failed switch can be neither root nor reached.
+    if (sw == nullptr || sw->failed()) continue;
+    const u64 mark = ++epoch_;  // dedups parallel links toward a peer
+    for (const net::PortPeer& pp : net_.neighbors(id)) {
+      if (net_.switch_at(pp.peer) == nullptr) continue;
+      // port_usable covers the duplex link state and peer liveness.
+      if (!net_.port_usable(id, pp.my_port)) continue;
+      const bool first = reached_[pp.peer] != mark;
+      reached_[pp.peer] = mark;
+      edges.push_back({pp.peer, pp.my_port, first});
+    }
+  }
+  begin[n] = static_cast<u32>(edges.size());
+}
 
 void NetworkManager::freeze_edges() {
   const u32 n = net_.num_nodes();
@@ -47,31 +71,39 @@ void NetworkManager::freeze_edges() {
     access_head_.assign(n, 0);
     access_tail_.assign(n, 0);
     access_stamp_.assign(n, 0);
+    heap_pos_.assign(n, 0);
   }
-  edges_.clear();
-  edge_begin_.resize(n + 1);
-  for (net::NodeId id = 0; id < n; ++id) {
-    edge_begin_[id] = static_cast<u32>(edges_.size());
-    const net::Switch* sw = net_.switch_at(id);
-    // Hosts hang off their single access switch and carry no tree edges;
-    // a failed switch can be neither root nor reached.
-    if (sw == nullptr || sw->failed()) continue;
-    const u64 mark = ++epoch_;  // dedups parallel links toward a peer
-    for (const net::PortPeer& pp : net_.neighbors(id)) {
-      if (net_.switch_at(pp.peer) == nullptr) continue;
-      // port_usable covers the duplex link state and peer liveness.
-      if (!net_.port_usable(id, pp.my_port)) continue;
-      const bool first = reached_[pp.peer] != mark;
-      reached_[pp.peer] = mark;
-      edges_.push_back({pp.peer, pp.my_port, edge_cost(id, pp.my_port), first});
+  const FabricKey key{net_.faults_notified(), n, net_.num_links()};
+  if (key != view_key_) {
+    build_view(edges_, edge_begin_);
+    view_key_ = key;
+  } else if (validate::enabled()) {
+    // Fabric-view audit: a reused view must equal a fresh build — a port
+    // whose usability changed without a fault notice would otherwise
+    // keep routing trees over a dead link.
+    std::vector<Edge> edges;
+    std::vector<u32> begin;
+    build_view(edges, begin);
+    if (edges != edges_ || begin != edge_begin_) {
+      validate::fail("fabric-view",
+                     "cached switch edges differ from the live fabric with "
+                     "no fault notice in between");
+      edges_ = std::move(edges);
+      edge_begin_ = std::move(begin);
     }
   }
-  edge_begin_[n] = static_cast<u32>(edges_.size());
+  edge_cost_.resize(edges_.size());
+  for (net::NodeId id = 0; id < n; ++id) {
+    for (u32 k = edge_begin_[id]; k < edge_begin_[id + 1]; ++k) {
+      edge_cost_[k] = edge_cost(id, edges_[k].port);
+    }
+  }
 }
 
 bool NetworkManager::attach(const std::vector<net::Host*>& participants) {
   FLARE_ASSERT(!participants.empty());
   access_epoch_ = ++epoch_;
+  leaves_ = 0;
   access_.resize(participants.size());
   for (u32 i = 0; i < participants.size(); ++i) {
     const net::Host* host = participants[i];
@@ -94,6 +126,7 @@ bool NetworkManager::attach(const std::vector<net::Host*>& participants) {
     if (access_stamp_[a.leaf] != access_epoch_) {
       access_stamp_[a.leaf] = access_epoch_;
       access_head_[a.leaf] = i;
+      ++leaves_;
     } else {
       access_[access_tail_[a.leaf]].next = i;
     }
@@ -102,6 +135,74 @@ bool NetworkManager::attach(const std::vector<net::Host*>& participants) {
   return true;
 }
 
+namespace {
+
+/// span's decrease-key binary min-heap of node ids keyed (cost[v], v),
+/// over the manager's scratch vectors.  pos[v] is v's index in the heap
+/// while v is queued and UINT32_MAX once popped (settled).
+class NodeHeap {
+ public:
+  NodeHeap(std::vector<net::NodeId>& heap, std::vector<u32>& pos,
+           const std::vector<f64>& cost)
+      : heap_(heap), pos_(pos), cost_(cost) {
+    heap_.clear();
+  }
+
+  bool empty() const { return heap_.empty(); }
+  bool queued(net::NodeId v) const { return pos_[v] != UINT32_MAX; }
+
+  void push(net::NodeId v) {
+    heap_.push_back(v);
+    sift_up(static_cast<u32>(heap_.size() - 1));
+  }
+
+  /// Restores order after cost[v] fell; v must be queued.
+  void decreased(net::NodeId v) { sift_up(pos_[v]); }
+
+  net::NodeId pop() {
+    const net::NodeId top = heap_.front();
+    pos_[top] = UINT32_MAX;
+    const net::NodeId last = heap_.back();
+    heap_.pop_back();
+    const u32 size = static_cast<u32>(heap_.size());
+    if (size == 0) return top;
+    u32 i = 0;
+    for (u32 child = 1; child < size; child = 2 * i + 1) {
+      if (child + 1 < size && less(heap_[child + 1], heap_[child])) ++child;
+      if (!less(heap_[child], last)) break;
+      place(heap_[child], i);
+      i = child;
+    }
+    place(last, i);
+    return top;
+  }
+
+ private:
+  bool less(net::NodeId a, net::NodeId b) const {
+    return cost_[a] < cost_[b] || (cost_[a] == cost_[b] && a < b);
+  }
+  void place(net::NodeId v, u32 i) {
+    heap_[i] = v;
+    pos_[v] = i;
+  }
+  void sift_up(u32 i) {
+    const net::NodeId v = heap_[i];
+    while (i > 0) {
+      const u32 parent = (i - 1) / 2;
+      if (!less(v, heap_[parent])) break;
+      place(heap_[parent], i);
+      i = parent;
+    }
+    place(v, i);
+  }
+
+  std::vector<net::NodeId>& heap_;
+  std::vector<u32>& pos_;
+  const std::vector<f64>& cost_;
+};
+
+}  // namespace
+
 bool NetworkManager::span(net::NodeId root) {
   // Shortest paths from `root` over the frozen switch edges: plain BFS
   // under unit hop costs, Dijkstra when a link-cost provider is set —
@@ -109,6 +210,12 @@ bool NetworkManager::span(net::NodeId root) {
   // counts hops either way (it is the tree DEPTH, which sizes the
   // aggregation pipeline); `cost_` carries the provider metric the
   // predecessor choice minimizes.
+  //
+  // The search stops early, once every distinct participant leaf is
+  // settled (Dijkstra) or discovered (BFS).  A settled switch's cost and
+  // predecessor are final, and so are those of every switch on its path
+  // to the root, so the tree — built from those paths alone — is the one
+  // the full search would give.
   const u64 epoch = ++epoch_;
   reached_[root] = epoch;
   dist_[root] = 0;
@@ -120,39 +227,49 @@ bool NetworkManager::span(net::NodeId root) {
     cost_[v] = c;
     pred_[v] = from;
   };
+  // True once `v` was the last participant leaf still outstanding.
+  u32 leaves_left = leaves_;
+  const auto last_leaf = [&](net::NodeId v) {
+    return access_stamp_[v] == access_epoch_ && --leaves_left == 0;
+  };
   if (!link_cost_) {
     order_.assign(1, root);
-    for (std::size_t head = 0; head < order_.size(); ++head) {
+    bool done = last_leaf(root);
+    for (std::size_t head = 0; !done && head < order_.size(); ++head) {
       const net::NodeId cur = order_[head];
       for (u32 k = edge_begin_[cur]; k < edge_begin_[cur + 1]; ++k) {
         const net::NodeId peer = edges_[k].peer;
         if (reached_[peer] == epoch) continue;
         reach(peer, cur, cost_[cur] + 1.0);
         order_.push_back(peer);
+        if (last_leaf(peer)) {
+          done = true;
+          break;
+        }
       }
     }
   } else {
-    // Dijkstra on a binary min-heap keyed (cost, node id) with lazy
-    // deletion.  Costs are >= 1 and improvements strict, so nodes settle
-    // in (cost, id) order and ties keep the first predecessor found:
-    // equal-cost fabrics embed identically on every run.
-    const auto later = std::greater<std::pair<f64, net::NodeId>>{};
-    heap_.assign(1, {0.0, root});
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), later);
-      const auto [ccost, cur] = heap_.back();
-      heap_.pop_back();
-      if (ccost > cost_[cur]) continue;  // stale entry
+    // Dijkstra on a decrease-key binary heap keyed (cost, node id), each
+    // switch queued at most once.  Costs are >= 1 and improvements
+    // strict, so switches settle in (cost, id) order and ties keep the
+    // first predecessor found: equal-cost fabrics embed identically on
+    // every run.
+    NodeHeap heap(heap_, heap_pos_, cost_);
+    heap.push(root);
+    while (!heap.empty()) {
+      const net::NodeId cur = heap.pop();
+      if (last_leaf(cur)) break;
       for (u32 k = edge_begin_[cur]; k < edge_begin_[cur + 1]; ++k) {
-        const Edge& e = edges_[k];
-        const f64 ncost = cost_[cur] + e.cost;
-        const f64 old = reached_[e.peer] == epoch
-                            ? cost_[e.peer]
-                            : std::numeric_limits<f64>::infinity();
-        if (ncost >= old) continue;
-        reach(e.peer, cur, ncost);
-        heap_.emplace_back(ncost, e.peer);
-        std::push_heap(heap_.begin(), heap_.end(), later);
+        const net::NodeId peer = edges_[k].peer;
+        const f64 ncost = cost_[cur] + edge_cost_[k];
+        if (reached_[peer] != epoch) {
+          reach(peer, cur, ncost);
+          heap.push(peer);
+        } else if (ncost < cost_[peer]) {
+          FLARE_ASSERT_MSG(heap.queued(peer), "link costs must be positive");
+          reach(peer, cur, ncost);
+          heap.decreased(peer);
+        }
       }
     }
   }
@@ -192,7 +309,7 @@ f64 NetworkManager::score(net::NodeId root) {
     for (u32 k = edge_begin_[cur]; k < edge_begin_[cur + 1]; ++k) {
       const Edge& e = edges_[k];
       if (is_child(e, cur)) {
-        total += e.cost;
+        total += edge_cost_[k];
         order_.push_back(e.peer);
       }
     }

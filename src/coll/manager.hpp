@@ -98,10 +98,19 @@ class NetworkManager {
   /// (the default) keeps unit hop costs — plain shortest-hop BFS.  Wire a
   /// CongestionMonitor's edge_cost here and compute_tree routes trees
   /// around congested links, while install_with_retry prefers the
-  /// cheapest (least-congested) embedding over the smallest.  The
-  /// provider must be a pure function of (node, port) for the length of
-  /// one query: each query reads every cost it needs once and reuses it
-  /// for every root (FLARE_VALIDATE's root-sweep audit checks this).
+  /// cheapest (least-congested) embedding over the smallest.
+  ///
+  /// What a query reads, and when:
+  ///   * structure — which switch-to-switch ports are usable, and which is
+  ///     the first toward each peer — once per fabric change.  The
+  ///     manager keeps it until Network::faults_notified() or the node or
+  ///     link count moves; every link up/down and switch fail/restart
+  ///     notifies (FLARE_VALIDATE's fabric-view audit rebuilds it on every
+  ///     reuse and compares);
+  ///   * costs — the provider, once per usable port and per participant
+  ///     access link — once per query, reused for every root.  So the
+  ///     provider must be a pure function of (node, port) for the length
+  ///     of one query (FLARE_VALIDATE's root-sweep audit checks this).
   using LinkCostFn = std::function<f64(net::NodeId node, u32 port)>;
   void set_link_cost(LinkCostFn cost) { link_cost_ = std::move(cost); }
 
@@ -170,12 +179,20 @@ class NetworkManager {
     return link_cost_ ? link_cost_(node, port) : 1.0;
   }
 
-  /// One usable switch-to-switch port, frozen at query start.
+  /// One usable switch-to-switch port of the cached fabric view.
   struct Edge {
     net::NodeId peer = net::kInvalidNode;
     u32 port = 0;
-    f64 cost = 0.0;
     bool first = false;  ///< first usable port toward `peer`
+    bool operator==(const Edge&) const = default;
+  };
+  /// The fabric state a view was built for: port usability changes only
+  /// through fault notices, and growth shows in the counts.
+  struct FabricKey {
+    u64 faults = UINT64_MAX;  ///< no view built yet
+    u32 nodes = 0;
+    u32 links = 0;
+    bool operator==(const FabricKey&) const = default;
   };
   /// A participant's access link, seen from its switch.
   struct Access {
@@ -186,10 +203,11 @@ class NetworkManager {
     f64 cost = 0.0;
   };
 
-  // One embedding query (manager.cpp): freeze the edge costs, attach the
-  // participants, then per root span (shortest paths, needed switches)
-  // and score or build.
+  // One embedding query (manager.cpp): freeze the edge costs over the
+  // cached fabric view, attach the participants, then per root span
+  // (shortest paths, needed switches) and score or build.
   void freeze_edges();
+  void build_view(std::vector<Edge>& edges, std::vector<u32>& begin);
   bool attach(const std::vector<net::Host*>& participants);
   bool span(net::NodeId root);
   f64 score(net::NodeId root);
@@ -204,16 +222,22 @@ class NetworkManager {
   ReleaseListener on_release_;
   LinkCostFn link_cost_;
 
+  // The fabric view: usable switch edges in CSR form, kept across
+  // queries while view_key_ matches the network.
+  FabricKey view_key_;
+  std::vector<Edge> edges_;
+  std::vector<u32> edge_begin_;  ///< per node; edge_begin_[n] ends it
+
   // Query scratch, reused across calls.  Per-node arrays are indexed by
   // NodeId; an entry is valid when its stamp equals the epoch that wrote
   // it (epochs never repeat), so nothing is cleared between roots.
-  std::vector<Edge> edges_;
-  std::vector<u32> edge_begin_;  ///< per node; edge_begin_[n] ends it
+  std::vector<f64> edge_cost_;  ///< per edge, read once per query
   std::vector<Access> access_;
   std::vector<u32> access_head_;
   std::vector<u32> access_tail_;
   std::vector<u64> access_stamp_;
   u64 access_epoch_ = 0;
+  u32 leaves_ = 0;  ///< distinct participant leaves of the query
   std::vector<u32> dist_;
   std::vector<f64> cost_;
   std::vector<net::NodeId> pred_;
@@ -221,7 +245,8 @@ class NetworkManager {
   std::vector<u64> needed_;
   std::vector<u16> child_index_;
   u64 epoch_ = 0;
-  std::vector<std::pair<f64, net::NodeId>> heap_;
+  std::vector<net::NodeId> heap_;  ///< span's Dijkstra queue
+  std::vector<u32> heap_pos_;
   std::vector<net::NodeId> order_;
 };
 

@@ -45,9 +45,9 @@ class Link {
 
   // --- fault plane ---
   /// Administrative state.  Packets offered to a down link are dropped
-  /// silently (no serialization, no traffic accounting).
+  /// silently (no serialization, no traffic accounting).  Only
+  /// Network::set_duplex_up changes it, so every change is a fault notice.
   bool up() const { return up_; }
-  void set_up(bool up) { up_ = up; }
   /// The opposite direction of the same physical cable (set by
   /// Network::connect); a duplex fault takes both down.
   Link* reverse() const { return reverse_; }
@@ -161,7 +161,9 @@ class Link {
 #endif
 
  private:
-  friend class Network;  // stamps index_
+  friend class Network;  // stamps index_, calls set_up
+
+  void set_up(bool up) { up_ = up; }
 
   /// One accepted packet waiting to cross the wire.
   struct Pending {

@@ -158,6 +158,13 @@ class Network {
     for (const auto& link : links_) link->validate_attribution();
     for (const Switch* sw : switches_) sw->validate_occupancy();
   }
+  /// Validator-test backdoor: flips duplex link `i` WITHOUT a fault
+  /// notice, deliberately staling every cached fabric view so
+  /// tests/validate_test.cpp can prove the fabric-view audit fires.
+  void debug_set_duplex_up_silently(u32 i, bool up) {
+    links_.at(2 * i)->set_up(up);
+    links_.at(2 * i + 1)->set_up(up);
+  }
 #endif
 
   // --- fault accounting --------------------------------------------------

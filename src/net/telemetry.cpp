@@ -142,8 +142,8 @@ f64 CongestionMonitor::edge_cost(NodeId node, u32 port) const {
   if (const LinkCongestion* in = stats_for(node, port, true)) {
     queue_ps = std::max(queue_ps, static_cast<f64>(in->queue_delay_ps));
   }
-  return 1.0 + opt_.utilization_weight * edge_congestion(node, port) +
-         opt_.queue_weight * queue_ps / static_cast<f64>(opt_.period_ps);
+  return 1.0 + kUtilizationWeight * edge_congestion(node, port) +
+         kQueueWeight * queue_ps / static_cast<f64>(opt_.period_ps);
 }
 
 f64 CongestionMonitor::node_congestion(NodeId node) const {

@@ -45,6 +45,14 @@ struct CongestionSnapshot {
   std::vector<LinkCongestion> links;  ///< by unidirectional link index
 };
 
+/// CongestionMonitor::edge_cost() = 1 (the hop)
+///     + kUtilizationWeight * ewma + kQueueWeight * queue_delay / period.
+/// The co-placement search (place/optimizer.cpp) prices its frozen loads
+/// with the same utilization weight, so it routes candidate trees the way
+/// the live embedder does.
+constexpr f64 kUtilizationWeight = 8.0;
+constexpr f64 kQueueWeight = 2.0;
+
 struct CongestionMonitorOptions {
   /// Sampling period for arm_until(); also normalizes the queue-delay term
   /// of edge_cost().
@@ -55,10 +63,6 @@ struct CongestionMonitorOptions {
   /// congestion-crossing instants (emitted only when the network has a
   /// tracer attached; no effect on any control decision).
   f64 hot_threshold = 0.5;
-  /// edge_cost() = 1 (the hop) + utilization_weight * ewma
-  ///             + queue_weight * queue_delay / period.
-  f64 utilization_weight = 8.0;
-  f64 queue_weight = 2.0;
 };
 
 class CongestionMonitor {

@@ -10,10 +10,6 @@ namespace flare::place {
 
 namespace {
 
-/// Mirrors CongestionMonitorOptions::utilization_weight so the search
-/// routes candidate trees the same way the live admission embedder does.
-constexpr f64 kUtilWeight = 8.0;
-
 /// Metropolis guard: temperatures decay geometrically toward 0; below this
 /// any uphill move is simply rejected (exp underflows anyway).
 constexpr f64 kMinTemp = 1e-12;
@@ -46,44 +42,40 @@ struct PlacementOptimizer::State {
 PlacementOptimizer::PlacementOptimizer(net::Network& net, OptimizerOptions opt)
     : net_(net), opt_(opt), manager_(net) {
   manager_.set_link_cost([this](net::NodeId node, u32 port) {
-    // Worst frozen load across both directions of the duplex edge behind
-    // (node, port), minus the moving job's own contribution — the offline
-    // analogue of CongestionMonitor::edge_cost over
-    // edge_congestion_excluding.
+    // Worst heat across both directions of the duplex edge behind
+    // (node, port) — the offline analogue of CongestionMonitor::edge_cost
+    // over edge_congestion_excluding.  Links outside the snapshot fabric
+    // read cold.
     f64 worst = 0.0;
     net::Link* const fwd = &net_.node(node).port(port);
     for (const net::Link* link : {fwd, fwd->reverse()}) {
-      if (link == nullptr) continue;
-      const u32 i = cost_snap_->link_index(link);
-      if (i == UINT32_MAX) continue;
-      f64 heat = (*cost_load_)[i];
-      if (std::binary_search(cost_exclude_links_->begin(),
-                             cost_exclude_links_->end(), i)) {
-        heat -= cost_exclude_weight_;
+      if (link != nullptr && link->index() < heat_.size()) {
+        worst = std::max(worst, heat_[link->index()]);
       }
-      worst = std::max(worst, std::max(0.0, heat));
     }
-    return 1.0 + kUtilWeight * worst;
+    return 1.0 + net::kUtilizationWeight * worst;
   });
 }
 
-void PlacementOptimizer::set_costs(const CostSnapshot& snap, const State& st,
-                                   u32 j) {
-  cost_snap_ = &snap;
-  cost_load_ = &st.load;
-  cost_exclude_links_ = &st.links[j];
-  cost_exclude_weight_ = snap.jobs()[j].weight;
+void PlacementOptimizer::set_heat(const std::vector<f64>& load,
+                                  const std::vector<u32>& exclude,
+                                  f64 weight) {
+  heat_.resize(load.size());
+  for (std::size_t i = 0; i < load.size(); ++i) {
+    heat_[i] = std::max(0.0, load[i]);
+  }
+  for (const u32 i : exclude) heat_[i] = std::max(0.0, load[i] - weight);
 }
 
 std::optional<coll::ReductionTree> PlacementOptimizer::tree_for(
     const CostSnapshot& snap, State& st, u32 j, net::NodeId root) {
-  set_costs(snap, st, j);
+  set_heat(st.load, st.links[j], snap.jobs()[j].weight);
   return manager_.compute_tree(snap.jobs()[j].participants, root);
 }
 
 std::optional<coll::ReductionTree> PlacementOptimizer::cheapest_tree(
     const CostSnapshot& snap, State& st, u32 j) {
-  set_costs(snap, st, j);
+  set_heat(st.load, st.links[j], snap.jobs()[j].weight);
   return manager_.cheapest_tree(snap.jobs()[j].participants);
 }
 
@@ -236,11 +228,7 @@ f64 PlacementOptimizer::admission_score(
   for (const JobView& jv : snap.jobs()) {
     for (const u32 l : jv.links) load[l] += jv.weight;
   }
-  const std::vector<u32> no_exclude;
-  cost_snap_ = &snap;
-  cost_load_ = &load;
-  cost_exclude_links_ = &no_exclude;
-  cost_exclude_weight_ = 0.0;
+  set_heat(load, {}, 0.0);
   const std::optional<coll::ReductionTree> best =
       manager_.cheapest_tree(participants);
   if (!best) return std::numeric_limits<f64>::infinity();

@@ -87,8 +87,9 @@ class PlacementOptimizer {
  private:
   struct State;  // SA working state (optimizer.cpp)
 
-  /// Points the link-cost closure at `st`'s loads minus job j's own.
-  void set_costs(const CostSnapshot& snap, const State& st, u32 j);
+  /// Fills heat_ from `load`, less `weight` on the `exclude` links.
+  void set_heat(const std::vector<f64>& load,
+                const std::vector<u32>& exclude, f64 weight);
   /// Cheapest embedding for job `j` of `st` rooted anywhere, under edge
   /// costs that exclude j's own contribution (NetworkManager::
   /// cheapest_tree: strict less, first in net.switches() order wins).
@@ -104,13 +105,12 @@ class PlacementOptimizer {
   OptimizerOptions opt_;
   /// Private manager: reuses the deterministic congestion-aware embedding
   /// (compute_tree, cheapest_tree) against the SNAPSHOT loads via a
-  /// link-cost closure reading cost_* below.  Never installs anything.
+  /// link-cost closure reading heat_.  Never installs anything.
   coll::NetworkManager manager_;
-  // Link-cost closure inputs for the current embedding query.
-  const CostSnapshot* cost_snap_ = nullptr;
-  const std::vector<f64>* cost_load_ = nullptr;
-  const std::vector<u32>* cost_exclude_links_ = nullptr;  ///< sorted
-  f64 cost_exclude_weight_ = 0.0;
+  /// Per unidirectional link, the heat the current embedding query costs:
+  /// max(0, load - the moving job's own weight on its links).  Filled once
+  /// per query; the closure reads the two entries of a duplex edge.
+  std::vector<f64> heat_;
 };
 
 /// Hysteresis: drops plan moves with predicted_gain < min_gain (applying a

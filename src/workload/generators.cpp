@@ -1,8 +1,8 @@
 #include "workload/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/assert.hpp"
 
@@ -23,19 +23,52 @@ std::vector<core::TypedBuffer> make_dense_data(u32 hosts, std::size_t elems,
 
 namespace {
 
-/// Draws `count` distinct indices in [0, span) into `out` (which may
-/// already contain indices that must not be duplicated).
-void draw_distinct(Rng& rng, u32 span, std::size_t count,
-                   std::unordered_set<u32>& seen, std::vector<u32>& out) {
-  FLARE_ASSERT(seen.size() + count <= span);
-  while (count > 0) {
-    const u32 idx = static_cast<u32>(rng.uniform_u64(span));
-    if (seen.insert(idx).second) {
-      out.push_back(idx);
-      count -= 1;
+/// A set over [0, span) as one bit per index.  Set bits read back in
+/// ascending order, so the draws below come out sorted and unique without
+/// a sort.
+class IndexBitmap {
+ public:
+  explicit IndexBitmap(u32 span) : span_(span), words_((span + 63) / 64, 0) {}
+
+  /// Inserts `idx`; false when it was already present.
+  bool insert(u32 idx) {
+    u64& w = words_[idx / 64];
+    const u64 bit = u64{1} << (idx % 64);
+    if ((w & bit) != 0) return false;
+    w |= bit;
+    ++count_;
+    return true;
+  }
+
+  /// Draws `count` indices in [0, span) not yet in the set and inserts
+  /// them; a repeat is drawn again.
+  void draw_distinct(Rng& rng, std::size_t count) {
+    FLARE_ASSERT(count_ + count <= span_);
+    while (count > 0) {
+      if (insert(static_cast<u32>(rng.uniform_u64(span_)))) count -= 1;
     }
   }
-}
+
+  std::size_t count() const { return count_; }
+
+  /// The members in ascending order.
+  std::vector<u32> indices() const {
+    std::vector<u32> out;
+    out.reserve(count_);
+    for (std::size_t k = 0; k < words_.size(); ++k) {
+      for (u64 w = words_[k]; w != 0; w &= w - 1) {
+        out.push_back(static_cast<u32>(64 * k) +
+                      static_cast<u32>(std::countr_zero(w)));
+      }
+    }
+    return out;
+  }
+
+ private:
+  u32 span_;
+  std::vector<u64> words_;
+  std::size_t count_ = 0;
+};
 
 }  // namespace
 
@@ -53,20 +86,15 @@ std::vector<u32> sparse_block_indices(const SparseSpec& spec, u32 host,
   const std::size_t shared_count = static_cast<std::size_t>(
       static_cast<f64>(nnz) * std::clamp(spec.overlap, 0.0, 1.0) + 0.5);
 
-  std::unordered_set<u32> seen;
-  std::vector<u32> out;
-  out.reserve(nnz);
+  IndexBitmap set(spec.span);
   if (shared_count > 0) {
     // The shared pool is drawn from a block-only RNG: every host picks the
     // same pool, modelling "important coordinates are important everywhere".
     Rng shared_rng(derive_seed(derive_seed(spec.seed, 0xC0DE), block));
-    draw_distinct(shared_rng, spec.span, shared_count, seen, out);
+    set.draw_distinct(shared_rng, shared_count);
   }
-  if (nnz > shared_count) {
-    draw_distinct(host_rng, spec.span, nnz - shared_count, seen, out);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  if (nnz > shared_count) set.draw_distinct(host_rng, nnz - shared_count);
+  return set.indices();
 }
 
 std::vector<core::SparsePair> sparse_block_pairs(const SparseSpec& spec,
@@ -95,11 +123,11 @@ core::TypedBuffer densify(const SparseSpec& spec,
 }
 
 std::size_t union_index_count(const SparseSpec& spec, u32 hosts, u32 block) {
-  std::unordered_set<u32> all;
+  IndexBitmap all(spec.span);
   for (u32 h = 0; h < hosts; ++h) {
     for (const u32 i : sparse_block_indices(spec, h, block)) all.insert(i);
   }
-  return all.size();
+  return all.count();
 }
 
 }  // namespace flare::workload

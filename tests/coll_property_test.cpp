@@ -8,9 +8,11 @@
 //   * SparCML: exactly log2(P) rounds, traffic grows with the union;
 //   * barrier: completion scales with tree depth, not host count;
 //   * concurrent nonblocking handles: traffic additivity;
-//   * embedding: the one-sweep cheapest_tree and ranked_trees equal the
-//     per-root compute_tree loop they replace, on healthy and faulted
-//     fabrics, with and without link costs.
+//   * embedding: compute_tree at every root, the one-sweep cheapest_tree
+//     and ranked_trees equal an independent from-scratch oracle on healthy
+//     and faulted fabrics, with and without link costs, and a manager
+//     that keeps its fabric view across fault notices answers like a
+//     fresh one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -428,6 +430,213 @@ void expect_same_tree(const ReductionTree& a, const ReductionTree& b) {
   }
 }
 
+/// The embedding oracle: root's tree built from scratch, independent of
+/// the manager's cached fabric view and early-exit search.  It reads
+/// net.neighbors() and port_usable fresh, runs a full BFS (no provider) or
+/// Dijkstra (provider) with no early exit, and applies the documented
+/// rules: switches settle in (cost, id) order, the first strict
+/// improvement sets a predecessor, parent and child ports are the first
+/// usable port toward the peer, and BFS order lists each switch's
+/// participant hosts (participant order) before its child switches (port
+/// order).
+std::optional<ReductionTree> oracle_tree(
+    net::Network& net, const std::vector<net::Host*>& parts, net::NodeId root,
+    const NetworkManager::LinkCostFn& cost) {
+  const auto link_cost = [&cost](net::NodeId node, u32 port) {
+    return cost ? cost(node, port) : 1.0;
+  };
+  const auto live_switch = [&net](net::NodeId id) {
+    const net::Switch* sw = net.switch_at(id);
+    return sw != nullptr && !sw->failed();
+  };
+  // Usable switch-to-switch ports of `u`, in port order.
+  const auto switch_ports = [&](net::NodeId u) {
+    std::vector<net::PortPeer> out;
+    if (!live_switch(u)) return out;
+    for (const net::PortPeer& pp : net.neighbors(u)) {
+      if (net.switch_at(pp.peer) != nullptr && net.port_usable(u, pp.my_port))
+        out.push_back(pp);
+    }
+    return out;
+  };
+  const auto first_port = [&](net::NodeId u, net::NodeId peer) {
+    for (const net::PortPeer& pp : switch_ports(u)) {
+      if (pp.peer == peer) return pp.my_port;
+    }
+    return UINT32_MAX;
+  };
+  if (!live_switch(root)) return std::nullopt;
+
+  // Participants' leaves and the leaves' ports toward them.
+  std::vector<net::NodeId> leaf(parts.size());
+  std::vector<u32> leaf_port(parts.size(), UINT32_MAX);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const auto& adj = net.neighbors(parts[i]->id());
+    if (!net.port_usable(parts[i]->id(), adj[0].my_port)) return std::nullopt;
+    leaf[i] = adj[0].peer;
+    for (const net::PortPeer& pp : net.neighbors(leaf[i])) {
+      if (pp.peer == parts[i]->id()) {
+        leaf_port[i] = pp.my_port;
+        break;
+      }
+    }
+  }
+
+  const u32 n = net.num_nodes();
+  std::vector<bool> reached(n, false), settled(n, false);
+  std::vector<f64> dist(n, 0.0);
+  std::vector<u32> depth(n, 0);
+  std::vector<net::NodeId> pred(n, net::kInvalidNode);
+  reached[root] = true;
+  if (!cost) {
+    std::vector<net::NodeId> queue = {root};
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const net::NodeId u = queue[head];
+      for (const net::PortPeer& pp : switch_ports(u)) {
+        if (reached[pp.peer]) continue;
+        reached[pp.peer] = true;
+        depth[pp.peer] = depth[u] + 1;
+        pred[pp.peer] = u;
+        queue.push_back(pp.peer);
+      }
+    }
+  } else {
+    for (;;) {
+      net::NodeId u = net::kInvalidNode;
+      for (net::NodeId v = 0; v < n; ++v) {
+        if (reached[v] && !settled[v] &&
+            (u == net::kInvalidNode || dist[v] < dist[u])) {
+          u = v;  // ascending ids: the lowest id wins a cost tie
+        }
+      }
+      if (u == net::kInvalidNode) break;
+      settled[u] = true;
+      for (const net::PortPeer& pp : switch_ports(u)) {
+        const f64 d = dist[u] + link_cost(u, pp.my_port);
+        if (reached[pp.peer] && d >= dist[pp.peer]) continue;
+        reached[pp.peer] = true;
+        dist[pp.peer] = d;
+        depth[pp.peer] = depth[u] + 1;
+        pred[pp.peer] = u;
+      }
+    }
+  }
+
+  std::vector<bool> needed(n, false);
+  for (const net::NodeId l : leaf) {
+    if (!reached[l]) return std::nullopt;
+    for (net::NodeId v = l; v != net::kInvalidNode; v = pred[v]) {
+      needed[v] = true;
+    }
+  }
+
+  ReductionTree tree;
+  tree.root = root;
+  tree.host_child_index.assign(net.hosts().size(), 0);
+  std::vector<u16> index_at_parent(n, 0);
+  std::vector<net::NodeId> order = {root};
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const net::NodeId u = order[head];
+    TreeSwitchEntry e;
+    e.sw = net.switch_at(u);
+    e.depth = depth[u];
+    if (u != root) {
+      e.parent_port = first_port(u, pred[u]);
+      e.child_index_at_parent = index_at_parent[u];
+    }
+    u16 next = 0;
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (leaf[i] != u) continue;
+      e.child_ports.push_back(leaf_port[i]);
+      tree.host_child_index[parts[i]->host_index()] = next++;
+    }
+    for (const net::PortPeer& pp : switch_ports(u)) {
+      if (needed[pp.peer] && pred[pp.peer] == u &&
+          first_port(u, pp.peer) == pp.my_port) {
+        e.child_ports.push_back(pp.my_port);
+        index_at_parent[pp.peer] = next++;
+        order.push_back(pp.peer);
+      }
+    }
+    e.num_children = next;
+    tree.max_depth = std::max(tree.max_depth, e.depth);
+    for (const u32 p : e.child_ports) tree.cost += link_cost(u, p);
+    tree.switches.push_back(std::move(e));
+  }
+  return tree;
+}
+
+/// The oracle's answers to cheapest_tree (strict <, first root in
+/// net.switches() order wins) and ranked_trees (install_with_retry's
+/// preference order).
+std::optional<ReductionTree> oracle_cheapest(
+    net::Network& net, const std::vector<net::Host*>& parts,
+    const NetworkManager::LinkCostFn& cost) {
+  std::optional<ReductionTree> best;
+  for (const net::Switch* sw : net.switches()) {
+    std::optional<ReductionTree> t = oracle_tree(net, parts, sw->id(), cost);
+    if (t && (!best || t->cost < best->cost)) best = std::move(t);
+  }
+  return best;
+}
+
+std::vector<ReductionTree> oracle_ranked(
+    net::Network& net, const std::vector<net::Host*>& parts,
+    const NetworkManager::LinkCostFn& cost) {
+  std::vector<ReductionTree> all;
+  for (const net::Switch* sw : net.switches()) {
+    std::optional<ReductionTree> t = oracle_tree(net, parts, sw->id(), cost);
+    if (t) all.push_back(std::move(*t));
+  }
+  if (cost) {
+    std::sort(all.begin(), all.end(),
+              [](const ReductionTree& a, const ReductionTree& b) {
+                if (a.cost != b.cost) return a.cost < b.cost;
+                if (a.switches.size() != b.switches.size())
+                  return a.switches.size() < b.switches.size();
+                if (a.max_depth != b.max_depth)
+                  return a.max_depth < b.max_depth;
+                return a.root < b.root;
+              });
+  } else {
+    std::sort(all.begin(), all.end(),
+              [](const ReductionTree& a, const ReductionTree& b) {
+                if (a.switches.size() != b.switches.size())
+                  return a.switches.size() < b.switches.size();
+                return a.max_depth < b.max_depth;
+              });
+  }
+  return all;
+}
+
+/// compute_tree at every root, cheapest_tree and ranked_trees of `mgr`
+/// against the oracle under the same provider.
+void expect_matches_oracle(NetworkManager& mgr, net::Network& net,
+                           const std::vector<net::Host*>& parts,
+                           const NetworkManager::LinkCostFn& cost) {
+  for (const net::Switch* sw : net.switches()) {
+    SCOPED_TRACE("root " + sw->name());
+    const std::optional<ReductionTree> got = mgr.compute_tree(parts, sw->id());
+    const std::optional<ReductionTree> want =
+        oracle_tree(net, parts, sw->id(), cost);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (got) expect_same_tree(*got, *want);
+  }
+  const std::optional<ReductionTree> best = mgr.cheapest_tree(parts);
+  const std::optional<ReductionTree> want_best =
+      oracle_cheapest(net, parts, cost);
+  ASSERT_EQ(best.has_value(), want_best.has_value());
+  if (best) expect_same_tree(*best, *want_best);
+  const std::vector<ReductionTree> ranked = mgr.ranked_trees(parts);
+  const std::vector<ReductionTree> want_ranked =
+      oracle_ranked(net, parts, cost);
+  ASSERT_EQ(ranked.size(), want_ranked.size());
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    SCOPED_TRACE("rank " + std::to_string(i));
+    expect_same_tree(ranked[i], want_ranked[i]);
+  }
+}
+
 class RootSweep
     : public ::testing::TestWithParam<std::tuple<u32, CostMode, bool>> {};
 
@@ -451,10 +660,13 @@ TEST_P(RootSweep, EqualsPerRootReference) {
                                 : rng.uniform(1.0, 9.0));
       }
     }
+    NetworkManager::LinkCostFn provider;
     if (mode != CostMode::kNone) {
-      mgr.set_link_cost(
-          [&table](net::NodeId node, u32 port) { return table[node][port]; });
+      provider = [&table](net::NodeId node, u32 port) {
+        return table[node][port];
+      };
     }
+    mgr.set_link_cost(provider);
     if (faults) {
       std::vector<bool> access(net.num_duplex_links(), false);
       for (const net::Host* h : hosts) {
@@ -482,46 +694,8 @@ TEST_P(RootSweep, EqualsPerRootReference) {
     }
     parts.resize(2 + rng.uniform_u64(parts.size() - 1));
 
-    std::optional<ReductionTree> ref_best;
-    std::vector<ReductionTree> ref_all;
-    for (const net::Switch* sw : net.switches()) {
-      std::optional<ReductionTree> t = mgr.compute_tree(parts, sw->id());
-      if (!t) continue;
-      ref_all.push_back(*t);
-      if (!ref_best || t->cost < ref_best->cost) ref_best = std::move(t);
-    }
-    const std::optional<ReductionTree> best = mgr.cheapest_tree(parts);
-    ASSERT_EQ(best.has_value(), ref_best.has_value());
-    if (best) {
-      ++spanned;
-      expect_same_tree(*best, *ref_best);
-    }
-
-    // install_with_retry's candidate order.
-    if (mode != CostMode::kNone) {
-      std::sort(ref_all.begin(), ref_all.end(),
-                [](const ReductionTree& a, const ReductionTree& b) {
-                  if (a.cost != b.cost) return a.cost < b.cost;
-                  if (a.switches.size() != b.switches.size())
-                    return a.switches.size() < b.switches.size();
-                  if (a.max_depth != b.max_depth)
-                    return a.max_depth < b.max_depth;
-                  return a.root < b.root;
-                });
-    } else {
-      std::sort(ref_all.begin(), ref_all.end(),
-                [](const ReductionTree& a, const ReductionTree& b) {
-                  if (a.switches.size() != b.switches.size())
-                    return a.switches.size() < b.switches.size();
-                  return a.max_depth < b.max_depth;
-                });
-    }
-    const std::vector<ReductionTree> ranked = mgr.ranked_trees(parts);
-    ASSERT_EQ(ranked.size(), ref_all.size());
-    for (std::size_t i = 0; i < ranked.size(); ++i) {
-      SCOPED_TRACE("rank " + std::to_string(i));
-      expect_same_tree(ranked[i], ref_all[i]);
-    }
+    expect_matches_oracle(mgr, net, parts, provider);
+    if (oracle_cheapest(net, parts, provider)) ++spanned;
   }
   EXPECT_GT(spanned, 0u);
 }
@@ -537,6 +711,106 @@ INSTANTIATE_TEST_SUITE_P(
              kCostModes[static_cast<u32>(std::get<1>(info.param))] +
              (std::get<2>(info.param) ? "_Faults" : "_Healthy");
     });
+
+// One manager keeps its fabric view across queries.  Between fault
+// notices — links down and up, switches failed and restarted — each of
+// its answers must equal a freshly constructed manager's and the
+// oracle's, including the second query after a change, which reuses the
+// view.
+TEST(EmbeddingOracle, CachedViewFollowsEveryFaultNotice) {
+  for (const CostMode mode : {CostMode::kNone, CostMode::kRandom}) {
+    for (const u32 fabric : {4u, 5u}) {  // parallel links; three levels
+      SCOPED_TRACE(std::string(kSweepFabrics[fabric]) + "_" +
+                   kCostModes[static_cast<u32>(mode)]);
+      Rng rng(0xFAB1ull + 31 * fabric + static_cast<u64>(mode));
+      net::Network net;
+      const std::vector<net::Host*> hosts = build_sweep_fabric(net, fabric);
+      std::vector<std::vector<f64>> table(net.num_nodes());
+      for (net::NodeId id = 0; id < net.num_nodes(); ++id) {
+        for (std::size_t p = 0; p < net.neighbors(id).size(); ++p) {
+          table[id].push_back(rng.uniform(1.0, 9.0));
+        }
+      }
+      NetworkManager::LinkCostFn provider;
+      if (mode != CostMode::kNone) {
+        provider = [&table](net::NodeId node, u32 port) {
+          return table[node][port];
+        };
+      }
+      NetworkManager mgr(net);
+      mgr.set_link_cost(provider);
+      std::vector<u32> down;
+      std::vector<net::Switch*> failed;
+      for (u32 step = 0; step < 24; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        switch (rng.uniform_u64(4)) {
+          case 0: {
+            const u32 i = static_cast<u32>(
+                rng.uniform_u64(net.num_duplex_links()));
+            net.set_duplex_up(i, false);
+            down.push_back(i);
+            break;
+          }
+          case 1:
+            if (!down.empty()) {
+              const std::size_t k = rng.uniform_u64(down.size());
+              net.set_duplex_up(down[k], true);
+              down.erase(down.begin() + static_cast<std::ptrdiff_t>(k));
+            }
+            break;
+          case 2: {
+            net::Switch* sw =
+                net.switches()[rng.uniform_u64(net.switches().size())];
+            if (!sw->failed()) {
+              sw->fail();
+              failed.push_back(sw);
+            }
+            break;
+          }
+          default:
+            if (!failed.empty()) {
+              const std::size_t k = rng.uniform_u64(failed.size());
+              failed[k]->restart();
+              failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(k));
+            }
+            break;
+        }
+        for (u32 query = 0; query < 2; ++query) {
+          std::vector<net::Host*> parts;
+          for (net::Host* h : hosts) {
+            if (query == 1 || net.port_usable(h->id(), 0)) parts.push_back(h);
+          }
+          if (parts.size() < 2) parts = hosts;
+          for (std::size_t i = parts.size(); i > 1; --i) {
+            std::swap(parts[i - 1], parts[rng.uniform_u64(i)]);
+          }
+          parts.resize(2 + rng.uniform_u64(parts.size() - 1));
+
+          NetworkManager fresh(net);
+          fresh.set_link_cost(provider);
+          const net::NodeId root =
+              net.switches()[rng.uniform_u64(net.switches().size())]->id();
+          const std::optional<ReductionTree> a = mgr.compute_tree(parts, root);
+          const std::optional<ReductionTree> b =
+              fresh.compute_tree(parts, root);
+          ASSERT_EQ(a.has_value(), b.has_value());
+          if (a) expect_same_tree(*a, *b);
+          const std::optional<ReductionTree> ca = mgr.cheapest_tree(parts);
+          const std::optional<ReductionTree> cb = fresh.cheapest_tree(parts);
+          ASSERT_EQ(ca.has_value(), cb.has_value());
+          if (ca) expect_same_tree(*ca, *cb);
+          const std::vector<ReductionTree> ra = mgr.ranked_trees(parts);
+          const std::vector<ReductionTree> rb = fresh.ranked_trees(parts);
+          ASSERT_EQ(ra.size(), rb.size());
+          for (std::size_t i = 0; i < ra.size(); ++i) {
+            expect_same_tree(ra[i], rb[i]);
+          }
+          expect_matches_oracle(mgr, net, parts, provider);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace flare::coll

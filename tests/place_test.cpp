@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <string>
 
@@ -214,6 +215,74 @@ TEST(PlacementOptimizer, SameSeedSamePlanAndStackedJobsSplit) {
     EXPECT_LT(mv.job_id, 2u);
     EXPECT_GT(mv.predicted_gain, 0.0);
   }
+}
+
+/// Three jobs stacked on spine0 over a fabric with heated spine1 and
+/// spine2 edges and every leaf3 uplink warm: every field of the plan and
+/// one admission score, bit for bit.  The search's embedding queries and
+/// link costs may be reorganized for speed, never for different answers.
+TEST(PlacementOptimizer, PlanAndAdmissionScoreArePinnedBitForBit) {
+  Network net;
+  auto topo = build_fat_tree(net, four_spine_spec());
+  CongestionMonitor monitor(net);
+  coll::NetworkManager manager(net);
+  monitor.sample();
+  heat_switch_links(net, "spine1", {"leaf0", "leaf1"}, 6 * kMiB);
+  heat_switch_links(net, "spine2", {"leaf2", "leaf5"}, 3 * kMiB);
+  heat_switch_links(net, "leaf3", {"spine0", "spine1", "spine2", "spine3"},
+                    2 * kMiB);
+  net.sim().run();
+  monitor.sample();
+
+  const NodeId spine0 = topo.spines[0]->id();
+  const std::vector<std::vector<Host*>> hosts = {
+      pick_hosts(topo, {0, 1, 4, 5}),        // leaf0 + leaf1
+      pick_hosts(topo, {6, 7, 8, 9}),        // leaf1 + leaf2
+      pick_hosts(topo, {2, 3, 10, 11, 20}),  // leaf0 + leaf2 + leaf5
+  };
+  std::vector<place::JobInput> inputs(hosts.size());
+  for (u32 j = 0; j < hosts.size(); ++j) {
+    auto tree = manager.compute_tree(hosts[j], spine0);
+    ASSERT_TRUE(tree);
+    inputs[j].job_id = j;
+    inputs[j].trace = 31 + j;
+    inputs[j].data_bytes = (j + 1) * 32 * kKiB;
+    inputs[j].participants = hosts[j];
+    inputs[j].tree = *tree;
+  }
+  const place::CostSnapshot snap =
+      place::CostSnapshot::freeze(net, monitor, std::move(inputs));
+
+  place::OptimizerOptions popt;
+  popt.seed = 42;
+  place::PlacementOptimizer opt(net, popt);
+  const place::PlacementPlan plan = opt.optimize(snap);
+  const f64 score =
+      opt.admission_score(snap, pick_hosts(topo, {12, 13, 16, 17, 21}));
+  EXPECT_EQ(std::bit_cast<u64>(plan.cost_before), 0x4003c8df2a9684f5ull);
+  EXPECT_EQ(std::bit_cast<u64>(plan.cost_after), 0x3ff4cb949c31a941ull);
+  EXPECT_EQ(plan.sa_iterations, 600u);
+  EXPECT_EQ(plan.proposed, 600u);
+  EXPECT_EQ(plan.accepted, 497u);
+  struct Move {
+    u32 job;
+    NodeId old_root;
+    NodeId new_root;
+    u64 gain;
+  };
+  const Move want[] = {
+      {0, 0, 3, 0x3fd949c51da8a609ull},
+      {1, 0, 8, 0x3fdc014677933065ull},
+  };
+  ASSERT_EQ(plan.moves.size(), std::size(want));
+  for (std::size_t i = 0; i < plan.moves.size(); ++i) {
+    SCOPED_TRACE("move " + std::to_string(i));
+    EXPECT_EQ(plan.moves[i].job_id, want[i].job);
+    EXPECT_EQ(plan.moves[i].old_root, want[i].old_root);
+    EXPECT_EQ(plan.moves[i].new_root, want[i].new_root);
+    EXPECT_EQ(std::bit_cast<u64>(plan.moves[i].predicted_gain), want[i].gain);
+  }
+  EXPECT_EQ(std::bit_cast<u64>(score), 0x3fd664c625978c56ull);
 }
 
 TEST(PlacementPlan, HysteresisDropsBelowThresholdMoves) {

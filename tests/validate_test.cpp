@@ -226,6 +226,35 @@ TEST(Validate, RootSweepAuditCatchesImpureCostProvider) {
   EXPECT_TRUE(cap.saw("root-sweep"));
 }
 
+TEST(Validate, FabricViewAuditCatchesUnnotifiedLinkChange) {
+  // A manager keeps its usable-port view until a fault notice; the audit
+  // rebuilds the view on every reuse.  Noticed changes are silent; a link
+  // that changes state behind the fault plane's back is caught.
+  Network net;
+  FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 4;
+  auto topo = build_fat_tree(net, spec);
+  coll::NetworkManager mgr(net);
+  u32 uplink = UINT32_MAX;
+  for (u32 i = 0; i < net.num_duplex_links(); ++i) {
+    if (net.link(2 * i).name() == "leaf0->spine0") uplink = i;
+  }
+  ASSERT_NE(uplink, UINT32_MAX);
+  {
+    CaptureViolations cap;
+    EXPECT_TRUE(mgr.cheapest_tree(topo.hosts).has_value());
+    net.set_duplex_up(uplink, false);
+    EXPECT_TRUE(mgr.cheapest_tree(topo.hosts).has_value());
+    EXPECT_TRUE(mgr.cheapest_tree(topo.hosts).has_value());
+    EXPECT_TRUE(cap.got().empty());
+  }
+  net.debug_set_duplex_up_silently(uplink, true);
+  CaptureViolations cap;
+  (void)mgr.cheapest_tree(topo.hosts);
+  EXPECT_TRUE(cap.saw("fabric-view"));
+}
+
 TEST(Validate, PacketLifecycleRejectsPayloadlessReduce) {
   CaptureViolations cap;
   Network net;

@@ -2,6 +2,7 @@
 // gradient-trace structure (bucket top-k, layer scales), arrival processes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <unordered_set>
 
 #include "workload/arrivals.hpp"
@@ -72,6 +73,77 @@ TEST(SparseGen, DensifyPlacesValues) {
   EXPECT_DOUBLE_EQ(buf.get_as_f64(3), 1.5);
   EXPECT_DOUBLE_EQ(buf.get_as_f64(97), -2.0);
   EXPECT_DOUBLE_EQ(buf.get_as_f64(0), 0.0);
+}
+
+/// FNV-1a over 64-bit words: a compact fingerprint for the pins below.
+struct Fnv {
+  u64 h = 0xcbf29ce484222325ull;
+  void add(u64 v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+TEST(SparseGen, IndicesAndPairsArePinnedBitForBit) {
+  // Every index and every value bit for two hosts x two blocks, over spans
+  // on and off a 64-bit word boundary, sparse and full density, and no,
+  // half and full overlap.  Staging, the references and every sparse
+  // digest downstream read these; a drawing change must show here first.
+  // Per parameter set: the index count summed over the four (host, block)
+  // draws, Fnv over every index in order, Fnv over every (index, value
+  // bits) pair, and union_index_count over both hosts in block 0.
+  struct Pin {
+    u32 span;
+    f64 density;
+    f64 overlap;
+    std::size_t nnz;
+    u64 indices;
+    u64 pairs;
+    std::size_t union0;
+  };
+  const Pin pins[] = {
+      {1024, 0.1, 0.0, 432, 0xdb6f4d5b68077ee6, 0x80f4491079dbd1e8, 207},
+      {1024, 0.1, 0.5, 432, 0x2e7b2f5b1c7483a4, 0x7ad620883fc16ffe, 159},
+      {1024, 0.1, 1.0, 432, 0x5eed6dac409b907e, 0x1208139e68114908, 111},
+      {1024, 1.0, 0.0, 4096, 0xca373d9d5fd06f25, 0xafc270028f2a1973, 1024},
+      {1024, 1.0, 0.5, 4096, 0xca373d9d5fd06f25, 0xafc270028f2a1973, 1024},
+      {1024, 1.0, 1.0, 4096, 0xca373d9d5fd06f25, 0xafc270028f2a1973, 1024},
+      {1000, 0.1, 0.0, 422, 0x609b7c8c19938f83, 0x746a46c19d60c737, 205},
+      {1000, 0.1, 0.5, 422, 0x6c31f7d573582c1e, 0x2a441ebb0d012316, 158},
+      {1000, 0.1, 1.0, 422, 0x757f5499e2c8f7e6, 0x29475331eaf7dd1a, 109},
+      {1000, 1.0, 0.0, 4000, 0xeac50e39bca8f965, 0x3ea7cdc8f596af0b, 1000},
+      {1000, 1.0, 0.5, 4000, 0xeac50e39bca8f965, 0x3ea7cdc8f596af0b, 1000},
+      {1000, 1.0, 1.0, 4000, 0xeac50e39bca8f965, 0x3ea7cdc8f596af0b, 1000},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::to_string(pin.span) + " " +
+                 std::to_string(pin.density) + " " +
+                 std::to_string(pin.overlap));
+    const SparseSpec spec{pin.span, pin.density, pin.overlap,
+                          core::DType::kFloat32, 29};
+    std::size_t nnz = 0;
+    Fnv indices;
+    Fnv pairs;
+    for (u32 host = 0; host < 2; ++host) {
+      for (u32 block = 0; block < 2; ++block) {
+        const std::vector<u32> idx = sparse_block_indices(spec, host, block);
+        nnz += idx.size();
+        for (const u32 i : idx) indices.add(i);
+        for (const core::SparsePair& p :
+             sparse_block_pairs(spec, host, block)) {
+          pairs.add(p.index);
+          pairs.add(std::bit_cast<u64>(p.value));
+        }
+      }
+    }
+    const std::size_t union0 = union_index_count(spec, 2, 0);
+    EXPECT_EQ(nnz, pin.nnz);
+    EXPECT_EQ(indices.h, pin.indices);
+    EXPECT_EQ(pairs.h, pin.pairs);
+    EXPECT_EQ(union0, pin.union0);
+  }
 }
 
 TEST(GradientTrace, DensityMatchesBucketTopK) {
