@@ -204,21 +204,34 @@ struct CalendarRate {
   u64 checksum = 0;
 };
 
-template <typename MakeCalendar>
-CalendarRate measure_calendar(MakeCalendar make) {
+/// One timed storm rep on a fresh calendar; keeps the fastest rep in `best`.
+template <typename Calendar>
+void time_storm(CalendarRate& best) {
   constexpr u64 kChains = 64;
   constexpr u64 kPerChain = 4000;
-  CalendarRate best;
-  // Three repetitions, fastest wall kept (same policy as the scenario).
+  Calendar cal;
+  u64 checksum = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const u64 n = calendar_storm(cal, kChains, kPerChain, &checksum);
+  const f64 rate = static_cast<f64>(n) / wall_seconds(t0);
+  if (rate > best.events_per_sec) best = {rate, checksum};
+}
+
+struct CalendarRates {
+  CalendarRate legacy;
+  CalendarRate bucket;
+};
+
+/// Three repetitions per calendar, fastest wall kept per side (same policy
+/// as the scenario).  The two sides' reps alternate, so a load spike on a
+/// shared host lands on both sides instead of sinking one side's best.
+CalendarRates measure_calendar() {
+  CalendarRates r;
   for (int rep = 0; rep < 3; ++rep) {
-    auto cal = make();
-    u64 checksum = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    const u64 n = calendar_storm(*cal, kChains, kPerChain, &checksum);
-    const f64 rate = static_cast<f64>(n) / wall_seconds(t0);
-    if (rate > best.events_per_sec) best = {rate, checksum};
+    time_storm<LegacyCalendar>(r.legacy);
+    time_storm<sim::Simulator>(r.bucket);
   }
-  return best;
+  return r;
 }
 
 }  // namespace
@@ -254,11 +267,8 @@ int main(int, char**) {
   // wall-clock RATIO on identical workloads, so it holds on any machine —
   // but the measured ratio still moves with code layout (a relink alone has
   // been seen to shift the legacy baseline by 3 Mev/s), so the gate floor
-  // is a conservative 1.25x while typical measured ratios are 1.4-1.9x.
-  const CalendarRate legacy =
-      measure_calendar([] { return std::make_unique<LegacyCalendar>(); });
-  const CalendarRate bucket =
-      measure_calendar([] { return std::make_unique<sim::Simulator>(); });
+  // is a conservative 1.25x while typical measured ratios are 1.4-2.0x.
+  const auto [legacy, bucket] = measure_calendar();
   const bool storms_agree = legacy.checksum == bucket.checksum;
   const f64 calendar_speedup =
       bucket.events_per_sec / legacy.events_per_sec;

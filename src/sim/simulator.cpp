@@ -14,6 +14,12 @@ constexpr u32 log2_exact(u64 v) {
   while ((u64{1} << r) < v) ++r;
   return r;
 }
+
+/// Heap order for far_: a max-heap under this comparator keeps the
+/// earliest (at, seq) on top.
+bool dispatches_after(const EventKey& a, const EventKey& b) {
+  return dispatches_before(b, a);
+}
 }  // namespace
 
 BucketCalendar::BucketCalendar(const CalendarOptions& opts)
@@ -46,28 +52,27 @@ BucketCalendar::BucketCalendar(const CalendarOptions& opts)
   }
 }
 
-void BucketCalendar::place(Event&& ev) {
-  u64 slot = slot_of(ev.at);
+void BucketCalendar::place(const EventKey& key) {
+  u64 slot = slot_of(key.at);
   // Simulator::schedule_at rejects past events; the validator-test
   // backdoor can still inject one, and it must surface immediately (the
   // dispatch-time calendar-monotonic check wants to see it next).
   if (slot < cur_slot_) slot = cur_slot_;
   if (slot - cur_slot_ < ring_buckets_) {
-    std::vector<Event>& b = ring_[ring_index(slot)];
+    std::vector<EventKey>& b = ring_[ring_index(slot)];
     ring_count_ += 1;
     if (slot == cur_slot_ && sorted_) {
       // Scheduling into the bucket being drained (the zero/short-delay hot
       // pattern): place among the not-yet-dispatched remainder.  The new
-      // event carries the largest seq so far, so it goes after every
-      // already-queued event of the same timestamp — exact FIFO.
-      const auto it =
-          std::upper_bound(b.begin() + static_cast<std::ptrdiff_t>(pos_),
-                           b.end(), ev.at,
-                           [](SimTime t, const Event& e) { return t < e.at; });
-      b.insert(it, std::move(ev));
+      // key carries the largest seq so far, so it goes after every
+      // already-queued key of the same timestamp — exact FIFO.
+      const auto it = std::upper_bound(
+          b.begin() + static_cast<std::ptrdiff_t>(pos_), b.end(), key.at,
+          [](SimTime t, const EventKey& e) { return t < e.at; });
+      b.insert(it, key);
       return;
     }
-    b.push_back(std::move(ev));
+    b.push_back(key);
     return;
   }
   // Lowest coarse wheel whose sliding window admits the slot.  Each wheel
@@ -77,18 +82,28 @@ void BucketCalendar::place(Event&& ev) {
   // after its pour.
   for (u32 k = 0; k < levels_; ++k) {
     if ((slot >> shift_[k]) - (cur_slot_ >> shift_[k]) < wheel_slots_) {
-      wheels_[k][(slot >> shift_[k]) & wheel_mask_].push_back(std::move(ev));
+      wheels_[k][(slot >> shift_[k]) & wheel_mask_].push_back(key);
       wheel_count_[k] += 1;
       return;
     }
   }
-  far_.push_back(std::move(ev));
-  std::push_heap(far_.begin(), far_.end(), Later{});
+  far_.push_back(key);
+  std::push_heap(far_.begin(), far_.end(), dispatches_after);
 }
 
-void BucketCalendar::push(Event&& ev) {
+void BucketCalendar::push(SimTime at, u64 seq, EventFn&& fn) {
+  u64 cell;
+  if (!free_.empty()) {
+    cell = free_.back();
+    free_.pop_back();
+  } else {
+    if ((cells_ & (kChunkCells - 1)) == 0)
+      chunks_.push_back(std::make_unique<EventFn[]>(kChunkCells));
+    cell = cells_++;
+  }
+  closure(cell) = std::move(fn);
   size_ += 1;
-  place(std::move(ev));
+  place(EventKey{at, seq, cell});
 }
 
 void BucketCalendar::pull_far() {
@@ -96,10 +111,10 @@ void BucketCalendar::pull_far() {
   // (or the ring, when no coarse levels are configured).
   if (levels_ == 0) {
     while (!far_.empty() && slot_of(far_.front().at) - cur_slot_ < ring_buckets_) {
-      std::pop_heap(far_.begin(), far_.end(), Later{});
-      Event ev = std::move(far_.back());
+      std::pop_heap(far_.begin(), far_.end(), dispatches_after);
+      const EventKey key = far_.back();
       far_.pop_back();
-      place(std::move(ev));
+      place(key);
     }
     return;
   }
@@ -108,10 +123,10 @@ void BucketCalendar::pull_far() {
          (slot_of(far_.front().at) >> shift_[top]) -
                  (cur_slot_ >> shift_[top]) <
              wheel_slots_) {
-    std::pop_heap(far_.begin(), far_.end(), Later{});
-    Event ev = std::move(far_.back());
+    std::pop_heap(far_.begin(), far_.end(), dispatches_after);
+    const EventKey key = far_.back();
     far_.pop_back();
-    place(std::move(ev));
+    place(key);
   }
 }
 
@@ -128,20 +143,20 @@ void BucketCalendar::advance_cursor(u64 new_slot) {
     const u64 oldc = old >> shift_[k];
     const u64 newc = new_slot >> shift_[k];
     if (oldc == newc) continue;
-    std::vector<Event>& s = wheels_[k][newc & wheel_mask_];
+    std::vector<EventKey>& s = wheels_[k][newc & wheel_mask_];
     if (s.empty()) continue;
     wheel_count_[k] -= s.size();
-    std::vector<Event> tmp;
-    tmp.swap(s);
-    for (Event& ev : tmp) place(std::move(ev));
+    pour_.swap(s);  // s inherits pour_'s spare capacity
+    for (const EventKey& key : pour_) place(key);
+    pour_.clear();
   }
   pull_far();
 }
 
-Event* BucketCalendar::ensure_front() {
+const EventKey* BucketCalendar::ensure_front() {
   FLARE_ASSERT(size_ > 0);
   for (;;) {
-    std::vector<Event>& b = ring_[ring_index(cur_slot_)];
+    std::vector<EventKey>& b = ring_[ring_index(cur_slot_)];
     if (sorted_) {
       if (pos_ < b.size()) return &b[pos_];
       b.clear();  // keeps capacity: buckets recycle their storage
@@ -151,10 +166,7 @@ Event* BucketCalendar::ensure_front() {
       continue;
     }
     if (!b.empty()) {
-      std::sort(b.begin(), b.end(), [](const Event& a, const Event& e) {
-        if (a.at != e.at) return a.at < e.at;
-        return a.seq < e.seq;
-      });
+      std::sort(b.begin(), b.end(), dispatches_before);
       sorted_ = true;
       continue;
     }
@@ -195,24 +207,25 @@ Event* BucketCalendar::ensure_front() {
 void Simulator::schedule_at(SimTime at, EventFn fn) {
   FLARE_ASSERT_MSG(at >= now_, "event scheduled in the past");
   FLARE_ASSERT(fn);
-  calendar_.push(Event{at, next_seq_++, std::move(fn)});
+  calendar_.push(at, next_seq_++, std::move(fn));
 }
 
-void Simulator::dispatch(Event&& ev) {
+void Simulator::dispatch(detail::EventKey key) {
 #if FLARE_VALIDATE_ENABLED
   // schedule_at() rejects past events at insertion; this catches the
   // class it cannot see — a comparator or heap bug handing events out in
   // the wrong order, which would silently reorder every same-time
   // tie-break downstream.
-  if (ev.at < now_) {
+  if (key.at < now_) {
     validate::fail("calendar-monotonic",
-                   "event at t=" + std::to_string(ev.at) +
+                   "event at t=" + std::to_string(key.at) +
                        " dispatched after now=" + std::to_string(now_));
   }
 #endif
-  now_ = ev.at;
+  now_ = key.at;
   events_run_ += 1;
-  ev.fn();
+  calendar_.closure(key.cell)();  // in place: the slab never moves it
+  calendar_.release(key.cell);
 }
 
 u64 Simulator::run() {

@@ -12,9 +12,12 @@
 //   * events hold an EventFn — a move-only callable with inline storage
 //     sized for the common network-layer closures (a captured NetPacket),
 //     so scheduling neither heap-allocates nor copies shared_ptr payloads;
-//   * dispatch MOVES the event out of the calendar instead of copying it
-//     out of priority_queue::top() (the pre-optimization implementation
-//     paid one closure allocation plus refcount churn per event);
+//   * the calendar keeps closures apart from the keys it orders: a closure
+//     is moved once, at scheduling, into a cell of a chunked slab (stable
+//     addresses, free-list reuse), and the tiers below hold only 24-byte
+//     trivially copyable (at, seq, cell) keys.  Dispatch runs the closure
+//     in place and frees its cell, so sorting, pouring and inserting keys
+//     never relocate a closure;
 //   * a bucketed calendar queue (time-sliced ring of FIFO buckets under
 //     hierarchical coarse wheels and a far-future overflow heap, O(1)
 //     amortized for the short-delay events that dominate network
@@ -142,24 +145,23 @@ class EventFn {
   alignas(std::max_align_t) std::byte buf_[kInlineBytes];
 };
 
-/// One calendar entry.  (at, seq) is a unique total order: seq is the
-/// insertion sequence number, so same-time events dispatch FIFO.
-struct Event {
-  SimTime at = 0;
-  u64 seq = 0;
-  EventFn fn;
-};
-
 namespace detail {
 
-/// Heap order: `true` when a dispatches AFTER b (max-heap comparator that
-/// leaves the earliest (at, seq) on top).
-struct Later {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;  // FIFO among same-time events.
-  }
+/// A calendar entry as the tiers order it.  (at, seq) is a unique total
+/// order: seq is the insertion sequence number, so same-time events
+/// dispatch FIFO.  `cell` names the entry's closure in the slab.
+struct EventKey {
+  SimTime at = 0;
+  u64 seq = 0;
+  u64 cell = 0;
 };
+static_assert(std::is_trivially_copyable_v<EventKey>);
+
+/// `true` when a dispatches before b.
+inline bool dispatches_before(const EventKey& a, const EventKey& b) {
+  if (a.at != b.at) return a.at < b.at;
+  return a.seq < b.seq;  // FIFO among same-time events.
+}
 
 /// Bucketed calendar queue: a ring of FIFO buckets (each covering
 /// 2^bucket_width_log2 ticks), a configurable stack of coarse hierarchical
@@ -180,33 +182,54 @@ struct Later {
 /// default geometry, further than ~0.27 s ahead — pay the O(log n)
 /// overflow heap, which is what keeps multi-second horizons (flow finish
 /// times, repair timers) from thrashing the heap on every reschedule.
+///
+/// Every tier holds keys only.  The closures sit in the calendar's slab
+/// from push() until the dispatcher release()s them; the slab's destructor
+/// destroys the closures of events still pending.
 class BucketCalendar {
  public:
   explicit BucketCalendar(const CalendarOptions& opts);
 
-  void push(Event&& ev);
-  Event pop() {
-    Event* front = ensure_front();
-    Event ev = std::move(*front);
+  /// Parks `fn` in a free slab cell and files its key.
+  void push(SimTime at, u64 seq, EventFn&& fn);
+  /// Removes the earliest key.  Its closure stays parked until release().
+  EventKey pop() {
+    const EventKey key = *ensure_front();
     pos_ += 1;
     size_ -= 1;
     ring_count_ -= 1;
-    return ev;
+    return key;
   }
   /// Valid until the next push/pop.  Non-const: advancing to the next
   /// non-empty bucket (and sorting it) happens lazily here.
-  const Event* peek() { return empty() ? nullptr : ensure_front(); }
+  const EventKey* peek() { return empty() ? nullptr : ensure_front(); }
   bool empty() const { return size_ == 0; }
   u64 size() const { return size_; }
 
+  /// The closure parked in `cell`.  Its address is stable until
+  /// release(cell), even while the closure itself schedules more events.
+  EventFn& closure(u64 cell) {
+    return chunks_[cell >> kChunkLog2][cell & (kChunkCells - 1)];
+  }
+  /// Destroys the closure in `cell` and returns the cell to the free list.
+  void release(u64 cell) {
+    closure(cell) = nullptr;
+    free_.push_back(cell);
+  }
+
  private:
+  // 256 cells (28 KiB) per chunk: cheap for the many short-lived
+  // simulators of the tests, rare to grow on a packet-level run.
+  static constexpr u32 kChunkLog2 = 8;
+  static constexpr u64 kChunkCells = u64{1} << kChunkLog2;
+
   u64 slot_of(SimTime at) const { return at >> width_log2_; }
   u64 ring_index(u64 slot) const { return slot & ring_mask_; }
 
-  Event* ensure_front();
-  /// Routes an event (relative to cur_slot_) into the ring, the lowest
+  const EventKey* ensure_front();
+  /// Routes a key (relative to cur_slot_) into the ring, the lowest
   /// admitting coarse wheel, or the overflow heap.  Does not touch size_.
-  void place(Event&& ev);
+  void place(const EventKey& key);
   /// Moves the cursor to new_slot, pouring every coarse-wheel slot whose
   /// block the cursor just entered (top level first, so poured events
   /// settle through lower tiers) and pulling newly-admissible far events.
@@ -222,15 +245,21 @@ class BucketCalendar {
   u32 levels_;
   std::vector<u32> shift_;  ///< per-level block size in log2 ring slots
 
-  std::vector<std::vector<Event>> ring_;
-  std::vector<std::vector<std::vector<Event>>> wheels_;  ///< [level][slot]
+  std::vector<std::vector<EventKey>> ring_;
+  std::vector<std::vector<std::vector<EventKey>>> wheels_;  ///< [level][slot]
   std::vector<u64> wheel_count_;  ///< events resident per wheel level
-  std::vector<Event> far_;  ///< Later{}-heap of events beyond every wheel
+  std::vector<EventKey> far_;  ///< min-heap of keys beyond every wheel
+  std::vector<EventKey> pour_;  ///< scratch for a wheel slot being poured
   u64 ring_count_ = 0;      ///< events resident in the ring
   u64 cur_slot_ = 0;        ///< time slot the cursor is draining
   std::size_t pos_ = 0;     ///< dispatch position within the current bucket
   bool sorted_ = false;     ///< current bucket sorted and being drained
   u64 size_ = 0;
+
+  // Closure slab: fixed-size chunks, so a parked closure never moves.
+  std::vector<std::unique_ptr<EventFn[]>> chunks_;
+  std::vector<u64> free_;  ///< released cells, reused LIFO
+  u64 cells_ = 0;          ///< cells ever handed out (high-water mark)
 };
 
 }  // namespace detail
@@ -281,12 +310,12 @@ class Simulator {
   /// calendar-monotonic check fires.  Exists only in FLARE_VALIDATE
   /// builds; never call it outside that test.
   void debug_inject_at(SimTime at, EventFn fn) {
-    calendar_.push(Event{at, next_seq_++, std::move(fn)});
+    calendar_.push(at, next_seq_++, std::move(fn));
   }
 #endif
 
  private:
-  void dispatch(Event&& ev);
+  void dispatch(detail::EventKey key);
 
   detail::BucketCalendar calendar_;
   SimTime now_ = 0;

@@ -11,6 +11,7 @@
 //   * same-timestamp bursts (FIFO tie-break inside one bucket),
 //   * zero/short delays scheduled from inside events (insertion into the
 //     bucket currently being drained),
+//   * closures parked in slab cells their same-time siblings just freed,
 //   * far-future delays beyond the ring horizon (coarse wheels, overflow
 //     heap, cursor jump over empty buckets),
 //   * run_until windows and stop() cutting a window short,
@@ -78,11 +79,14 @@ Storm static_storm(u64 seed, u64 n, const CalendarOptions& opts = {}) {
   return s;
 }
 
-/// Cascading storm: every event may schedule further events, exercising
-/// insertion into the currently-draining bucket.  Ids are handed out in
-/// schedule order.
+/// Cascading storm: every event may schedule up to `max_children - 1`
+/// further events `delay(rng)` after its own time, exercising insertion
+/// into the currently-draining bucket.  Ids are handed out in schedule
+/// order.
 Storm cascade_storm(u64 seed, u64 roots, u64 budget,
-                    const CalendarOptions& opts = {}) {
+                    const CalendarOptions& opts = {},
+                    const std::function<SimTime(Rng&)>& delay = random_delay,
+                    u64 max_children = 3) {
   Rng rng(seed);
   u64 remaining = budget;
   Simulator sim(opts);
@@ -96,13 +100,13 @@ Storm cascade_storm(u64 seed, u64 roots, u64 budget,
   };
   fire = [&](u64 id) {
     s.trace.push_back({sim.now(), id});
-    const u64 children = rng.uniform_u64(3);  // 0..2 follow-ups
+    const u64 children = rng.uniform_u64(max_children);
     for (u64 c = 0; c < children && remaining > 0; ++c) {
       remaining -= 1;
-      schedule(sim.now() + random_delay(rng));
+      schedule(sim.now() + delay(rng));
     }
   };
-  for (u64 r = 0; r < roots; ++r) schedule(random_delay(rng));
+  for (u64 r = 0; r < roots; ++r) schedule(delay(rng));
   sim.run();
   return s;
 }
@@ -256,6 +260,58 @@ TEST(CalendarProperty, GeometriesMatchModelOnRunUntilWindows) {
     SCOPED_TRACE(testing::Message() << "buckets=" << g.bucket_count
                                     << " levels=" << g.coarse_levels);
     expect_windows_match_model(windowed_storm(50, 400, g));
+  }
+}
+
+/// Draining-bucket storm: every event reschedules up to three follow-ups at
+/// zero or sub-bucket delays, so nearly every key is inserted into the
+/// bucket the cursor is draining (or the next one), among the remainder
+/// still to dispatch.  The stable-sort model must hold on every geometry.
+TEST(CalendarProperty, DrainingBucketStormsMatchModel) {
+  for (const CalendarOptions& g : kGeometries) {
+    const u64 bucket = u64{1} << g.bucket_width_log2;
+    const auto sub_bucket = [bucket](Rng& rng) -> SimTime {
+      switch (rng.uniform_u64(3)) {
+        case 0: return 0;
+        case 1: return rng.uniform_u64(8);  // a few ticks
+        default: return rng.uniform_u64(bucket);
+      }
+    };
+    for (u64 seed = 70; seed <= 72; ++seed) {
+      const Storm s = cascade_storm(seed, 16, 6000, g, sub_bucket, 4);
+      ASSERT_GT(s.trace.size(), 3000u) << "storm fizzled; seed=" << seed;
+      EXPECT_EQ(s.trace, model_order(s.scheduled))
+          << "buckets=" << g.bucket_count << " width=" << g.bucket_width_log2
+          << " levels=" << g.coarse_levels << " seed=" << seed;
+    }
+  }
+}
+
+/// Slab reuse: the last event of each batch schedules the next batch only
+/// after its siblings have run, so the new closures park in the slab cells
+/// the siblings freed, in reverse order, while same-time events from the
+/// previous batch are still pending.  Dispatch must still follow the
+/// schedule: FIFO among same-time events, whatever cells they occupy.
+TEST(CalendarProperty, ReusedSlabCellsKeepSameTimeFifo) {
+  for (const CalendarOptions& g : kGeometries) {
+    Simulator sim(g);
+    Storm s;
+    std::function<void(u64)> fire;
+    auto schedule = [&](SimTime at) {
+      const u64 id = s.scheduled.size();
+      s.scheduled.push_back({at, id});
+      sim.schedule_at(at, [&fire, id] { fire(id); });
+    };
+    fire = [&](u64 id) {
+      s.trace.push_back({sim.now(), id});
+      if (id % 8 != 7 || s.scheduled.size() > 400) return;
+      for (u64 c = 0; c < 12; ++c) schedule(sim.now() + (c % 3 == 2 ? 1 : 0));
+    };
+    for (int i = 0; i < 8; ++i) schedule(100);
+    sim.run();
+    ASSERT_GT(s.trace.size(), 400u);
+    EXPECT_EQ(s.trace, model_order(s.scheduled))
+        << "buckets=" << g.bucket_count << " levels=" << g.coarse_levels;
   }
 }
 

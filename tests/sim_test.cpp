@@ -1,7 +1,8 @@
 // Unit tests for the discrete-event core: ordering, determinism,
-// same-timestamp FIFO, run_until semantics, stop().
+// same-timestamp FIFO, run_until semantics, stop(), closure lifetimes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -146,6 +147,70 @@ TEST(Simulator, CountsEvents) {
   sim.run();
   EXPECT_EQ(sim.total_events_run(), 10u);
   EXPECT_TRUE(sim.empty());
+}
+
+/// Counts live-instance destructions and invocations of a closure;
+/// moved-from shells are not counted, so each scheduled closure must add
+/// exactly one destruction however often the calendar moves it.
+struct LifetimeProbe {
+  u64* destroyed;
+  u64* invoked;
+  bool live = true;
+
+  LifetimeProbe(u64* d, u64* i) : destroyed(d), invoked(i) {}
+  LifetimeProbe(LifetimeProbe&& o) noexcept
+      : destroyed(o.destroyed), invoked(o.invoked), live(o.live) {
+    o.live = false;
+  }
+  LifetimeProbe(const LifetimeProbe&) = delete;
+  LifetimeProbe& operator=(const LifetimeProbe&) = delete;
+  LifetimeProbe& operator=(LifetimeProbe&&) = delete;
+  ~LifetimeProbe() {
+    if (live) *destroyed += 1;
+  }
+  void operator()() { *invoked += 1; }
+};
+
+/// Larger than EventFn's inline buffer: takes the heap-cell fallback.
+struct BigProbe {
+  LifetimeProbe probe;
+  std::array<u64, 16> pad{};
+  void operator()() { probe(); }
+};
+static_assert(sizeof(BigProbe) > EventFn::kInlineBytes);
+
+/// Destroying a Simulator with events pending in every calendar tier (the
+/// ring, both coarse wheels and the far heap) destroys each parked closure
+/// exactly once, inline and heap-fallback alike, and runs none of them.
+TEST(Simulator, DestroyingWithPendingEventsDestroysEachClosureOnce) {
+  u64 destroyed = 0;
+  u64 invoked = 0;
+  u64 scheduled = 0;
+  {
+    Simulator sim;  // 2^26 ps ring, wheels to 2^32 and 2^38 ps
+    const SimTime kTierTimes[] = {
+        1000,            // dispatched below, freeing its slots
+        u64{1} << 20,    // ring
+        u64{1} << 30,    // coarse wheel 0
+        u64{1} << 36,    // coarse wheel 1
+        u64{1} << 45,    // far heap
+    };
+    for (const SimTime at : kTierTimes) {
+      for (int i = 0; i < 3; ++i) {
+        sim.schedule_at(at + static_cast<SimTime>(i),
+                        LifetimeProbe(&destroyed, &invoked));
+        sim.schedule_at(at + static_cast<SimTime>(i),
+                        BigProbe{LifetimeProbe(&destroyed, &invoked)});
+        scheduled += 2;
+      }
+    }
+    sim.run_until(2000);
+    EXPECT_EQ(invoked, 6u);
+    EXPECT_EQ(destroyed, 6u);
+    EXPECT_EQ(sim.pending_events(), scheduled - 6);
+  }
+  EXPECT_EQ(invoked, 6u);
+  EXPECT_EQ(destroyed, scheduled);
 }
 
 TEST(SimulatorDeath, PastSchedulingAborts) {
