@@ -62,7 +62,7 @@ void BucketCalendar::place(const EventKey& key) {
     std::vector<EventKey>& b = ring_[ring_index(slot)];
     ring_count_ += 1;
     if (slot == cur_slot_ && sorted_) {
-      // Scheduling into the bucket being drained (the zero/short-delay hot
+      // Scheduling into the bucket being drained (the short-delay hot
       // pattern): place among the not-yet-dispatched remainder.  The new
       // key carries the largest seq so far, so it goes after every
       // already-queued key of the same timestamp — exact FIFO.
@@ -103,6 +103,11 @@ void BucketCalendar::push(SimTime at, u64 seq, EventFn&& fn) {
   }
   closure(cell) = std::move(fn);
   size_ += 1;
+  if (sorted_ && at == last_at_) {
+    // Zero delay: same-instant lane, no sorted insert into the bucket.
+    lane_.push_back(EventKey{at, seq, cell});
+    return;
+  }
   place(EventKey{at, seq, cell});
 }
 
@@ -158,15 +163,31 @@ const EventKey* BucketCalendar::ensure_front() {
   for (;;) {
     std::vector<EventKey>& b = ring_[ring_index(cur_slot_)];
     if (sorted_) {
-      if (pos_ < b.size()) return &b[pos_];
+      const bool in_bucket = pos_ < b.size();
+      if (lane_pos_ < lane_.size()) {
+        front_in_lane_ =
+            !in_bucket || dispatches_before(lane_[lane_pos_], b[pos_]);
+        front_ = front_in_lane_ ? &lane_[lane_pos_] : &b[pos_];
+        return front_;
+      }
+      if (in_bucket) {
+        front_in_lane_ = false;
+        front_ = &b[pos_];
+        return front_;
+      }
       b.clear();  // keeps capacity: buckets recycle their storage
+      lane_.clear();
       pos_ = 0;
+      lane_pos_ = 0;
       sorted_ = false;
       advance_cursor(cur_slot_ + 1);
       continue;
     }
     if (!b.empty()) {
-      std::sort(b.begin(), b.end(), dispatches_before);
+      // A lambda, not a function pointer, so the comparator inlines.
+      std::sort(b.begin(), b.end(), [](const EventKey& x, const EventKey& y) {
+        return dispatches_before(x, y);
+      });
       sorted_ = true;
       continue;
     }
@@ -243,7 +264,7 @@ u64 Simulator::run_until(SimTime until) {
   u64 n = 0;
   while (!empty() && !stop_requested_) {
     if (calendar_.peek()->at > until) break;
-    dispatch(calendar_.pop());
+    dispatch(calendar_.pop_peeked());
     ++n;
   }
   // Uniform window-clock semantics: the clock lands exactly on `until`

@@ -168,9 +168,21 @@ inline bool dispatches_before(const EventKey& a, const EventKey& b) {
 /// wheels above the ring, and a far-future overflow heap on top.  Pushing
 /// an event inside the ring horizon is an O(1) append; buckets are sorted
 /// by (at, seq) once, when the cursor reaches them.  Events scheduled into
-/// the bucket currently being drained (the zero/short-delay pattern the
-/// network layer hammers) are placed by binary search among the not-yet-
-/// dispatched remainder, preserving the exact (at, seq) total order.
+/// the bucket currently being drained (the short-delay pattern the network
+/// layer hammers) are placed by binary search among the not-yet-dispatched
+/// remainder, preserving the exact (at, seq) total order.
+///
+/// Zero-delay events skip that insert: while a bucket is being drained, a
+/// key whose `at` equals the last dispatched key's `at` is appended to a
+/// same-instant FIFO lane, and the front is whichever of the bucket
+/// remainder's front and the lane's front dispatches first.  The lane is
+/// already in (at, seq) order — each lane key carries the largest seq so
+/// far and nothing earlier than now can be scheduled — it empties before
+/// the clock moves on, and it is cleared when the cursor leaves the
+/// bucket.  On the frozen 64-host training scenario (perfbench train64)
+/// 54% of all events take the lane; it cut the run's median time by 14%
+/// and its peak RSS by about 3 MB, since zero-delay keys no longer grow
+/// the buckets' storage (README, "Performance").
 ///
 /// Coarse wheel k (k = 0..levels-1) slices time into blocks of
 /// bucket_count * coarse_slot_count^k ring slots and admits events inside
@@ -194,15 +206,28 @@ class BucketCalendar {
   void push(SimTime at, u64 seq, EventFn&& fn);
   /// Removes the earliest key.  Its closure stays parked until release().
   EventKey pop() {
-    const EventKey key = *ensure_front();
-    pos_ += 1;
-    size_ -= 1;
-    ring_count_ -= 1;
-    return key;
+    ensure_front();
+    return pop_peeked();
   }
   /// Valid until the next push/pop.  Non-const: advancing to the next
   /// non-empty bucket (and sorting it) happens lazily here.
   const EventKey* peek() { return empty() ? nullptr : ensure_front(); }
+  /// pop() without finding the front again: removes the key the preceding
+  /// peek() returned.  Nothing may be pushed in between.
+  EventKey pop_peeked() {
+    const EventKey key = *front_;
+    if (front_in_lane_) {
+      lane_pos_ += 1;
+    } else {
+      pos_ += 1;
+      ring_count_ -= 1;
+    }
+    size_ -= 1;
+    // Monotone even if the validator-test backdoor dispatches a past key,
+    // so the lane only ever holds one timestamp.
+    last_at_ = std::max(last_at_, key.at);
+    return key;
+  }
   bool empty() const { return size_ == 0; }
   u64 size() const { return size_; }
 
@@ -226,6 +251,8 @@ class BucketCalendar {
   u64 slot_of(SimTime at) const { return at >> width_log2_; }
   u64 ring_index(u64 slot) const { return slot & ring_mask_; }
 
+  /// Finds the earliest key and records where it sits (front_,
+  /// front_in_lane_) for pop_peeked().
   const EventKey* ensure_front();
   /// Routes a key (relative to cur_slot_) into the ring, the lowest
   /// admitting coarse wheel, or the overflow heap.  Does not touch size_.
@@ -250,11 +277,16 @@ class BucketCalendar {
   std::vector<u64> wheel_count_;  ///< events resident per wheel level
   std::vector<EventKey> far_;  ///< min-heap of keys beyond every wheel
   std::vector<EventKey> pour_;  ///< scratch for a wheel slot being poured
-  u64 ring_count_ = 0;      ///< events resident in the ring
+  std::vector<EventKey> lane_;  ///< same-instant FIFO beside the current bucket
+  u64 ring_count_ = 0;      ///< events resident in the ring (lane excluded)
   u64 cur_slot_ = 0;        ///< time slot the cursor is draining
   std::size_t pos_ = 0;     ///< dispatch position within the current bucket
+  std::size_t lane_pos_ = 0;  ///< dispatch position within lane_
   bool sorted_ = false;     ///< current bucket sorted and being drained
   u64 size_ = 0;
+  SimTime last_at_ = 0;     ///< latest `at` popped so far
+  const EventKey* front_ = nullptr;  ///< what ensure_front() last returned
+  bool front_in_lane_ = false;       ///< ... and whether it is lane_'s front
 
   // Closure slab: fixed-size chunks, so a parked closure never moves.
   std::vector<std::unique_ptr<EventFn[]>> chunks_;

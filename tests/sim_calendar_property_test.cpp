@@ -10,7 +10,7 @@
 //
 //   * same-timestamp bursts (FIFO tie-break inside one bucket),
 //   * zero/short delays scheduled from inside events (insertion into the
-//     bucket currently being drained),
+//     bucket currently being drained, or the same-instant lane beside it),
 //   * closures parked in slab cells their same-time siblings just freed,
 //   * far-future delays beyond the ring horizon (coarse wheels, overflow
 //     heap, cursor jump over empty buckets),
@@ -312,6 +312,82 @@ TEST(CalendarProperty, ReusedSlabCellsKeepSameTimeFifo) {
     ASSERT_GT(s.trace.size(), 400u);
     EXPECT_EQ(s.trace, model_order(s.scheduled))
         << "buckets=" << g.bucket_count << " levels=" << g.coarse_levels;
+  }
+}
+
+/// Same-instant lane: keys scheduled at the instant just dispatched skip the
+/// draining bucket and queue in a FIFO lane beside it.  Roots share a few
+/// instants on a grid of four per bucket, so the bucket holds keys filed
+/// earlier for the instant whose zero-delay children fill the lane; children
+/// are mostly zero-delay (chains several levels deep), otherwise on the next
+/// grid instants, which other keys already occupy.  The run goes in
+/// run_until windows ending on grid instants, and some events call stop()
+/// right after filling the lane: the window then returns with lane keys
+/// pending, and a zero-delay event scheduled from outside joins them.
+TEST(CalendarProperty, SameInstantLaneMatchesModel) {
+  for (const CalendarOptions& g : kGeometries) {
+    const SimTime grid = u64{1} << (g.bucket_width_log2 - 2);
+    for (u64 seed = 80; seed <= 82; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "buckets=" << g.bucket_count
+                   << " width=" << g.bucket_width_log2
+                   << " levels=" << g.coarse_levels << " seed=" << seed);
+      Rng rng(seed);
+      Simulator sim(g);
+      Storm s;
+      std::vector<u64> depth;  // zero-delay chain length behind each event
+      u64 remaining = 4000;
+      bool stopped = false;
+      u64 stops = 0;
+      std::function<void(u64)> fire;
+      auto schedule = [&](SimTime at, u64 d) {
+        const u64 id = s.scheduled.size();
+        s.scheduled.push_back({at, id});
+        depth.push_back(d);
+        sim.schedule_at(at, [&fire, id] { fire(id); });
+      };
+      fire = [&](u64 id) {
+        s.trace.push_back({sim.now(), id});
+        const u64 children = rng.uniform_u64(4);
+        bool zero_delay_child = false;
+        for (u64 c = 0; c < children && remaining > 0; ++c) {
+          remaining -= 1;
+          if (rng.uniform_u64(3) != 0) {
+            schedule(sim.now(), depth[id] + 1);
+            zero_delay_child = true;
+          } else {
+            schedule((sim.now() / grid + 1 + rng.uniform_u64(3)) * grid, 0);
+          }
+        }
+        if (zero_delay_child && rng.uniform_u64(16) == 0) {
+          sim.stop();
+          stopped = true;
+        }
+      };
+      for (u64 r = 0; r < 24; ++r) schedule(rng.uniform_u64(4) * grid, 0);
+
+      SimTime until = 0;
+      while (!sim.empty()) {
+        until += grid * rng.uniform_u64(3);
+        stopped = false;
+        sim.run_until(until);
+        if (stopped) {
+          stops += 1;
+          ASSERT_EQ(sim.now(), s.trace.back().at);
+          schedule(sim.now(), 1);
+          continue;
+        }
+        ASSERT_EQ(sim.now(), until);
+        const auto due = static_cast<u64>(std::count_if(
+            s.scheduled.begin(), s.scheduled.end(),
+            [&](const TraceEntry& e) { return e.at <= until; }));
+        ASSERT_EQ(s.trace.size(), due);
+      }
+      ASSERT_GT(s.trace.size(), 2000u) << "storm fizzled";
+      ASSERT_GT(stops, 0u);
+      ASSERT_GE(*std::max_element(depth.begin(), depth.end()), 4u);
+      EXPECT_EQ(s.trace, model_order(s.scheduled));
+    }
   }
 }
 

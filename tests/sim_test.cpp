@@ -180,8 +180,9 @@ struct BigProbe {
 static_assert(sizeof(BigProbe) > EventFn::kInlineBytes);
 
 /// Destroying a Simulator with events pending in every calendar tier (the
-/// ring, both coarse wheels and the far heap) destroys each parked closure
-/// exactly once, inline and heap-fallback alike, and runs none of them.
+/// same-instant lane, the ring, both coarse wheels and the far heap)
+/// destroys each parked closure exactly once, inline and heap-fallback
+/// alike, and runs none of them.
 TEST(Simulator, DestroyingWithPendingEventsDestroysEachClosureOnce) {
   u64 destroyed = 0;
   u64 invoked = 0;
@@ -204,7 +205,18 @@ TEST(Simulator, DestroyingWithPendingEventsDestroysEachClosureOnce) {
         scheduled += 2;
       }
     }
+    // Zero-delay children join the same-instant lane, and stop() returns
+    // with all of them still pending there.
+    sim.schedule_at(1500, [&] {
+      for (int i = 0; i < 3; ++i) {
+        sim.schedule_after(0, LifetimeProbe(&destroyed, &invoked));
+        sim.schedule_after(0, BigProbe{LifetimeProbe(&destroyed, &invoked)});
+        scheduled += 2;
+      }
+      sim.stop();
+    });
     sim.run_until(2000);
+    EXPECT_EQ(sim.now(), 1500u);
     EXPECT_EQ(invoked, 6u);
     EXPECT_EQ(destroyed, 6u);
     EXPECT_EQ(sim.pending_events(), scheduled - 6);

@@ -100,6 +100,24 @@ TEST(Validate, CalendarOutOfOrderEventFires) {
   EXPECT_GE(validate::violations_seen(), 1u);
 }
 
+// A past key injected while zero-delay children wait in the calendar's
+// same-instant lane must dispatch ahead of them, so the check sees the
+// clock step back at that key rather than after the lane has drained.
+TEST(Validate, CalendarPastEventAheadOfSameInstantLaneFires) {
+  CaptureViolations cap;
+  sim::Simulator sim;
+  std::vector<SimTime> seen;
+  sim.schedule_at(100, [&] {
+    for (int i = 0; i < 3; ++i) {
+      sim.schedule_after(0, [&] { seen.push_back(sim.now()); });
+    }
+    sim.debug_inject_at(50, [&] { seen.push_back(sim.now()); });
+  });
+  sim.run();
+  EXPECT_TRUE(cap.saw("calendar-monotonic")) << cap.got().size();
+  EXPECT_EQ(seen, (std::vector<SimTime>{50, 100, 100, 100}));
+}
+
 TEST(Validate, AttributionSkewCaughtByMonitorSample) {
   CaptureViolations cap;
   Network net;
