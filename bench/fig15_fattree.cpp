@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
   };
 
   bench::JsonReport report("fig15_fattree");
+  bool all_ok = true;
   auto run_scheme = [&](const char* name, coll::Algorithm algorithm,
                         bool sparse) {
     net::Network net;
@@ -85,6 +86,7 @@ int main(int argc, char** argv) {
     coll::Communicator comm(net, topo.hosts);
     const auto res = comm.run(desc);
     print_row(name, res);
+    all_ok = all_ok && res.ok;
     return res;
   };
 
@@ -113,5 +115,5 @@ int main(int argc, char** argv) {
               "Flare sparse wins on BOTH time and traffic (paper: up to\n"
               "  35%% faster and ~20x less traffic than SparCML).\n");
   report.emit();
-  return 0;
+  return all_ok ? 0 : 1;
 }

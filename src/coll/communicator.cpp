@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <utility>
 
 #include "coll/flare_sparse.hpp"
@@ -102,8 +101,6 @@ class InNetOp final : public TreeOpBase {
                             cfg.elems_per_packet);
   }
 
-  bool consumes_payload() const { return !barrier(desc_); }
-
   u32 block_elems(u32 b) const {
     if (elems_per_pkt_ == 0) return 0;  // barrier
     const u64 first = static_cast<u64>(b) * elems_per_pkt_;
@@ -126,30 +123,48 @@ class InNetOp final : public TreeOpBase {
     return nullptr;
   }
 
+  /// What host h's delivered blocks are checked against; nullptr when its
+  /// result does not count (a reduce's other hosts, a barrier).
+  const core::TypedBuffer* reference_for(u32 h) const {
+    switch (desc_.kind) {
+      case CollectiveKind::kAllreduce:
+        return &expected_;
+      case CollectiveKind::kReduce:
+        // Only the destination consumes the result.
+        return h == desc_.root ? &expected_ : nullptr;
+      case CollectiveKind::kBroadcast:
+        return &payload_;
+      case CollectiveKind::kBarrier:
+        return nullptr;
+    }
+    return nullptr;
+  }
+
   // ------------------------------------------------ TreeOpBase hooks ----
 
+  /// Refills the inputs and the reference in their existing storage: a
+  /// persistent request's iterations allocate nothing here after the first.
   void stage(u64 seed) override {
     const u32 P = static_cast<u32>(participants_.size());
+    err_ = 0.0;
     switch (desc_.kind) {
       case CollectiveKind::kAllreduce:
       case CollectiveKind::kReduce:
-        host_data_ = workload::make_dense_data(P, elems_total_, desc_.dtype,
-                                               seed);
-        expected_ = core::reference_reduce(host_data_, op_);
+        workload::fill_dense_data(host_data_, P, elems_total_, desc_.dtype,
+                                  seed);
+        core::reference_reduce_into(expected_, host_data_, op_);
         break;
       case CollectiveKind::kBroadcast: {
         Rng rng(seed);
-        payload_ = core::TypedBuffer(desc_.dtype, elems_total_);
+        payload_.reshape(desc_.dtype, elems_total_);
         payload_.fill_random(rng);
-        identity_ = core::TypedBuffer(desc_.dtype, elems_per_pkt_);
+        identity_.reshape(desc_.dtype, elems_per_pkt_);
         identity_.fill_identity(op_);
         break;
       }
       case CollectiveKind::kBarrier:
         break;
     }
-    results_.assign(consumes_payload() ? P : 0,
-                    core::TypedBuffer(desc_.dtype, elems_total_));
   }
 
   void send_block(u32 h, u32 b, u16 flags) override {
@@ -161,28 +176,30 @@ class InNetOp final : public TreeOpBase {
     send_up(h, std::move(p));
   }
 
+  /// Checks the block against its slice of the reference as it arrives:
+  /// the chassis delivers each (host, block) here once, so the worst
+  /// error over every counted host's blocks is the whole-result error.
   bool on_block_packet(u32 h, const core::Packet& pkt) override {
     const u32 b = pkt.hdr.block_id;
     FLARE_ASSERT(pkt.hdr.elem_count == block_elems(b));
-    if (consumes_payload()) {
+    if (const core::TypedBuffer* want = reference_for(h)) {
+      FLARE_ASSERT(pkt.payload.size() ==
+                   u64{block_elems(b)} * core::dtype_size(desc_.dtype));
       const u64 first = static_cast<u64>(b) * elems_per_pkt_;
-      std::memcpy(results_[h].at_byte(first), pkt.payload.data(),
-                  pkt.payload.size());
+      err_ = std::max(err_, core::max_abs_diff(desc_.dtype, pkt.payload.data(),
+                                               want->at_byte(first),
+                                               block_elems(b)));
     }
     return true;
   }
 
   void fill_result(CollectiveResult& res) const override {
     const u32 P = static_cast<u32>(participants_.size());
+    res.max_abs_err = err_;
     switch (desc_.kind) {
-      case CollectiveKind::kAllreduce: {
-        f64 err = 0.0;
-        for (const core::TypedBuffer& r : results_)
-          err = std::max(err, r.max_abs_diff(expected_));
-        res.max_abs_err = err;
-        res.ok = err <= core::reduce_tolerance(desc_.dtype, P);
+      case CollectiveKind::kAllreduce:
+        res.ok = err_ <= core::reduce_tolerance(desc_.dtype, P);
         break;
-      }
       case CollectiveKind::kReduce:
         // Only the destination consumes the result; its delivery time is
         // the reduce latency even though the shared multicast reaches
@@ -190,17 +207,11 @@ class InNetOp final : public TreeOpBase {
         res.completion_seconds =
             static_cast<f64>(finish_ps_[desc_.root] - start_ps_) /
             kPsPerSecond;
-        res.max_abs_err = results_[desc_.root].max_abs_diff(expected_);
-        res.ok = res.max_abs_err <= core::reduce_tolerance(desc_.dtype, P);
+        res.ok = err_ <= core::reduce_tolerance(desc_.dtype, P);
         break;
-      case CollectiveKind::kBroadcast: {
-        f64 err = 0.0;
-        for (const core::TypedBuffer& r : results_)
-          err = std::max(err, r.max_abs_diff(payload_));
-        res.max_abs_err = err;
-        res.ok = err <= (core::dtype_is_float(desc_.dtype) ? 1e-4 : 0.0);
+      case CollectiveKind::kBroadcast:
+        res.ok = err_ <= (core::dtype_is_float(desc_.dtype) ? 1e-4 : 0.0);
         break;
-      }
       case CollectiveKind::kBarrier:
         res.ok = true;  // finalize fires only once every host is released
         break;
@@ -225,7 +236,7 @@ class InNetOp final : public TreeOpBase {
   core::TypedBuffer payload_;   ///< broadcast source vector
   core::TypedBuffer identity_;  ///< broadcast non-root contribution
   core::TypedBuffer expected_;
-  std::vector<core::TypedBuffer> results_;  ///< per host; none for barrier
+  f64 err_ = 0.0;  ///< worst delivered-block error this iteration
 };
 
 }  // namespace detail

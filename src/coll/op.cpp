@@ -168,12 +168,18 @@ void TreeOpBase::begin(u64 seed, std::shared_ptr<OpState> state) {
   }
   stage(seed);
   const u32 P = static_cast<u32>(participants_.size());
-  runs_.clear();
+  // Reset in place: a host's schedule depends only on (h, P, nb_, order),
+  // fixed for the op's lifetime, and `blocks` keeps its storage.
   runs_.resize(P);
   for (u32 h = 0; h < P; ++h) {
     HostRun& hr = runs_[h];
     hr.host = participants_[h];
-    hr.schedule = core::send_schedule(h, P, nb_, desc_.order);
+    if (hr.schedule.empty()) {
+      hr.schedule = core::send_schedule(h, P, nb_, desc_.order);
+    }
+    hr.next = 0;
+    hr.outstanding = 0;
+    hr.blocks_done = 0;
     hr.blocks.assign(nb_, Block{});
     wire(h);
   }

@@ -18,12 +18,9 @@ RingOp::RingOp(net::Network& net, const std::vector<net::Host*>& participants,
 
 void RingOp::begin(u64 seed, std::shared_ptr<OpState> state) {
   begin_iteration(std::move(state));
-  auto host_data =
-      workload::make_dense_data(P_, elems_total_, desc_.dtype, seed);
-  expected_ = core::reference_reduce(host_data, op_);
-  runs_.clear();
-  runs_.resize(P_);
-  for (u32 h = 0; h < P_; ++h) runs_[h].vec = std::move(host_data[h]);
+  workload::fill_dense_data(vecs_, P_, elems_total_, desc_.dtype, seed);
+  core::reference_reduce_into(expected_, vecs_, op_);
+  runs_.assign(P_, RHost{});
   if (!launch()) return;
   // Kick off: every host sends its own chunk h for scatter-reduce step 0.
   for (u32 h = 0; h < P_; ++h) send_chunk(h, h, Phase::kScatterReduce, 0);
@@ -47,7 +44,7 @@ void RingOp::send_chunk(u32 h, u32 c, Phase phase, u32 step) {
   const u64 elems = chunk_elems(c);
   const u64 bytes = elems * esize_;
   auto snapshot = std::make_shared<core::TypedBuffer>(desc_.dtype, elems);
-  std::memcpy(snapshot->data(), runs_[h].vec.at_byte(chunk_begin(c)), bytes);
+  std::memcpy(snapshot->data(), vecs_[h].at_byte(chunk_begin(c)), bytes);
   send(h, (h + 1) % P_, make_tag(phase, step), bytes,
        {std::move(snapshot), nullptr});
 }
@@ -63,8 +60,8 @@ void RingOp::consume(u32 h, const Payload& msg) {
   if (hr.phase == Phase::kScatterReduce) {
     const u32 c = (h + P_ - hr.step - 1) % P_;
     FLARE_ASSERT(msg.dense->size() == chunk_elems(c));
-    op_.apply(desc_.dtype, hr.vec.at_byte(chunk_begin(c)), msg.dense->data(),
-              chunk_elems(c));
+    op_.apply(desc_.dtype, vecs_[h].at_byte(chunk_begin(c)),
+              msg.dense->data(), chunk_elems(c));
     hr.step += 1;
     if (hr.step < P_ - 1) {
       send_chunk(h, (h + P_ - hr.step) % P_, Phase::kScatterReduce, hr.step);
@@ -77,7 +74,7 @@ void RingOp::consume(u32 h, const Payload& msg) {
   }
   const u32 c = (h + P_ - hr.step) % P_;
   FLARE_ASSERT(msg.dense->size() == chunk_elems(c));
-  std::memcpy(hr.vec.at_byte(chunk_begin(c)), msg.dense->data(),
+  std::memcpy(vecs_[h].at_byte(chunk_begin(c)), msg.dense->data(),
               chunk_elems(c) * esize_);
   hr.step += 1;
   if (hr.step < P_ - 1) {
@@ -90,8 +87,8 @@ void RingOp::consume(u32 h, const Payload& msg) {
 void RingOp::fill_result(CollectiveResult& res) const {
   res.blocks = P_;
   f64 err = 0.0;
-  for (const RHost& hr : runs_) {
-    err = std::max(err, hr.vec.max_abs_diff(expected_));
+  for (const core::TypedBuffer& v : vecs_) {
+    err = std::max(err, v.max_abs_diff(expected_));
   }
   res.max_abs_err = err;
   res.ok = err <= core::reduce_tolerance(desc_.dtype, P_);

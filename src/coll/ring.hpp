@@ -30,7 +30,6 @@ class RingOp final : public HostOpBase {
   enum class Phase : u8 { kScatterReduce, kAllGather, kDone };
 
   struct RHost {
-    core::TypedBuffer vec;  ///< working vector (input, then result)
     Phase phase = Phase::kScatterReduce;
     u32 step = 0;
   };
@@ -50,6 +49,9 @@ class RingOp final : public HostOpBase {
   u32 esize_ = 4;
   u64 elems_total_ = 0;
   core::TypedBuffer expected_;
+  /// Per host: the working vector (input, then result), refilled in place
+  /// by every begin().
+  std::vector<core::TypedBuffer> vecs_;
   std::vector<RHost> runs_;
 };
 

@@ -18,22 +18,28 @@
 
 namespace flare::core {
 
-/// Bitmap over the children of a reduction-tree node.
+/// Bitmap over the children of a reduction-tree node.  Up to 64 children
+/// the bits live in one inline word; wider nodes fall back to a word
+/// vector.  reset() reuses whichever storage it needs, so a bitmap recycled
+/// from block to block allocates at most once.
 class ChildBitmap {
  public:
   explicit ChildBitmap(u32 num_children = 0) { reset(num_children); }
 
+  /// Clears every mark and resizes to `num_children` (0 closes the bitmap:
+  /// expected() reads 0).  A wide bitmap keeps its vector's capacity.
   void reset(u32 num_children) {
     n_ = num_children;
     seen_ = 0;
-    words_.assign((num_children + 63) / 64, 0);
+    inline_ = 0;
+    if (num_children > 64) words_.assign((num_children + 63) / 64, 0);
   }
 
   /// Marks `child` as seen.  Returns false if it was already marked
   /// (i.e. this is a duplicate/retransmission that must NOT be aggregated).
   bool mark(u32 child) {
     FLARE_ASSERT(child < n_);
-    u64& w = words_[child >> 6];
+    u64& w = word(child);
     const u64 bit = 1ull << (child & 63);
     if (w & bit) return false;
     w |= bit;
@@ -43,7 +49,8 @@ class ChildBitmap {
 
   bool test(u32 child) const {
     FLARE_ASSERT(child < n_);
-    return (words_[child >> 6] >> (child & 63)) & 1ull;
+    const u64 w = n_ <= 64 ? inline_ : words_[child >> 6];
+    return (w >> (child & 63)) & 1ull;
   }
 
   bool complete() const { return seen_ == n_; }
@@ -51,9 +58,12 @@ class ChildBitmap {
   u32 expected() const { return n_; }
 
  private:
+  u64& word(u32 child) { return n_ <= 64 ? inline_ : words_[child >> 6]; }
+
   u32 n_ = 0;
   u32 seen_ = 0;
-  std::vector<u64> words_;
+  u64 inline_ = 0;          ///< the bits when n_ <= 64
+  std::vector<u64> words_;  ///< the bits when n_ > 64
 };
 
 /// Set of block ids of one collective.  Block ids are dense per

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -62,6 +63,15 @@ class PoolAllocator {
   void deallocate(T* p, std::size_t n) noexcept {
     pool_detail::pool_free(p, n * sizeof(T));
   }
+  /// Default-initializes instead of value-initializing, so `resize(n)` and
+  /// `PayloadVec(n)` leave new bytes indeterminate rather than zero-filling
+  /// storage the caller overwrites anyway.  `resize(n, std::byte{0})` still
+  /// zero-fills where zeros are wanted; constructions with arguments take
+  /// the std::allocator_traits default.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
 };
 
 template <typename T, typename U>
@@ -71,14 +81,17 @@ bool operator==(const PoolAllocator<T>&, const PoolAllocator<U>&) {
 
 /// Packet payload / aggregation buffer storage: byte vector backed by the
 /// arena.  The simulator allocates one of these per simulated packet, which
-/// is exactly the churn the freelists absorb.
+/// is exactly the churn the freelists absorb.  Sizing one does NOT zero it
+/// (PoolAllocator::construct): every `resize(n)` / `PayloadVec(n)` site
+/// overwrites the bytes it exposes before anything reads them.
 using PayloadVec = std::vector<std::byte, PoolAllocator<std::byte>>;
 
-/// A PayloadVec holding a copy of `src`, filled by one memcpy.  Copy a
-/// payload range only through here, never with PayloadVec's copy
-/// constructor, `assign(first, last)` or `insert`: libstdc++ copies the
-/// elements of a vector whose allocator is not std::allocator one at a
-/// time, so those compile to a byte loop of payload-size iterations.
+/// A PayloadVec holding a copy of `src`: one allocation and one memcpy, no
+/// zero-fill.  Copy a payload range only through here, never with
+/// PayloadVec's copy constructor, `assign(first, last)` or `insert`:
+/// libstdc++ copies the elements of a vector whose allocator is not
+/// std::allocator one at a time, so those compile to a byte loop of
+/// payload-size iterations.
 inline PayloadVec copy_payload(std::span<const std::byte> src) {
   PayloadVec out(src.size());
   if (!src.empty()) std::memcpy(out.data(), src.data(), src.size());

@@ -101,6 +101,7 @@ bool SingleBufferAggregator::admit(const Packet& pkt, SimTime now) {
   Block& blk = entry(blocks_, pkt.hdr.block_id);
   if (!blk.open()) {
     blk.bitmap.reset(cfg_.num_children);
+    // Not zeroed: the first packet's copy writes every byte that is read.
     blk.buf.resize(cfg_.dense_block_bytes());
     blk.first_arrival = now;
     blk.cs.reset(1);
@@ -154,7 +155,7 @@ void SingleBufferAggregator::run_on_slot(u32 block_id, u32 /*slot*/,
     Block& b = blocks_[block_id];
     if (!b.cs.busy(0) && completed_.contains(block_id)) {
       pool_.release(cfg_.dense_block_bytes(), now());
-      b = Block();
+      b.close();
     }
   });
   host_.handler_done(w.handler, end);
@@ -195,7 +196,7 @@ void MultiBufferAggregator::run_on_slot(u32 block_id, u32 sub_idx, Waiter w,
   if (!s.allocated) {
     const bool ok = pool_.acquire(cfg_.dense_block_bytes(), start);
     FLARE_ASSERT_MSG(ok, "working-memory pool exhausted");
-    s.buf.resize(cfg_.dense_block_bytes());
+    s.buf.resize(cfg_.dense_block_bytes());  // written by the copy below
     s.allocated = true;
     u32 allocated = 0;
     for (const Sub& sub : blk.subs)
@@ -261,7 +262,7 @@ void MultiBufferAggregator::finish_block(u32 block_id, u32 my_sub, SimTime t,
   release_at(end, cfg_.dense_block_bytes());
   close_block(block_id, blk.first_arrival, end,
               u64{blk.max_allocated} * cfg_.dense_block_bytes());
-  blk = Block();
+  blk.close();
   host_.handler_done(handler, end);
 }
 
@@ -382,7 +383,7 @@ void TreeAggregator::complete_root(u32 block_id, SimTime t, u32 handler) {
   release_at(end, cfg_.dense_block_bytes());
   close_block(block_id, blk.first_arrival, end,
               u64{blk.max_alive} * cfg_.dense_block_bytes());
-  blk = Block();
+  blk.close();
   host_.handler_done(handler, end);
 }
 

@@ -40,8 +40,10 @@
 // All are continuation-based state machines over the shared event calendar:
 // every cycle charged is causally ordered, so lock waits, merge stalls and
 // climb hand-offs happen at their true simulated times.  Per-block state is
-// a vector indexed by block id (ids are dense per collective); a closed
-// block is value-initialized and owns no memory.
+// a vector indexed by block id (ids are dense per collective).  Like the
+// switch's statically partitioned working memory (Section 4.3), an entry is
+// reused from block to block: closing one resets it in place, and its
+// vectors keep their capacity for the next block that opens under its id.
 #pragma once
 
 #include <memory>
@@ -207,9 +209,9 @@ class Aggregator {
   /// Runs `w` on `slot` of `block_id`, which it holds from `start`.  Only
   /// the slot policies (single, multi, sparse) acquire slots.
   virtual void run_on_slot(u32 block_id, u32 slot, Waiter w, SimTime start);
-  /// Drops the per-block table (Aggregator::reset).  Open blocks at reset
+  /// Clears the per-block state (Aggregator::reset).  Open blocks at reset
   /// time are in-flight packets: the dense policies treat them as a
-  /// protocol bug.
+  /// protocol bug, and keep their (all-closed) table for reuse.
   virtual void clear_blocks() = 0;
 
   // --- chassis services ---
@@ -244,14 +246,14 @@ class Aggregator {
     if (block_id >= blocks.size()) blocks.resize(block_id + 1);
     return blocks[block_id];
   }
-  /// Asserts that no block is open, then drops the table.
+  /// Asserts that no block is open.  The closed entries stay: the next
+  /// iteration reopens the same block ids in their storage.
   template <typename Block>
-  static void clear_closed(std::vector<Block>& blocks) {
+  static void check_closed(const std::vector<Block>& blocks) {
     for (const Block& b : blocks) {
       FLARE_ASSERT_MSG(!b.open(),
                        "reset with open blocks: packets still in flight");
     }
-    blocks.clear();
   }
 
   EngineHost& host_;
@@ -285,12 +287,21 @@ class SingleBufferAggregator final : public Aggregator {
     SimTime first_arrival = 0;
     SlotQueue cs;  ///< the critical section: one slot
     bool open() const { return bitmap.expected() != 0; }
+    /// Resets the block in place once its result left (buf moved out);
+    /// the lock keeps its waiter storage.
+    void close() {
+      buf.clear();
+      bitmap.reset(0);
+      aggregated = 0;
+      has_data = false;
+      first_arrival = 0;
+    }
   };
 
   bool admit(const Packet& pkt, SimTime now) override;
   void accept(Waiter w) override;
   void run_on_slot(u32 block_id, u32 slot, Waiter w, SimTime start) override;
-  void clear_blocks() override { clear_closed(blocks_); }
+  void clear_blocks() override { check_closed(blocks_); }
 
   std::vector<Block> blocks_;  ///< by block id
 };
@@ -318,12 +329,21 @@ class MultiBufferAggregator final : public Aggregator {
     u32 max_allocated = 0;  ///< peak simultaneously-allocated sub-buffers
     SimTime first_arrival = 0;
     bool open() const { return bitmap.expected() != 0; }
+    /// Resets the block in place; `subs` keeps its B entries.
+    void close() {
+      for (Sub& sub : subs) sub = Sub();
+      bitmap.reset(0);
+      aggregated = 0;
+      elems = 0;
+      max_allocated = 0;
+      first_arrival = 0;
+    }
   };
 
   bool admit(const Packet& pkt, SimTime now) override;
   void accept(Waiter w) override;
   void run_on_slot(u32 block_id, u32 slot, Waiter w, SimTime start) override;
-  void clear_blocks() override { clear_closed(blocks_); }
+  void clear_blocks() override { check_closed(blocks_); }
   void merge_chain(u32 block_id, u32 my_sub, SimTime t, u32 handler);
   void finish_block(u32 block_id, u32 my_sub, SimTime t, u32 handler);
 
@@ -364,13 +384,23 @@ class TreeAggregator final : public Aggregator {
     PayloadVec buf;  ///< subtree result, valid when done
   };
   struct Block {
-    std::vector<NodeState> nodes;
+    std::vector<NodeState> nodes;  ///< by TreeShape node index
     ChildBitmap bitmap;
     u32 elems = 0;          ///< payload elements (ragged last block support)
     u32 alive_buffers = 0;  ///< currently-held leaf/internal buffers
     u32 max_alive = 0;      ///< peak — the paper's M = (P-1)/log2(P) profile
     SimTime first_arrival = 0;
-    bool open() const { return !nodes.empty(); }
+    bool open() const { return bitmap.expected() != 0; }
+    /// Resets the block in place once its root result left; `nodes` keeps
+    /// its entries.
+    void close() {
+      for (NodeState& n : nodes) n = NodeState();
+      bitmap.reset(0);
+      elems = 0;
+      alive_buffers = 0;
+      max_alive = 0;
+      first_arrival = 0;
+    }
   };
 
   /// The open block `block_id`.
@@ -380,7 +410,7 @@ class TreeAggregator final : public Aggregator {
   }
   bool admit(const Packet& pkt, SimTime now) override;
   void accept(Waiter w) override;
-  void clear_blocks() override { clear_closed(blocks_); }
+  void clear_blocks() override { check_closed(blocks_); }
   void climb(u32 block_id, u32 node, SimTime t, u32 handler);
   void complete_root(u32 block_id, SimTime t, u32 handler);
 

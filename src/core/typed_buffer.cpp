@@ -138,14 +138,20 @@ void TypedBuffer::fill_random(Rng& rng, f64 lo, f64 hi) {
 
 f64 TypedBuffer::max_abs_diff(const TypedBuffer& other) const {
   FLARE_ASSERT(other.dtype_ == dtype_ && other.elems_ == elems_);
-  const std::byte* a = bytes_.data();
-  const std::byte* b = other.bytes_.data();
-  // Bitwise-equal buffers (the common case for exact integer reductions)
+  return core::max_abs_diff(dtype_, bytes_.data(), other.bytes_.data(),
+                            elems_);
+}
+
+f64 max_abs_diff(DType dtype, const std::byte* a, const std::byte* b,
+                 std::size_t elems) {
+  // Bitwise-equal ranges (the common case for exact integer reductions)
   // have an elementwise diff of zero everywhere; one memcmp beats a
   // widen-and-subtract loop over every element.
-  if (elems_ > 0 && std::memcmp(a, b, bytes_.size()) == 0) return 0.0;
-  return with_storage_type(dtype_, [&](auto tag) {
-    return diff_loop<decltype(tag)>(a, b, elems_);
+  if (elems == 0 || std::memcmp(a, b, elems * dtype_size(dtype)) == 0) {
+    return 0.0;
+  }
+  return with_storage_type(dtype, [&](auto tag) {
+    return diff_loop<decltype(tag)>(a, b, elems);
   });
 }
 
@@ -161,10 +167,17 @@ std::size_t TypedBuffer::count_mismatches(const TypedBuffer& other) const {
 
 TypedBuffer reference_reduce(const std::vector<TypedBuffer>& inputs,
                              const ReduceOp& op) {
-  FLARE_ASSERT(!inputs.empty());
-  TypedBuffer acc = inputs.front();
-  for (std::size_t i = 1; i < inputs.size(); ++i) acc.accumulate(inputs[i], op);
+  TypedBuffer acc;
+  reference_reduce_into(acc, inputs, op);
   return acc;
+}
+
+void reference_reduce_into(TypedBuffer& out,
+                           const std::vector<TypedBuffer>& inputs,
+                           const ReduceOp& op) {
+  FLARE_ASSERT(!inputs.empty());
+  out = inputs.front();  // copy-assignment reuses out's storage
+  for (std::size_t i = 1; i < inputs.size(); ++i) out.accumulate(inputs[i], op);
 }
 
 f64 reduce_tolerance(DType dtype, u32 participants) {

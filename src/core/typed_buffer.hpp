@@ -21,6 +21,14 @@ class TypedBuffer {
   TypedBuffer(DType dtype, std::size_t elems)
       : dtype_(dtype), elems_(elems), bytes_(elems * dtype_size(dtype)) {}
 
+  /// Re-types and resizes in place, reusing the storage when it is large
+  /// enough.  Element values are unspecified; callers overwrite them.
+  void reshape(DType dtype, std::size_t elems) {
+    dtype_ = dtype;
+    elems_ = elems;
+    bytes_.resize(elems * dtype_size(dtype));
+  }
+
   DType dtype() const { return dtype_; }
   std::size_t size() const { return elems_; }
   std::size_t size_bytes() const { return bytes_.size(); }
@@ -69,10 +77,21 @@ class TypedBuffer {
   std::vector<std::byte> bytes_;
 };
 
+/// Max |a[i]-b[i]| over `elems` elements of `dtype` at raw storage `a` and
+/// `b`, widened to f64: a memcmp fast path, then a per-dtype diff loop.
+/// TypedBuffer::max_abs_diff over a whole buffer; a host checking one
+/// delivered block against its slice of the reference, per block.
+f64 max_abs_diff(DType dtype, const std::byte* a, const std::byte* b,
+                 std::size_t elems);
+
 /// Serial reference allreduce: reduces `inputs` in index order with `op`.
 /// This is the ground truth every simulated collective is checked against.
 TypedBuffer reference_reduce(const std::vector<TypedBuffer>& inputs,
                              const ReduceOp& op);
+/// reference_reduce into `out`, reusing its storage.
+void reference_reduce_into(TypedBuffer& out,
+                           const std::vector<TypedBuffer>& inputs,
+                           const ReduceOp& op);
 
 /// Numeric tolerance of a `participants`-way reduction check against
 /// reference_reduce over the network simulator: floats accumulate

@@ -44,30 +44,47 @@ void Link::send(NetPacket&& pkt) {
   *cached_trace_busy_ += ser;
   traffic_.add(pkt.wire_bytes);
   const SimTime arrive = busy_until_ + latency_ps_;
-  // Park the packet on the pending queue instead of booking a calendar
-  // event per packet: one delivery event (for the queue front) is armed at
-  // a time, so a burst costs one event plus cheap deque appends.
-  pending_.push_back(Pending{arrive, std::move(pkt)});
+  // Park the packet on the pending ring instead of booking a calendar
+  // event per packet: one delivery event (for the ring's front) is armed at
+  // a time, so a burst costs one event plus a slot write per packet.
+  push_pending(arrive, std::move(pkt));
   if (!delivery_armed_) {
     delivery_armed_ = true;
-    sim_.schedule_at(pending_.front().arrive,
-                     [this] { drain_deliveries(); });
+    sim_.schedule_at(pending_[head_].arrive, [this] { drain_deliveries(); });
   }
+}
+
+void Link::push_pending(SimTime arrive, NetPacket&& pkt) {
+  if (queued_ == pending_.size()) {
+    // Full (or never used): unwrap into a ring twice the size, front first.
+    std::vector<Pending> bigger(std::max<std::size_t>(4, 2 * queued_));
+    for (std::size_t i = 0; i < queued_; ++i) {
+      bigger[i] = std::move(pending_[(head_ + i) & (pending_.size() - 1)]);
+    }
+    pending_ = std::move(bigger);
+    head_ = 0;
+  }
+  Pending& slot = pending_[(head_ + queued_) & (pending_.size() - 1)];
+  slot.arrive = arrive;
+  slot.pkt = std::move(pkt);
+  queued_ += 1;
 }
 
 void Link::drain_deliveries() {
   // Disarm BEFORE delivering: deliver_ may reenter send() on this link,
   // which must be able to arm the next event itself if the queue empties.
+  // The front packet leaves the ring before deliver_ runs, so a reentrant
+  // send() that grows the ring invalidates nothing held here.
   delivery_armed_ = false;
-  while (!pending_.empty() && pending_.front().arrive <= sim_.now()) {
-    NetPacket p = std::move(pending_.front().pkt);
-    pending_.pop_front();
+  while (queued_ > 0 && pending_[head_].arrive <= sim_.now()) {
+    NetPacket p = std::move(pending_[head_].pkt);
+    head_ = (head_ + 1) & (pending_.size() - 1);
+    queued_ -= 1;
     deliver_(std::move(p));
   }
-  if (!pending_.empty() && !delivery_armed_) {
+  if (queued_ > 0 && !delivery_armed_) {
     delivery_armed_ = true;
-    sim_.schedule_at(pending_.front().arrive,
-                     [this] { drain_deliveries(); });
+    sim_.schedule_at(pending_[head_].arrive, [this] { drain_deliveries(); });
   }
 }
 

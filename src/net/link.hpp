@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -167,10 +166,12 @@ class Link {
 
   /// One accepted packet waiting to cross the wire.
   struct Pending {
-    SimTime arrive;
+    SimTime arrive = 0;
     NetPacket pkt;
   };
 
+  /// Appends to the pending ring, doubling it when full.
+  void push_pending(SimTime arrive, NetPacket&& pkt);
   /// Delivers every pending packet whose arrival time has been reached,
   /// then re-arms the single delivery event for the next one.
   void drain_deliveries();
@@ -192,7 +193,12 @@ class Link {
   /// the arrival times, nondecreasing).  Exactly ONE calendar event is
   /// armed per link — for the front packet — instead of one per packet, so
   /// a burst keeps the calendar shallow and the per-event closure tiny.
-  std::deque<Pending> pending_;
+  /// The queue is a ring over `pending_`, whose size is 0 or a power of
+  /// two: it grows by doubling and never shrinks, so once a link has seen
+  /// its deepest burst, queueing allocates nothing.
+  std::vector<Pending> pending_;
+  std::size_t head_ = 0;    ///< slot of the front packet
+  std::size_t queued_ = 0;  ///< packets in the ring
   bool delivery_armed_ = false;
   SimTime busy_until_ = 0;
   u64 busy_cum_ = 0;

@@ -54,11 +54,13 @@ enum class PacketKind : u8 {
   kReduceDown,
 };
 
+/// Field order is by size, so the struct packs into 64 bytes: the switch's
+/// emit closure ([this, port, packet]) then fits sim::EventFn's inline
+/// buffer instead of taking its heap fallback once per emitted packet.
 struct NetPacket {
-  PacketKind kind = PacketKind::kHostMsg;
   u64 wire_bytes = 0;
-  NodeId dst_node = kInvalidNode;  ///< routing target for kHostMsg
   u64 flow = 0;                    ///< ECMP hash input
+  NodeId dst_node = kInvalidNode;  ///< routing target for kHostMsg
   u32 allreduce_id = 0;            ///< for reduction traffic
   /// Per-collective attribution tag (Network::alloc_trace_id).  Unlike
   /// allreduce_id — which churns on every fresh-id reinstall/migration —
@@ -66,12 +68,14 @@ struct NetPacket {
   /// busy-time per collective across recoveries.  0 = untagged traffic
   /// (cross-traffic defaults, stale frames, raw injections).
   u32 trace = 0;
+  PacketKind kind = PacketKind::kHostMsg;
   /// Payload damaged in transit (fault injection): the frame checksum fails
   /// at the next node, which discards the packet.
   bool corrupted = false;
   std::shared_ptr<const core::Packet> reduce;
   std::shared_ptr<const HostMsg> msg;
 };
+static_assert(sizeof(NetPacket) == 64, "keep NetPacket at 64 bytes");
 
 #if FLARE_VALIDATE_ENABLED
 /// FLARE_VALIDATE packet-lifecycle invariant: every packet offered to a

@@ -11,14 +11,18 @@ namespace flare::workload {
 std::vector<core::TypedBuffer> make_dense_data(u32 hosts, std::size_t elems,
                                                core::DType dtype, u64 seed) {
   std::vector<core::TypedBuffer> out;
-  out.reserve(hosts);
+  fill_dense_data(out, hosts, elems, dtype, seed);
+  return out;
+}
+
+void fill_dense_data(std::vector<core::TypedBuffer>& out, u32 hosts,
+                     std::size_t elems, core::DType dtype, u64 seed) {
+  out.resize(hosts);
   for (u32 h = 0; h < hosts; ++h) {
     Rng rng(derive_seed(seed, h));
-    core::TypedBuffer buf(dtype, elems);
-    buf.fill_random(rng);
-    out.push_back(std::move(buf));
+    out[h].reshape(dtype, elems);
+    out[h].fill_random(rng);
   }
-  return out;
 }
 
 namespace {

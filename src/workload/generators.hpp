@@ -19,9 +19,15 @@
 
 namespace flare::workload {
 
-/// P dense vectors of `elems` elements.
+/// P dense vectors of `elems` elements; host h draws from
+/// derive_seed(seed, h).
 std::vector<core::TypedBuffer> make_dense_data(u32 hosts, std::size_t elems,
                                                core::DType dtype, u64 seed);
+/// make_dense_data into `out`, reusing the storage of its buffers: the
+/// same values, without reallocating across the iterations of a
+/// persistent request.
+void fill_dense_data(std::vector<core::TypedBuffer>& out, u32 hosts,
+                     std::size_t elems, core::DType dtype, u64 seed);
 
 struct SparseSpec {
   u32 span = 1280;        ///< index space per block

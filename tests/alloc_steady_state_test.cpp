@@ -1,0 +1,86 @@
+// Steady-state heap allocations of the dense in-network data plane.
+//
+// Once a persistent allreduce is warm, an iteration reuses what earlier
+// ones allocated: host inputs and reference, the switches' per-block
+// aggregation state, the links' pending rings, the calendar's buckets.
+// What an iteration still allocates must therefore not grow with the
+// number of blocks it moves.  This executable replaces the global
+// operator new with a counting one (it is its own test binary so that no
+// other suite runs on the replaced allocator) and compares iterations 3-4
+// of a 4-block and a 16-block request.
+//
+// Every iteration starts on a multiple of the calendar ring's period, so
+// its events land in the same buckets at the same offsets as the one
+// before: bucket storage, which keeps its high-water capacity, is warm
+// after the first iterations, and what is counted is the data plane's.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+
+#include "coll/communicator.hpp"
+
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  g_allocations += 1;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace flare::coll {
+namespace {
+
+/// Heap allocations made by iterations 3 and 4 of a persistent int32
+/// allreduce of `blocks` blocks per host on a 16-host radix-4 fat tree,
+/// aggregated by `policy` on every tree switch.
+std::size_t warm_iteration_allocations(core::AggPolicy policy, u32 blocks) {
+  net::Network net;
+  net::FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 4;
+  const net::BuiltTopology topo = net::build_fat_tree(net, spec);
+  Communicator comm(net, topo.hosts);
+  CollectiveOptions desc;
+  desc.algorithm = Algorithm::kFlareDense;
+  desc.dtype = core::DType::kInt32;
+  desc.data_bytes = blocks * desc.packet_payload;
+  desc.auto_policy = false;
+  desc.policy = policy;
+  PersistentCollective pc = comm.persistent(desc);
+  EXPECT_TRUE(pc.in_network());
+  const sim::CalendarOptions calendar;
+  const SimTime period = SimTime{calendar.bucket_count}
+                         << calendar.bucket_width_log2;
+  std::size_t before = 0;
+  for (u32 it = 0; it < 4; ++it) {  // two warm-ups, then two counted
+    net.sim().run_until((it + 1) * period);
+    if (it == 2) before = g_allocations;
+    const CollectiveResult res = pc.run();
+    EXPECT_TRUE(res.ok) << "iteration " << it;
+    EXPECT_EQ(res.max_abs_err, 0.0) << "iteration " << it;
+    EXPECT_EQ(res.blocks, blocks);
+    EXPECT_LT(res.completion_seconds * kPsPerSecond,
+              static_cast<f64>(period));
+  }
+  return g_allocations - before;
+}
+
+TEST(SteadyStateAllocations, IndependentOfBlockCount) {
+  for (const core::AggPolicy policy :
+       {core::AggPolicy::kTree, core::AggPolicy::kSingleBuffer,
+        core::AggPolicy::kMultiBuffer}) {
+    SCOPED_TRACE(core::policy_name(policy));
+    const std::size_t four = warm_iteration_allocations(policy, 4);
+    const std::size_t sixteen = warm_iteration_allocations(policy, 16);
+    EXPECT_GT(four, 0u);  // the counter is live
+    EXPECT_EQ(four, sixteen);
+  }
+}
+
+}  // namespace
+}  // namespace flare::coll

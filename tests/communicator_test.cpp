@@ -539,6 +539,102 @@ TEST(CommunicatorKinds, PersistentReduceBroadcastBarrier) {
   EXPECT_EQ(px.install_report().attempts, 1u);
 }
 
+// ------------------------------------------------------ result checks ---
+// Hosts check each delivered block against its slice of the reference as
+// it arrives.  These pins hold max_abs_err and ok to the exact values the
+// whole-result comparison at the end of the iteration reported, on
+// non-exact float reductions where the error is not 0.
+
+/// One collective on a fresh 16-host radix-4 fat tree, `iterations` times
+/// as one persistent request; the per-iteration results.
+std::vector<CollectiveResult> run_on_fat_tree(const CollectiveOptions& desc,
+                                              u32 iterations = 1) {
+  net::Network net;
+  net::FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 4;
+  auto topo = net::build_fat_tree(net, spec);
+  Communicator comm(net, topo.hosts);
+  PersistentCollective pc = comm.persistent(desc);
+  EXPECT_TRUE(pc.in_network());
+  std::vector<CollectiveResult> out;
+  for (u32 it = 0; it < iterations; ++it) out.push_back(pc.run());
+  return out;
+}
+
+CollectiveOptions float_collective(CollectiveKind kind, core::DType dtype,
+                                   u64 data_bytes) {
+  CollectiveOptions desc;
+  desc.kind = kind;
+  desc.algorithm = Algorithm::kFlareDense;
+  desc.dtype = dtype;
+  desc.data_bytes = data_bytes;
+  desc.seed = 17;
+  return desc;
+}
+
+TEST(ResultCheck, FloatAllreduceErrorMultiBuffer) {
+  // 384 KiB selects the 4-buffer policy (Section 6.4 thresholds).
+  ASSERT_EQ(core::select_policy(384_KiB, false).policy,
+            core::AggPolicy::kMultiBuffer);
+  const CollectiveResult f32 = run_on_fat_tree(float_collective(
+      CollectiveKind::kAllreduce, core::DType::kFloat32, 384_KiB))[0];
+  EXPECT_EQ(f32.max_abs_err, 1.1444091796875e-05);
+  EXPECT_TRUE(f32.ok);
+  const CollectiveResult f16 = run_on_fat_tree(float_collective(
+      CollectiveKind::kAllreduce, core::DType::kFloat16, 384_KiB))[0];
+  EXPECT_EQ(f16.max_abs_err, 0.125);
+  EXPECT_TRUE(f16.ok);
+}
+
+TEST(ResultCheck, FloatAllreduceErrorSingleBuffer) {
+  const auto single = [](core::DType dtype) {
+    CollectiveOptions desc =
+        float_collective(CollectiveKind::kAllreduce, dtype, 64_KiB);
+    desc.auto_policy = false;
+    desc.policy = core::AggPolicy::kSingleBuffer;
+    return run_on_fat_tree(desc)[0];
+  };
+  const CollectiveResult f32 = single(core::DType::kFloat32);
+  EXPECT_EQ(f32.max_abs_err, 1.1444091796875e-05);
+  EXPECT_TRUE(f32.ok);
+  const CollectiveResult f16 = single(core::DType::kFloat16);
+  EXPECT_EQ(f16.max_abs_err, 0.09375);
+  EXPECT_TRUE(f16.ok);
+}
+
+TEST(ResultCheck, ReduceCountsTheRoot) {
+  CollectiveOptions desc =
+      float_collective(CollectiveKind::kReduce, core::DType::kFloat32, 64_KiB);
+  desc.root = 5;
+  const CollectiveResult res = run_on_fat_tree(desc)[0];
+  EXPECT_EQ(res.max_abs_err, 1.1444091796875e-05);
+  EXPECT_TRUE(res.ok);
+}
+
+TEST(ResultCheck, BroadcastComparesWithTheRootVector) {
+  CollectiveOptions desc = float_collective(CollectiveKind::kBroadcast,
+                                            core::DType::kFloat32, 64_KiB);
+  desc.root = 7;
+  const CollectiveResult res = run_on_fat_tree(desc)[0];
+  EXPECT_EQ(res.max_abs_err, 0.0);  // root value + sum identities: exact
+  EXPECT_TRUE(res.ok);
+}
+
+TEST(ResultCheck, PersistentIterationsReportTheirOwnError) {
+  // Seed 8 draws a smaller worst error in iteration 3 than in iteration 2:
+  // an error carried over from the previous iteration would show.
+  CollectiveOptions desc = float_collective(CollectiveKind::kAllreduce,
+                                            core::DType::kFloat32, 16_KiB);
+  desc.seed = 8;
+  const std::vector<CollectiveResult> res = run_on_fat_tree(desc, 3);
+  ASSERT_EQ(res.size(), 3u);
+  EXPECT_EQ(res[0].max_abs_err, 8.106231689453125e-06);
+  EXPECT_EQ(res[1].max_abs_err, 1.1444091796875e-05);
+  EXPECT_EQ(res[2].max_abs_err, 9.5367431640625e-06);
+  for (const CollectiveResult& r : res) EXPECT_TRUE(r.ok);
+}
+
 // -------------------------------------------------- nonblocking handles ---
 
 TEST(Handles, TwoOverlappingCollectivesOneCalendar) {

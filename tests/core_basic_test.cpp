@@ -347,6 +347,45 @@ TEST(ChildBitmap, WideMembership) {
   for (u32 i = 0; i < 130; ++i) EXPECT_FALSE(bm.mark(i));
 }
 
+TEST(ChildBitmap, InlineWordBoundaryAndVectorFallback) {
+  // 64 children fit the inline word; 65 take the word vector.
+  for (const u32 n : {63u, 64u, 65u, 200u}) {
+    ChildBitmap bm(n);
+    for (u32 i = 0; i < n; i += 2) EXPECT_TRUE(bm.mark(i)) << n << "/" << i;
+    for (u32 i = 0; i < n; ++i) EXPECT_EQ(bm.test(i), i % 2 == 0) << n;
+    for (u32 i = 1; i < n; i += 2) EXPECT_TRUE(bm.mark(i)) << n << "/" << i;
+    EXPECT_TRUE(bm.complete()) << n;
+    EXPECT_FALSE(bm.mark(n - 1)) << n;
+    EXPECT_EQ(bm.seen(), n);
+  }
+}
+
+TEST(ChildBitmap, ResetReusesOneBitmapAcrossSizes) {
+  // An aggregator block reuses its bitmap from block to block; every reset
+  // must start from a clean slate whatever the previous size was.
+  ChildBitmap bm(130);
+  for (u32 i = 0; i < 130; i += 3) bm.mark(i);
+  bm.reset(5);  // wide -> inline
+  EXPECT_EQ(bm.expected(), 5u);
+  EXPECT_EQ(bm.seen(), 0u);
+  for (u32 i = 0; i < 5; ++i) EXPECT_FALSE(bm.test(i));
+  EXPECT_TRUE(bm.mark(4));
+  bm.reset(64);  // inline -> inline: bit 4 must be gone
+  EXPECT_FALSE(bm.test(4));
+  for (u32 i = 0; i < 64; ++i) EXPECT_TRUE(bm.mark(i));
+  EXPECT_TRUE(bm.complete());
+  bm.reset(200);  // inline -> wide, larger than the first vector
+  EXPECT_FALSE(bm.complete());
+  for (u32 i = 0; i < 200; ++i) EXPECT_FALSE(bm.test(i)) << i;
+  EXPECT_TRUE(bm.mark(199));
+  EXPECT_TRUE(bm.mark(0));
+  bm.reset(70);  // wide -> narrower wide
+  for (u32 i = 0; i < 70; ++i) EXPECT_FALSE(bm.test(i)) << i;
+  bm.reset(0);  // closed
+  EXPECT_EQ(bm.expected(), 0u);
+  EXPECT_EQ(bm.seen(), 0u);
+}
+
 TEST(ShardTracker, CompletesOnAnnouncedCount) {
   ShardTracker st;
   EXPECT_TRUE(st.mark(0));

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "net/network.hpp"
 
@@ -109,6 +112,65 @@ TEST(Link, BurstKeepsOneDeliveryEventArmed) {
     EXPECT_EQ(arrivals[static_cast<size_t>(i)],
               static_cast<SimTime>(i + 1) * 100 * kPsPerNs);
   }
+}
+
+TEST(Link, PendingRingGrowsWhileWrappedKeepsFifo) {
+  // The pending queue is a ring that doubles when full.  Each burst lands
+  // while about half of the packets before it are still in flight, so the
+  // front has moved and the ring grows with its contents wrapped round.
+  // Deliveries must keep the order and times of a plain FIFO queue, and
+  // the busy-time, attribution and traffic counters must match it.
+  sim::Simulator sim;
+  const f64 bw = 100e9;
+  const u64 latency = 300 * kPsPerNs;
+  Link link(sim, bw, latency);
+  std::vector<std::pair<u64, SimTime>> got;  // (flow, arrival)
+  link.set_deliver(
+      [&](NetPacket&& p) { got.emplace_back(p.flow, sim.now()); });
+
+  // The FIFO model, built burst by burst; each burst is scheduled at the
+  // arrival of the middle packet still in flight, plus 1 ps.
+  std::vector<std::pair<u64, SimTime>> want;
+  std::map<u32, u64> want_by_trace;
+  u64 want_busy = 0, want_bytes = 0;
+  SimTime busy_until = 0;
+  u64 flow = 0;
+  std::size_t delivered = 0;  // model packets arrived before the burst
+  for (const u32 count : {3u, 6u, 12u, 24u, 48u, 96u}) {
+    SimTime at = 0;
+    if (!want.empty()) {
+      const std::size_t mid = delivered + (want.size() - delivered) / 2;
+      at = want[mid].second + 1;
+      while (delivered < want.size() && want[delivered].second < at) {
+        delivered += 1;
+      }
+      ASSERT_GT(delivered, 0u);
+      ASSERT_LT(delivered, want.size()) << "burst must find packets queued";
+    }
+    std::vector<NetPacket> burst;
+    for (u32 i = 0; i < count; ++i, ++flow) {
+      const u64 bytes = 200 + (flow * 389) % 1300;
+      const u32 trace = static_cast<u32>(flow % 3);
+      const u64 ser = serialization_ps(bytes, bw);
+      busy_until = std::max(at, busy_until) + ser;
+      want.emplace_back(flow, busy_until + latency);
+      want_by_trace[trace] += ser;
+      want_busy += ser;
+      want_bytes += bytes;
+      NetPacket p = make_msg(0, 1, 0, bytes, flow);
+      p.trace = trace;
+      burst.push_back(std::move(p));
+    }
+    sim.schedule_at(at, [&link, burst = std::move(burst)]() mutable {
+      for (NetPacket& p : burst) link.send(std::move(p));
+    });
+  }
+  sim.run();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(link.busy_cum_ps(), want_busy);
+  EXPECT_EQ(link.busy_by_trace(), want_by_trace);
+  EXPECT_EQ(link.traffic().bytes, want_bytes);
+  EXPECT_EQ(link.traffic().packets, want.size());
 }
 
 TEST(SingleSwitchTopology, HostToHostDelivery) {
