@@ -68,20 +68,23 @@ class ChildBitmap {
 
 /// Set of block ids of one collective.  Block ids are dense per
 /// collective (0..blocks-1; the PsPIN experiments continue the count across
-/// rounds), so a bitmap grown on demand stands in for a hash set.
+/// rounds), so a bitmap grown on demand, one u64 word at a time, stands in
+/// for a hash set.  clear() keeps the words' storage.
 class BlockSet {
  public:
   bool contains(u32 block_id) const {
-    return block_id < bits_.size() && bits_[block_id];
+    const u32 word = block_id >> 6;
+    return word < words_.size() && ((words_[word] >> (block_id & 63)) & 1ull);
   }
   void insert(u32 block_id) {
-    if (block_id >= bits_.size()) bits_.resize(block_id + 1);
-    bits_[block_id] = true;
+    const u32 word = block_id >> 6;
+    if (word >= words_.size()) words_.resize(word + 1, 0);
+    words_[word] |= 1ull << (block_id & 63);
   }
-  void clear() { bits_.clear(); }
+  void clear() { words_.clear(); }
 
  private:
-  std::vector<bool> bits_;
+  std::vector<u64> words_;
 };
 
 /// Sparse-block shard bookkeeping for one child.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 namespace flare::core {
 
@@ -296,6 +297,15 @@ TreeAggregator::TreeShape TreeAggregator::build_shape(u32 p) {
   shape.leaves.resize(p);
   Builder{shape}.build(0, p, -1);
   return shape;
+}
+
+const TreeAggregator::TreeShape& TreeAggregator::shape_for(u32 p) {
+  // Indexed by child count.  The simulator is single-threaded, and a
+  // shape never moves once built, so engines keep plain references.
+  static std::vector<std::unique_ptr<const TreeShape>> shapes;
+  if (p >= shapes.size()) shapes.resize(p + 1);
+  if (!shapes[p]) shapes[p] = std::make_unique<const TreeShape>(build_shape(p));
+  return *shapes[p];
 }
 
 bool TreeAggregator::admit(const Packet& pkt, SimTime now) {

@@ -356,7 +356,7 @@ class TreeAggregator final : public Aggregator {
  public:
   TreeAggregator(EngineHost& host, const AllreduceConfig& cfg,
                  BufferPool& pool)
-      : Aggregator(host, cfg, pool), shape_(build_shape(cfg.num_children)) {}
+      : Aggregator(host, cfg, pool), shape_(shape_for(cfg.num_children)) {}
 
   /// Exposed for tests: the fixed combine tree over `p` leaves.  Node 0 is
   /// the root; leaves are identified by child index.
@@ -378,6 +378,10 @@ class TreeAggregator final : public Aggregator {
   static TreeShape build_shape(u32 p);
 
  private:
+  /// build_shape(p), built once per child count and shared, immutable, by
+  /// every TreeAggregator of the process.
+  static const TreeShape& shape_for(u32 p);
+
   struct NodeState {
     bool done = false;
     bool claimed = false;  ///< a handler is (or has) combining this node
@@ -414,7 +418,7 @@ class TreeAggregator final : public Aggregator {
   void climb(u32 block_id, u32 node, SimTime t, u32 handler);
   void complete_root(u32 block_id, SimTime t, u32 handler);
 
-  TreeShape shape_;
+  const TreeShape& shape_;
   std::vector<Block> blocks_;  ///< by block id
 };
 

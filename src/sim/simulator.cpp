@@ -72,7 +72,7 @@ void BucketCalendar::place(const EventKey& key) {
       b.insert(it, key);
       return;
     }
-    b.push_back(key);
+    append(b, key);
     return;
   }
   // Lowest coarse wheel whose sliding window admits the slot.  Each wheel
@@ -82,7 +82,7 @@ void BucketCalendar::place(const EventKey& key) {
   // after its pour.
   for (u32 k = 0; k < levels_; ++k) {
     if ((slot >> shift_[k]) - (cur_slot_ >> shift_[k]) < wheel_slots_) {
-      wheels_[k][(slot >> shift_[k]) & wheel_mask_].push_back(key);
+      append(wheels_[k][(slot >> shift_[k]) & wheel_mask_], key);
       wheel_count_[k] += 1;
       return;
     }
@@ -151,9 +151,10 @@ void BucketCalendar::advance_cursor(u64 new_slot) {
     std::vector<EventKey>& s = wheels_[k][newc & wheel_mask_];
     if (s.empty()) continue;
     wheel_count_[k] -= s.size();
-    pour_.swap(s);  // s inherits pour_'s spare capacity
-    for (const EventKey& key : pour_) place(key);
-    pour_.clear();
+    // place() never files into the slot being poured (see place()), so
+    // the keys are read in place; then the storage joins spare_.
+    for (const EventKey& key : s) place(key);
+    recycle(s);
   }
   pull_far();
 }
@@ -175,7 +176,7 @@ const EventKey* BucketCalendar::ensure_front() {
         front_ = &b[pos_];
         return front_;
       }
-      b.clear();  // keeps capacity: buckets recycle their storage
+      recycle(b);  // the drained bucket's storage joins spare_
       lane_.clear();
       pos_ = 0;
       lane_pos_ = 0;

@@ -386,6 +386,24 @@ TEST(ChildBitmap, ResetReusesOneBitmapAcrossSizes) {
   EXPECT_EQ(bm.seen(), 0u);
 }
 
+TEST(BlockSet, MembershipAcrossWordBoundariesAndClear) {
+  BlockSet s;
+  EXPECT_FALSE(s.contains(0));
+  EXPECT_FALSE(s.contains(1000));  // beyond the words held: absent
+  for (const u32 id : {0u, 63u, 64u, 130u}) s.insert(id);
+  for (u32 id = 0; id < 200; ++id) {
+    const bool member = id == 0 || id == 63 || id == 64 || id == 130;
+    EXPECT_EQ(s.contains(id), member) << id;
+  }
+  s.insert(63);  // idempotent
+  EXPECT_TRUE(s.contains(63));
+  s.clear();
+  for (const u32 id : {0u, 63u, 64u, 130u}) EXPECT_FALSE(s.contains(id)) << id;
+  s.insert(5);  // reused after clear: no stale bits come back
+  EXPECT_TRUE(s.contains(5));
+  EXPECT_FALSE(s.contains(130));
+}
+
 TEST(ShardTracker, CompletesOnAnnouncedCount) {
   ShardTracker st;
   EXPECT_TRUE(st.mark(0));
