@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     for (u32 it = 0; it < iterations; ++it) {
       coll::Communicator comm(net, topo.hosts);
       coll::CollectiveOptions iter_desc = desc;
-      iter_desc.seed = desc.seed + it;  // same data as the persistent run
+      iter_desc.seed = desc.seed + it;  // fresh data per one-shot request
       coll::PersistentCollective pc = comm.persistent(iter_desc);
       if (!pc.ok()) return 1;
       const auto res = pc.run();  // one iteration, then released

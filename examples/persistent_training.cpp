@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   f64 total_s = 0;
   bool ok = true;
   for (int it = 0; it < iterations; ++it) {
-    const auto res = pc.run();  // iteration data: seed + it
+    const auto res = pc.run();  // the seed's inputs, rotated by `it`
     ok = ok && res.ok;
     total_s += res.completion_seconds;
     std::printf("  iteration %2d: %8.3f ms  err %.3g\n", it,

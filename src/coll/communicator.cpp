@@ -108,63 +108,63 @@ class InNetOp final : public TreeOpBase {
         std::min<u64>(elems_per_pkt_, elems_total_ - first));
   }
 
+  /// Block `b` of this iteration's rotation of `base`.
+  const std::byte* slice(const core::TypedBuffer& base, u32 b) {
+    return workload::rotated_slice(base, shift_,
+                                   static_cast<u64>(b) * elems_per_pkt_,
+                                   block_elems(b), bounce_);
+  }
+
   /// What host `h` feeds into the reduction for block `b`.
-  const void* contribution(u32 h, u32 b) const {
-    const u64 first = static_cast<u64>(b) * elems_per_pkt_;
+  const void* contribution(u32 h, u32 b) {
     switch (desc_.kind) {
       case CollectiveKind::kAllreduce:
       case CollectiveKind::kReduce:
-        return host_data_[h].at_byte(first);
+        return slice(inputs_->input(h), b);
       case CollectiveKind::kBroadcast:
-        return h == desc_.root ? payload_.at_byte(first) : identity_.data();
+        return h == desc_.root ? slice(inputs_->input(0), b)
+                               : identity_.data();
       case CollectiveKind::kBarrier:
         return nullptr;
     }
     return nullptr;
   }
 
-  /// What host h's delivered blocks are checked against; nullptr when its
-  /// result does not count (a reduce's other hosts, a barrier).
-  const core::TypedBuffer* reference_for(u32 h) const {
+  /// Whether host h's delivered blocks are checked against the reference:
+  /// not for a reduce's other hosts, nor for a barrier.
+  bool counts(u32 h) const {
     switch (desc_.kind) {
       case CollectiveKind::kAllreduce:
-        return &expected_;
+      case CollectiveKind::kBroadcast:
+        return true;
       case CollectiveKind::kReduce:
         // Only the destination consumes the result.
-        return h == desc_.root ? &expected_ : nullptr;
-      case CollectiveKind::kBroadcast:
-        return &payload_;
+        return h == desc_.root;
       case CollectiveKind::kBarrier:
-        return nullptr;
+        return false;
     }
-    return nullptr;
+    return false;
   }
 
   // ------------------------------------------------ TreeOpBase hooks ----
 
-  /// Refills the inputs and the reference in their existing storage: a
-  /// persistent request's iterations allocate nothing here after the first.
-  void stage(u64 seed) override {
-    const u32 P = static_cast<u32>(participants_.size());
+  /// Draws the inputs and their reference once per request (a broadcast's
+  /// one input is the root's vector, its own reference); every iteration
+  /// then sends and checks them rotated by the iteration's shift.
+  void stage(u32 iteration) override {
     err_ = 0.0;
-    switch (desc_.kind) {
-      case CollectiveKind::kAllreduce:
-      case CollectiveKind::kReduce:
-        workload::fill_dense_data(host_data_, P, elems_total_, desc_.dtype,
-                                  seed);
-        core::reference_reduce_into(expected_, host_data_, op_);
-        break;
-      case CollectiveKind::kBroadcast: {
-        Rng rng(seed);
-        payload_.reshape(desc_.dtype, elems_total_);
-        payload_.fill_random(rng);
+    if (barrier(desc_)) return;
+    if (inputs_ == nullptr) {
+      const bool bcast = desc_.kind == CollectiveKind::kBroadcast;
+      inputs_ = std::make_shared<const workload::DenseInputs>(
+          bcast ? 1 : static_cast<u32>(participants_.size()), elems_total_,
+          elems_per_pkt_, desc_.dtype, desc_.seed, op_);
+      if (bcast) {
         identity_.reshape(desc_.dtype, elems_per_pkt_);
         identity_.fill_identity(op_);
-        break;
       }
-      case CollectiveKind::kBarrier:
-        break;
     }
+    shift_ = inputs_->rotation(iteration);
   }
 
   void send_block(u32 h, u32 b, u16 flags) override {
@@ -182,13 +182,13 @@ class InNetOp final : public TreeOpBase {
   bool on_block_packet(u32 h, const core::Packet& pkt) override {
     const u32 b = pkt.hdr.block_id;
     FLARE_ASSERT(pkt.hdr.elem_count == block_elems(b));
-    if (const core::TypedBuffer* want = reference_for(h)) {
+    if (counts(h)) {
       FLARE_ASSERT(pkt.payload.size() ==
                    u64{block_elems(b)} * core::dtype_size(desc_.dtype));
-      const u64 first = static_cast<u64>(b) * elems_per_pkt_;
-      err_ = std::max(err_, core::max_abs_diff(desc_.dtype, pkt.payload.data(),
-                                               want->at_byte(first),
-                                               block_elems(b)));
+      err_ = std::max(err_, core::max_abs_diff(
+                                desc_.dtype, pkt.payload.data(),
+                                slice(inputs_->reference(), b),
+                                block_elems(b)));
     }
     return true;
   }
@@ -225,17 +225,20 @@ class InNetOp final : public TreeOpBase {
     CollectiveOptions rdesc = desc_;
     rdesc.algorithm = Algorithm::kHostRing;
     // The ring inherits the session's trace id: the attribution plane sees
-    // one continuous tenant across the in-network -> host transition.
-    return std::make_unique<RingOp>(net_, participants_, rdesc, trace_);
+    // one continuous tenant across the in-network -> host transition.  It
+    // reduces the same drawn inputs, rotated the same way.
+    return std::make_unique<RingOp>(net_, participants_, rdesc, trace_,
+                                    inputs_);
   }
 
   core::ReduceOp op_;
   const u64 elems_total_;
   const u32 elems_per_pkt_;
-  std::vector<core::TypedBuffer> host_data_;
-  core::TypedBuffer payload_;   ///< broadcast source vector
+  /// Drawn by the first stage(); shared with the fallback ring.
+  std::shared_ptr<const workload::DenseInputs> inputs_;
+  std::size_t shift_ = 0;       ///< this iteration's rotation of inputs_
+  core::TypedBuffer bounce_;    ///< a block that wraps past the end
   core::TypedBuffer identity_;  ///< broadcast non-root contribution
-  core::TypedBuffer expected_;
   f64 err_ = 0.0;  ///< worst delivered-block error this iteration
 };
 
@@ -317,7 +320,7 @@ CollectiveHandle PersistentCollective::start(CompletionFn on_complete) {
   // Install-once / run-many: the op resets per-iteration engine state on
   // every tree switch (and transparently reinstalls after a fabric fault)
   // inside begin(); the admission slot and tree roles otherwise stay put.
-  op_->begin(desc_.seed + iterations_, std::move(state));
+  op_->begin(iterations_, std::move(state));
   iterations_ += 1;
   return handle;
 }

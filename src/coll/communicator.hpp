@@ -9,7 +9,9 @@
 //                          switch engines ONCE, then run()/start() executes
 //                          iterations against the installed state,
 //                          amortizing compute_tree/install across a
-//                          training loop (iteration i uses seed + i); the
+//                          training loop (dense inputs are drawn once from
+//                          the seed and iteration i rotates them; sparse
+//                          epoch gradients use seed + i); the
 //                          per-iteration reset clears engine block state
 //                          but never touches the admission slot;
 //   * start(desc, cb)    — nonblocking one-shot: a one-iteration persistent

@@ -36,14 +36,15 @@ u64 SparseOp::tree_spills() const {
   return spills;
 }
 
-void SparseOp::stage(u64 seed) {
+void SparseOp::stage(u32 iteration) {
   const SparseWorkload& w = desc_.sparse;
   staged_.assign(P_, {});
   for (u32 h = 0; h < P_; ++h) {
     staged_[h].resize(nb_);
     for (u32 b = 0; b < nb_; ++b) {
       staged_[h][b] =
-          w.epoch_pairs ? w.epoch_pairs(seed, h, b) : w.pairs(h, b);
+          w.epoch_pairs ? w.epoch_pairs(desc_.seed + iteration, h, b)
+                        : w.pairs(h, b);
     }
   }
   // Engine spill counters persist across iterations of a persistent

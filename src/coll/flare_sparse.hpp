@@ -39,7 +39,7 @@ class SparseOp final : public TreeOpBase {
            ReductionTree tree, net::CongestionMonitor* monitor = nullptr);
 
  protected:
-  void stage(u64 seed) override;
+  void stage(u32 iteration) override;
   /// (Re)transmits every shard of host h's contribution to block b.
   void send_block(u32 h, u32 b, u16 flags) override;
   bool on_block_packet(u32 h, const core::Packet& pkt) override;

@@ -140,8 +140,8 @@ void TreeOpBase::release_install() {
   installed_ = false;
 }
 
-void TreeOpBase::begin(u64 seed, std::shared_ptr<OpState> state) {
-  seed_ = seed;
+void TreeOpBase::begin(u32 iteration, std::shared_ptr<OpState> state) {
+  iteration_ = iteration;
   recoveries_ = 0;
   recover_waits_ = 0;
   stalls_ = 0;
@@ -163,10 +163,10 @@ void TreeOpBase::begin(u64 seed, std::shared_ptr<OpState> state) {
   if (fallback_active()) {
     // Earlier iterations lost the fabric for good: run on the host-side
     // fallback data plane.
-    start_fallback_iteration(seed);
+    start_fallback_iteration();
     return;
   }
-  stage(seed);
+  stage(iteration);
   const u32 P = static_cast<u32>(participants_.size());
   // Reset in place: a host's schedule depends only on (h, P, nb_, order),
   // fixed for the op's lifetime, and `blocks` keeps its storage.
@@ -385,10 +385,11 @@ void TreeOpBase::recover(bool force) {
     return;
   }
   if (prepare_fallback()) {
-    // Mid-iteration fallback: the host data plane recomputes the same
-    // seeded inputs, so the published result is bit-for-bit what the
-    // in-network path would have produced for exact dtypes.
-    start_fallback_iteration(seed_);
+    // Mid-iteration fallback: the host data plane reduces this iteration's
+    // rotation of the inputs the op drew (make_fallback_op shares them),
+    // so the published result is bit-for-bit what the in-network path
+    // would have produced for exact dtypes.
+    start_fallback_iteration();
     return;
   }
   // No host fallback for this kind: wait for the fabric to heal (repairs
@@ -420,14 +421,14 @@ bool TreeOpBase::prepare_fallback() {
   return true;
 }
 
-void TreeOpBase::start_fallback_iteration(u64 seed) {
+void TreeOpBase::start_fallback_iteration() {
   fallback_state_ = std::make_shared<OpState>();
   std::weak_ptr<char> w = alive_;
   fallback_state_->on_complete = [this, w](const CollectiveResult&) {
     if (w.expired()) return;
     on_fallback_done();
   };
-  fallback_op_->begin(seed, fallback_state_);
+  fallback_op_->begin(iteration_, fallback_state_);
 }
 
 void TreeOpBase::on_fallback_done() {

@@ -35,7 +35,7 @@
 //     FOREIGN EWMA utilization (per-collective link attribution subtracts
 //     the session's own traffic; no completion-time gate needed).
 //
-// A concrete tree op is a block schedule on six hooks: stage() draws an
+// A concrete tree op is a block schedule on six hooks: stage() stages an
 // iteration's inputs, send_block() builds one host's packets for one
 // block, on_block_packet() consumes the down multicast and says when a
 // host holds a block, on_restart() clears partial state before a restart,
@@ -82,10 +82,11 @@ class OpBase {
   OpBase(const OpBase&) = delete;
   OpBase& operator=(const OpBase&) = delete;
 
-  /// Kicks off one iteration: (re)wires host handlers, stages data and
-  /// enqueues the first sends on the calendar.  `state` receives the
-  /// result; its on_complete (if any) fires at completion.
-  virtual void begin(u64 seed, std::shared_ptr<OpState> state) = 0;
+  /// Kicks off the request's `iteration`-th iteration (0 first): (re)wires
+  /// host handlers, stages data and enqueues the first sends on the
+  /// calendar.  `state` receives the result; its on_complete (if any)
+  /// fires at completion.
+  virtual void begin(u32 iteration, std::shared_ptr<OpState> state) = 0;
 
   /// The LIVE reduction tree of an in-network op holding an install;
   /// nullptr for host-based ops and after a fault stripped the tree.
@@ -214,7 +215,7 @@ class TreeOpBase : public OpBase {
   /// Persistent upkeep, then stage() and every host's first window of
   /// blocks — or the whole iteration on the fallback plane once the
   /// fabric was lost for good.
-  void begin(u64 seed, std::shared_ptr<OpState> state) final;
+  void begin(u32 iteration, std::shared_ptr<OpState> state) final;
 
   const ReductionTree* current_tree() const override {
     return installed_ ? &tree_ : nullptr;
@@ -236,9 +237,9 @@ class TreeOpBase : public OpBase {
  protected:
   // ---- hooks the concrete op supplies -----------------------------------
 
-  /// Stages the iteration drawn from `seed`: inputs, reference, per-host
-  /// result state.  Runs after the persistent upkeep, on tree_.
-  virtual void stage(u64 seed) = 0;
+  /// Stages iteration `iteration`: inputs, reference, per-host result
+  /// state.  Runs after the persistent upkeep, on tree_.
+  virtual void stage(u32 iteration) = 0;
 
   /// Sends host h's contribution to block b through send_up() — one packet
   /// or a shard sequence — with `flags` OR-ed into each header
@@ -363,7 +364,7 @@ class TreeOpBase : public OpBase {
   /// Constructs the fallback op (when the kind has one) and releases the
   /// install; false when no fallback applies.
   bool prepare_fallback();
-  void start_fallback_iteration(u64 seed);
+  void start_fallback_iteration();
   void on_fallback_done();
 
   /// The op holds its install until release_install() (a one-shot's
@@ -376,7 +377,7 @@ class TreeOpBase : public OpBase {
   /// Staggered sending keeps every block in flight (Section 5); windowed
   /// flow control applies to aligned sending.
   const u32 window_;
-  u64 seed_ = 0;
+  u32 iteration_ = 0;
 
   // --- fault tolerance ---
   /// Heal-wait budget for kinds with no host fallback: ~64 timeout periods

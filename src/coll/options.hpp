@@ -57,8 +57,10 @@ struct Tuning {
   /// dense aggregation, 1.6e12 for sparse (Figure 13: sparse is slower).
   f64 switch_service_bps = 0.0;
   core::DType dtype = core::DType::kFloat32;
-  u64 seed = 1;  ///< workload seed (iteration i of a persistent request
-                 ///< uses seed + i)
+  /// Workload seed.  A dense request draws its inputs from it once and
+  /// iteration i rotates them (workload::DenseInputs); iteration i of a
+  /// sparse request draws epoch_pairs(seed + i, ...).
+  u64 seed = 1;
   /// Blocks a host may have in flight (aggregation buffers per collective).
   u32 window_blocks = 64;
 
@@ -113,8 +115,8 @@ struct SparseWorkload {
   /// Optional per-iteration source for persistent sparse sessions: when
   /// set, iteration i of a persistent request draws its gradients from
   /// epoch_pairs(seed + i, host, block) — fresh data every iteration,
-  /// exactly as make_dense_data does for the dense kinds.  When null,
-  /// every iteration replays `pairs` (a fixed gradient).
+  /// where the dense kinds rotate inputs drawn once.  When null, every
+  /// iteration replays `pairs` (a fixed gradient).
   std::function<std::vector<core::SparsePair>(u64 epoch, u32 host,
                                               u32 block)>
       epoch_pairs;

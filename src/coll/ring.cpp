@@ -3,27 +3,36 @@
 #include <algorithm>
 #include <cstring>
 
-#include "workload/generators.hpp"
-
 namespace flare::coll::detail {
 
 RingOp::RingOp(net::Network& net, const std::vector<net::Host*>& participants,
-               const CollectiveOptions& desc, u32 trace)
+               const CollectiveOptions& desc, u32 trace,
+               std::shared_ptr<const workload::DenseInputs> inputs)
     : HostOpBase(net, participants, desc, 0x40000000u, trace,
                  "ring-iteration"),
-      op_(desc.op) {
+      op_(desc.op),
+      inputs_(std::move(inputs)) {
   esize_ = core::dtype_size(desc_.dtype);
   elems_total_ = std::max<u64>(1, desc_.data_bytes / esize_);
 }
 
-void RingOp::begin(u64 seed, std::shared_ptr<OpState> state) {
+void RingOp::begin(u32 iteration, std::shared_ptr<OpState> state) {
   begin_iteration(std::move(state));
-  workload::fill_dense_data(vecs_, P_, elems_total_, desc_.dtype, seed);
-  core::reference_reduce_into(expected_, vecs_, op_);
+  if (inputs_ == nullptr) {
+    // Rotated by the in-network block size, as the in-network plane would
+    // rotate them: a request's data does not depend on the plane serving it.
+    inputs_ = std::make_shared<const workload::DenseInputs>(
+        P_, elems_total_, std::max<u64>(1, desc_.packet_payload / esize_),
+        desc_.dtype, desc_.seed, op_);
+  }
+  shift_ = inputs_->rotation(iteration);
+  err_ = 0.0;
   runs_.assign(P_, RHost{});
   if (!launch()) return;
   // Kick off: every host sends its own chunk h for scatter-reduce step 0.
-  for (u32 h = 0; h < P_; ++h) send_chunk(h, h, Phase::kScatterReduce, 0);
+  for (u32 h = 0; h < P_; ++h) {
+    send_chunk(h, Phase::kScatterReduce, 0, input_chunk(h, h));
+  }
 }
 
 u32 RingOp::make_tag(Phase phase, u32 step) {
@@ -40,13 +49,31 @@ u64 RingOp::chunk_elems(u32 c) const {
   return chunk_begin(c + 1) - chunk_begin(c);
 }
 
-void RingOp::send_chunk(u32 h, u32 c, Phase phase, u32 step) {
-  const u64 elems = chunk_elems(c);
-  const u64 bytes = elems * esize_;
-  auto snapshot = std::make_shared<core::TypedBuffer>(desc_.dtype, elems);
-  std::memcpy(snapshot->data(), vecs_[h].at_byte(chunk_begin(c)), bytes);
+const std::byte* RingOp::slice(const core::TypedBuffer& base, u32 c) {
+  return workload::rotated_slice(base, shift_, chunk_begin(c),
+                                 chunk_elems(c), bounce_);
+}
+
+std::shared_ptr<core::TypedBuffer> RingOp::input_chunk(u32 h, u32 c) {
+  auto chunk = std::make_shared<core::TypedBuffer>(desc_.dtype,
+                                                   chunk_elems(c));
+  std::memcpy(chunk->data(), slice(inputs_->input(h), c),
+              chunk->size_bytes());
+  return chunk;
+}
+
+void RingOp::check(u32 c, const core::TypedBuffer& chunk) {
+  FLARE_ASSERT(chunk.size() == chunk_elems(c));
+  err_ = std::max(err_, core::max_abs_diff(desc_.dtype, chunk.data(),
+                                           slice(inputs_->reference(), c),
+                                           chunk.size()));
+}
+
+void RingOp::send_chunk(u32 h, Phase phase, u32 step,
+                        std::shared_ptr<const core::TypedBuffer> chunk) {
+  const u64 bytes = chunk->size_bytes();
   send(h, (h + 1) % P_, make_tag(phase, step), bytes,
-       {std::move(snapshot), nullptr});
+       {std::move(chunk), nullptr});
 }
 
 std::optional<HostOpBase::Expect> RingOp::expecting(u32 h) const {
@@ -58,27 +85,30 @@ std::optional<HostOpBase::Expect> RingOp::expecting(u32 h) const {
 void RingOp::consume(u32 h, const Payload& msg) {
   RHost& hr = runs_[h];
   if (hr.phase == Phase::kScatterReduce) {
+    // h's input chunk c combined with the partial reduction of c its
+    // predecessor sent, in that order.
     const u32 c = (h + P_ - hr.step - 1) % P_;
     FLARE_ASSERT(msg.dense->size() == chunk_elems(c));
-    op_.apply(desc_.dtype, vecs_[h].at_byte(chunk_begin(c)),
-              msg.dense->data(), chunk_elems(c));
+    std::shared_ptr<core::TypedBuffer> acc = input_chunk(h, c);
+    op_.apply(desc_.dtype, acc->data(), msg.dense->data(), chunk_elems(c));
     hr.step += 1;
     if (hr.step < P_ - 1) {
-      send_chunk(h, (h + P_ - hr.step) % P_, Phase::kScatterReduce, hr.step);
+      send_chunk(h, Phase::kScatterReduce, hr.step, std::move(acc));
     } else {
+      // Chunk c is fully reduced here: h's first piece of the result.
+      check(c, *acc);
       hr.phase = Phase::kAllGather;
       hr.step = 0;
-      send_chunk(h, (h + 1) % P_, Phase::kAllGather, 0);
+      send_chunk(h, Phase::kAllGather, 0, std::move(acc));
     }
     return;
   }
+  // A finished chunk of the result: check it and pass it on unchanged.
   const u32 c = (h + P_ - hr.step) % P_;
-  FLARE_ASSERT(msg.dense->size() == chunk_elems(c));
-  std::memcpy(vecs_[h].at_byte(chunk_begin(c)), msg.dense->data(),
-              chunk_elems(c) * esize_);
+  check(c, *msg.dense);
   hr.step += 1;
   if (hr.step < P_ - 1) {
-    send_chunk(h, c, Phase::kAllGather, hr.step);
+    send_chunk(h, Phase::kAllGather, hr.step, msg.dense);
   } else {
     hr.phase = Phase::kDone;
   }
@@ -86,12 +116,8 @@ void RingOp::consume(u32 h, const Payload& msg) {
 
 void RingOp::fill_result(CollectiveResult& res) const {
   res.blocks = P_;
-  f64 err = 0.0;
-  for (const core::TypedBuffer& v : vecs_) {
-    err = std::max(err, v.max_abs_diff(expected_));
-  }
-  res.max_abs_err = err;
-  res.ok = err <= core::reduce_tolerance(desc_.dtype, P_);
+  res.max_abs_err = err_;
+  res.ok = err_ <= core::reduce_tolerance(desc_.dtype, P_);
 }
 
 }  // namespace flare::coll::detail

@@ -14,17 +14,20 @@
 
 #include "coll/op.hpp"
 #include "core/typed_buffer.hpp"
+#include "workload/generators.hpp"
 
 namespace flare::coll::detail {
 
 class RingOp final : public HostOpBase {
  public:
   /// `trace`: see HostOpBase — nonzero when this ring is the fallback
-  /// plane of an in-network session.
+  /// plane of an in-network session, whose drawn `inputs` it then shares;
+  /// a ring without them draws its own from desc.seed on its first begin().
   RingOp(net::Network& net, const std::vector<net::Host*>& participants,
-         const CollectiveOptions& desc, u32 trace = 0);
+         const CollectiveOptions& desc, u32 trace = 0,
+         std::shared_ptr<const workload::DenseInputs> inputs = nullptr);
 
-  void begin(u64 seed, std::shared_ptr<OpState> state) override;
+  void begin(u32 iteration, std::shared_ptr<OpState> state) override;
 
  private:
   enum class Phase : u8 { kScatterReduce, kAllGather, kDone };
@@ -41,17 +44,27 @@ class RingOp final : public HostOpBase {
   static u32 make_tag(Phase phase, u32 step);
   u64 chunk_begin(u32 c) const;
   u64 chunk_elems(u32 c) const;
-  /// Snapshots chunk `c` of h's working vector and sends it to h's ring
-  /// successor as message (phase, step).
-  void send_chunk(u32 h, u32 c, Phase phase, u32 step);
+  /// Chunk `c` of this iteration's rotation of `base`.
+  const std::byte* slice(const core::TypedBuffer& base, u32 c);
+  /// A copy of chunk `c` of host h's input this iteration.
+  std::shared_ptr<core::TypedBuffer> input_chunk(u32 h, u32 c);
+  /// Folds a finished result chunk's error against the reference into err_.
+  void check(u32 c, const core::TypedBuffer& chunk);
+  /// Sends `chunk` to h's ring successor as message (phase, step).
+  void send_chunk(u32 h, Phase phase, u32 step,
+                  std::shared_ptr<const core::TypedBuffer> chunk);
 
   core::ReduceOp op_;
   u32 esize_ = 4;
   u64 elems_total_ = 0;
-  core::TypedBuffer expected_;
-  /// Per host: the working vector (input, then result), refilled in place
-  /// by every begin().
-  std::vector<core::TypedBuffer> vecs_;
+  /// The request's inputs: drawn by the first begin(), or the in-network
+  /// op's when this ring is its fallback.  Hosts hold no working vectors:
+  /// each message is a fresh chunk, and every finished chunk a host gets
+  /// is checked against the reference as it arrives.
+  std::shared_ptr<const workload::DenseInputs> inputs_;
+  std::size_t shift_ = 0;     ///< this iteration's rotation of inputs_
+  core::TypedBuffer bounce_;  ///< a chunk that wraps past the end
+  f64 err_ = 0.0;             ///< worst result-chunk error this iteration
   std::vector<RHost> runs_;
 };
 

@@ -76,7 +76,7 @@ std::vector<core::SparsePair> SparcmlOp::host_pairs(u32 h, u64 seed) const {
   return all;
 }
 
-void SparcmlOp::begin(u64 seed, std::shared_ptr<OpState> state) {
+void SparcmlOp::begin(u32 iteration, std::shared_ptr<OpState> state) {
   begin_iteration(std::move(state));
   dense_switchovers_ = 0;
   pairs_exchanged_ = 0;
@@ -88,7 +88,7 @@ void SparcmlOp::begin(u64 seed, std::shared_ptr<OpState> state) {
   runs_.resize(P_);
   for (u32 h = 0; h < P_; ++h) {
     SpHost& hr = runs_[h];
-    hr.sparse = host_pairs(h, seed);
+    hr.sparse = host_pairs(h, desc_.seed + iteration);
     std::sort(hr.sparse.begin(), hr.sparse.end(),
               [](const core::SparsePair& a, const core::SparsePair& b) {
                 return a.index < b.index;

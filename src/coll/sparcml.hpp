@@ -33,7 +33,7 @@ class SparcmlOp final : public HostOpBase {
   SparcmlOp(net::Network& net, const std::vector<net::Host*>& participants,
             const CollectiveOptions& desc, u32 trace = 0);
 
-  void begin(u64 seed, std::shared_ptr<OpState> state) override;
+  void begin(u32 iteration, std::shared_ptr<OpState> state) override;
 
  private:
   struct SpHost {

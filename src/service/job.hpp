@@ -28,7 +28,10 @@ namespace flare::service {
 struct JobSpec {
   std::vector<net::Host*> participants;
   coll::CollectiveOptions desc;
-  /// Training iterations this job runs (iteration i uses desc.seed + i).
+  /// Training iterations this job runs.  A persistent job's iteration i
+  /// rotates the dense inputs drawn from desc.seed (sparse: draws from
+  /// desc.seed + i); a host-plane job runs iteration i as a one-shot
+  /// request seeded desc.seed + i.
   /// In-network jobs execute them against ONE persistent install — and a
   /// multi-iteration job is exactly what congestion-aware migration needs:
   /// a session long enough to observe the fabric change under it.

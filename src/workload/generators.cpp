@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/assert.hpp"
 
@@ -10,19 +11,44 @@ namespace flare::workload {
 
 std::vector<core::TypedBuffer> make_dense_data(u32 hosts, std::size_t elems,
                                                core::DType dtype, u64 seed) {
-  std::vector<core::TypedBuffer> out;
-  fill_dense_data(out, hosts, elems, dtype, seed);
-  return out;
-}
-
-void fill_dense_data(std::vector<core::TypedBuffer>& out, u32 hosts,
-                     std::size_t elems, core::DType dtype, u64 seed) {
-  out.resize(hosts);
+  std::vector<core::TypedBuffer> out(hosts);
   for (u32 h = 0; h < hosts; ++h) {
     Rng rng(derive_seed(seed, h));
     out[h].reshape(dtype, elems);
     out[h].fill_random(rng);
   }
+  return out;
+}
+
+DenseInputs::DenseInputs(u32 hosts, std::size_t elems,
+                         std::size_t block_elems, core::DType dtype, u64 seed,
+                         const core::ReduceOp& op)
+    : block_elems_(block_elems),
+      inputs_(make_dense_data(hosts, elems, dtype, seed)) {
+  FLARE_ASSERT(elems >= 1 && block_elems >= 1);
+  core::reference_reduce_into(reference_, inputs_, op);
+}
+
+std::size_t DenseInputs::rotation(u32 iteration) const {
+  const std::size_t elems = reference_.size();
+  const std::size_t blocks = (elems + block_elems_ - 1) / block_elems_;
+  if (blocks >= 2) return (iteration % blocks) * block_elems_;
+  return iteration % elems;
+}
+
+const std::byte* rotated_slice(const core::TypedBuffer& base,
+                               std::size_t shift, std::size_t first,
+                               std::size_t n, core::TypedBuffer& bounce) {
+  const std::size_t size = base.size();
+  FLARE_ASSERT(shift < size && first + n <= size);
+  const std::size_t start = (first + shift) % size;
+  if (start + n <= size) return base.at_byte(start);
+  const std::size_t esize = core::dtype_size(base.dtype());
+  const std::size_t head = (size - start) * esize;
+  bounce.reshape(base.dtype(), n);
+  std::memcpy(bounce.data(), base.at_byte(start), head);
+  std::memcpy(bounce.data() + head, base.data(), n * esize - head);
+  return bounce.data();
 }
 
 namespace {

@@ -1,7 +1,9 @@
 // Synthetic workload generators.
 //
 // Dense vectors are uniform random values scaled so integer reductions never
-// overflow across hosts.  Sparse blocks model the index structure that
+// overflow across hosts.  A dense request draws its inputs and their
+// reference reduction once (DenseInputs); its later iterations rotate them
+// instead of drawing again.  Sparse blocks model the index structure that
 // governs in-network sparse allreduce performance (Section 7.1): the degree
 // to which different hosts' non-zero indices OVERLAP controls both
 // "densification" along the tree and hash-store collision pressure.  Real
@@ -23,11 +25,40 @@ namespace flare::workload {
 /// derive_seed(seed, h).
 std::vector<core::TypedBuffer> make_dense_data(u32 hosts, std::size_t elems,
                                                core::DType dtype, u64 seed);
-/// make_dense_data into `out`, reusing the storage of its buffers: the
-/// same values, without reallocating across the iterations of a
-/// persistent request.
-void fill_dense_data(std::vector<core::TypedBuffer>& out, u32 hosts,
-                     std::size_t elems, core::DType dtype, u64 seed);
+
+/// A dense request's inputs, drawn once, and their reference reduction.
+///
+/// Iteration k of the request does not draw again: every input, and the
+/// reference with them, is rotated left by rotation(k) elements.  With B
+/// blocks of `block_elems` each, that is (k mod B) whole blocks when B >= 2
+/// (with every block full, block b of iteration k is base block
+/// (b + k) mod B), and k mod elems single elements for a one-block message.
+/// Each output element still reduces the same operands in the same host
+/// order, so the rotated reference is exact for every dtype and op.
+class DenseInputs {
+ public:
+  /// make_dense_data(hosts, elems, dtype, seed), reduced in host order by
+  /// `op` into the reference.
+  DenseInputs(u32 hosts, std::size_t elems, std::size_t block_elems,
+              core::DType dtype, u64 seed, const core::ReduceOp& op);
+
+  const core::TypedBuffer& input(u32 host) const { return inputs_[host]; }
+  const core::TypedBuffer& reference() const { return reference_; }
+  /// Elements iteration `iteration` rotates every vector left by.
+  std::size_t rotation(u32 iteration) const;
+
+ private:
+  std::size_t block_elems_;
+  std::vector<core::TypedBuffer> inputs_;
+  core::TypedBuffer reference_;
+};
+
+/// Elements [first, first + n) of `base` rotated left by `shift`: a pointer
+/// into `base` when the range does not wrap past its end, else into
+/// `bounce`, which receives a copy.
+const std::byte* rotated_slice(const core::TypedBuffer& base,
+                               std::size_t shift, std::size_t first,
+                               std::size_t n, core::TypedBuffer& bounce);
 
 struct SparseSpec {
   u32 span = 1280;        ///< index space per block

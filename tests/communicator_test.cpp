@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,8 +89,9 @@ TEST(Persistent, TenIterationsInstallOnceBitForBit) {
   EXPECT_EQ(topo.leaves[0]->installed_reduces(), 0u);
 }
 
-TEST(Persistent, IterationsUseFreshDataPerSeed) {
-  // Iteration i runs seed + i: distinct gradients, all exact.
+TEST(Persistent, IterationsUseFreshData) {
+  // Iteration i rotates the inputs drawn from the seed: distinct data in
+  // every iteration, all exact.
   net::Network net;
   auto topo = net::build_single_switch(net, 4);
   Communicator comm(net, topo.hosts);
@@ -483,6 +485,58 @@ TEST(PersistentFault, MidIterationSpineCrashStaysInNetwork) {
   }
 }
 
+/// Iteration 1 of a persistent allreduce on a 6-host single switch.  The
+/// switch fails 2 us into it and restarts at 40 us, so no tree survives and
+/// the iteration finishes on the host-ring fallback.
+CollectiveResult crashed_second_iteration(CollectiveOptions desc) {
+  desc.retransmit_timeout_ps = 3 * kPsPerUs;
+  desc.max_retransmits = 2;
+  net::Network net;
+  auto topo = net::build_single_switch(net, 6);
+  Communicator comm(net, topo.hosts);
+  PersistentCollective pc = comm.persistent(desc);
+  EXPECT_TRUE(pc.ok());
+  const CollectiveResult first = pc.run();
+  EXPECT_TRUE(first.ok);
+  EXPECT_FALSE(first.fell_back);
+  net::Switch* sw = topo.leaves[0];
+  const SimTime now = net.sim().now();
+  net.sim().schedule_at(now + 2 * kPsPerUs, [sw] { sw->fail(); });
+  net.sim().schedule_at(now + 40 * kPsPerUs, [sw] { sw->restart(); });
+  return pc.run();
+}
+
+TEST(PersistentFault, MidIterationFallbackReducesThatIterationsRotation) {
+  // int32: the ring's result equals the reference it checks, exactly.
+  CollectiveOptions desc = int_allreduce(16_KiB);
+  desc.seed = 37;
+  const CollectiveResult fell = crashed_second_iteration(desc);
+  ASSERT_TRUE(fell.ok);
+  EXPECT_TRUE(fell.fell_back);
+  EXPECT_FALSE(fell.in_network);
+  EXPECT_EQ(fell.max_abs_err, 0.0);
+
+  // f32: the ring's worst rounding error pins which inputs it reduced.  The
+  // fallback reports what a host-ring request reports for its iteration 1,
+  // not its iteration 0: it reduced the in-network op's inputs rotated for
+  // iteration 1, against that iteration's rotated reference.
+  desc.dtype = core::DType::kFloat32;
+  const CollectiveResult fell_f32 = crashed_second_iteration(desc);
+  ASSERT_TRUE(fell_f32.ok);
+  EXPECT_TRUE(fell_f32.fell_back);
+  CollectiveOptions ring = desc;
+  ring.algorithm = Algorithm::kHostRing;
+  net::Network net;
+  auto topo = net::build_single_switch(net, 6);
+  Communicator comm(net, topo.hosts);
+  PersistentCollective ring_pc = comm.persistent(ring);
+  const CollectiveResult ring0 = ring_pc.run();
+  const CollectiveResult ring1 = ring_pc.run();
+  EXPECT_EQ(ring0.max_abs_err, 5.7220458984375e-06);
+  EXPECT_EQ(ring1.max_abs_err, 3.814697265625e-06);
+  EXPECT_EQ(fell_f32.max_abs_err, ring1.max_abs_err);
+}
+
 TEST(CommunicatorKinds, ReduceDeliversAtDestination) {
   net::Network net;
   auto topo = net::build_single_switch(net, 8);
@@ -622,16 +676,35 @@ TEST(ResultCheck, BroadcastComparesWithTheRootVector) {
 }
 
 TEST(ResultCheck, PersistentIterationsReportTheirOwnError) {
-  // Seed 8 draws a smaller worst error in iteration 3 than in iteration 2:
-  // an error carried over from the previous iteration would show.
+  // Iterations rotate the inputs drawn once, so every element reduces the
+  // same operands in the same order and the worst error repeats while the
+  // tree stays put.  A planned re-embed onto spine 2 changes the combine
+  // order and the worst error drops in iteration 1: an error carried over
+  // from iteration 0 would show.
+  net::Network net;
+  net::FatTreeSpec spec;
+  spec.hosts = 16;
+  spec.radix = 4;
+  auto topo = net::build_fat_tree(net, spec);
+  Communicator comm(net, topo.hosts);
   CollectiveOptions desc = float_collective(CollectiveKind::kAllreduce,
                                             core::DType::kFloat32, 16_KiB);
-  desc.seed = 8;
-  const std::vector<CollectiveResult> res = run_on_fat_tree(desc, 3);
-  ASSERT_EQ(res.size(), 3u);
-  EXPECT_EQ(res[0].max_abs_err, 8.106231689453125e-06);
-  EXPECT_EQ(res[1].max_abs_err, 1.1444091796875e-05);
-  EXPECT_EQ(res[2].max_abs_err, 9.5367431640625e-06);
+  desc.seed = 1;
+  PersistentCollective pc = comm.persistent(desc);
+  ASSERT_TRUE(pc.in_network());
+  ASSERT_NE(pc.tree().switches.front().sw, topo.spines[2]);
+  std::vector<CollectiveResult> res;
+  res.push_back(pc.run());
+  const std::optional<ReductionTree> spine2 =
+      comm.manager().compute_tree(topo.hosts, topo.spines[2]->id());
+  ASSERT_TRUE(spine2.has_value());
+  ASSERT_TRUE(pc.plan_migration(*spine2));
+  res.push_back(pc.run());
+  res.push_back(pc.run());
+  EXPECT_EQ(res[1].planned_migrations, 1u);
+  EXPECT_EQ(res[0].max_abs_err, 1.1444091796875e-05);
+  EXPECT_EQ(res[1].max_abs_err, 7.62939453125e-06);
+  EXPECT_EQ(res[2].max_abs_err, 7.62939453125e-06);
   for (const CollectiveResult& r : res) EXPECT_TRUE(r.ok);
 }
 

@@ -2,7 +2,9 @@
 // gradient-trace structure (bucket top-k, layer scales), arrival processes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <unordered_set>
 
 #include "workload/arrivals.hpp"
@@ -23,6 +25,129 @@ TEST(DenseGen, DeterministicPerSeedAndHost) {
 TEST(DenseGen, HostsDiffer) {
   auto d = make_dense_data(2, 256, core::DType::kInt32, 7);
   EXPECT_FALSE(d[0].bitwise_equal(d[1]));
+}
+
+// ----------------------------------------------- dense input rotation ---
+
+/// Message shapes as (elements, block elements): full blocks, a short tail
+/// block, one short block and one full block.
+struct DenseShape {
+  std::size_t elems;
+  std::size_t block;
+};
+constexpr DenseShape kShapes[] = {{64, 16}, {40, 16}, {10, 16}, {16, 16}};
+constexpr u32 kRotHosts = 5;
+
+/// out[i] = base[(i + shift) mod n], element by element.
+core::TypedBuffer rotated(const core::TypedBuffer& base, std::size_t shift) {
+  core::TypedBuffer out(base.dtype(), base.size());
+  const std::size_t esize = core::dtype_size(base.dtype());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    std::memcpy(out.at_byte(i), base.at_byte((i + shift) % base.size()),
+                esize);
+  }
+  return out;
+}
+
+/// Iteration k's inputs, as the request sends them.
+std::vector<core::TypedBuffer> inputs_at(const DenseInputs& in, u32 k) {
+  std::vector<core::TypedBuffer> out;
+  for (u32 h = 0; h < kRotHosts; ++h) {
+    out.push_back(rotated(in.input(h), in.rotation(k)));
+  }
+  return out;
+}
+
+TEST(DenseInputs, RotatedInputsReduceToTheRotatedReference) {
+  for (const core::DType dtype :
+       {core::DType::kInt32, core::DType::kFloat32, core::DType::kFloat16}) {
+    for (const core::OpKind kind :
+         {core::OpKind::kSum, core::OpKind::kMax, core::OpKind::kProd}) {
+      const core::ReduceOp op(kind);
+      for (const DenseShape& shape : kShapes) {
+        const DenseInputs in(kRotHosts, shape.elems, shape.block, dtype, 3,
+                             op);
+        for (u32 k = 0; k < 2 * shape.elems; ++k) {
+          core::TypedBuffer got;
+          core::reference_reduce_into(got, inputs_at(in, k), op);
+          const core::TypedBuffer want =
+              rotated(in.reference(), in.rotation(k));
+          ASSERT_TRUE(got.bitwise_equal(want))
+              << core::dtype_name(dtype) << " op " << static_cast<int>(kind)
+              << " elems " << shape.elems << " iteration " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseInputs, IterationZeroIsTheDrawAndEachIterationMoves) {
+  const core::ReduceOp sum(core::OpKind::kSum);
+  for (const DenseShape& shape : kShapes) {
+    const DenseInputs in(kRotHosts, shape.elems, shape.block,
+                         core::DType::kInt32, 9, sum);
+    const auto drawn =
+        make_dense_data(kRotHosts, shape.elems, core::DType::kInt32, 9);
+    EXPECT_EQ(in.rotation(0), 0u);
+    for (u32 h = 0; h < kRotHosts; ++h) {
+      EXPECT_TRUE(in.input(h).bitwise_equal(drawn[h]));
+    }
+    for (u32 k = 1; k < 2 * shape.elems; ++k) {
+      EXPECT_NE(in.rotation(k), in.rotation(k - 1)) << shape.elems;
+      const auto prev = inputs_at(in, k - 1);
+      const auto cur = inputs_at(in, k);
+      bool moved = false;
+      for (u32 h = 0; h < kRotHosts; ++h) {
+        moved = moved || !cur[h].bitwise_equal(prev[h]);
+      }
+      EXPECT_TRUE(moved) << "elems " << shape.elems << " iteration " << k;
+    }
+  }
+  // A one-element message has nothing to rotate.
+  const DenseInputs one(kRotHosts, 1, 16, core::DType::kInt32, 9, sum);
+  EXPECT_EQ(one.rotation(7), 0u);
+}
+
+TEST(DenseInputs, RotationRuleByShape) {
+  const core::ReduceOp sum(core::OpKind::kSum);
+  const auto rotations = [&](const DenseShape& shape) {
+    const DenseInputs in(2, shape.elems, shape.block, core::DType::kInt32, 1,
+                         sum);
+    std::vector<std::size_t> out;
+    for (u32 k = 0; k < 5; ++k) out.push_back(in.rotation(k));
+    return out;
+  };
+  // Full blocks and a short tail move whole blocks; one block moves one
+  // element per iteration.
+  EXPECT_EQ(rotations({64, 16}), (std::vector<std::size_t>{0, 16, 32, 48, 0}));
+  EXPECT_EQ(rotations({40, 16}), (std::vector<std::size_t>{0, 16, 32, 0, 16}));
+  EXPECT_EQ(rotations({10, 16}), (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(rotations({16, 16}), (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(DenseInputs, RotatedSliceMatchesTheRotatedVector) {
+  const core::ReduceOp sum(core::OpKind::kSum);
+  for (const DenseShape& shape : kShapes) {
+    const DenseInputs in(1, shape.elems, shape.block, core::DType::kFloat32,
+                         4, sum);
+    const core::TypedBuffer& base = in.input(0);
+    const bool full_blocks =
+        shape.elems % shape.block == 0 && shape.elems > shape.block;
+    for (u32 k = 0; k < 2 * shape.elems; ++k) {
+      const core::TypedBuffer whole = rotated(base, in.rotation(k));
+      for (std::size_t first = 0; first < shape.elems; first += shape.block) {
+        const std::size_t n = std::min(shape.block, shape.elems - first);
+        core::TypedBuffer bounce;
+        const std::byte* got =
+            rotated_slice(base, in.rotation(k), first, n, bounce);
+        EXPECT_EQ(std::memcmp(got, whole.at_byte(first), n * sizeof(f32)), 0);
+        // Full blocks rotate onto whole base blocks: never a copy.
+        if (full_blocks) {
+          EXPECT_EQ(bounce.size(), 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(SparseGen, DensityTargetIsHonoured) {
