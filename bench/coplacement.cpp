@@ -1,5 +1,6 @@
-// Global co-placement (seeded SA over the active job set, src/place/) vs
-// the greedy + reactive baseline (beyond-paper; ISSUE 9 acceptance bench).
+// Global co-placement (placement descent over the active job set,
+// src/place/) vs the greedy + reactive baseline (beyond-paper acceptance
+// bench).
 //
 // Fabric: 32 hosts x radix-8 fat tree = 8 leaves x 4 spines, one link per
 // leaf-spine pair.  Six duty-cycled training jobs arrive as three pairs,
@@ -14,8 +15,8 @@
 // per-job reactive migration trigger (migrate_above), so the baseline's
 // reactive plane never fires — only a fleet-wide search can see that the
 // overlap hurts everyone.  Both contenders run identical arrivals, heat,
-// and knobs; the co-placement contender additionally runs the periodic SA
-// optimizer (place_period_ps), whose plans apply through the same
+// and knobs; the co-placement contender additionally runs the periodic
+// placement descent (place_period_ps), whose plans apply through the same
 // break-before-make migration path.
 //
 // Acceptance (exit non-zero otherwise):
@@ -29,8 +30,8 @@
 //     seconds);
 //   * >= 1 optimizer-planned move is APPLIED (and the baseline's reactive
 //     plane stayed silent — the win is the planner's alone);
-//   * a full re-run with the same seed replays bit-for-bit (worst-edge
-//     series, per-job finish instants, planned-move count);
+//   * a full re-run replays bit-for-bit (worst-edge series, per-job
+//     finish instants, planned-move count);
 //   * zero switch occupancy leaked after the fleet drains.
 #include <algorithm>
 #include <cstdio>
@@ -47,7 +48,6 @@ using namespace flare;
 
 namespace {
 
-constexpr u64 kPlaceSeed = 0xC0F1ACEull;
 constexpr u32 kJobs = 6;
 constexpr u32 kIterations = 40;
 constexpr SimTime kIterGap = 20 * kPsPerUs;     // ~1/3 duty cycle
@@ -118,6 +118,7 @@ struct RunResult {
   u64 planned = 0;   // optimizer-planned moves applied
   u64 reactive = 0;  // reactive migrations (should stay 0 for both)
   u64 place_rounds = 0;
+  u64 place_root_sweeps = 0;  // placement descent root sweeps
   bool all_ok = true;
   bool leak_free = true;
 };
@@ -135,7 +136,6 @@ RunResult run_contender(bool coplace) {
   opt.migrate_above = 0.45;
   if (coplace) {
     opt.place_period_ps = 40 * kPsPerUs;
-    opt.place_seed = kPlaceSeed;
     opt.place_min_gain = 0.02;
   }
   service::AllreduceService service(net, opt);
@@ -200,6 +200,7 @@ RunResult run_contender(bool coplace) {
   out.planned = service.telemetry().planned_migrations;
   out.reactive = service.telemetry().migrations;
   out.place_rounds = service.telemetry().place.rounds;
+  out.place_root_sweeps = service.telemetry().place.root_sweeps;
   for (const f64 w : out.worst_series) {
     out.worst_mean += w;
     out.worst_peak = std::max(out.worst_peak, w);
@@ -218,8 +219,8 @@ RunResult run_contender(bool coplace) {
 int main(int argc, char** argv) {
   const bool full = bench::has_flag(argc, argv, "--full");
   bench::print_title("COPLACEMENT",
-                     "SA co-placement of the active job set vs greedy "
-                     "admission + reactive migration");
+                     "co-placement descent over the active job set vs "
+                     "greedy admission + reactive migration");
   std::printf("  32-host fat tree (4 spines), %u duty-cycled 64 KiB int32 "
               "jobs in 3 leaf-sharing pairs,\n  stacked through spine0 by "
               "transient admission-time heat; %u iterations each\n\n",
@@ -279,6 +280,7 @@ int main(int argc, char** argv) {
       .add("planned_moves_applied", co.planned)
       .add("reactive_migrations", co.reactive)
       .add("place_rounds", co.place_rounds)
+      .add("place_root_sweeps", co.place_root_sweeps)
       .add("no_completion_regression", no_regression)
       .add("deterministic", deterministic)
       .add("leak_free", base.leak_free && co.leak_free)

@@ -2,41 +2,43 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
-
-#include "common/rng.hpp"
+#include <utility>
 
 namespace flare::place {
 
-namespace {
-
-/// Metropolis guard: temperatures decay geometrically toward 0; below this
-/// any uphill move is simply rejected (exp underflows anyway).
-constexpr f64 kMinTemp = 1e-12;
-
-bool same_embedding(const coll::ReductionTree& a, const coll::ReductionTree& b) {
-  if (a.root != b.root || a.switches.size() != b.switches.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.switches.size(); ++i) {
-    const coll::TreeSwitchEntry& x = a.switches[i];
-    const coll::TreeSwitchEntry& y = b.switches[i];
-    if (x.sw != y.sw || x.parent_port != y.parent_port ||
-        x.child_ports != y.child_ports) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-/// SA working state: one candidate assignment of the whole fleet.
+/// Descent working state: the one assignment of the whole fleet, edited in
+/// place.
 struct PlacementOptimizer::State {
   std::vector<coll::ReductionTree> trees;  ///< per job (snapshot order)
   std::vector<std::vector<u32>> links;     ///< per job, sorted
-  std::vector<f64> load;                   ///< per link (rebuild_load)
-  f64 total_bytes = 0.0;
+  std::vector<f64> load;                   ///< per link, from `links`
+  f64 cost = 0.0;                          ///< objective of this assignment
+  std::vector<u32> touched;                ///< relink scratch
+
+  /// Gives job `j` the link set `next` and returns its former one.  Only
+  /// links whose crossing set changed are recomputed, each from its
+  /// background in ascending job order, so `load` stays bit-identical to
+  /// a full rebuild.
+  std::vector<u32> relink(const CostSnapshot& snap, u32 j,
+                          std::vector<u32> next) {
+    touched.clear();
+    std::set_symmetric_difference(links[j].begin(), links[j].end(),
+                                  next.begin(), next.end(),
+                                  std::back_inserter(touched));
+    std::vector<u32> prev = std::exchange(links[j], std::move(next));
+    for (const u32 l : touched) {
+      f64 v = snap.background()[l];
+      for (std::size_t k = 0; k < links.size(); ++k) {
+        if (std::binary_search(links[k].begin(), links[k].end(), l)) {
+          v += snap.jobs()[k].weight;
+        }
+      }
+      load[l] = v;
+    }
+    return prev;
+  }
 };
 
 PlacementOptimizer::PlacementOptimizer(net::Network& net, OptimizerOptions opt)
@@ -67,36 +69,68 @@ void PlacementOptimizer::set_heat(const std::vector<f64>& load,
   for (const u32 i : exclude) heat_[i] = std::max(0.0, load[i] - weight);
 }
 
-std::optional<coll::ReductionTree> PlacementOptimizer::tree_for(
-    const CostSnapshot& snap, State& st, u32 j, net::NodeId root) {
-  set_heat(st.load, st.links[j], snap.jobs()[j].weight);
-  return manager_.compute_tree(snap.jobs()[j].participants, root);
-}
-
-std::optional<coll::ReductionTree> PlacementOptimizer::cheapest_tree(
-    const CostSnapshot& snap, State& st, u32 j) {
-  set_heat(st.load, st.links[j], snap.jobs()[j].weight);
-  return manager_.cheapest_tree(snap.jobs()[j].participants);
-}
-
-f64 PlacementOptimizer::objective(const CostSnapshot& snap,
-                                  const State& st) const {
-  f64 worst = 0.0;
-  for (const f64 l : st.load) worst = std::max(worst, l);
-  const std::vector<JobView>& jobs = snap.jobs();
-  f64 sum_est = 0.0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    f64 hot = 0.0;  // foreign heat: load minus the job's own weight
-    for (const u32 l : st.links[j]) {
-      hot = std::max(hot, std::max(0.0, st.load[l] - jobs[j].weight));
-    }
-    const f64 share =
-        st.total_bytes > 0.0
-            ? static_cast<f64>(jobs[j].data_bytes) / st.total_bytes
-            : 1.0 / static_cast<f64>(jobs.size());
-    sum_est += share * std::exp(opt_.heat_exponent * hot);
+std::optional<PlacementOptimizer::Candidate> PlacementOptimizer::best_tree(
+    const CostSnapshot& snap, State& st, u32 j, PlacementPlan& plan) {
+  const JobView& job = snap.jobs()[j];
+  set_heat(st.load, st.links[j], job.weight);
+  ++plan.root_sweeps;
+  std::vector<coll::ReductionTree> trees =
+      manager_.ranked_trees(job.participants);
+  std::optional<Candidate> best;
+  std::vector<u32> prev = st.links[j];
+  std::vector<u32> last;  // ranked order puts equal embeddings side by side
+  for (coll::ReductionTree& t : trees) {
+    std::vector<u32> links = snap.tree_links(t);
+    if (links == prev || links == last) continue;
+    ++plan.proposed;
+    last = links;
+    st.relink(snap, j, std::move(links));
+    const f64 cost =
+        placement_objective(snap, st.links, st.load, opt_.heat_exponent);
+    if (!best || cost < best->cost) best = Candidate{cost, std::move(t)};
   }
-  return (1.0 + worst) * sum_est;
+  st.relink(snap, j, std::move(prev));
+  return best;
+}
+
+bool PlacementOptimizer::pair_escape(const CostSnapshot& snap, State& st,
+                                     PlacementPlan& plan) {
+  const u32 num_jobs = static_cast<u32>(snap.jobs().size());
+  // The hottest link some job crosses: a link only background heats
+  // cannot be cooled by moving jobs.
+  u32 hottest = UINT32_MAX;
+  for (const std::vector<u32>& links : st.links) {
+    for (const u32 l : links) {
+      if (hottest == UINT32_MAX || st.load[l] > st.load[hottest]) hottest = l;
+    }
+  }
+  for (u32 a = 0; a < num_jobs; ++a) {
+    if (!std::binary_search(st.links[a].begin(), st.links[a].end(),
+                            hottest)) {
+      continue;
+    }
+    for (u32 b = 0; b < num_jobs; ++b) {
+      if (b == a) continue;
+      std::vector<u32> prev_a = st.relink(snap, a, {});
+      std::vector<u32> prev_b = st.relink(snap, b, {});
+      std::optional<Candidate> ca = best_tree(snap, st, a, plan);
+      std::optional<Candidate> cb;
+      if (ca) {
+        st.relink(snap, a, snap.tree_links(ca->tree));
+        cb = best_tree(snap, st, b, plan);
+      }
+      if (cb && cb->cost < st.cost) {
+        st.relink(snap, b, snap.tree_links(cb->tree));
+        st.trees[a] = std::move(ca->tree);
+        st.trees[b] = std::move(cb->tree);
+        st.cost = cb->cost;
+        return true;
+      }
+      st.relink(snap, a, std::move(prev_a));
+      st.relink(snap, b, std::move(prev_b));
+    }
+  }
+  return false;
 }
 
 PlacementPlan PlacementOptimizer::optimize(const CostSnapshot& snap) {
@@ -105,116 +139,47 @@ PlacementPlan PlacementOptimizer::optimize(const CostSnapshot& snap) {
   const u32 num_jobs = static_cast<u32>(jobs.size());
 
   State st;
-  st.trees.reserve(num_jobs);
-  st.links.reserve(num_jobs);
-  for (const JobView& jv : jobs) {
-    st.trees.push_back(jv.tree);
-    st.links.push_back(jv.links);
-    st.total_bytes += static_cast<f64>(jv.data_bytes);
+  st.links.resize(num_jobs);
+  st.load = snap.background();
+  for (u32 j = 0; j < num_jobs; ++j) {  // in job order, as a rebuild sums
+    st.trees.push_back(jobs[j].tree);
+    st.relink(snap, j, jobs[j].links);
   }
-  const auto rebuild_load = [&snap](State& s) {
-    s.load = snap.background();
-    for (std::size_t j = 0; j < s.links.size(); ++j) {
-      for (const u32 l : s.links[j]) s.load[l] += snap.jobs()[j].weight;
-    }
-  };
-  rebuild_load(st);
-  plan.cost_before = objective(snap, st);
-  plan.cost_after = plan.cost_before;
-  if (num_jobs == 0) return plan;
-
-  State best = st;
-  f64 cur_obj = plan.cost_before;
-  f64 best_obj = cur_obj;
-  // Metropolis temperatures are RELATIVE: scale by the starting objective
-  // so `initial_temp` means "fraction of cost_before an uphill move may
-  // cost and still be ~e^-1 acceptable", independent of fleet size.
-  const f64 scale = std::max(plan.cost_before, 1e-12);
-  Rng rng(opt_.seed);
-  f64 temp = opt_.initial_temp;
-  const std::vector<net::Switch*>& sws = net_.switches();
-
-  for (u32 step = 0; step < opt_.iterations; ++step, temp *= opt_.cooling) {
-    ++plan.sa_iterations;
-    State cand = st;
+  st.cost = placement_objective(snap, st.links, st.load, opt_.heat_exponent);
+  plan.cost_before = st.cost;
+  while (num_jobs > 0 && plan.passes < opt_.iterations) {
+    ++plan.passes;  // single-job pass: each job to its best tree
     bool moved = false;
-    // Move mix: 0.4 random re-root (exploration), 0.4 cheapest re-embed
-    // excluding own heat (exploitation), 0.2 swap two jobs' roots (escapes
-    // the pairwise local optima greedy sequences land in).
-    const u64 kind = rng.uniform_u64(10);
-    if (kind < 4) {
-      const u32 j = static_cast<u32>(rng.uniform_u64(num_jobs));
-      net::Switch* sw = sws[rng.uniform_u64(sws.size())];
-      std::optional<coll::ReductionTree> t = tree_for(snap, cand, j, sw->id());
-      if (t) {
-        cand.links[j] = snap.tree_links(*t);
-        cand.trees[j] = std::move(*t);
-        moved = true;
-      }
-    } else if (kind < 8 || num_jobs < 2) {
-      const u32 j = static_cast<u32>(rng.uniform_u64(num_jobs));
-      std::optional<coll::ReductionTree> t = cheapest_tree(snap, cand, j);
-      if (t) {
-        cand.links[j] = snap.tree_links(*t);
-        cand.trees[j] = std::move(*t);
-        moved = true;
-      }
-    } else {
-      const u32 a = static_cast<u32>(rng.uniform_u64(num_jobs));
-      u32 b = static_cast<u32>(rng.uniform_u64(num_jobs - 1));
-      if (b >= a) ++b;
-      const net::NodeId root_a = cand.trees[a].root;
-      const net::NodeId root_b = cand.trees[b].root;
-      std::optional<coll::ReductionTree> ta = tree_for(snap, cand, a, root_b);
-      std::optional<coll::ReductionTree> tb = tree_for(snap, cand, b, root_a);
-      if (ta && tb) {
-        cand.links[a] = snap.tree_links(*ta);
-        cand.trees[a] = std::move(*ta);
-        cand.links[b] = snap.tree_links(*tb);
-        cand.trees[b] = std::move(*tb);
-        moved = true;
-      }
+    for (u32 j = 0; j < num_jobs; ++j) {
+      std::optional<Candidate> c = best_tree(snap, st, j, plan);
+      if (!c || c->cost >= st.cost) continue;
+      st.relink(snap, j, snap.tree_links(c->tree));
+      st.trees[j] = std::move(c->tree);
+      st.cost = c->cost;
+      moved = true;
     }
-    if (!moved) continue;  // infeasible proposal; rng state still advanced
-
-    ++plan.proposed;
-    rebuild_load(cand);
-    const f64 cand_obj = objective(snap, cand);
-    const f64 delta = cand_obj - cur_obj;
-    const bool accept =
-        delta < 0.0 ||
-        (temp > kMinTemp &&
-         rng.uniform() < std::exp(-delta / (temp * scale)));
-    if (!accept) continue;
-    st = std::move(cand);
-    cur_obj = cand_obj;
-    ++plan.accepted;
-    if (cur_obj < best_obj) {
-      best = st;
-      best_obj = cur_obj;
-    }
+    if (!moved && !pair_escape(snap, st, plan)) break;
   }
+  plan.cost_after = st.cost;
 
-  plan.cost_after = best_obj;
-  // Extract per-job moves from the best assignment.  predicted_gain is the
-  // leave-one-out improvement: revert THIS job to its snapshot embedding,
-  // keep every other planned move — what the fabric loses if just this
-  // move is skipped.  Jobs whose reverted objective is no worse are not
-  // real moves (an SA artifact) and are dropped here, not by hysteresis.
+  // Extract per-job moves.  predicted_gain is the leave-one-out
+  // improvement: revert THIS job to its snapshot embedding, keep every
+  // other planned move — what the fabric loses if just this move is
+  // skipped.  Jobs whose reverted objective is no worse are not real moves
+  // and are dropped here, not by hysteresis.
   for (u32 j = 0; j < num_jobs; ++j) {
-    if (same_embedding(best.trees[j], jobs[j].tree)) continue;
-    State reverted = best;
-    reverted.trees[j] = jobs[j].tree;
-    reverted.links[j] = jobs[j].links;
-    rebuild_load(reverted);
-    const f64 obj_reverted = objective(snap, reverted);
-    if (obj_reverted <= best_obj) continue;
+    if (st.links[j] == jobs[j].links) continue;  // reverting changes nothing
+    std::vector<u32> moved = st.relink(snap, j, jobs[j].links);
+    const f64 obj_reverted =
+        placement_objective(snap, st.links, st.load, opt_.heat_exponent);
+    st.relink(snap, j, std::move(moved));
+    if (obj_reverted <= st.cost) continue;
     PlannedMove mv;
     mv.job_id = jobs[j].job_id;
     mv.old_root = jobs[j].tree.root;
-    mv.new_root = best.trees[j].root;
-    mv.tree = best.trees[j];
-    mv.predicted_gain = (obj_reverted - best_obj) / obj_reverted;
+    mv.new_root = st.trees[j].root;
+    mv.tree = st.trees[j];
+    mv.predicted_gain = (obj_reverted - st.cost) / obj_reverted;
     plan.moves.push_back(std::move(mv));
   }
   return plan;  // moves ascend job_id (jobs() is sorted)
@@ -237,6 +202,28 @@ f64 PlacementOptimizer::admission_score(
     score = std::max(score, load[l] + kColdStartWeight);
   }
   return score;
+}
+
+f64 placement_objective(const CostSnapshot& snap,
+                        const std::vector<std::vector<u32>>& links,
+                        const std::vector<f64>& load, f64 heat_exponent) {
+  f64 worst = 0.0;
+  for (const f64 l : load) worst = std::max(worst, l);
+  const std::vector<JobView>& jobs = snap.jobs();
+  f64 total_bytes = 0.0;
+  for (const JobView& jv : jobs) total_bytes += static_cast<f64>(jv.data_bytes);
+  f64 sum_est = 0.0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    f64 hot = 0.0;  // foreign heat: load minus the job's own weight
+    for (const u32 l : links[j]) {
+      hot = std::max(hot, std::max(0.0, load[l] - jobs[j].weight));
+    }
+    const f64 share = total_bytes > 0.0
+                          ? static_cast<f64>(jobs[j].data_bytes) / total_bytes
+                          : 1.0 / static_cast<f64>(jobs.size());
+    sum_est += share * std::exp(heat_exponent * hot);
+  }
+  return (1.0 + worst) * sum_est;
 }
 
 u32 filter_moves(PlacementPlan& plan, f64 min_gain) {

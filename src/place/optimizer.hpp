@@ -1,6 +1,6 @@
-// PlacementOptimizer: seeded simulated annealing over the JOINT assignment
-// of every active job's embedding (ISSUE 9 tentpole, exemplar:
-// SET-ISCA2023's sa.cpp/placement.cpp cost_f = e^k·d).
+// PlacementOptimizer: a deterministic descent over the JOINT assignment of
+// every active job's embedding (cost shape after SET-ISCA2023's
+// cost_f = e^k·d; congestion-aware re-embedding in the spirit of Canary).
 //
 // Greedy admission embeds one job at a time against whatever heat exists at
 // that instant; reactive migration (TreeOpBase::maybe_migrate) fixes one
@@ -19,10 +19,14 @@
 // SET cost_f shape), the (1 + worst) factor keeps the fabric-wide hot spot
 // first-class even when the jobs sitting on it are small.
 //
-// The search is a pure function of (snapshot, options): same seed → same
-// plan, bit for bit.  All randomness flows through one flare::Rng; every
-// tie-break is deterministic (strict improvement, first-in-switch-order
-// wins).
+// The search starts from the snapshot's embeddings and keeps only strict
+// improvements.  A single-job pass moves each job, in snapshot order, to
+// its best tree (every root's embedding, scored by the objective — the
+// cheapest tree minimizes a SUM of link costs, the objective charges a job
+// its HOTTEST link).  Once a pass changes nothing, the pair escape takes
+// two jobs out of the load, one of them on the hottest link, and places
+// both in turn; the first improving pair resumes the passes.  It is a pure
+// function of the snapshot: every tie-break is deterministic.
 #pragma once
 
 #include <vector>
@@ -32,13 +36,10 @@
 namespace flare::place {
 
 struct OptimizerOptions {
-  u64 seed = 0xC0F1ACEull;
-  /// Annealing steps.  Each step proposes one move (re-root / re-embed /
-  /// swap) and accepts by the Metropolis criterion.
+  u64 seed = 0xC0F1ACEull;  ///< ignored: kept while perfbench still sets it
+  /// Cap on single-job passes: a termination guard.  Every pass but the
+  /// last strictly lowers the objective, so it never binds in practice.
   u32 iterations = 600;
-  f64 initial_temp = 1.0;
-  /// Geometric cooling: temp *= cooling after every step.
-  f64 cooling = 0.995;
   /// k in est_j = share_j · e^{k·hot_j} — how sharply contention inflates a
   /// job's estimated completion time.
   f64 heat_exponent = 2.0;
@@ -58,10 +59,10 @@ struct PlannedMove {
 
 struct PlacementPlan {
   f64 cost_before = 0.0;  ///< objective of the as-is assignment
-  f64 cost_after = 0.0;   ///< objective of the best assignment found
-  u32 sa_iterations = 0;  ///< annealing steps executed
-  u32 proposed = 0;       ///< candidate moves evaluated
-  u32 accepted = 0;       ///< Metropolis acceptances
+  f64 cost_after = 0.0;   ///< objective of the assignment the descent ends at
+  u32 passes = 0;         ///< single-job passes run
+  u32 root_sweeps = 0;    ///< best-tree queries (every root's tree built)
+  u32 proposed = 0;       ///< candidate embeddings scored by the objective
   /// Jobs whose best embedding differs from the snapshot's, ascending
   /// job_id.  May be empty (as-is assignment already optimal).
   std::vector<PlannedMove> moves;
@@ -71,7 +72,7 @@ class PlacementOptimizer {
  public:
   PlacementOptimizer(net::Network& net, OptimizerOptions opt);
 
-  /// Runs the annealing search.  Pure in `snap`: no live telemetry is
+  /// Runs the descent.  Pure in `snap`: no live telemetry is
   /// read, no switch state is touched (candidate trees are computed, not
   /// installed — capacity is checked at apply time by the migration path).
   PlacementPlan optimize(const CostSnapshot& snap);
@@ -85,26 +86,28 @@ class PlacementOptimizer {
                       const std::vector<net::Host*>& participants);
 
  private:
-  struct State;  // SA working state (optimizer.cpp)
+  struct State;  // descent working state (optimizer.cpp)
 
   /// Fills heat_ from `load`, less `weight` on the `exclude` links.
   void set_heat(const std::vector<f64>& load,
                 const std::vector<u32>& exclude, f64 weight);
-  /// Cheapest embedding for job `j` of `st` rooted anywhere, under edge
-  /// costs that exclude j's own contribution (NetworkManager::
-  /// cheapest_tree: strict less, first in net.switches() order wins).
-  /// nullopt when no root spans.
-  std::optional<coll::ReductionTree> cheapest_tree(const CostSnapshot& snap,
-                                                   State& st, u32 j);
-  std::optional<coll::ReductionTree> tree_for(const CostSnapshot& snap,
-                                              State& st, u32 j,
-                                              net::NodeId root);
-  f64 objective(const CostSnapshot& snap, const State& st) const;
+  struct Candidate {  // an embedding and the objective it reaches
+    f64 cost = 0.0;
+    coll::ReductionTree tree;
+  };
+  /// Job `j`'s best embedding: every root's tree under the other jobs'
+  /// heat (ranked_trees: one root sweep), scored by the objective with j
+  /// moved onto it, first lowest wins; trees on j's current links are
+  /// skipped.  Leaves `st` as it was; nullopt when nothing else spans.
+  std::optional<Candidate> best_tree(const CostSnapshot& snap, State& st,
+                                     u32 j, PlacementPlan& plan);
+  /// Keeps the first improving pair re-embedding; false when none helps.
+  bool pair_escape(const CostSnapshot& snap, State& st, PlacementPlan& plan);
 
   net::Network& net_;
   OptimizerOptions opt_;
   /// Private manager: reuses the deterministic congestion-aware embedding
-  /// (compute_tree, cheapest_tree) against the SNAPSHOT loads via a
+  /// (ranked_trees, cheapest_tree) against the SNAPSHOT loads via a
   /// link-cost closure reading heat_.  Never installs anything.
   coll::NetworkManager manager_;
   /// Per unidirectional link, the heat the current embedding query costs:
@@ -112,6 +115,13 @@ class PlacementOptimizer {
   /// per query; the closure reads the two entries of a duplex edge.
   std::vector<f64> heat_;
 };
+
+/// The placement objective (file comment) of the assignment `links` (per
+/// job in snapshot order), whose per-link load is `load`: background plus
+/// every crossing job's weight.
+f64 placement_objective(const CostSnapshot& snap,
+                        const std::vector<std::vector<u32>>& links,
+                        const std::vector<f64>& load, f64 heat_exponent);
 
 /// Hysteresis: drops plan moves with predicted_gain < min_gain (applying a
 /// migration costs a break-before-make install; marginal wins churn the

@@ -1,11 +1,11 @@
 // CostSnapshot: an immutable, deterministic freeze of the fabric for the
 // co-placement search (src/place/optimizer.hpp).
 //
-// The simulated-annealing optimizer evaluates thousands of candidate
-// assignments; every evaluation must read the SAME numbers, or the search
-// objective drifts under its own feet and two runs with the same seed
-// diverge.  freeze() therefore copies everything the objective touches out
-// of the live CongestionMonitor + NetworkManager state:
+// The placement descent scores many candidate assignments; every
+// evaluation must read the SAME numbers, or the search objective drifts
+// under its own feet and two runs of one snapshot diverge.  freeze()
+// therefore copies everything the objective touches out of the live
+// CongestionMonitor + NetworkManager state:
 //
 //   * per unidirectional link, the BACKGROUND heat — the total EWMA
 //     utilization minus every active job's own attributed EWMA (the
@@ -19,7 +19,7 @@
 //
 // The snapshot never re-reads the monitor after freeze(): two freezes of
 // the same calendar instant serialize byte-identically (tested), and the
-// whole SA search is a pure function of (snapshot, seed).
+// whole search is a pure function of the snapshot.
 #pragma once
 
 #include <string>

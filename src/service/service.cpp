@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 
-#include "common/rng.hpp"
 #include "obs/trace.hpp"
 #include "place/optimizer.hpp"
 
@@ -271,9 +270,7 @@ std::size_t AllreduceService::pick_queued_index() {
   // less).  An infeasible job scores +inf and never overtakes.
   opt_.monitor->sample();
   const place::CostSnapshot snap = freeze_active();
-  place::OptimizerOptions popt;
-  popt.seed = opt_.place_seed;
-  place::PlacementOptimizer scorer(net_, popt);
+  place::PlacementOptimizer scorer(net_, place::OptimizerOptions{});
   std::size_t best_i = 0;
   f64 best = std::numeric_limits<f64>::infinity();
   for (std::size_t i = 0; i < queue_.size(); ++i) {
@@ -327,7 +324,6 @@ void AllreduceService::run_place_round() {
   const place::CostSnapshot snap = freeze_active();
   if (snap.jobs().size() >= 2) {  // one job has nothing to co-place against
     place::OptimizerOptions popt;
-    popt.seed = derive_seed(opt_.place_seed, place_round_);
     popt.iterations = opt_.place_iterations;
     place::PlacementOptimizer optimizer(net_, popt);
     obs::Tracer* tr = net_.tracer();
@@ -346,6 +342,7 @@ void AllreduceService::run_place_round() {
     }
     telemetry_.place.rounds += 1;
     telemetry_.place.moves_proposed += plan.proposed;
+    telemetry_.place.root_sweeps += plan.root_sweeps;
     telemetry_.place.moves_rejected +=
         place::filter_moves(plan, opt_.place_min_gain);
     u32 staged = 0;
@@ -375,8 +372,10 @@ void AllreduceService::run_place_round() {
       place_grade_pending_ = true;
     }
   }
-  place_round_ += 1;
-  ensure_place_armed();
+  // A calendar holding nothing else means every job is stuck: no staged
+  // move can apply without an event, so re-arming would only keep a dead
+  // run spinning.
+  if (!net_.sim().empty()) ensure_place_armed();
 }
 
 void AllreduceService::start_fallback_or_reject(u32 job, RingReason why) {

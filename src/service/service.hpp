@@ -85,15 +85,13 @@ struct ServiceOptions {
 
   // --- placement plane (README "Placement plane"; src/place/) ---
   /// Period of the co-placement optimizer rounds: every period (while jobs
-  /// are active) the service freezes the fabric, runs the seeded SA search
+  /// are active) the service freezes the fabric, runs the placement descent
   /// over the whole active job set, and stages the surviving moves onto
   /// their sessions for application at the next iteration boundary.
   /// 0 (default) disables the plane; requires `monitor`.
   SimTime place_period_ps = 0;
-  u32 place_iterations = 600;  ///< SA steps per optimizer round
-  /// Round r's optimizer runs with derive_seed(place_seed, r) — replays
-  /// are bit-for-bit.
-  u64 place_seed = 0xC0F1ACEull;
+  u32 place_iterations = 600;  ///< cap on the descent's passes per round
+  u64 place_seed = 0xC0F1ACEull;  ///< ignored: kept while perfbench sets it
   /// Hysteresis: plan moves predicting less than this fractional objective
   /// improvement are rejected (a break-before-make re-install is not
   /// free; marginal wins churn the fabric for nothing).
@@ -186,7 +184,7 @@ class AllreduceService {
   /// Arms the next co-placement round one place_period_ps out; no-op when
   /// the plane is off or a round is already armed.
   void ensure_place_armed();
-  /// One co-placement round: freeze, seeded SA search, hysteresis filter,
+  /// One co-placement round: freeze, placement descent, hysteresis filter,
   /// stage survivors onto their sessions (applied at each job's next
   /// iteration boundary via the break-before-make fresh-id path).
   void run_place_round();
@@ -219,7 +217,6 @@ class AllreduceService {
 
   // --- placement plane state ---
   bool place_armed_ = false;  ///< a co-placement round is on the calendar
-  u64 place_round_ = 0;       ///< rounds run (seeds derive from this)
   /// Switches the LAST applied plan moved jobs onto (sorted NodeIds): a
   /// cached embedding crossing one is invalidated by the TreeCache
   /// validator — serving it would re-create the contention the plan just

@@ -61,7 +61,8 @@ struct ServiceTelemetry {
   /// Per co-placement-round counters.
   struct PlacementTelemetry {
     u64 rounds = 0;          ///< optimizer rounds executed
-    u64 moves_proposed = 0;  ///< SA candidate moves evaluated
+    u64 moves_proposed = 0;  ///< candidate embeddings the descent scored
+    u64 root_sweeps = 0;     ///< descent root sweeps (PlacementPlan)
     u64 moves_rejected = 0;  ///< plan moves dropped by the hysteresis gate
     u64 moves_planned = 0;   ///< plan moves staged onto live sessions
     /// Prediction grading for the LAST plan that staged moves: the
