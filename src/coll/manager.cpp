@@ -437,17 +437,6 @@ f64 NetworkManager::tree_cost(const ReductionTree& tree) const {
   return total;
 }
 
-f64 tree_max_congestion(const net::CongestionMonitor& monitor,
-                        const ReductionTree& tree) {
-  f64 worst = 0.0;
-  for (const TreeSwitchEntry& e : tree.switches) {
-    for (const u32 p : e.child_ports) {
-      worst = std::max(worst, monitor.edge_congestion(e.sw->id(), p));
-    }
-  }
-  return worst;
-}
-
 f64 tree_max_congestion_excluding(const net::CongestionMonitor& monitor,
                                   const ReductionTree& tree, u32 trace) {
   f64 worst = 0.0;
@@ -513,27 +502,36 @@ void NetworkManager::uninstall(const ReductionTree& tree, u32 allreduce_id) {
   if (on_release_) on_release_(allreduce_id);
 }
 
+bool NetworkManager::attempt_install(InstallReport& report,
+                                     ReductionTree* tree,
+                                     const core::AllreduceConfig& cfg,
+                                     f64 switch_service_bps) {
+  report.attempts += 1;
+  if (tree == nullptr) return false;
+  if (!report.any_feasible) {
+    report.any_feasible = std::all_of(
+        tree->switches.begin(), tree->switches.end(),
+        [](const TreeSwitchEntry& e) { return e.sw->max_allreduces() > 0; });
+  }
+  if (!install(*tree, cfg, switch_service_bps)) return false;
+  report.tree = std::move(*tree);
+  return true;
+}
+
 InstallReport NetworkManager::install_with_roots(
     const std::vector<net::Host*>& participants, core::AllreduceConfig cfg,
     f64 switch_service_bps, const std::vector<net::NodeId>& roots,
     TreeCache* cache) {
   InstallReport report;
   for (const net::NodeId root : roots) {
-    report.attempts += 1;
     bool hit = false;
     std::optional<ReductionTree> tree =
         cache != nullptr
             ? cache->get_or_compute(*this, participants, root, &hit)
             : compute_tree(participants, root);
-    if (!tree) continue;
-    if (!report.any_feasible) {
-      report.any_feasible = std::all_of(
-          tree->switches.begin(), tree->switches.end(),
-          [](const TreeSwitchEntry& e) { return e.sw->max_allreduces() > 0; });
-    }
-    if (install(*tree, cfg, switch_service_bps)) {
+    if (attempt_install(report, tree ? &*tree : nullptr, cfg,
+                        switch_service_bps)) {
       report.cache_hit = hit;
-      report.tree = std::move(tree);
       return report;
     }
   }
@@ -545,16 +543,7 @@ InstallReport NetworkManager::install_with_retry(
     f64 switch_service_bps) {
   InstallReport report;
   for (ReductionTree& tree : ranked_trees(participants)) {
-    report.attempts += 1;
-    if (!report.any_feasible) {
-      report.any_feasible = std::all_of(
-          tree.switches.begin(), tree.switches.end(),
-          [](const TreeSwitchEntry& e) { return e.sw->max_allreduces() > 0; });
-    }
-    if (install(tree, cfg, switch_service_bps)) {
-      report.tree = std::move(tree);
-      return report;
-    }
+    if (attempt_install(report, &tree, cfg, switch_service_bps)) break;
   }
   return report;
 }

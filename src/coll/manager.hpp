@@ -68,18 +68,13 @@ struct InstallReport {
 /// embeddings and to decide that a running collective's tree is dead.
 bool tree_alive(const net::Network& net, const ReductionTree& tree);
 
-/// Worst monitor EWMA utilization across every edge of `tree` (parent and
-/// child links, both directions — host access links included via the child
-/// ports).  The migration trigger and the TreeCache staleness validator
-/// both key off this.
-f64 tree_max_congestion(const net::CongestionMonitor& monitor,
-                        const ReductionTree& tree);
-
-/// tree_max_congestion with one collective's own traffic subtracted per
-/// edge (CongestionMonitor::edge_congestion_excluding).  THE persistent-
-/// session migration trigger: a session running alone on a hot-looking
-/// tree reads ~0 — only foreign heat registers — which is what let the
-/// completion-time regression gate retire.
+/// Worst monitor EWMA utilization across every edge of `tree` (each
+/// switch's child links, both directions — host access links included),
+/// with collective `trace`'s own traffic subtracted per edge
+/// (CongestionMonitor::edge_congestion_excluding; trace 0 subtracts
+/// nothing).  THE persistent-session migration trigger: a session running
+/// alone on a hot-looking tree reads ~0 — only foreign heat registers —
+/// which is what let the completion-time regression gate retire.
 f64 tree_max_congestion_excluding(const net::CongestionMonitor& monitor,
                                   const ReductionTree& tree, u32 trace);
 
@@ -178,6 +173,14 @@ class NetworkManager {
   f64 edge_cost(net::NodeId node, u32 port) const {
     return link_cost_ ? link_cost_(node, port) : 1.0;
   }
+
+  /// One attempt of an install loop: counts it in `report`, folds the
+  /// tree's feasibility into report.any_feasible, then installs.  A null
+  /// `tree` (the root does not span) counts and fails.  On success the
+  /// tree moves into report.tree.
+  bool attempt_install(InstallReport& report, ReductionTree* tree,
+                       const core::AllreduceConfig& cfg,
+                       f64 switch_service_bps);
 
   /// One usable switch-to-switch port of the cached fabric view.
   struct Edge {

@@ -1,18 +1,12 @@
 #include "coll/tree_cache.hpp"
 
-#include <algorithm>
-
 namespace flare::coll {
 
 std::string TreeCache::make_key(const std::vector<net::Host*>& participants,
                                 net::NodeId root) {
-  std::vector<net::NodeId> ids;
-  ids.reserve(participants.size());
-  for (const net::Host* h : participants) ids.push_back(h->id());
-  std::sort(ids.begin(), ids.end());
   std::string key = std::to_string(root) + '|';
-  for (net::NodeId id : ids) {
-    key += std::to_string(id);
+  for (const net::Host* h : participants) {
+    key += std::to_string(h->id());
     key += ',';
   }
   return key;
@@ -54,15 +48,11 @@ std::optional<ReductionTree> TreeCache::get_or_compute(
   if (const ReductionTree* cached = lookup(participants, root)) {
     // A fabric fault may have invalidated the embedding since it was
     // cached (failed switch, downed edge): serving it would install a tree
-    // that blackholes traffic.  The validator (when set) additionally
-    // rejects embeddings whose links drifted past the owner's congestion
-    // staleness bound.  Either way: treat the entry as a miss.
-    const bool alive = tree_alive(manager.network(), *cached);
-    if (alive && (!validator_ || validator_(*cached))) {
+    // that blackholes traffic, so treat the entry as a miss.
+    if (tree_alive(manager.network(), *cached)) {
       if (cache_hit != nullptr) *cache_hit = true;
       return *cached;
     }
-    if (alive) stale_evictions_ += 1;
     hits_ -= 1;  // re-classify: this lookup did not serve from the cache
     misses_ += 1;
   }

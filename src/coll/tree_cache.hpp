@@ -1,11 +1,14 @@
-// LRU cache of computed reduction trees, keyed by (participant set, root).
+// LRU cache of computed reduction trees, keyed by (participant list, root).
 //
 // Tree embedding is pure graph work — it depends only on the topology, the
-// participant set and the chosen root, none of which change between jobs of
-// the same tenant.  A multi-tenant service admits the same participant
+// participant list and the chosen root, none of which change between jobs
+// of the same tenant.  A multi-tenant service admits the same participant
 // groups over and over (every training iteration re-issues the allreduce),
 // so the control plane caches the BFS embedding and re-installs it instead
-// of recomputing it per admission attempt.
+// of recomputing it per admission attempt.  The list is ORDERED: a leaf
+// numbers its host children in participant order, so a permuted group
+// embeds with other child indices and must not be served this group's
+// tree.
 #pragma once
 
 #include <list>
@@ -38,18 +41,8 @@ class TreeCache {
       NetworkManager& manager, const std::vector<net::Host*>& participants,
       net::NodeId root, bool* cache_hit = nullptr);
 
-  /// Extra validity predicate consulted by get_or_compute beyond
-  /// tree_alive(): an entry failing it is treated as a miss and recomputed
-  /// (the fresh embedding replaces it).  The congestion plane wires a
-  /// staleness bound here — an embedding cached when its links were idle
-  /// must not be re-served once those links run hot (see
-  /// tree_max_congestion); liveness alone would keep serving it.
-  using Validator = std::function<bool(const ReductionTree&)>;
-  void set_validator(Validator v) { validator_ = std::move(v); }
-
   u64 hits() const { return hits_; }
   u64 misses() const { return misses_; }
-  u64 stale_evictions() const { return stale_evictions_; }
   std::size_t size() const { return map_.size(); }
   std::size_t capacity() const { return capacity_; }
   void clear();
@@ -63,10 +56,8 @@ class TreeCache {
   std::size_t capacity_;
   LruList lru_;  ///< front = most recently used
   std::unordered_map<std::string, LruList::iterator> map_;
-  Validator validator_;
   u64 hits_ = 0;
   u64 misses_ = 0;
-  u64 stale_evictions_ = 0;  ///< entries the validator rejected
 };
 
 }  // namespace flare::coll

@@ -146,15 +146,6 @@ f64 CongestionMonitor::edge_cost(NodeId node, u32 port) const {
          kQueueWeight * queue_ps / static_cast<f64>(opt_.period_ps);
 }
 
-f64 CongestionMonitor::node_congestion(NodeId node) const {
-  const u32 ports = net_.node(node).num_ports();
-  f64 worst = 0.0;
-  for (u32 p = 0; p < ports; ++p) {
-    worst = std::max(worst, edge_congestion(node, p));
-  }
-  return worst;
-}
-
 f64 CongestionMonitor::mean_congestion() const {
   if (snap_.links.empty()) return 0.0;
   f64 sum = 0.0;

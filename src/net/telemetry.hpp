@@ -14,7 +14,8 @@
 //     embedding (cost() / edge_cost());
 //   * coll::Communicator persistent sessions — migration trigger
 //     (edge_congestion() over the installed tree's links);
-//   * service::RootPolicy::kLeastCongested — root ordering.
+//   * service::AllreduceService — admission backpressure
+//     (mean_congestion()).
 //
 // Two sampling styles, both deterministic:
 //   * arm_until(t) schedules period-spaced samples on the calendar (the
@@ -109,10 +110,6 @@ class CongestionMonitor {
   /// grows with EWMA utilization and queueing).  Plug into
   /// coll::NetworkManager::set_link_cost for congestion-aware placement.
   f64 edge_cost(NodeId node, u32 port) const;
-
-  /// Worst edge_congestion() across every port of `node` — the root-
-  /// selection signal of the least-congested policy.
-  f64 node_congestion(NodeId node) const;
 
   /// Fabric-wide mean EWMA utilization over every unidirectional link in
   /// the latest snapshot (0 before the first sample).  The service layer's

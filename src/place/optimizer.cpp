@@ -238,15 +238,4 @@ u32 filter_moves(PlacementPlan& plan, f64 min_gain) {
   return dropped;
 }
 
-bool tree_conflicts(const coll::ReductionTree& tree,
-                    const std::vector<net::NodeId>& sorted_targets) {
-  for (const coll::TreeSwitchEntry& e : tree.switches) {
-    if (std::binary_search(sorted_targets.begin(), sorted_targets.end(),
-                           e.sw->id())) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace flare::place

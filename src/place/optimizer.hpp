@@ -128,10 +128,4 @@ f64 placement_objective(const CostSnapshot& snap,
 /// fabric for nothing).  Returns the number of moves dropped.
 u32 filter_moves(PlacementPlan& plan, f64 min_gain);
 
-/// True when `tree` touches any switch in `sorted_targets` (ascending
-/// NodeId) — used to invalidate TreeCache entries whose embedding conflicts
-/// with a freshly applied PlacementPlan.
-bool tree_conflicts(const coll::ReductionTree& tree,
-                    const std::vector<net::NodeId>& sorted_targets);
-
 }  // namespace flare::place

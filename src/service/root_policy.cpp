@@ -7,59 +7,26 @@ namespace flare::service {
 std::string_view root_policy_name(RootPolicy p) {
   switch (p) {
     case RootPolicy::kFixed: return "fixed";
-    case RootPolicy::kRoundRobin: return "round-robin";
     case RootPolicy::kLeastLoaded: return "least-loaded";
     case RootPolicy::kLeastCongested: return "least-congested";
   }
   return "?";
 }
 
-std::vector<net::NodeId> candidate_roots(
-    RootPolicy policy, const net::Network& net, u64 cursor,
-    const net::CongestionMonitor* monitor) {
-  const std::vector<net::Switch*>& switches = net.switches();
+std::vector<net::NodeId> candidate_roots(RootPolicy policy,
+                                         const net::Network& net) {
+  std::vector<net::Switch*> order(net.switches());
+  if (policy != RootPolicy::kFixed) {
+    // Stable: equal-load switches keep creation order, so runs are
+    // deterministic.
+    std::stable_sort(order.begin(), order.end(),
+                     [](const net::Switch* a, const net::Switch* b) {
+                       return a->installed_reduces() < b->installed_reduces();
+                     });
+  }
   std::vector<net::NodeId> roots;
-  roots.reserve(switches.size());
-  const std::size_t n = switches.size();
-  if (policy == RootPolicy::kLeastCongested && monitor == nullptr) {
-    policy = RootPolicy::kLeastLoaded;  // no signal: occupancy heuristic
-  }
-  switch (policy) {
-    case RootPolicy::kFixed:
-      for (net::Switch* sw : switches) roots.push_back(sw->id());
-      break;
-    case RootPolicy::kRoundRobin:
-      for (std::size_t i = 0; i < n; ++i)
-        roots.push_back(switches[(cursor + i) % n]->id());
-      break;
-    case RootPolicy::kLeastLoaded: {
-      std::vector<net::Switch*> by_load(switches);
-      // Stable: equal-load switches keep creation order, so runs are
-      // deterministic.
-      std::stable_sort(by_load.begin(), by_load.end(),
-                       [](const net::Switch* a, const net::Switch* b) {
-                         return a->installed_reduces() <
-                                b->installed_reduces();
-                       });
-      for (net::Switch* sw : by_load) roots.push_back(sw->id());
-      break;
-    }
-    case RootPolicy::kLeastCongested: {
-      std::vector<net::Switch*> by_heat(switches);
-      // Stable + full tie chain so runs are deterministic even on a
-      // perfectly balanced fabric.
-      std::stable_sort(by_heat.begin(), by_heat.end(),
-                       [monitor](const net::Switch* a, const net::Switch* b) {
-                         const f64 ca = monitor->node_congestion(a->id());
-                         const f64 cb = monitor->node_congestion(b->id());
-                         if (ca != cb) return ca < cb;
-                         return a->installed_reduces() <
-                                b->installed_reduces();
-                       });
-      for (net::Switch* sw : by_heat) roots.push_back(sw->id());
-      break;
-    }
-  }
+  roots.reserve(order.size());
+  for (const net::Switch* sw : order) roots.push_back(sw->id());
   return roots;
 }
 

@@ -8,41 +8,35 @@
 //   kFixed          every job tries the same root order (switch creation
 //                   order) — the static baseline; hot-spots the first
 //                   switch.
-//   kRoundRobin     rotates the starting root per admission round —
-//                   spreads load blindly.
 //   kLeastLoaded    orders candidates by current installed-reduction count
 //                   (fewest first) — a contention-aware heuristic that
 //                   steers trees away from occupied switches.
-//   kLeastCongested orders candidates by the CongestionMonitor's
-//                   worst-port EWMA utilization (coolest first) — slot
-//                   occupancy says who RESERVED a switch, congestion says
-//                   who is actually moving bytes through it; ties break by
-//                   installed-reduction count, then creation order.
+//   kLeastCongested cheapest tree first under the CongestionMonitor's link
+//                   costs: with a monitor the service passes no root list
+//                   and installs over NetworkManager::ranked_trees, the
+//                   path recovery and migration take too.  Without a
+//                   monitor there is no signal, and candidate_roots orders
+//                   like kLeastLoaded.
 #pragma once
 
 #include <string_view>
 #include <vector>
 
 #include "net/network.hpp"
-#include "net/telemetry.hpp"
 
 namespace flare::service {
 
 enum class RootPolicy : u8 {
   kFixed = 0,
-  kRoundRobin,
   kLeastLoaded,
   kLeastCongested,
 };
 
 std::string_view root_policy_name(RootPolicy p);
 
-/// Ordered candidate roots for one admission round.  `cursor` is the
-/// caller's monotonically increasing round counter (used by kRoundRobin).
-/// `monitor` feeds kLeastCongested (which degrades to kLeastLoaded when
-/// null — no signal, fall back to occupancy).
-std::vector<net::NodeId> candidate_roots(
-    RootPolicy policy, const net::Network& net, u64 cursor,
-    const net::CongestionMonitor* monitor = nullptr);
+/// Ordered candidate roots for one admission round (kLeastCongested orders
+/// like kLeastLoaded: a service with a monitor never asks for its roots).
+std::vector<net::NodeId> candidate_roots(RootPolicy policy,
+                                         const net::Network& net);
 
 }  // namespace flare::service

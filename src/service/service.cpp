@@ -26,8 +26,7 @@ constexpr u64 kPlaceTid = 2000000;
 // shared calendar.
 
 AllreduceService::AllreduceService(net::Network& net, ServiceOptions opt)
-    : net_(net), opt_(opt), manager_(net),
-      cache_(opt.tree_cache_capacity) {
+    : net_(net), opt_(opt), manager_(net) {
   // Slots freed by a completed job re-trigger admission for queued jobs.
   manager_.set_release_listener([this](u32) {
     if (!queue_.empty()) schedule_drain();
@@ -37,27 +36,11 @@ AllreduceService::AllreduceService(net::Network& net, ServiceOptions opt)
   fault_listener_ = net_.add_fault_listener(
       [this](const net::FaultNotice&) { telemetry_.faults_seen += 1; });
   if (opt_.monitor != nullptr) {
-    // Congestion plane: the shared manager embeds with the monitor's link
-    // costs, and cached embeddings go stale once their links run hot.
+    // Congestion plane: the shared manager embeds with the monitor's costs.
     net::CongestionMonitor* monitor = opt_.monitor;
     manager_.set_link_cost([monitor](net::NodeId node, u32 port) {
       return monitor->edge_cost(node, port);
     });
-    const bool stale_check = opt_.cache_stale_above > 0.0;
-    if (stale_check || opt_.place_period_ps > 0) {
-      const f64 bound = opt_.cache_stale_above;
-      cache_.set_validator(
-          [this, monitor, bound, stale_check](const coll::ReductionTree& t) {
-            if (stale_check &&
-                coll::tree_max_congestion(*monitor, t) > bound) {
-              return false;
-            }
-            // A cached embedding crossing a switch the last PlacementPlan
-            // moved jobs ONTO is stale by fiat: serving it would re-create
-            // exactly the contention the plan just cleared.
-            return !place::tree_conflicts(t, plan_target_switches_);
-          });
-    }
   }
 }
 
@@ -127,7 +110,7 @@ u32 AllreduceService::submit(JobSpec spec) {
 
   bool feasible = false;
   if (try_admit(job, &feasible)) return job;
-  if (!feasible && opt_.max_root_candidates == 0) {
+  if (!feasible) {
     // Every root was tried and every reachable tree crosses a switch with a
     // zero memory partition: this job can NEVER run in-network.  Queueing
     // it would deadlock the FIFO (nothing will ever release a slot for it).
@@ -150,14 +133,18 @@ void AllreduceService::submit_at(SimTime at, JobSpec spec) {
 bool AllreduceService::try_admit(u32 job, bool* feasible) {
   const JobSpec& spec = specs_[job];
   JobRecord& rec = records_[job];
-  // The congestion-aware root policy (and the monitor-backed link costs
-  // behind install) must read the fabric as it is at THIS admission round.
+  // The monitor-backed link costs behind install must read the fabric as
+  // it is at THIS admission round.
   if (opt_.monitor != nullptr) opt_.monitor->sample();
-  std::vector<net::NodeId> roots =
-      candidate_roots(opt_.root_policy, net_, rr_cursor_++, opt_.monitor);
-  if (opt_.max_root_candidates > 0 &&
-      roots.size() > opt_.max_root_candidates) {
-    roots.resize(opt_.max_root_candidates);
+  // kLeastCongested with a monitor passes no roots and no cache: install
+  // takes ranked_trees, cheapest first under the monitor's link costs —
+  // the path recovery and migration take.  Every other policy tries its
+  // root order, reusing cached embeddings.
+  coll::CommunicatorConfig ccfg{&manager_, nullptr, {}, opt_.monitor};
+  if (opt_.monitor == nullptr ||
+      opt_.root_policy != RootPolicy::kLeastCongested) {
+    ccfg.cache = &cache_;
+    ccfg.roots = candidate_roots(opt_.root_policy, net_);
   }
   coll::CollectiveOptions desc = descriptor_for(spec);
   // Explicitly in-network: the fallback decision is the SERVICE's (queue
@@ -165,10 +152,8 @@ bool AllreduceService::try_admit(u32 job, bool* feasible) {
   desc.algorithm = is_sparse(spec) ? coll::Algorithm::kFlareSparse
                                    : coll::Algorithm::kFlareDense;
 
-  auto aj = std::make_unique<ActiveJob>(
-      net_, spec.participants,
-      coll::CommunicatorConfig{&manager_, &cache_, std::move(roots),
-                               opt_.monitor});
+  auto aj = std::make_unique<ActiveJob>(net_, spec.participants,
+                                        std::move(ccfg));
   aj->desc = desc;
   aj->pc = aj->comm.persistent(desc);
   const coll::InstallReport& report = aj->pc.install_report();
@@ -346,7 +331,6 @@ void AllreduceService::run_place_round() {
     telemetry_.place.moves_rejected +=
         place::filter_moves(plan, opt_.place_min_gain);
     u32 staged = 0;
-    std::vector<net::NodeId> targets;
     for (const place::PlannedMove& mv : plan.moves) {
       const auto it = jobs_.find(mv.job_id);
       if (it == jobs_.end()) continue;  // finished since the freeze
@@ -354,19 +338,12 @@ void AllreduceService::run_place_round() {
       // through the break-before-make fresh-id path (TreeOpBase).
       if (!it->second->pc.plan_migration(mv.tree)) continue;
       staged += 1;
-      for (const coll::TreeSwitchEntry& e : mv.tree.switches) {
-        targets.push_back(e.sw->id());
-      }
       if (tr != nullptr) {
         tr->instant(kPlaceTid, "plan-move", net_.sim().now(), "place");
       }
     }
     telemetry_.place.moves_planned += staged;
     if (staged > 0) {
-      std::sort(targets.begin(), targets.end());
-      targets.erase(std::unique(targets.begin(), targets.end()),
-                    targets.end());
-      plan_target_switches_ = std::move(targets);
       telemetry_.place.last_cost_before = plan.cost_before;
       telemetry_.place.last_cost_predicted = plan.cost_after;
       place_grade_pending_ = true;

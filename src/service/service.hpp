@@ -6,16 +6,18 @@
 // decisions, telemetry) while each admitted job executes through a
 // persistent Communicator request on the shared calendar:
 //
-//   * admission through the shared coll::NetworkManager, trying candidate
-//     tree roots in the order chosen by a RootPolicy (fixed / round-robin /
-//     least-loaded contention heuristic);
+//   * admission through the shared coll::NetworkManager: candidate tree
+//     roots in the order chosen by a RootPolicy (fixed / least-loaded
+//     contention heuristic), or — least-congested with a monitor — the
+//     cheapest tree first under the monitor's link costs;
 //   * a bounded FIFO wait queue: jobs that no switch can admit wait for a
 //     release, with a per-job timeout;
 //   * host fallback: on queue overflow or timeout the job runs the
 //     Communicator's host-ring data plane over the same network — the
 //     paper's admission policy ("fall back to host-based allreduce on
 //     rejection");
-//   * reduction-tree reuse through coll::TreeCache;
+//   * reduction-tree reuse through coll::TreeCache on the root-order
+//     path;
 //   * switch state released on completion, which re-triggers admission for
 //     queued jobs;
 //   * per-job records and aggregate telemetry through common/stats.
@@ -43,8 +45,6 @@ namespace flare::service {
 
 struct ServiceOptions {
   RootPolicy root_policy = RootPolicy::kLeastLoaded;
-  /// Cap on roots tried per admission round; 0 = every switch.
-  u32 max_root_candidates = 0;
   /// Bounded wait queue: arrivals beyond this fall back immediately.
   u32 max_queue = 64;
   /// How long a job may wait for switch slots before falling back.
@@ -55,7 +55,6 @@ struct ServiceOptions {
   bool fallback_to_host = true;
   /// Calibrated per-switch aggregation rate (see FlareDenseOptions).
   f64 switch_service_bps = 2.4e12;
-  std::size_t tree_cache_capacity = 64;
   /// Host-side fault tolerance applied to every job this service runs
   /// (see coll::Tuning::retransmit_timeout_ps).  0 leaves each job's own
   /// descriptor untouched (fault handling off unless the tenant set it).
@@ -65,16 +64,12 @@ struct ServiceOptions {
   // --- congestion plane (README "Congestion plane") ---
   /// Fabric congestion monitor (must outlive the service).  When set: tree
   /// embedding uses the monitor's link costs, RootPolicy::kLeastCongested
-  /// becomes available, cached embeddings are staleness-checked, and the
-  /// migration knob below reaches every job's descriptor.
+  /// admits the cheapest tree first, and the migration knob below reaches
+  /// every job's descriptor.
   net::CongestionMonitor* monitor = nullptr;
   /// Per-job congestion migration (see coll::Tuning::migrate_above);
   /// 0 places congestion-aware but never migrates mid-job.
   f64 migrate_above = 0.0;
-  /// TreeCache staleness bound: cached embeddings whose worst link EWMA
-  /// exceeds this are recomputed instead of re-served (0 = liveness-only
-  /// validation, the pre-congestion-plane behavior).
-  f64 cache_stale_above = 0.0;
   /// Monitor-driven admission backpressure: while the fabric-wide MEAN
   /// EWMA utilization (CongestionMonitor::mean_congestion) exceeds this
   /// bound, arriving jobs are QUEUED — not rejected — instead of being
@@ -207,7 +202,6 @@ class AllreduceService {
   std::vector<JobSpec> specs_;
   std::deque<u32> queue_;  ///< job ids waiting for admission (FIFO)
   std::unordered_map<u32, std::unique_ptr<ActiveJob>> jobs_;
-  u64 rr_cursor_ = 0;  ///< admission-round counter (round-robin policy)
   bool drain_scheduled_ = false;    ///< immediate (next-event) drain pending
   /// A one-monitor-period congestion recheck is pending.  Kept separate
   /// from drain_scheduled_: a slot release must still drain IMMEDIATELY
@@ -217,11 +211,6 @@ class AllreduceService {
 
   // --- placement plane state ---
   bool place_armed_ = false;  ///< a co-placement round is on the calendar
-  /// Switches the LAST applied plan moved jobs onto (sorted NodeIds): a
-  /// cached embedding crossing one is invalidated by the TreeCache
-  /// validator — serving it would re-create the contention the plan just
-  /// cleared.
-  std::vector<net::NodeId> plan_target_switches_;
   /// The last staged plan's predicted cost awaits grading against the
   /// next round's measured cost_before.
   bool place_grade_pending_ = false;

@@ -315,10 +315,12 @@ TEST(TreeCache, HitMissAndLruEviction) {
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
 
-  // Participant ORDER must not matter for the key.
+  // The key is the ORDERED participant list: a leaf numbers its host
+  // children in participant order, so a permuted group must miss.
   std::vector<net::Host*> a_rev(a.rbegin(), a.rend());
-  EXPECT_NE(cache.lookup(a_rev, root), nullptr);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.lookup(a_rev, root), nullptr);
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.hits(), 0u);
 
   auto t2 = cache.get_or_compute(mgr, b, root);
   ASSERT_TRUE(t2.has_value());
@@ -344,6 +346,30 @@ TEST(TreeCache, HitMissAndLruEviction) {
   ASSERT_NE(cached, nullptr);
   EXPECT_TRUE(mgr.install(*cached, cfg, 1e12));
   mgr.uninstall(*cached, cfg.id);
+
+  // A permuted group is served its own embedding, equal to a fresh
+  // compute — and different from the other order's tree, which is why it
+  // must not share that tree's entry.
+  const auto same_embedding = [](const ReductionTree& x,
+                                 const ReductionTree& y) {
+    if (x.root != y.root || x.host_child_index != y.host_child_index ||
+        x.switches.size() != y.switches.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < x.switches.size(); ++i) {
+      if (x.switches[i].sw != y.switches[i].sw ||
+          x.switches[i].child_ports != y.switches[i].child_ports) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto rev = cache.get_or_compute(mgr, a_rev, root);
+  auto fresh = mgr.compute_tree(a_rev, root);
+  ASSERT_TRUE(rev.has_value());
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_TRUE(same_embedding(*rev, *fresh));
+  EXPECT_FALSE(same_embedding(*t1, *fresh));
 }
 
 // --------------------------------------------------------- flare dense ----

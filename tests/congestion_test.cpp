@@ -1,8 +1,8 @@
 // Congestion telemetry plane + congestion-aware dynamic tree adaptation:
 // Link windowed counters, CongestionMonitor sampling determinism,
-// cross-traffic injectors, congestion-aware embedding, TreeCache staleness
-// invalidation, persistent-session migration, the least-congested root
-// policy, and the service-level congestion plane end to end.
+// cross-traffic injectors, congestion-aware embedding, persistent-session
+// migration, the least-congested root policy, and the service-level
+// congestion plane end to end.
 //
 // Topology used throughout: 32 hosts x radix-8 fat tree = 8 leaves (4 hosts
 // each) x 4 spines, every leaf wired to every spine exactly once (no
@@ -18,7 +18,6 @@
 #include "coll/communicator.hpp"
 #include "coll/tree_cache.hpp"
 #include "net/telemetry.hpp"
-#include "place/optimizer.hpp"
 #include "service/service.hpp"
 #include "workload/cross_traffic.hpp"
 
@@ -224,74 +223,6 @@ TEST(CongestionAwareEmbedding, RetryAvoidsHotSpine) {
   manager.uninstall(*report, cfg.id);
 }
 
-TEST(TreeCache, CongestionStalenessInvalidates) {
-  Network net;
-  auto topo = build_fat_tree(net, four_spine_spec());
-  auto participants = first_hosts(topo, 8);
-  CongestionMonitor monitor(net);
-  monitor.sample();
-  coll::NetworkManager manager(net);
-  coll::TreeCache cache;
-  cache.set_validator([&monitor](const coll::ReductionTree& t) {
-    return coll::tree_max_congestion(monitor, t) <= 0.25;
-  });
-
-  const NodeId root = topo.spines[0]->id();
-  bool hit = true;
-  ASSERT_TRUE(cache.get_or_compute(manager, participants, root, &hit));
-  EXPECT_FALSE(hit);
-  ASSERT_TRUE(cache.get_or_compute(manager, participants, root, &hit));
-  EXPECT_TRUE(hit);  // cool: served from cache
-  EXPECT_EQ(cache.stale_evictions(), 0u);
-
-  heat_switch_links(net, "spine0", {"leaf0", "leaf1"}, 8 * kMiB);
-  net.sim().run();
-  monitor.sample();
-  ASSERT_TRUE(cache.get_or_compute(manager, participants, root, &hit));
-  EXPECT_FALSE(hit);  // stale: recomputed, not re-served
-  EXPECT_EQ(cache.stale_evictions(), 1u);
-}
-
-/// The placement plane's side of the cache validator (the service wires
-/// staleness AND plan-conflict into one predicate): a cached embedding
-/// crossing a switch a fresh PlacementPlan moved jobs onto must not be
-/// re-served — it would re-create the contention the plan just cleared.
-TEST(TreeCache, PlanConflictInvalidatesCachedEmbedding) {
-  Network net;
-  auto topo = build_fat_tree(net, four_spine_spec());
-  auto participants = first_hosts(topo, 8);
-  CongestionMonitor monitor(net);
-  monitor.sample();
-  coll::NetworkManager manager(net);
-  coll::TreeCache cache;
-  std::vector<NodeId> plan_targets;  // the service's plan_target_switches_
-  cache.set_validator([&](const coll::ReductionTree& t) {
-    return coll::tree_max_congestion(monitor, t) <= 0.25 &&
-           !place::tree_conflicts(t, plan_targets);
-  });
-
-  const NodeId root = topo.spines[0]->id();
-  bool hit = true;
-  ASSERT_TRUE(cache.get_or_compute(manager, participants, root, &hit));
-  EXPECT_FALSE(hit);
-  ASSERT_TRUE(cache.get_or_compute(manager, participants, root, &hit));
-  EXPECT_TRUE(hit);  // cool and conflict-free: served from cache
-  EXPECT_EQ(cache.stale_evictions(), 0u);
-
-  // A plan lands jobs on spine1: entries NOT crossing it stay served...
-  plan_targets = {topo.spines[1]->id()};
-  ASSERT_TRUE(cache.get_or_compute(manager, participants, root, &hit));
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(cache.stale_evictions(), 0u);
-
-  // ...and a plan landing on spine0 evicts the embedding rooted there.
-  plan_targets = {topo.spines[0]->id(), topo.spines[1]->id()};
-  std::sort(plan_targets.begin(), plan_targets.end());
-  ASSERT_TRUE(cache.get_or_compute(manager, participants, root, &hit));
-  EXPECT_FALSE(hit);  // conflicting: recomputed, not re-served
-  EXPECT_EQ(cache.stale_evictions(), 1u);
-}
-
 // ------------------------------------------------------------- migration --
 
 TEST(Migration, PersistentSessionMovesOffHotTree) {
@@ -401,7 +332,7 @@ TEST(Migration, SelfHeatIsExcludedForeignHeatTriggers) {
   // edge is well above the bound — it is all the session's own heat, and
   // the self-exclusion is the only thing holding migration back.
   monitor.sample();
-  EXPECT_GT(coll::tree_max_congestion(monitor, pc.tree()),
+  EXPECT_GT(coll::tree_max_congestion_excluding(monitor, pc.tree(), 0),
             desc.migrate_above);
 
   // Now add FOREIGN (untagged) heat on the installed root's tree links:
@@ -423,34 +354,93 @@ TEST(Migration, SelfHeatIsExcludedForeignHeatTriggers) {
 
 // ----------------------------------------------------------- root policy --
 
-TEST(RootPolicy, LeastCongestedOrdersCoolSpinesFirst) {
+/// With a monitor, least-congested admission is the ranked-tree path: the
+/// admitted tree is ranked_trees' front (cheapest under the monitor's link
+/// costs), and the TreeCache is never consulted.
+TEST(RootPolicy, LeastCongestedAdmitsCheapestRankedTree) {
   Network net;
   auto topo = build_fat_tree(net, four_spine_spec());
   CongestionMonitor monitor(net);
+  service::ServiceOptions opt;
+  opt.root_policy = service::RootPolicy::kLeastCongested;
+  opt.monitor = &monitor;
+  service::AllreduceService service(net, opt);
   monitor.sample();
   heat_switch_links(net, "spine2", {"leaf0", "leaf1", "leaf2"}, 8 * kMiB);
   net.sim().run();
-  monitor.sample();
 
-  const auto roots = service::candidate_roots(
-      service::RootPolicy::kLeastCongested, net, 0, &monitor);
-  ASSERT_EQ(roots.size(), net.switches().size());
-  const auto pos = [&](NodeId id) {
-    return std::find(roots.begin(), roots.end(), id) - roots.begin();
-  };
-  // The hot spine sorts behind every cool spine.
-  for (Switch* s : topo.spines) {
-    if (s != topo.spines[2]) {
-      EXPECT_LT(pos(s->id()), pos(topo.spines[2]->id())) << s->name();
-    }
+  service::JobSpec spec;
+  spec.participants = first_hosts(topo, 8);
+  spec.desc.data_bytes = 16 * kKiB;
+  spec.desc.dtype = core::DType::kInt32;
+  const std::vector<Host*> participants = spec.participants;
+  const u32 job = service.submit(std::move(spec));
+  const service::JobRecord& rec = service.records()[job];
+  ASSERT_TRUE(rec.in_network);
+
+  // Same monitor snapshot, same instant: the admission round's ranking.
+  const std::vector<coll::ReductionTree> ranked =
+      service.manager().ranked_trees(participants);
+  ASSERT_FALSE(ranked.empty());
+  const coll::ReductionTree& want = ranked.front();
+  EXPECT_EQ(rec.tree_root, want.root);
+  std::vector<Switch*> want_switches;
+  for (const coll::TreeSwitchEntry& e : want.switches) {
+    want_switches.push_back(e.sw);
   }
-  // Without a monitor the policy degrades to least-loaded.
+  std::vector<Switch*> installed;
+  for (Switch* s : net.switches()) {
+    if (s->installed_reduces() > 0) installed.push_back(s);
+  }
+  std::sort(want_switches.begin(), want_switches.end());
+  std::sort(installed.begin(), installed.end());
+  EXPECT_EQ(installed, want_switches);
+  // The hot spine is the expensive choice: the admitted tree avoids it.
+  EXPECT_EQ(std::count(installed.begin(), installed.end(), topo.spines[2]),
+            0);
+  EXPECT_EQ(service.tree_cache().hits() + service.tree_cache().misses(), 0u);
+  EXPECT_FALSE(rec.tree_cache_hit);
+
+  net.sim().run();
+  EXPECT_EQ(rec.state, service::JobState::kDone);
+  EXPECT_TRUE(rec.exact);
+
+  // Without a monitor the policy has no signal and orders like
+  // least-loaded.
   EXPECT_EQ(service::candidate_roots(service::RootPolicy::kLeastCongested,
-                                     net, 0, nullptr),
-            service::candidate_roots(service::RootPolicy::kLeastLoaded,
-                                     net, 0));
+                                     net),
+            service::candidate_roots(service::RootPolicy::kLeastLoaded, net));
   EXPECT_EQ(service::root_policy_name(service::RootPolicy::kLeastCongested),
             "least-congested");
+}
+
+/// Every other policy keeps the root-order path and its TreeCache, monitor
+/// or not: a repeated group is served from the cache.
+TEST(RootPolicy, LeastLoadedWithMonitorReusesCachedTree) {
+  Network net;
+  auto topo = build_fat_tree(net, four_spine_spec());
+  CongestionMonitor monitor(net);
+  service::ServiceOptions opt;
+  opt.root_policy = service::RootPolicy::kLeastLoaded;
+  opt.monitor = &monitor;
+  service::AllreduceService service(net, opt);
+
+  service::JobSpec spec;
+  spec.participants = first_hosts(topo, 8);
+  spec.desc.data_bytes = 16 * kKiB;
+  spec.desc.dtype = core::DType::kInt32;
+  const u32 first = service.submit(spec);
+  net.sim().run();
+  const u32 second = service.submit(spec);
+  net.sim().run();
+
+  EXPECT_FALSE(service.records()[first].tree_cache_hit);
+  EXPECT_TRUE(service.records()[second].tree_cache_hit);
+  EXPECT_GE(service.tree_cache().hits(), 1u);
+  EXPECT_EQ(service.telemetry().completed(), 2u);
+  for (const service::JobRecord& rec : service.records()) {
+    EXPECT_TRUE(rec.exact);
+  }
 }
 
 // --------------------------------------------------------------- service --
@@ -464,7 +454,6 @@ TEST(ServiceCongestion, AdmissionAvoidsHotSpineAndJobMigrates) {
   opt.root_policy = service::RootPolicy::kLeastCongested;
   opt.monitor = &monitor;
   opt.migrate_above = 0.2;
-  opt.cache_stale_above = 0.3;
   service::AllreduceService service(net, opt);
 
   // spine0 is hot BEFORE the job arrives: admission must avoid it.

@@ -366,27 +366,6 @@ TEST(PlacementPlan, HysteresisDropsBelowThresholdMoves) {
   EXPECT_TRUE(plan.moves.empty());
 }
 
-TEST(PlacementPlan, TreeConflictsMatchesTargetSwitches) {
-  Network net;
-  auto topo = build_fat_tree(net, four_spine_spec());
-  coll::NetworkManager manager(net);
-  auto tree =
-      manager.compute_tree(pick_hosts(topo, {0, 1, 4, 5}),
-                           topo.spines[0]->id());
-  ASSERT_TRUE(tree);
-
-  std::vector<NodeId> targets;  // empty: nothing conflicts
-  EXPECT_FALSE(place::tree_conflicts(*tree, targets));
-
-  targets = {topo.spines[1]->id(), topo.spines[2]->id()};
-  std::sort(targets.begin(), targets.end());
-  EXPECT_FALSE(place::tree_conflicts(*tree, targets));  // disjoint fabric
-
-  targets.push_back(topo.leaves[1]->id());  // a switch the tree crosses
-  std::sort(targets.begin(), targets.end());
-  EXPECT_TRUE(place::tree_conflicts(*tree, targets));
-}
-
 // ------------------------------------------------------- service, planned --
 
 /// End-to-end planned migration with REACTIVE migration disabled

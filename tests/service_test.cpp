@@ -284,26 +284,6 @@ TEST(Service, LeastLoadedSpreadsRootsFixedDoesNot) {
   }
 }
 
-TEST(Service, RoundRobinCompletesAllJobs) {
-  net::Network net;
-  net::FatTreeSpec spec;
-  spec.hosts = 16;
-  spec.radix = 4;
-  auto topo = net::build_fat_tree(net, spec);
-  ServiceOptions opt;
-  opt.root_policy = RootPolicy::kRoundRobin;
-  AllreduceService svc(net, opt);
-
-  for (u32 j = 0; j < 6; ++j)
-    svc.submit(make_job(slice(topo.hosts, 2 * j, 4), 32 * kKiB, j + 1));
-  net.sim().run();
-
-  for (const JobRecord& rec : svc.records()) {
-    EXPECT_TRUE(rec.ok);
-    EXPECT_TRUE(rec.exact);
-  }
-}
-
 // ------------------------------------------------------------- job mix ---
 
 // ------------------------------------------------------- sparse jobs ------
