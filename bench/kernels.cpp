@@ -126,10 +126,10 @@ void BM_HashStoreInsert(benchmark::State& state) {
   std::byte raw[4];
   std::memcpy(raw, &v, 4);
   for (auto _ : state) {
-    core::HashStore store(capacity, DType::kFloat32);
+    core::HashStore store(capacity, DType::kFloat32, sum);
     u64 spilled = 0;
     for (const u32 idx : indices) {
-      if (!store.insert(idx, raw, DType::kFloat32, sum)) ++spilled;
+      if (!store.insert(idx, raw)) ++spilled;
     }
     benchmark::DoNotOptimize(spilled);
   }
@@ -146,9 +146,8 @@ void BM_ArrayStoreInsert(benchmark::State& state) {
   std::byte raw[4];
   std::memcpy(raw, &v, 4);
   for (auto _ : state) {
-    core::ArrayStore store(16384, DType::kFloat32);
-    for (const u32 idx : indices)
-      store.insert(idx, raw, DType::kFloat32, sum);
+    core::ArrayStore store(16384, DType::kFloat32, sum);
+    for (const u32 idx : indices) store.insert(idx, raw);
     benchmark::DoNotOptimize(store.stored_pairs());
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 1024);
@@ -161,16 +160,15 @@ void BM_StoreExtract(benchmark::State& state) {
   Rng rng(6);
   std::unique_ptr<core::SparseStore> store;
   if (hash) {
-    store = std::make_unique<core::HashStore>(2048, DType::kFloat32);
+    store = std::make_unique<core::HashStore>(2048, DType::kFloat32, sum);
   } else {
-    store = std::make_unique<core::ArrayStore>(16384, DType::kFloat32);
+    store = std::make_unique<core::ArrayStore>(16384, DType::kFloat32, sum);
   }
   const f32 v = 2.0f;
   std::byte raw[4];
   std::memcpy(raw, &v, 4);
   for (int i = 0; i < 1024; ++i) {
-    store->insert(static_cast<u32>(rng.uniform_u64(16384)), raw,
-                  DType::kFloat32, sum);
+    store->insert(static_cast<u32>(rng.uniform_u64(16384)), raw);
   }
   for (auto _ : state) {
     std::vector<core::StoredPair> out;

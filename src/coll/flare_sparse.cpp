@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "coll/sparcml.hpp"
@@ -17,6 +16,7 @@ SparseOp::SparseOp(net::Network& net, NetworkManager& manager,
     : TreeOpBase(net, manager, participants, desc, cfg, std::move(tree),
                  /*sparse=*/true, desc.sparse.num_blocks, monitor),
       op_(cfg.op),
+      combine_(op_.combiner(desc.dtype)),
       P_(static_cast<u32>(participants.size())),
       span_(desc.sparse.block_span),
       ppp_(cfg.pairs_per_packet),
@@ -95,11 +95,10 @@ bool SparseOp::on_block_packet(u32 h, const core::Packet& pkt) {
   if (h == 0 && pkt.hdr.elem_count > 0) {
     const core::SparseView view = core::sparse_view(pkt, desc_.dtype);
     down_pairs_ += view.count;
+    std::byte* block = result_.at_byte(static_cast<u64>(b) * span_);
     for (u32 i = 0; i < view.count; ++i) {
-      op_.apply(desc_.dtype,
-                result_.at_byte(static_cast<u64>(b) * span_ +
-                                view.indices[i]),
-                view.values + static_cast<std::size_t>(i) * esize_, 1);
+      combine_(block + static_cast<std::size_t>(view.indices[i]) * esize_,
+               view.values + static_cast<std::size_t>(i) * esize_);
     }
   }
   return st.complete();
@@ -131,23 +130,20 @@ void SparseOp::fill_result(CollectiveResult& res) const {
   res.host_pairs_sent = host_pairs_sent_;
   res.down_pairs = down_pairs_;
 
-  // Reference: densified per-block sums over the staged inputs.
+  // Reference: densified per-block sums over the staged inputs, host by
+  // host in staging order, then one compare per block.
   f64 max_err = 0.0;
   core::TypedBuffer block_ref(desc_.dtype, span_);
   for (u32 b = 0; b < nb_; ++b) {
     block_ref.fill_identity(op_);
     for (u32 h = 0; h < P_; ++h) {
-      for (const core::SparsePair& sp : staged_[h][b]) {
-        core::TypedBuffer one(desc_.dtype, 1);
-        one.set_from_f64(0, sp.value);
-        op_.apply(desc_.dtype, block_ref.at_byte(sp.index), one.data(), 1);
-      }
+      core::accumulate_sparse_pairs(block_ref.data(), staged_[h][b],
+                                    desc_.dtype, combine_);
     }
-    for (u32 i = 0; i < span_; ++i) {
-      const f64 got =
-          result_.get_as_f64(static_cast<u64>(b) * span_ + i);
-      max_err = std::max(max_err, std::abs(got - block_ref.get_as_f64(i)));
-    }
+    max_err = std::max(
+        max_err, core::max_abs_diff(
+                     desc_.dtype, result_.at_byte(static_cast<u64>(b) * span_),
+                     block_ref.data(), span_));
   }
   res.max_abs_err = max_err;
   const f64 tol = core::dtype_is_float(desc_.dtype) ? 1e-3 * P_ : 0.0;

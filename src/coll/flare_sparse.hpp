@@ -52,6 +52,9 @@ class SparseOp final : public TreeOpBase {
   u64 tree_spills() const;
 
   core::ReduceOp op_;
+  /// op_ on one element of the allreduce dtype, resolved once: host 0's
+  /// accumulation and the reference check call it per pair.
+  core::ElementCombiner combine_;
   const u32 P_;
   const u32 span_;  ///< index space per block
   const u32 ppp_;   ///< pairs per packet

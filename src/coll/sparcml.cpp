@@ -19,9 +19,11 @@ std::vector<core::SparsePair> merge_pairs(
   out.reserve(a.size() + b.size());
   std::size_t i = 0, j = 0;
   auto b_value = [&](std::size_t k) {
-    core::TypedBuffer tmp(dtype, 1);
-    std::memcpy(tmp.data(), b[k].value.data(), core::dtype_size(dtype));
-    return tmp.get_as_f64(0);
+    return core::with_storage_type(dtype, [&](auto tag) {
+      decltype(tag) v;
+      std::memcpy(&v, b[k].value.data(), sizeof(v));
+      return core::widen_to_f64(v);
+    });
   };
   while (i < a.size() && j < b.size()) {
     if (a[i].index < b[j].index) {
@@ -86,6 +88,7 @@ void SparcmlOp::begin(u32 iteration, std::shared_ptr<OpState> state) {
   expected_.fill_identity(op_);
   runs_.clear();
   runs_.resize(P_);
+  const core::ElementCombiner combine = op_.combiner(desc_.dtype);
   for (u32 h = 0; h < P_; ++h) {
     SpHost& hr = runs_[h];
     hr.sparse = host_pairs(h, desc_.seed + iteration);
@@ -93,11 +96,8 @@ void SparcmlOp::begin(u32 iteration, std::shared_ptr<OpState> state) {
               [](const core::SparsePair& a, const core::SparsePair& b) {
                 return a.index < b.index;
               });
-    for (const core::SparsePair& sp : hr.sparse) {
-      core::TypedBuffer one(desc_.dtype, 1);
-      one.set_from_f64(0, sp.value);
-      op_.apply(desc_.dtype, expected_.at_byte(sp.index), one.data(), 1);
-    }
+    core::accumulate_sparse_pairs(expected_.data(), hr.sparse, desc_.dtype,
+                                  combine);
   }
   if (!launch()) return;
   for (u32 h = 0; h < P_; ++h) send_round(h, 0);
@@ -153,9 +153,9 @@ void SparcmlOp::consume(u32 h, const Payload& msg) {
   } else {
     FLARE_ASSERT(msg.sparse != nullptr);
     if (hr.is_dense) {
+      const core::ElementCombiner combine = op_.combiner(desc_.dtype);
       for (const core::StoredPair& sp : *msg.sparse) {
-        op_.apply(desc_.dtype, hr.dense.at_byte(sp.index), sp.value.data(),
-                  1);
+        combine(hr.dense.at_byte(sp.index), sp.value.data());
       }
     } else {
       hr.sparse = merge_pairs(hr.sparse, *msg.sparse, desc_.dtype);

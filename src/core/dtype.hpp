@@ -9,8 +9,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <string_view>
+#include <type_traits>
 
+#include "common/assert.hpp"
 #include "common/units.hpp"
 
 namespace flare::core {
@@ -52,5 +55,54 @@ constexpr bool dtype_is_float(DType t) {
 /// matching the behaviour of the FPnew FP16 unit the paper adds to each HPU.
 u16 f32_to_f16(f32 value);
 f32 f16_to_f32(u16 half_bits);
+
+/// Copies one element of `size` bytes (a dtype_size) with a fixed-size
+/// copy per case, which compiles to one load and store instead of a
+/// memcpy call: sparse pairs move one element at a time.
+inline void copy_element(void* dst, const void* src, u32 size) {
+  switch (size) {
+    case 1: std::memcpy(dst, src, 1); return;
+    case 2: std::memcpy(dst, src, 2); return;
+    case 4: std::memcpy(dst, src, 4); return;
+    case 8: std::memcpy(dst, src, 8); return;
+  }
+  std::memcpy(dst, src, size);
+}
+
+/// Calls f(T{}) with T the storage type of dtype `t`; u16 holds f16 bits.
+/// Element loops call it once and run monomorphized in the callback, so no
+/// dtype branch sits inside them.
+template <typename F>
+decltype(auto) with_storage_type(DType t, F&& f) {
+  switch (t) {
+    case DType::kInt8: return f(i8{});
+    case DType::kInt16: return f(i16{});
+    case DType::kInt32: return f(i32{});
+    case DType::kInt64: return f(i64{});
+    case DType::kFloat16: return f(u16{});
+    case DType::kFloat32: return f(f32{});
+  }
+  FLARE_UNREACHABLE("unknown dtype");
+}
+
+/// Widens a stored element of storage type T to f64 (f16 via f32).
+template <typename T>
+f64 widen_to_f64(T x) {
+  if constexpr (std::is_same_v<T, u16>) {
+    return static_cast<f64>(f16_to_f32(x));
+  } else {
+    return static_cast<f64>(x);
+  }
+}
+
+/// Narrows an f64 to storage type T like handler code would.
+template <typename T>
+T narrow_from_f64(f64 v) {
+  if constexpr (std::is_same_v<T, u16>) {
+    return f32_to_f16(static_cast<f32>(v));
+  } else {
+    return static_cast<T>(v);
+  }
+}
 
 }  // namespace flare::core

@@ -30,43 +30,27 @@ Packet make_sparse_packet(u32 allreduce_id, u32 block_id, u16 child_index,
   p.payload.resize(pairs.size() * (sizeof(u32) + es));
   std::byte* idx_out = p.payload.data();
   std::byte* val_out = p.payload.data() + pairs.size() * sizeof(u32);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    std::memcpy(idx_out + i * sizeof(u32), &pairs[i].index, sizeof(u32));
-    // Narrow the staged f64 to the wire dtype.
-    switch (dtype) {
-      case DType::kInt8: {
-        const i8 v = static_cast<i8>(pairs[i].value);
-        std::memcpy(val_out + i * es, &v, es);
-        break;
-      }
-      case DType::kInt16: {
-        const i16 v = static_cast<i16>(pairs[i].value);
-        std::memcpy(val_out + i * es, &v, es);
-        break;
-      }
-      case DType::kInt32: {
-        const i32 v = static_cast<i32>(pairs[i].value);
-        std::memcpy(val_out + i * es, &v, es);
-        break;
-      }
-      case DType::kInt64: {
-        const i64 v = static_cast<i64>(pairs[i].value);
-        std::memcpy(val_out + i * es, &v, es);
-        break;
-      }
-      case DType::kFloat16: {
-        const u16 v = f32_to_f16(static_cast<f32>(pairs[i].value));
-        std::memcpy(val_out + i * es, &v, es);
-        break;
-      }
-      case DType::kFloat32: {
-        const f32 v = static_cast<f32>(pairs[i].value);
-        std::memcpy(val_out + i * es, &v, es);
-        break;
-      }
+  // Narrow each staged f64 to the wire dtype; the dtype is resolved once.
+  with_storage_type(dtype, [&](auto tag) {
+    using T = decltype(tag);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      std::memcpy(idx_out + i * sizeof(u32), &pairs[i].index, sizeof(u32));
+      const T v = narrow_from_f64<T>(pairs[i].value);
+      std::memcpy(val_out + i * sizeof(T), &v, sizeof(T));
     }
-  }
+  });
   return p;
+}
+
+void accumulate_sparse_pairs(std::byte* acc, std::span<const SparsePair> pairs,
+                             DType dtype, const ElementCombiner& combine) {
+  with_storage_type(dtype, [&](auto tag) {
+    using T = decltype(tag);
+    for (const SparsePair& sp : pairs) {
+      const T v = narrow_from_f64<T>(sp.value);
+      combine(acc + static_cast<std::size_t>(sp.index) * sizeof(T), &v);
+    }
+  });
 }
 
 Packet make_empty_block_packet(u32 allreduce_id, u32 block_id,
@@ -83,41 +67,12 @@ Packet make_empty_block_packet(u32 allreduce_id, u32 block_id,
 
 f64 SparseView::value_as_f64(u32 i) const {
   FLARE_ASSERT(i < count);
-  const u32 es = dtype_size(dtype);
-  const std::byte* p = values + static_cast<std::size_t>(i) * es;
-  switch (dtype) {
-    case DType::kInt8: {
-      i8 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-    case DType::kInt16: {
-      i16 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-    case DType::kInt32: {
-      i32 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-    case DType::kInt64: {
-      i64 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-    case DType::kFloat16: {
-      u16 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(f16_to_f32(v));
-    }
-    case DType::kFloat32: {
-      f32 v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<f64>(v);
-    }
-  }
-  return 0.0;
+  return with_storage_type(dtype, [&](auto tag) {
+    decltype(tag) v;
+    std::memcpy(&v, values + static_cast<std::size_t>(i) * sizeof(v),
+                sizeof(v));
+    return widen_to_f64(v);
+  });
 }
 
 SparseView sparse_view(const Packet& p, DType dtype) {

@@ -17,6 +17,7 @@
 #include "common/assert.hpp"
 #include "core/buffer_pool.hpp"
 #include "core/dtype.hpp"
+#include "core/reduce_op.hpp"
 
 namespace flare::core {
 
@@ -90,6 +91,13 @@ struct SparsePair {
 Packet make_sparse_packet(u32 allreduce_id, u32 block_id, u16 child_index,
                           std::span<const SparsePair> pairs, DType dtype,
                           u16 extra_flags = 0);
+
+/// Combines staged pairs into dense storage of `dtype` at `acc`, in order:
+/// acc[i] = combine(acc[i], v) with each value narrowed to the dtype as
+/// make_sparse_packet narrows it.  The host-side reference of a sparse
+/// allreduce.
+void accumulate_sparse_pairs(std::byte* acc, std::span<const SparsePair> pairs,
+                             DType dtype, const ElementCombiner& combine);
 
 /// Builds the header-only packet for an all-zero sparse block (Section 7,
 /// "Empty blocks").

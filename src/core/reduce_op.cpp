@@ -80,6 +80,30 @@ void kernel_f16(void* __restrict accv, const void* __restrict inv,
   }
 }
 
+// One-element bodies behind ElementCombiner: the same combine as the
+// kernels above, loaded and stored through memcpy so the operands may sit
+// anywhere in a packed sparse payload or store cell.
+template <typename T, OpKind K>
+void combine_one(const ElementCombiner& /*self*/, void* acc, const void* in) {
+  T a;
+  T b;
+  std::memcpy(&a, acc, sizeof(T));
+  std::memcpy(&b, in, sizeof(T));
+  a = combine<T, K>(a, b);
+  std::memcpy(acc, &a, sizeof(T));
+}
+
+template <OpKind K>
+void combine_one_f16(const ElementCombiner& /*self*/, void* acc,
+                     const void* in) {
+  u16 a;
+  u16 b;
+  std::memcpy(&a, acc, sizeof(u16));
+  std::memcpy(&b, in, sizeof(u16));
+  a = f32_to_f16(combine<f32, K>(f16_to_f32(a), f16_to_f32(b)));
+  std::memcpy(acc, &a, sizeof(u16));
+}
+
 template <typename T>
 constexpr std::array<KernelFn, kBuiltinOps> integer_row() {
   return {&kernel<T, OpKind::kSum>,  &kernel<T, OpKind::kProd>,
@@ -102,6 +126,31 @@ constexpr std::array<std::array<KernelFn, kBuiltinOps>, kDTypeCount>
         {&kernel<f32, OpKind::kSum>, &kernel<f32, OpKind::kProd>,
          &kernel<f32, OpKind::kMin>, &kernel<f32, OpKind::kMax>, nullptr,
          nullptr, nullptr},  // kFloat32
+    }};
+
+using CombineFn = void (*)(const ElementCombiner&, void*, const void*);
+
+template <typename T>
+constexpr std::array<CombineFn, kBuiltinOps> integer_combine_row() {
+  return {&combine_one<T, OpKind::kSum>,  &combine_one<T, OpKind::kProd>,
+          &combine_one<T, OpKind::kMin>,  &combine_one<T, OpKind::kMax>,
+          &combine_one<T, OpKind::kBand>, &combine_one<T, OpKind::kBor>,
+          &combine_one<T, OpKind::kBxor>};
+}
+
+// Laid out like kKernelTable.
+constexpr std::array<std::array<CombineFn, kBuiltinOps>, kDTypeCount>
+    kCombineTable{{
+        integer_combine_row<i8>(),   // kInt8
+        integer_combine_row<i16>(),  // kInt16
+        integer_combine_row<i32>(),  // kInt32
+        integer_combine_row<i64>(),  // kInt64
+        {&combine_one_f16<OpKind::kSum>, &combine_one_f16<OpKind::kProd>,
+         &combine_one_f16<OpKind::kMin>, &combine_one_f16<OpKind::kMax>,
+         nullptr, nullptr, nullptr},  // kFloat16
+        {&combine_one<f32, OpKind::kSum>, &combine_one<f32, OpKind::kProd>,
+         &combine_one<f32, OpKind::kMin>, &combine_one<f32, OpKind::kMax>,
+         nullptr, nullptr, nullptr},  // kFloat32
     }};
 
 template <typename T>
@@ -222,6 +271,33 @@ void ReduceOp::apply(DType t, void* acc, const void* in,
       kKernelTable[static_cast<std::size_t>(t)][static_cast<std::size_t>(kind_)];
   FLARE_ASSERT(fn != nullptr);
   fn(acc, in, n);
+}
+
+void ElementCombiner::combine_custom(const ElementCombiner& self, void* acc,
+                                     const void* in) {
+  // The kernel sees aligned operands, as apply's bounce gives it.
+  const std::size_t esize = dtype_size(self.dtype_);
+  alignas(8) std::byte a[8];
+  alignas(8) std::byte b[8];
+  std::memcpy(a, acc, esize);
+  std::memcpy(b, in, esize);
+  (*self.custom_kernel_)(self.dtype_, a, b, 1);
+  std::memcpy(acc, a, esize);
+}
+
+ElementCombiner ReduceOp::combiner(DType t) const {
+  FLARE_ASSERT_MSG(supports(t), "operator does not support this dtype");
+  ElementCombiner c;
+  c.dtype_ = t;
+  if (kind_ == OpKind::kCustom) {
+    c.fn_ = &ElementCombiner::combine_custom;
+    c.custom_kernel_ = custom_kernel_;
+  } else {
+    c.fn_ = kCombineTable[static_cast<std::size_t>(t)]
+                         [static_cast<std::size_t>(kind_)];
+  }
+  FLARE_ASSERT(c.fn_ != nullptr);
+  return c;
 }
 
 void ReduceOp::fill_identity(DType t, void* dst, std::size_t n) const {

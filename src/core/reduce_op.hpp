@@ -42,6 +42,31 @@ using CustomKernel =
 /// Fills `n` elements with a custom identity value.
 using CustomIdentity = std::function<void(DType t, void* dst, std::size_t n)>;
 
+class ReduceOp;
+
+/// acc = op(acc, in) on ONE element of the dtype it was resolved for
+/// (ReduceOp::combiner), at storage that may be misaligned: sparse wire
+/// formats pack (index, value) pairs without padding.  A builtin op runs a
+/// typed scalar body that loads and stores through memcpy (f16 combines
+/// through f32, as apply does); a custom op runs its kernel on one element
+/// bounced through aligned cells.  Resolving once takes the (dtype, op)
+/// dispatch and the alignment check out of per-element loops.
+class ElementCombiner {
+ public:
+  void operator()(void* acc, const void* in) const { fn_(*this, acc, in); }
+
+ private:
+  friend class ReduceOp;
+  using Fn = void (*)(const ElementCombiner& self, void* acc,
+                      const void* in);
+  static void combine_custom(const ElementCombiner& self, void* acc,
+                             const void* in);
+
+  Fn fn_ = nullptr;
+  DType dtype_ = DType::kFloat32;
+  std::shared_ptr<const CustomKernel> custom_kernel_;  ///< custom ops only
+};
+
 /// A reduction operator; cheap to copy (custom state is shared).
 class ReduceOp {
  public:
@@ -66,6 +91,10 @@ class ReduceOp {
 
   /// acc[i] = op(acc[i], in[i]) for n elements of dtype t.
   void apply(DType t, void* acc, const void* in, std::size_t n) const;
+
+  /// The one-element combiner for dtype t; combines exactly as
+  /// apply(t, acc, in, 1) does.
+  ElementCombiner combiner(DType t) const;
 
   /// Writes the operator identity into n elements of dtype t.
   void fill_identity(DType t, void* dst, std::size_t n) const;

@@ -23,8 +23,8 @@ Packet make_sparse_packet_from_pairs(
   for (u32 i = 0; i < count; ++i) {
     const StoredPair& sp = *(first + i);
     std::memcpy(idx_out + i * sizeof(u32), &sp.index, sizeof(u32));
-    std::memcpy(val_out + static_cast<std::size_t>(i) * es, sp.value.data(),
-                es);
+    copy_element(val_out + static_cast<std::size_t>(i) * es, sp.value.data(),
+                 es);
   }
   return p;
 }
@@ -38,10 +38,33 @@ SparseAggregator::SparseAggregator(EngineHost& host,
                    "array storage needs a block span");
 }
 
-std::unique_ptr<SparseStore> SparseAggregator::make_store() const {
-  if (cfg_.hash_storage)
-    return std::make_unique<HashStore>(cfg_.hash_capacity_pairs, cfg_.dtype);
-  return std::make_unique<ArrayStore>(cfg_.block_span, cfg_.dtype);
+SparseAggregator::StoreSlot SparseAggregator::take_slot() {
+  if (!spare_.empty()) {
+    StoreSlot slot = std::move(spare_.back());
+    spare_.pop_back();
+    return slot;
+  }
+  StoreSlot slot;
+  // The spill buffer's bound: it flushes once it holds
+  // spill_capacity_pairs, and one packet's pairs may all spill.
+  slot.spill.reserve(cfg_.spill_capacity_pairs + cfg_.pairs_per_packet);
+  if (cfg_.hash_storage) {
+    slot.store = std::make_unique<HashStore>(cfg_.hash_capacity_pairs,
+                                             cfg_.dtype, cfg_.op);
+  } else {
+    slot.store =
+        std::make_unique<ArrayStore>(cfg_.block_span, cfg_.dtype, cfg_.op);
+  }
+  return slot;
+}
+
+void SparseAggregator::recycle_slots(Block& blk) {
+  for (StoreSlot& slot : blk.stores) {
+    slot.store->clear();
+    slot.spill.clear();
+    spare_.push_back(std::move(slot));
+  }
+  blk.stores.clear();
 }
 
 u64 SparseAggregator::store_footprint() const {
@@ -65,7 +88,7 @@ bool SparseAggregator::admit(const Packet& pkt, SimTime now) {
     blk.stores.resize(cfg_.num_buffers);
     blk.slots.reset(cfg_.num_buffers);
     for (auto& s : blk.stores) {
-      s.store = make_store();
+      s = take_slot();
       const bool ok = pool_.acquire(store_footprint(), now);
       FLARE_ASSERT_MSG(ok, "working-memory pool exhausted");
     }
@@ -85,8 +108,10 @@ void SparseAggregator::accept(Waiter w) {
 
 void SparseAggregator::clear_blocks() {
   const SimTime t = now();
-  for (const Block& blk : blocks_) {
-    if (blk.open()) pool_.release(store_footprint() * blk.stores.size(), t);
+  for (Block& blk : blocks_) {
+    if (!blk.open()) continue;
+    pool_.release(store_footprint() * blk.stores.size(), t);
+    recycle_slots(blk);
   }
   blocks_.clear();
 }
@@ -104,7 +129,7 @@ void SparseAggregator::run_on_slot(u32 block_id, u32 store_idx, Waiter w,
   u32 spilled = 0;
   for (u32 i = 0; i < view.count; ++i) {
     const std::byte* val = view.values + static_cast<std::size_t>(i) * es;
-    if (!slot.store->insert(view.indices[i], val, cfg_.dtype, cfg_.op)) {
+    if (!slot.store->insert(view.indices[i], val)) {
       slot.spill.push_back(make_stored_pair(view.indices[i], val, cfg_.dtype));
       spilled += 1;
       total_collisions_ += 1;
@@ -169,8 +194,7 @@ void SparseAggregator::finalize_block(u32 block_id, u32 my_store, SimTime t,
     other.store->extract(pairs);
     merge_cycles += costs.scan_cycles(other.store->scan_slots(), 0);
     for (const StoredPair& sp : pairs) {
-      if (!mine.store->insert(sp.index, sp.value.data(), cfg_.dtype,
-                              cfg_.op)) {
+      if (!mine.store->insert(sp.index, sp.value.data())) {
         mine.spill.push_back(sp);
         total_collisions_ += 1;
       }
@@ -233,6 +257,7 @@ void SparseAggregator::finalize_block(u32 block_id, u32 my_store, SimTime t,
   const u64 mem_bytes = store_footprint() * blk.stores.size();
   release_at(t, mem_bytes);
   close_block(block_id, blk.first_arrival, t, mem_bytes);
+  recycle_slots(blk);
   blk = Block();
   host_.handler_done(handler, t);
 }

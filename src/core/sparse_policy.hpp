@@ -54,7 +54,10 @@ class SparseAggregator final : public Aggregator {
     bool open() const { return tracker != nullptr; }
   };
 
-  std::unique_ptr<SparseStore> make_store() const;
+  /// A cleared store slot for a block that opens: a spare one, else new.
+  StoreSlot take_slot();
+  /// Clears `blk`'s store slots into spare_.
+  void recycle_slots(Block& blk);
   u64 store_footprint() const;
 
   bool admit(const Packet& pkt, SimTime now) override;
@@ -69,6 +72,9 @@ class SparseAggregator final : public Aggregator {
   void finalize_block(u32 block_id, u32 my_store, SimTime t, u32 handler);
 
   std::vector<Block> blocks_;  ///< by block id
+  /// Cleared slots of closed blocks.  A store is built once and then
+  /// serves block after block; its spill buffer keeps its capacity.
+  std::vector<StoreSlot> spare_;
   u64 total_collisions_ = 0;
 };
 

@@ -3,8 +3,8 @@
 // Two designs, with the tradeoff the paper analyses in Figure 14:
 //
 //  * HashStore — a set-associative hash table over (index, value) slots:
-//    one bucket of `kWays` contiguous slots (a single L1 line) is probed
-//    per pair, so the per-pair cost stays constant.  To avoid expensive
+//    one bucket of `kWays` contiguous slots (16 bytes of indices) is
+//    probed per pair, so the per-pair cost stays constant.  To avoid expensive
 //    collision RESOLUTION in a packet handler, a pair whose bucket is full
 //    of other indices is appended to a *spill buffer*; when the spill
 //    buffer fills, the engine flushes it onto the network immediately
@@ -17,7 +17,12 @@
 //    full scan.
 //
 // Values are stored and combined in the wire dtype (the reduction arithmetic
-// is identical to what the handler would do), staged in an 8-byte cell.
+// is identical to what the handler would do) and extracted into 8-byte
+// cells.  Like the handler, a store is specialised to its (dtype, op) once: it
+// resolves the one-element combiner when it is built, so an insert is a
+// probe plus one typed combine.  Both designs keep an occupancy bitmap:
+// extract walks its set bits instead of testing every slot, and clear
+// zeroes it, so one store serves block after block.
 #pragma once
 
 #include <array>
@@ -43,15 +48,19 @@ class SparseStore {
  public:
   virtual ~SparseStore() = default;
 
-  /// Inserts one pair, combining with `op` on index match.  Returns false
-  /// if the pair could not be stored (hash collision): the caller must
-  /// spill it.
-  virtual bool insert(u32 index, const std::byte* value, DType dtype,
-                      const ReduceOp& op) = 0;
+  /// Inserts one pair (`value`: raw bytes of the store's dtype, any
+  /// alignment), combining with the store's op on index match.  Returns
+  /// false if the pair could not be stored (hash collision): the caller
+  /// must spill it.
+  virtual bool insert(u32 index, const std::byte* value) = 0;
 
   /// Appends all stored pairs to `out` in a deterministic order
-  /// (ascending index for the array store, slot order for the hash store).
+  /// (ascending index for the array store, slot order for the hash store),
+  /// reserving room for them first.
   virtual void extract(std::vector<StoredPair>& out) const = 0;
+
+  /// Empties the store; it then behaves exactly like a fresh one.
+  virtual void clear() = 0;
 
   virtual u64 stored_pairs() const = 0;
   /// Memory footprint of the structure in bytes (the paper's "Block Mem").
@@ -64,46 +73,49 @@ class SparseStore {
 /// spills — no chains, no rehashing, handler cost stays O(1)).
 class HashStore final : public SparseStore {
  public:
-  /// Slots per bucket: 4 x 8B slots ~ one L1 line probed per insert.
+  /// Slots per bucket: an insert probes 4 indices (16 bytes) of L1.
   static constexpr u32 kWays = 4;
 
   /// `capacity_pairs` is rounded up to a power of two (total slots).
-  HashStore(u32 capacity_pairs, DType dtype);
+  HashStore(u32 capacity_pairs, DType dtype, const ReduceOp& op);
 
-  bool insert(u32 index, const std::byte* value, DType dtype,
-              const ReduceOp& op) override;
+  bool insert(u32 index, const std::byte* value) override;
   void extract(std::vector<StoredPair>& out) const override;
+  void clear() override;
   u64 stored_pairs() const override { return used_; }
   u64 footprint_bytes() const override;
-  u64 scan_slots() const override { return slots_.size(); }
+  u64 scan_slots() const override { return indices_.size(); }
 
-  u64 capacity() const { return slots_.size(); }
+  u64 capacity() const { return indices_.size(); }
   u64 collisions() const { return collisions_; }
 
  private:
-  struct Slot {
-    u32 index = 0;
-    bool occupied = false;
-    std::array<std::byte, 8> value{};
-  };
-
   u64 bucket_of(u32 index) const;  ///< first slot of the bucket
+  std::byte* value_at(u64 slot) { return values_.data() + slot * esize_; }
 
-  std::vector<Slot> slots_;
+  // Slots as two arrays, the way a handler lays them out in L1: a probe
+  // compares the bucket's kWays indices and touches a value only to
+  // combine or fill it.  Unoccupied slots hold stale data, never read.
+  std::vector<u32> indices_;
+  std::vector<std::byte> values_;  ///< esize_ bytes per slot
+  /// Bit s set iff slot s holds a pair.  A bucket's kWays bits share one
+  /// word, since buckets start at multiples of kWays.
+  std::vector<u64> occupied_;
   u64 bucket_mask_;
   u64 used_ = 0;
   u64 collisions_ = 0;
-  DType dtype_;
+  u32 esize_;
+  ElementCombiner combine_;
 };
 
 /// Contiguous array over the block's index span with an occupancy bitmap.
 class ArrayStore final : public SparseStore {
  public:
-  ArrayStore(u32 span_elems, DType dtype);
+  ArrayStore(u32 span_elems, DType dtype, const ReduceOp& op);
 
-  bool insert(u32 index, const std::byte* value, DType dtype,
-              const ReduceOp& op) override;
+  bool insert(u32 index, const std::byte* value) override;
   void extract(std::vector<StoredPair>& out) const override;
+  void clear() override;
   u64 stored_pairs() const override { return used_; }
   u64 footprint_bytes() const override;
   u64 scan_slots() const override { return span_; }
@@ -115,6 +127,7 @@ class ArrayStore final : public SparseStore {
 
   u32 span_;
   DType dtype_;
+  ElementCombiner combine_;
   std::vector<std::byte> values_;
   std::vector<u64> bitmap_;
   u64 used_ = 0;

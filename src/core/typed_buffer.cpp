@@ -17,42 +17,6 @@ namespace {
 // so drawing through the reference would write xoshiro's four state words
 // back to memory after every element.
 
-/// Calls f(T{}) with T the storage type of dtype `t`; u16 holds f16 bits.
-template <typename F>
-decltype(auto) with_storage_type(DType t, F&& f) {
-  switch (t) {
-    case DType::kInt8: return f(i8{});
-    case DType::kInt16: return f(i16{});
-    case DType::kInt32: return f(i32{});
-    case DType::kInt64: return f(i64{});
-    case DType::kFloat16: return f(u16{});
-    case DType::kFloat32: return f(f32{});
-  }
-  FLARE_UNREACHABLE("unknown dtype");
-}
-
-template <typename T>
-constexpr bool kIsHalf = std::is_same_v<T, u16>;
-
-template <typename T>
-f64 widen(T x) {
-  if constexpr (kIsHalf<T>) {
-    return static_cast<f64>(f16_to_f32(x));
-  } else {
-    return static_cast<f64>(x);
-  }
-}
-
-/// Narrows like handler code would.
-template <typename T>
-T narrow(f64 v) {
-  if constexpr (kIsHalf<T>) {
-    return f32_to_f16(static_cast<f32>(v));
-  } else {
-    return static_cast<T>(v);
-  }
-}
-
 /// m when floor(lo + (hi - lo) * u) can be drawn exactly in integers: lo
 /// and hi are integers, hi - lo = 2^m with m <= 53, |lo|, |hi| <= 2^m and
 /// every value lo + [0, 2^m) fits in T.  With u = k * 2^-53 (k = x >> 11,
@@ -77,7 +41,7 @@ int exact_int_span_log2(f64 lo, f64 hi) {
 /// Integer dtypes draw floor(uniform(lo, hi)), float dtypes uniform(lo, hi).
 template <typename T>
 void fill_loop(std::byte* p, std::size_t n, Rng& rng_state, f64 lo, f64 hi) {
-  constexpr bool kInteger = std::is_integral_v<T> && !kIsHalf<T>;
+  constexpr bool kInteger = std::is_integral_v<T> && !std::is_same_v<T, u16>;
   Rng rng = rng_state;
   int m = -1;
   if constexpr (kInteger) m = exact_int_span_log2<T>(lo, hi);
@@ -92,7 +56,7 @@ void fill_loop(std::byte* p, std::size_t n, Rng& rng_state, f64 lo, f64 hi) {
     for (std::size_t i = 0; i < n; ++i) {
       f64 v = rng.uniform(lo, hi);
       if constexpr (kInteger) v = std::floor(v);
-      const T x = narrow<T>(v);
+      const T x = narrow_from_f64<T>(v);
       std::memcpy(p + i * sizeof(T), &x, sizeof(T));
     }
   }
@@ -106,7 +70,7 @@ f64 diff_loop(const std::byte* a, const std::byte* b, std::size_t n) {
     T x, y;
     std::memcpy(&x, a + i * sizeof(T), sizeof(T));
     std::memcpy(&y, b + i * sizeof(T), sizeof(T));
-    worst = std::max(worst, std::abs(widen(x) - widen(y)));
+    worst = std::max(worst, std::abs(widen_to_f64(x) - widen_to_f64(y)));
   }
   return worst;
 }
@@ -118,14 +82,14 @@ f64 TypedBuffer::get_as_f64(std::size_t i) const {
   return with_storage_type(dtype_, [&](auto tag) {
     decltype(tag) v;
     std::memcpy(&v, at_byte(i), sizeof(v));
-    return widen(v);
+    return widen_to_f64(v);
   });
 }
 
 void TypedBuffer::set_from_f64(std::size_t i, f64 v) {
   FLARE_ASSERT(i < elems_);
   with_storage_type(dtype_, [&](auto tag) {
-    const auto x = narrow<decltype(tag)>(v);
+    const auto x = narrow_from_f64<decltype(tag)>(v);
     std::memcpy(at_byte(i), &x, sizeof(x));
   });
 }

@@ -205,9 +205,10 @@ SingleSwitchResult run_single_switch(const SingleSwitchOptions& opt) {
     if (inserted) acc.fill_identity(op);
     if (pkt.hdr.elem_count > 0) {
       const core::SparseView view = core::sparse_view(pkt, opt.dtype);
+      const core::ElementCombiner combine = op.combiner(opt.dtype);
       for (u32 i = 0; i < view.count; ++i) {
-        op.apply(opt.dtype, acc.at_byte(view.indices[i]),
-                 view.values + static_cast<std::size_t>(i) * esize, 1);
+        combine(acc.at_byte(view.indices[i]),
+                view.values + static_cast<std::size_t>(i) * esize);
       }
     }
     if (pkt.is_last_shard()) {

@@ -133,9 +133,8 @@ void AllreduceService::submit_at(SimTime at, JobSpec spec) {
 bool AllreduceService::try_admit(u32 job, bool* feasible) {
   const JobSpec& spec = specs_[job];
   JobRecord& rec = records_[job];
-  // The monitor-backed link costs behind install must read the fabric as
-  // it is at THIS admission round.
-  if (opt_.monitor != nullptr) opt_.monitor->sample();
+  // Communicator::install samples the monitor, so the link costs behind
+  // the install read the fabric as it is at THIS admission round.
   // kLeastCongested with a monitor passes no roots and no cache: install
   // takes ranked_trees, cheapest first under the monitor's link costs —
   // the path recovery and migration take.  Every other policy tries its

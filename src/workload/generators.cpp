@@ -81,16 +81,21 @@ class IndexBitmap {
 
   std::size_t count() const { return count_; }
 
+  /// Calls f(index) for every member in ascending order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t k = 0; k < words_.size(); ++k) {
+      for (u64 w = words_[k]; w != 0; w &= w - 1) {
+        f(static_cast<u32>(64 * k) + static_cast<u32>(std::countr_zero(w)));
+      }
+    }
+  }
+
   /// The members in ascending order.
   std::vector<u32> indices() const {
     std::vector<u32> out;
     out.reserve(count_);
-    for (std::size_t k = 0; k < words_.size(); ++k) {
-      for (u64 w = words_[k]; w != 0; w &= w - 1) {
-        out.push_back(static_cast<u32>(64 * k) +
-                      static_cast<u32>(std::countr_zero(w)));
-      }
-    }
+    for_each([&](u32 i) { out.push_back(i); });
     return out;
   }
 
@@ -100,10 +105,8 @@ class IndexBitmap {
   std::size_t count_ = 0;
 };
 
-}  // namespace
-
-std::vector<u32> sparse_block_indices(const SparseSpec& spec, u32 host,
-                                      u32 block) {
+/// The non-zero index set of `host`'s data in `block`.
+IndexBitmap block_index_set(const SparseSpec& spec, u32 host, u32 block) {
   const f64 expected =
       static_cast<f64>(spec.span) * std::clamp(spec.density, 0.0, 1.0);
   // Per-host per-block Poisson-ish variation around the expectation, but
@@ -124,22 +127,30 @@ std::vector<u32> sparse_block_indices(const SparseSpec& spec, u32 host,
     set.draw_distinct(shared_rng, shared_count);
   }
   if (nnz > shared_count) set.draw_distinct(host_rng, nnz - shared_count);
-  return set.indices();
+  return set;
+}
+
+}  // namespace
+
+std::vector<u32> sparse_block_indices(const SparseSpec& spec, u32 host,
+                                      u32 block) {
+  return block_index_set(spec, host, block).indices();
 }
 
 std::vector<core::SparsePair> sparse_block_pairs(const SparseSpec& spec,
                                                  u32 host, u32 block) {
-  const std::vector<u32> idx = sparse_block_indices(spec, host, block);
+  const IndexBitmap set = block_index_set(spec, host, block);
   Rng val_rng(
       derive_seed(derive_seed(spec.seed, 0x7A1Eu + host), block));
+  const bool integer = !core::dtype_is_float(spec.dtype);
   std::vector<core::SparsePair> out;
-  out.reserve(idx.size());
-  for (const u32 i : idx) {
+  out.reserve(set.count());
+  set.for_each([&](u32 i) {
     f64 v = val_rng.uniform(-8.0, 8.0);
-    if (!core::dtype_is_float(spec.dtype)) v = std::floor(v);
+    if (integer) v = std::floor(v);
     if (v == 0.0) v = 1.0;  // non-zero by construction
     out.push_back({i, v});
-  }
+  });
   return out;
 }
 
