@@ -14,21 +14,22 @@
 //     so scheduling neither heap-allocates nor copies shared_ptr payloads;
 //   * the calendar keeps closures apart from the keys it orders: a closure
 //     is moved once, at scheduling, into a cell of a chunked slab (stable
-//     addresses, free-list reuse), and the tiers below hold only 24-byte
+//     addresses, free-list reuse), and its buckets hold only 24-byte
 //     trivially copyable (at, seq, cell) keys.  Dispatch runs the closure
-//     in place and frees its cell, so sorting, pouring and inserting keys
-//     never relocate a closure;
-//   * a bucketed calendar queue (time-sliced ring of FIFO buckets under
-//     hierarchical coarse wheels and a far-future overflow heap, O(1)
-//     amortized for the short-delay events that dominate network
-//     simulation).  tests/sim_calendar_property_test checks its dispatch
-//     order against a stable sort of the schedule by time.
+//     in place and frees its cell, so filing and re-filing keys never
+//     relocates a closure;
+//   * the calendar is a radix heap of those keys (see
+//     detail::RadixCalendar): a push is one append, and keys are
+//     re-filed only when the clock moves on, never sorted.
+//     tests/sim_calendar_property_test checks its dispatch order against a
+//     stable sort of the schedule by time.
 //
 // Time units are not interpreted by this layer: the PsPIN simulator ticks in
 // core cycles, the network simulator in picoseconds.
 #pragma once
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -42,23 +43,6 @@
 #include "common/validate.hpp"
 
 namespace flare::sim {
-
-/// Geometry of the bucketed calendar (see detail::BucketCalendar).  All
-/// counts must be powers of two — the ring and wheel indices are computed
-/// with masks on the event-dispatch hot path — and the constructor
-/// FLARE_ASSERTs on anything else.
-///
-/// Defaults: 1024 buckets x 2^16 ps cover a 67 us ring horizon (link
-/// serialization + propagation delays), and two 64-slot coarse wheels on
-/// top extend the structured horizon to ~0.27 s (timeouts, monitor
-/// periods, flow finish times, placement rounds, fault repairs) before
-/// anything touches the far-future overflow heap.
-struct CalendarOptions {
-  u32 bucket_count = 1024;      ///< ring slots (power of two)
-  u32 bucket_width_log2 = 16;   ///< log2 ticks per ring slot
-  u32 coarse_slot_count = 64;   ///< slots per coarse wheel (power of two)
-  u32 coarse_levels = 2;        ///< hierarchical wheels above the ring (0 = none)
-};
 
 /// Move-only type-erased `void()` callable with inline small-object
 /// storage.  Sized so the hottest closures in the repo — a captured
@@ -147,7 +131,7 @@ class EventFn {
 
 namespace detail {
 
-/// A calendar entry as the tiers order it.  (at, seq) is a unique total
+/// A calendar entry as the buckets order it.  (at, seq) is a unique total
 /// order: seq is the insertion sequence number, so same-time events
 /// dispatch FIFO.  `cell` names the entry's closure in the slab.
 struct EventKey {
@@ -157,86 +141,54 @@ struct EventKey {
 };
 static_assert(std::is_trivially_copyable_v<EventKey>);
 
-/// `true` when a dispatches before b.
-inline bool dispatches_before(const EventKey& a, const EventKey& b) {
-  if (a.at != b.at) return a.at < b.at;
-  return a.seq < b.seq;  // FIFO among same-time events.
-}
-
-/// Bucketed calendar queue: a ring of FIFO buckets (each covering
-/// 2^bucket_width_log2 ticks), a configurable stack of coarse hierarchical
-/// wheels above the ring, and a far-future overflow heap on top.  Pushing
-/// an event inside the ring horizon is an O(1) append; buckets are sorted
-/// by (at, seq) once, when the cursor reaches them.  Events scheduled into
-/// the bucket currently being drained (the short-delay pattern the network
-/// layer hammers) are placed by binary search among the not-yet-dispatched
-/// remainder, preserving the exact (at, seq) total order.
+/// Radix heap of keys (Ahuja, Mehlhorn, Orlin and Tarjan, 1990).  It
+/// relies on the calendar being monotone: nothing is scheduled before the
+/// last dispatched instant.  Keys are filed against a bound, the `at` the
+/// calendar last moved to, in 65 FIFO buckets:
 ///
-/// Zero-delay events skip that insert: while a bucket is being drained, a
-/// key whose `at` equals the last dispatched key's `at` is appended to a
-/// same-instant FIFO lane, and the front is whichever of the bucket
-/// remainder's front and the lane's front dispatches first.  The lane is
-/// already in (at, seq) order — each lane key carries the largest seq so
-/// far and nothing earlier than now can be scheduled — it empties before
-/// the clock moves on, and it is cleared when the cursor leaves the
-/// bucket.  On the frozen 64-host training scenario (perfbench train64)
-/// 54% of all events take the lane; it cut the run's median time by 14%
-/// and its peak RSS by about 3 MB, since zero-delay keys no longer grow
-/// the buckets' storage (README, "Performance").
+///   * bucket 0 holds the keys at the bound, in seq order.  It is the
+///     front: pop() reads it, and a zero-delay event is one append to it;
+///   * bucket b >= 1 holds the keys whose `at` first differs from the
+///     bound at bit b-1 (b = bit_width(at ^ bound)).
 ///
-/// Coarse wheel k (k = 0..levels-1) slices time into blocks of
-/// bucket_count * coarse_slot_count^k ring slots and admits events inside
-/// a sliding window of coarse_slot_count such blocks.  A wheel slot is
-/// poured into the tiers below exactly when the cursor enters its
-/// (aligned) block, so events cascade ring-ward without ever being
-/// re-sorted: the final dispatch order is still decided by the in-bucket
-/// (at, seq) sort.  Only events beyond the top wheel's window — with the
-/// default geometry, further than ~0.27 s ahead — pay the O(log n)
-/// overflow heap, which is what keeps multi-second horizons (flow finish
-/// times, repair timers) from thrashing the heap on every reschedule.
+/// When bucket 0 runs dry, the lowest non-empty bucket b gives the next
+/// bound, its least `at`.  Every key of bucket b agrees with that bound
+/// above bit b-1, so the bucket's keys all re-file into the (empty)
+/// buckets below b, and the buckets above keep their meaning.  Keys with
+/// equal `at` therefore always share a bucket, and each bucket keeps them
+/// in push order: the (at, seq) order holds with no sort and no sorted
+/// insert.  A key re-files at most once per bit, and the short delays of
+/// the network layer use the low buckets only.
 ///
-/// Key storage follows the pending events, not the geometry: a ring
-/// bucket or wheel slot holds a vector only while it holds keys.  When the
-/// cursor leaves a drained bucket, and once a poured wheel slot's keys are
-/// placed, the emptied vector (capacity kept) joins one spare list,
-/// `spare_`; a slot without storage takes the back of that list for its
-/// first key.  So the calendar's vectors number the slots that are
-/// non-empty at the same time: on train64 (seed 1) a Simulator ends with
-/// at most 30 vectors of 6,016 keys in all, where ring buckets that each
-/// kept their own high-water capacity held up to 128,288 keys (3 MB).
+/// Rewind rule.  The bound can run ahead of the clock: run_until's peek()
+/// moves it to the next pending key, and the window may end before that
+/// key, so a caller can then schedule between the clock and the bound
+/// (and the validator-test backdoor can schedule before the clock).  Such
+/// a push lowers the bound to its own `at` and re-files every pending key
+/// against it, walking the buckets in ascending order so equal-`at` keys
+/// keep their order.  Without the rewind the new key would dispatch after
+/// later keys.
 ///
-/// Every tier holds keys only.  The closures sit in the calendar's slab
+/// The buckets hold keys only.  The closures sit in the calendar's slab
 /// from push() until the dispatcher release()s them; the slab's destructor
 /// destroys the closures of events still pending.
-class BucketCalendar {
+class RadixCalendar {
  public:
-  explicit BucketCalendar(const CalendarOptions& opts);
-
   /// Parks `fn` in a free slab cell and files its key.
   void push(SimTime at, u64 seq, EventFn&& fn);
   /// Removes the earliest key.  Its closure stays parked until release().
   EventKey pop() {
-    ensure_front();
+    front();
     return pop_peeked();
   }
-  /// Valid until the next push/pop.  Non-const: advancing to the next
-  /// non-empty bucket (and sorting it) happens lazily here.
-  const EventKey* peek() { return empty() ? nullptr : ensure_front(); }
+  /// Valid until the next push/pop.  Non-const: when bucket 0 is empty it
+  /// moves the bound on, re-filing a bucket.
+  const EventKey* peek() { return empty() ? nullptr : &front(); }
   /// pop() without finding the front again: removes the key the preceding
   /// peek() returned.  Nothing may be pushed in between.
   EventKey pop_peeked() {
-    const EventKey key = *front_;
-    if (front_in_lane_) {
-      lane_pos_ += 1;
-    } else {
-      pos_ += 1;
-      ring_count_ -= 1;
-    }
     size_ -= 1;
-    // Monotone even if the validator-test backdoor dispatches a past key,
-    // so the lane only ever holds one timestamp.
-    last_at_ = std::max(last_at_, key.at);
-    return key;
+    return buckets_[0][head_++];
   }
   bool empty() const { return size_ == 0; }
   u64 size() const { return size_; }
@@ -258,59 +210,28 @@ class BucketCalendar {
   static constexpr u32 kChunkLog2 = 8;
   static constexpr u64 kChunkCells = u64{1} << kChunkLog2;
 
-  u64 slot_of(SimTime at) const { return at >> width_log2_; }
-  u64 ring_index(u64 slot) const { return slot & ring_mask_; }
-
-  /// Finds the earliest key and records where it sits (front_,
-  /// front_in_lane_) for pop_peeked().
-  const EventKey* ensure_front();
-  /// Routes a key (relative to cur_slot_) into the ring, the lowest
-  /// admitting coarse wheel, or the overflow heap.  Does not touch size_.
-  void place(const EventKey& key);
-  /// Moves the cursor to new_slot, pouring every coarse-wheel slot whose
-  /// block the cursor just entered (top level first, so poured events
-  /// settle through lower tiers) and pulling newly-admissible far events.
-  void advance_cursor(u64 new_slot);
-  void pull_far();
-  /// Appends `key` to a ring bucket or wheel slot, giving a slot without
-  /// storage the back of spare_ first.
-  void append(std::vector<EventKey>& slot, const EventKey& key) {
-    if (slot.capacity() == 0 && !spare_.empty()) {
-      slot = std::move(spare_.back());
-      spare_.pop_back();
-    }
-    slot.push_back(key);
+  /// The earliest key: bucket 0's next one, after advance() if it ran dry.
+  const EventKey& front() {
+    FLARE_ASSERT(size_ > 0);
+    if (head_ == buckets_[0].size()) advance();
+    return buckets_[0][head_];
   }
-  /// Empties `slot` and moves its storage to spare_.
-  void recycle(std::vector<EventKey>& slot) {
-    slot.clear();
-    spare_.push_back(std::move(slot));
+  /// Moves the bound to the least `at` of the lowest non-empty bucket and
+  /// re-files that bucket's keys into the buckets below it.
+  void advance();
+  /// Lowers the bound to `at`, re-filing every pending key (rewind rule).
+  void rewind(SimTime at);
+  void file(const EventKey& key) {
+    const auto b = static_cast<u32>(std::bit_width(key.at ^ bound_));
+    buckets_[b].push_back(key);
+    if (b != 0) occupied_ |= u64{1} << (b - 1);
   }
 
-  // Geometry (fixed at construction; see CalendarOptions).
-  u32 width_log2_;
-  u64 ring_buckets_;
-  u64 ring_mask_;
-  u64 wheel_slots_;
-  u64 wheel_mask_;
-  u32 levels_;
-  std::vector<u32> shift_;  ///< per-level block size in log2 ring slots
-
-  std::vector<std::vector<EventKey>> ring_;
-  std::vector<std::vector<std::vector<EventKey>>> wheels_;  ///< [level][slot]
-  std::vector<u64> wheel_count_;  ///< events resident per wheel level
-  std::vector<EventKey> far_;  ///< min-heap of keys beyond every wheel
-  std::vector<std::vector<EventKey>> spare_;  ///< emptied slot storage
-  std::vector<EventKey> lane_;  ///< same-instant FIFO beside the current bucket
-  u64 ring_count_ = 0;      ///< events resident in the ring (lane excluded)
-  u64 cur_slot_ = 0;        ///< time slot the cursor is draining
-  std::size_t pos_ = 0;     ///< dispatch position within the current bucket
-  std::size_t lane_pos_ = 0;  ///< dispatch position within lane_
-  bool sorted_ = false;     ///< current bucket sorted and being drained
+  std::array<std::vector<EventKey>, 65> buckets_;
+  std::size_t head_ = 0;  ///< dispatch position in buckets_[0]
+  u64 occupied_ = 0;      ///< bit b-1 set while bucket b >= 1 holds keys
+  SimTime bound_ = 0;
   u64 size_ = 0;
-  SimTime last_at_ = 0;     ///< latest `at` popped so far
-  const EventKey* front_ = nullptr;  ///< what ensure_front() last returned
-  bool front_in_lane_ = false;       ///< ... and whether it is lane_'s front
 
   // Closure slab: fixed-size chunks, so a parked closure never moves.
   std::vector<std::unique_ptr<EventFn[]>> chunks_;
@@ -322,8 +243,7 @@ class BucketCalendar {
 
 class Simulator {
  public:
-  explicit Simulator(const CalendarOptions& opts = {})
-      : calendar_(opts) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -373,7 +293,7 @@ class Simulator {
  private:
   void dispatch(detail::EventKey key);
 
-  detail::BucketCalendar calendar_;
+  detail::RadixCalendar calendar_;
   SimTime now_ = 0;
   u64 next_seq_ = 0;
   u64 events_run_ = 0;

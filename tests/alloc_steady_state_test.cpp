@@ -9,11 +9,11 @@
 // other suite runs on the replaced allocator) and compares iterations 3-4
 // of a 4-block and a 16-block request.
 //
-// Every iteration starts on a multiple of the calendar ring's period, so
-// its events land in the same buckets at the same offsets as the one
-// before: the calendar's key vectors, which drained slots pass on to
-// newly filled ones through its spare list, are warm after the first
-// iterations, and what is counted is the data plane's.
+// Every iteration starts on a multiple of one fixed period, longer than
+// any iteration here, so its events run at the same offsets as the one
+// before: the calendar's bucket vectors, which keep their capacity, are
+// warm after the first iterations, and what is counted is the data
+// plane's.
 //
 // The sparse in-network data plane is checked the same way, against the
 // number of pairs each host stages per block rather than the number of
@@ -22,9 +22,11 @@
 // per pair.
 //
 // The calendar's own storage is checked on a bare simulator: it must
-// follow the events pending, not the number of ring buckets visited.
+// follow the radix-heap buckets a run reaches, not the events it
+// dispatches.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <new>
 
@@ -47,6 +49,9 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace flare::coll {
 namespace {
 
+/// Iteration period of the persistent requests below: 2^26 ps (67 us).
+constexpr SimTime kPeriod = SimTime{1} << 26;
+
 /// Heap allocations made by iterations 3 and 4 of a persistent int32
 /// allreduce of `blocks` blocks per host on a 16-host radix-4 fat tree,
 /// aggregated by `policy` on every tree switch.
@@ -65,19 +70,16 @@ std::size_t warm_iteration_allocations(core::AggPolicy policy, u32 blocks) {
   desc.policy = policy;
   PersistentCollective pc = comm.persistent(desc);
   EXPECT_TRUE(pc.in_network());
-  const sim::CalendarOptions calendar;
-  const SimTime period = SimTime{calendar.bucket_count}
-                         << calendar.bucket_width_log2;
   std::size_t before = 0;
   for (u32 it = 0; it < 4; ++it) {  // two warm-ups, then two counted
-    net.sim().run_until((it + 1) * period);
+    net.sim().run_until((it + 1) * kPeriod);
     if (it == 2) before = g_allocations;
     const CollectiveResult res = pc.run();
     EXPECT_TRUE(res.ok) << "iteration " << it;
     EXPECT_EQ(res.max_abs_err, 0.0) << "iteration " << it;
     EXPECT_EQ(res.blocks, blocks);
     EXPECT_LT(res.completion_seconds * kPsPerSecond,
-              static_cast<f64>(period));
+              static_cast<f64>(kPeriod));
   }
   return g_allocations - before;
 }
@@ -99,8 +101,8 @@ TEST(SteadyStateAllocations, IndependentOfBlockCount) {
 /// above, each host staging `density` of every block.  Every iteration
 /// stages the same pairs, so the warm-ups see the counted iterations'
 /// packets and events.  It takes one more warm-up than the dense request
-/// before the calendar's spare key vectors (see the file comment) have
-/// settled into the buckets the iteration fills.
+/// before every calendar bucket the iterations fill has grown to its
+/// high-water mark (see the file comment).
 std::size_t warm_sparse_iteration_allocations(f64 density) {
   constexpr u32 kSpan = 1024;
   constexpr u32 kBlocks = 4;
@@ -122,19 +124,16 @@ std::size_t warm_sparse_iteration_allocations(f64 density) {
   };
   PersistentCollective pc = comm.persistent(desc);
   EXPECT_TRUE(pc.in_network());
-  const sim::CalendarOptions calendar;
-  const SimTime period = SimTime{calendar.bucket_count}
-                         << calendar.bucket_width_log2;
   std::size_t before = 0;
   for (u32 it = 0; it < 5; ++it) {  // three warm-ups, then two counted
-    net.sim().run_until((it + 1) * period);
+    net.sim().run_until((it + 1) * kPeriod);
     if (it == 3) before = g_allocations;
     const CollectiveResult res = pc.run();
     EXPECT_TRUE(res.ok) << "iteration " << it;
     EXPECT_EQ(res.max_abs_err, 0.0) << "iteration " << it;
     EXPECT_GT(res.host_pairs_sent, 0u);
     EXPECT_LT(res.completion_seconds * kPsPerSecond,
-              static_cast<f64>(period));
+              static_cast<f64>(kPeriod));
   }
   return g_allocations - before;
 }
@@ -150,38 +149,57 @@ TEST(SteadyStateAllocations, SparseIndependentOfStagedPairs) {
 }
 
 /// One event chain: each dispatch reschedules the chain `step` ticks
-/// later until `end`, and the 64th dispatch of all chains together
-/// snapshots the allocation counter.
+/// later until `end`.
 struct Chain {
   sim::Simulator* sim;
   SimTime step;
   SimTime end;
   u64* dispatched;
-  std::size_t* warm;
   void operator()() const {
-    if (++*dispatched == 64) *warm = g_allocations;
+    *dispatched += 1;
     if (sim->now() + step <= end) sim->schedule_after(step, *this);
   }
 };
 
-TEST(SteadyStateAllocations, CalendarStorageFollowsPendingEvents) {
-  // Four chains, each one bucket width + 1 tick per hop, cross every ring
-  // bucket for three ring periods with at most four keys ever pending.
-  // Storage that follows the pending keys is warm after a few buckets; a
-  // ring whose buckets each kept their own vector would grow every one
-  // of its 1024 buckets once.
-  const sim::CalendarOptions calendar;
-  const SimTime width = SimTime{1} << calendar.bucket_width_log2;
-  const SimTime period = SimTime{calendar.bucket_count} * width;
-  sim::Simulator sim;
+/// Heap allocations of a bare simulator, from its construction to its
+/// destruction, that runs four chains of 2^16 + 1-tick hops for `periods`
+/// x kPeriod ticks, and the number of events it ran.
+struct ChainRun {
+  std::size_t allocations = 0;
   u64 dispatched = 0;
-  std::size_t warm = 0;
-  for (SimTime c = 0; c < 4; ++c)
-    sim.schedule_at(c, Chain{&sim, width + 1, 3 * period, &dispatched, &warm});
-  sim.run();
-  EXPECT_GT(dispatched, 4 * 3 * u64{calendar.bucket_count} * 9 / 10);
-  ASSERT_GT(warm, 0u);  // the counter is live and the snapshot was taken
-  EXPECT_LE(g_allocations - warm, 8u);
+};
+
+ChainRun run_chains(u64 periods) {
+  ChainRun r;
+  const std::size_t before = g_allocations;
+  {
+    sim::Simulator sim;
+    for (SimTime c = 0; c < 4; ++c) {
+      sim.schedule_at(c, Chain{&sim, (SimTime{1} << 16) + 1,
+                               periods * kPeriod, &r.dispatched});
+    }
+    sim.run();
+  }
+  r.allocations = g_allocations - before;
+  return r;
+}
+
+TEST(SteadyStateAllocations, CalendarStorageFollowsBucketsReached) {
+  // The radix heap files a key in bucket bit_width(at ^ bound), so a run
+  // that ends before 2^k ticks reaches buckets 0..k only.  Each bucket's
+  // vector keeps its capacity and never holds more than the four pending
+  // keys: at most three growths (capacity 1, 2, 4) per bucket reached,
+  // plus the closure slab's chunk, chunk list and free list.  100x the
+  // dispatches adds only the buckets of the extra time bits.
+  for (const u64 periods : {3, 30, 300}) {
+    SCOPED_TRACE(periods);
+    const ChainRun r = run_chains(periods);
+    EXPECT_GT(r.dispatched, 4 * periods * 1024 * 9 / 10);
+    ASSERT_GT(r.allocations, 0u);  // the counter is live
+    const auto buckets =
+        static_cast<std::size_t>(std::bit_width(periods * kPeriod)) + 1;
+    EXPECT_LE(r.allocations, 3 * buckets + 5);
+  }
 }
 
 }  // namespace

@@ -179,22 +179,22 @@ struct BigProbe {
 };
 static_assert(sizeof(BigProbe) > EventFn::kInlineBytes);
 
-/// Destroying a Simulator with events pending in every calendar tier (the
-/// same-instant lane, the ring, both coarse wheels and the far heap)
-/// destroys each parked closure exactly once, inline and heap-fallback
-/// alike, and runs none of them.
+/// Destroying a Simulator with events pending across the calendar's radix
+/// buckets (bucket 0, the keys at the current instant, and low, middle and
+/// high buckets) destroys each parked closure exactly once, inline and
+/// heap-fallback alike, and runs none of them.
 TEST(Simulator, DestroyingWithPendingEventsDestroysEachClosureOnce) {
   u64 destroyed = 0;
   u64 invoked = 0;
   u64 scheduled = 0;
   {
-    Simulator sim;  // 2^26 ps ring, wheels to 2^32 and 2^38 ps
+    Simulator sim;
     const SimTime kTierTimes[] = {
         1000,            // dispatched below, freeing its slots
-        u64{1} << 20,    // ring
-        u64{1} << 30,    // coarse wheel 0
-        u64{1} << 36,    // coarse wheel 1
-        u64{1} << 45,    // far heap
+        u64{1} << 20,    // bucket 21 while the clock reads 1500
+        u64{1} << 30,    // bucket 31
+        u64{1} << 36,    // bucket 37
+        u64{1} << 45,    // bucket 46
     };
     for (const SimTime at : kTierTimes) {
       for (int i = 0; i < 3; ++i) {
@@ -205,8 +205,8 @@ TEST(Simulator, DestroyingWithPendingEventsDestroysEachClosureOnce) {
         scheduled += 2;
       }
     }
-    // Zero-delay children join the same-instant lane, and stop() returns
-    // with all of them still pending there.
+    // Zero-delay children join bucket 0, and stop() returns with all of
+    // them still pending there.
     sim.schedule_at(1500, [&] {
       for (int i = 0; i < 3; ++i) {
         sim.schedule_after(0, LifetimeProbe(&destroyed, &invoked));
