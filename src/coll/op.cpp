@@ -11,6 +11,33 @@
 
 namespace flare::coll::detail {
 
+namespace {
+
+/// tree_max_congestion_excluding over just the participants' access edges
+/// (leaf, host port), which every tree spanning them crosses: no such
+/// tree reads cooler than this.
+f64 access_max_congestion_excluding(const net::CongestionMonitor& monitor,
+                                    const net::Network& net,
+                                    const std::vector<net::Host*>& participants,
+                                    u32 trace) {
+  f64 worst = 0.0;
+  for (const net::Host* host : participants) {
+    // The same (leaf, port) pair NetworkManager::attach finds.
+    const net::NodeId leaf = net.neighbors(host->id())[0].peer;
+    for (const net::PortPeer& pp : net.neighbors(leaf)) {
+      if (pp.peer == host->id()) {
+        const f64 heat =
+            monitor.edge_congestion_excluding(leaf, pp.my_port, trace);
+        worst = std::max(worst, heat);
+        break;
+      }
+    }
+  }
+  return worst;
+}
+
+}  // namespace
+
 // ============================================================ lifecycle ===
 
 OpBase::OpBase(net::Network& net, const std::vector<net::Host*>& participants,
@@ -493,17 +520,29 @@ void TreeOpBase::maybe_migrate() {
     tr->instant(trace_, "migrate-considered", net_.sim().now(),
                 "migration");
   }
-  const std::optional<ReductionTree> best =
-      manager_.cheapest_tree(participants_);
   // Hysteresis on the WORST edge, in the same excluding view: edges every
   // candidate must cross (the participants' access links) carry the same
   // foreign heat everywhere and cancel out of a max — a migration must
   // actually shed the hottest foreign load, or the congestion is one no
-  // tree can route around.
-  if (!best || tree_max_congestion_excluding(*monitor_, *best, trace_) >
-                   kMigrateImprovement * cur_hot) {
+  // tree can route around.  When those access edges alone already fail
+  // the hysteresis, every candidate does, and the root sweep is skipped.
+  const f64 bar = kMigrateImprovement * cur_hot;
+  const auto passes = [&](const std::optional<ReductionTree>& t) {
+    return t && tree_max_congestion_excluding(*monitor_, *t, trace_) <= bar;
+  };
+  const f64 access_hot =
+      access_max_congestion_excluding(*monitor_, net_, participants_, trace_);
+  if (access_hot > bar) {
+    if (validate::enabled() && passes(manager_.cheapest_tree(participants_))) {
+      validate::fail("sweep-bound",
+                     "collective " + std::to_string(trace_) +
+                         ": the access floor skipped a migration");
+    }
     return;
   }
+  const std::optional<ReductionTree> best =
+      manager_.cheapest_tree(participants_);
+  if (!passes(best)) return;
   migrate_to(*best, /*planned=*/false);
 }
 

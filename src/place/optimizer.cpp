@@ -4,9 +4,27 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <utility>
 
+#include "common/validate.hpp"
+
 namespace flare::place {
+
+namespace {
+
+/// max over `links` of (load[l] + kColdStartWeight): admission scoring's
+/// worst-edge heat.
+f64 worst_marginal_load(const CostSnapshot& snap,
+                        const std::vector<u32>& links) {
+  f64 worst = 0.0;
+  for (const u32 l : links) {
+    worst = std::max(worst, snap.load()[l] + kColdStartWeight);
+  }
+  return worst;
+}
+
+}  // namespace
 
 /// Descent working state: the one assignment of the whole fleet, edited in
 /// place.
@@ -93,6 +111,33 @@ std::optional<PlacementOptimizer::Candidate> PlacementOptimizer::best_tree(
   return best;
 }
 
+f64 PlacementOptimizer::access_floor(const CostSnapshot& snap, State& st,
+                                     u32 a, u32 b) const {
+  std::vector<u32> prev_a = st.relink(snap, a, snap.jobs()[a].access);
+  std::vector<u32> prev_b = st.relink(snap, b, snap.jobs()[b].access);
+  const f64 floor =
+      placement_objective(snap, st.links, st.load, opt_.heat_exponent);
+  st.relink(snap, b, std::move(prev_b));
+  st.relink(snap, a, std::move(prev_a));
+  return floor;
+}
+
+std::optional<PlacementOptimizer::CandidatePair> PlacementOptimizer::best_pair(
+    const CostSnapshot& snap, State& st, u32 a, u32 b, PlacementPlan& plan) {
+  std::vector<u32> prev_a = st.relink(snap, a, {});
+  std::vector<u32> prev_b = st.relink(snap, b, {});
+  std::optional<Candidate> ca = best_tree(snap, st, a, plan);
+  std::optional<Candidate> cb;
+  if (ca) {
+    st.relink(snap, a, snap.tree_links(ca->tree));
+    cb = best_tree(snap, st, b, plan);
+  }
+  st.relink(snap, a, std::move(prev_a));
+  st.relink(snap, b, std::move(prev_b));
+  if (!cb) return std::nullopt;
+  return CandidatePair{std::move(*ca), std::move(*cb)};
+}
+
 bool PlacementOptimizer::pair_escape(const CostSnapshot& snap, State& st,
                                      PlacementPlan& plan) {
   const u32 num_jobs = static_cast<u32>(snap.jobs().size());
@@ -111,23 +156,32 @@ bool PlacementOptimizer::pair_escape(const CostSnapshot& snap, State& st,
     }
     for (u32 b = 0; b < num_jobs; ++b) {
       if (b == a) continue;
-      std::vector<u32> prev_a = st.relink(snap, a, {});
-      std::vector<u32> prev_b = st.relink(snap, b, {});
-      std::optional<Candidate> ca = best_tree(snap, st, a, plan);
-      std::optional<Candidate> cb;
-      if (ca) {
-        st.relink(snap, a, snap.tree_links(ca->tree));
-        cb = best_tree(snap, st, b, plan);
+      // Every placement of the pair scores at least the floor with both
+      // on their access links: at st.cost or above, none can be kept.
+      if (access_floor(snap, st, a, b) >= st.cost) {
+        if (validate::enabled()) {
+          PlacementPlan audit;
+          const std::optional<CandidatePair> pair =
+              best_pair(snap, st, a, b, audit);
+          if (pair && pair->second.cost < st.cost) {
+            validate::fail("sweep-bound",
+                           "jobs " + std::to_string(snap.jobs()[a].job_id) +
+                               "+" + std::to_string(snap.jobs()[b].job_id) +
+                               ": the floor skipped an improving pair");
+          }
+        }
+        continue;
       }
-      if (cb && cb->cost < st.cost) {
-        st.relink(snap, b, snap.tree_links(cb->tree));
-        st.trees[a] = std::move(ca->tree);
-        st.trees[b] = std::move(cb->tree);
-        st.cost = cb->cost;
+      std::optional<CandidatePair> pair = best_pair(snap, st, a, b, plan);
+      if (pair && pair->second.cost < st.cost) {
+        auto& [ca, cb] = *pair;
+        st.relink(snap, a, snap.tree_links(ca.tree));
+        st.relink(snap, b, snap.tree_links(cb.tree));
+        st.trees[a] = std::move(ca.tree);
+        st.trees[b] = std::move(cb.tree);
+        st.cost = cb.cost;
         return true;
       }
-      st.relink(snap, a, std::move(prev_a));
-      st.relink(snap, b, std::move(prev_b));
     }
   }
   return false;
@@ -139,18 +193,31 @@ PlacementPlan PlacementOptimizer::optimize(const CostSnapshot& snap) {
   const u32 num_jobs = static_cast<u32>(jobs.size());
 
   State st;
-  st.links.resize(num_jobs);
-  st.load = snap.background();
-  for (u32 j = 0; j < num_jobs; ++j) {  // in job order, as a rebuild sums
-    st.trees.push_back(jobs[j].tree);
-    st.relink(snap, j, jobs[j].links);
+  for (const JobView& jv : jobs) {
+    st.trees.push_back(jv.tree);
+    st.links.push_back(jv.links);
   }
+  st.load = snap.load();  // summed in job order, as relink sums
   st.cost = placement_objective(snap, st.links, st.load, opt_.heat_exponent);
   plan.cost_before = st.cost;
   while (num_jobs > 0 && plan.passes < opt_.iterations) {
     ++plan.passes;  // single-job pass: each job to its best tree
     bool moved = false;
     for (u32 j = 0; j < num_jobs; ++j) {
+      // Every embedding of j scores at least the floor with j on its
+      // access links: at st.cost or above, the sweep cannot move j.
+      if (access_floor(snap, st, j, j) >= st.cost) {
+        if (validate::enabled()) {
+          PlacementPlan audit;
+          const std::optional<Candidate> c = best_tree(snap, st, j, audit);
+          if (c && c->cost < st.cost) {
+            validate::fail("sweep-bound",
+                           "job " + std::to_string(jobs[j].job_id) +
+                               ": the floor skipped an improving move");
+          }
+        }
+        continue;
+      }
       std::optional<Candidate> c = best_tree(snap, st, j, plan);
       if (!c || c->cost >= st.cost) continue;
       st.relink(snap, j, snap.tree_links(c->tree));
@@ -189,19 +256,16 @@ f64 PlacementOptimizer::admission_score(
     const CostSnapshot& snap, const std::vector<net::Host*>& participants) {
   // Fleet-wide frozen load with nothing excluded: the queued job is purely
   // marginal.
-  std::vector<f64> load = snap.background();
-  for (const JobView& jv : snap.jobs()) {
-    for (const u32 l : jv.links) load[l] += jv.weight;
-  }
-  set_heat(load, {}, 0.0);
+  set_heat(snap.load(), {}, 0.0);
   const std::optional<coll::ReductionTree> best =
       manager_.cheapest_tree(participants);
   if (!best) return std::numeric_limits<f64>::infinity();
-  f64 score = 0.0;
-  for (const u32 l : snap.tree_links(*best)) {
-    score = std::max(score, load[l] + kColdStartWeight);
-  }
-  return score;
+  return worst_marginal_load(snap, snap.tree_links(*best));
+}
+
+f64 admission_floor(const CostSnapshot& snap,
+                    const std::vector<net::Host*>& participants) {
+  return worst_marginal_load(snap, snap.access_links(participants));
 }
 
 f64 placement_objective(const CostSnapshot& snap,

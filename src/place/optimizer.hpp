@@ -27,8 +27,20 @@
 // two jobs out of the load, one of them on the hottest link, and places
 // both in turn; the first improving pair resumes the passes.  It is a pure
 // function of the snapshot: every tie-break is deterministic.
+//
+// Most root sweeps cannot win, and a floor skips them.  Every embedding of
+// a job crosses its participants' access links (both directions), loads
+// only grow as a tree's other links join, and +, max, − and exp are
+// monotone under round-to-nearest — so the objective with the moving job
+// (or pair) cut back to its access links is at most what any candidate
+// scores.  A sweep (or pair) whose floor already reaches the current
+// objective is not run: the plan is the one the full search finds, with
+// far fewer sweeps (FLARE_VALIDATE runs each skipped sweep anyway and
+// fails "sweep-bound" if it would have moved a job or kept a pair).
 #pragma once
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "place/snapshot.hpp"
@@ -61,8 +73,10 @@ struct PlacementPlan {
   f64 cost_before = 0.0;  ///< objective of the as-is assignment
   f64 cost_after = 0.0;   ///< objective of the assignment the descent ends at
   u32 passes = 0;         ///< single-job passes run
-  u32 root_sweeps = 0;    ///< best-tree queries (every root's tree built)
-  u32 proposed = 0;       ///< candidate embeddings scored by the objective
+  /// Best-tree queries run (every root's tree built); sweeps the access
+  /// floor rules out are neither run nor counted.
+  u32 root_sweeps = 0;
+  u32 proposed = 0;  ///< candidate embeddings scored in the sweeps run
   /// Jobs whose best embedding differs from the snapshot's, ascending
   /// job_id.  May be empty (as-is assignment already optimal).
   std::vector<PlannedMove> moves;
@@ -95,14 +109,24 @@ class PlacementOptimizer {
     f64 cost = 0.0;
     coll::ReductionTree tree;
   };
+  using CandidatePair = std::pair<Candidate, Candidate>;
   /// Job `j`'s best embedding: every root's tree under the other jobs'
   /// heat (ranked_trees: one root sweep), scored by the objective with j
   /// moved onto it, first lowest wins; trees on j's current links are
   /// skipped.  Leaves `st` as it was; nullopt when nothing else spans.
   std::optional<Candidate> best_tree(const CostSnapshot& snap, State& st,
                                      u32 j, PlacementPlan& plan);
+  /// Pair `a`, `b` re-embedded with both out of the load: `a` at its best
+  /// tree, then `b` at its best given `a`; the second cost is the pair's
+  /// objective.  Leaves `st` as it was; nullopt when either cannot span.
+  std::optional<CandidatePair> best_pair(const CostSnapshot& snap, State& st,
+                                         u32 a, u32 b, PlacementPlan& plan);
   /// Keeps the first improving pair re-embedding; false when none helps.
   bool pair_escape(const CostSnapshot& snap, State& st, PlacementPlan& plan);
+  /// The objective with jobs `a` and `b` (one job: a == b) cut back to
+  /// their access links — a floor on every candidate best_tree or
+  /// best_pair could score for them.  Leaves `st` as it was.
+  f64 access_floor(const CostSnapshot& snap, State& st, u32 a, u32 b) const;
 
   net::Network& net_;
   OptimizerOptions opt_;
@@ -122,6 +146,13 @@ class PlacementOptimizer {
 f64 placement_objective(const CostSnapshot& snap,
                         const std::vector<std::vector<u32>>& links,
                         const std::vector<f64>& load, f64 heat_exponent);
+
+/// A floor on admission_score(snap, participants): the worst
+/// (load[l] + kColdStartWeight) over the participants' access links, which
+/// the cheapest embedding crosses like every other.  The service skips
+/// scoring a queued job whose floor cannot beat the best score so far.
+f64 admission_floor(const CostSnapshot& snap,
+                    const std::vector<net::Host*>& participants);
 
 /// Hysteresis: drops plan moves with predicted_gain < min_gain (applying a
 /// migration costs a break-before-make install; marginal wins churn the

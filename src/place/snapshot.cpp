@@ -52,6 +52,7 @@ CostSnapshot CostSnapshot::freeze(net::Network& net,
     jv.participants = std::move(in.participants);
     jv.tree = std::move(in.tree);
     jv.links = snap.tree_links(jv.tree);
+    jv.access = snap.access_links(jv.participants);
     f64 own = 0.0;
     for (const u32 l : jv.links) {
       own = std::max(own, monitor.link_trace_ewma(l, jv.trace));
@@ -72,6 +73,10 @@ CostSnapshot CostSnapshot::freeze(net::Network& net,
       self += monitor.link_trace_ewma(i, jv.trace);
     }
     snap.background_[i] = std::max(0.0, total_ewma(i) - self);
+  }
+  snap.load_ = snap.background_;
+  for (const JobView& jv : snap.jobs_) {
+    for (const u32 l : jv.links) snap.load_[l] += jv.weight;
   }
   return snap;
 }
@@ -95,6 +100,25 @@ std::vector<u32> CostSnapshot::tree_links(
       if (rev != nullptr && link_index(rev) != UINT32_MAX) {
         out.push_back(link_index(rev));
       }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<u32> CostSnapshot::access_links(
+    const std::vector<net::Host*>& participants) const {
+  std::vector<u32> out;
+  out.reserve(2 * participants.size());
+  for (const net::Host* host : participants) {
+    const net::Link* up = &host->port(0);  // hosts are single-homed
+    const net::Link* down = up->reverse();
+    for (const net::Link* link : {up, down}) {
+      const u32 i = link_index(link);
+      FLARE_ASSERT_MSG(i != UINT32_MAX,
+                       "access link outside the snapshot fabric");
+      out.push_back(i);
     }
   }
   std::sort(out.begin(), out.end());

@@ -63,6 +63,9 @@ struct JobView {
   /// Unidirectional link indices the embedding crosses (both directions of
   /// every tree edge; sorted, deduplicated).
   std::vector<u32> links;
+  /// The participants' access links (access_links): a subset of `links`
+  /// and of every other embedding of the job.
+  std::vector<u32> access;
 };
 
 class CostSnapshot {
@@ -81,6 +84,13 @@ class CostSnapshot {
   /// embeddings against the frozen loads.
   std::vector<u32> tree_links(const coll::ReductionTree& tree) const;
 
+  /// Unidirectional link indices of the participants' access links (both
+  /// directions of each host's one link to its leaf; sorted,
+  /// deduplicated).  Every embedding of the participants crosses them all,
+  /// so they bound any tree the embedding query could return from below.
+  std::vector<u32> access_links(
+      const std::vector<net::Host*>& participants) const;
+
   /// Unidirectional link index of `link` in the frozen fabric, or
   /// UINT32_MAX when the pointer is unknown (a link added after freeze).
   u32 link_index(const net::Link* link) const {
@@ -96,6 +106,9 @@ class CostSnapshot {
   u64 epoch() const { return epoch_; }
   u32 num_links() const { return static_cast<u32>(background_.size()); }
   const std::vector<f64>& background() const { return background_; }
+  /// Per unidirectional link: background plus the weight of every job
+  /// crossing it, summed in ascending job order.
+  const std::vector<f64>& load() const { return load_; }
   const std::vector<JobView>& jobs() const { return jobs_; }
 
  private:
@@ -104,6 +117,7 @@ class CostSnapshot {
   /// Per unidirectional link: EWMA heat the optimizer cannot move
   /// (clamp(total - sum of active jobs' own EWMAs, >= 0)).
   std::vector<f64> background_;
+  std::vector<f64> load_;
   std::vector<JobView> jobs_;  ///< ascending job_id
 };
 

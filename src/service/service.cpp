@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 
+#include "common/validate.hpp"
 #include "obs/trace.hpp"
 #include "place/optimizer.hpp"
 
@@ -258,8 +259,18 @@ std::size_t AllreduceService::pick_queued_index() {
   std::size_t best_i = 0;
   f64 best = std::numeric_limits<f64>::infinity();
   for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const f64 s =
-        scorer.admission_score(snap, specs_[queue_[i]].participants);
+    const std::vector<net::Host*>& hosts = specs_[queue_[i]].participants;
+    // A job whose access links alone score no better than `best` cannot
+    // overtake: its root sweep is skipped.
+    if (place::admission_floor(snap, hosts) >= best) {
+      if (validate::enabled() && scorer.admission_score(snap, hosts) < best) {
+        validate::fail("sweep-bound",
+                       "job " + std::to_string(queue_[i]) +
+                           ": the floor skipped a cheaper admission score");
+      }
+      continue;
+    }
+    const f64 s = scorer.admission_score(snap, hosts);
     if (s < best) {
       best = s;
       best_i = i;

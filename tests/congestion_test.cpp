@@ -18,6 +18,7 @@
 #include "coll/communicator.hpp"
 #include "coll/tree_cache.hpp"
 #include "net/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "service/service.hpp"
 #include "workload/cross_traffic.hpp"
 
@@ -348,6 +349,48 @@ TEST(Migration, SelfHeatIsExcludedForeignHeatTriggers) {
   EXPECT_TRUE(res.ok);
   EXPECT_EQ(res.migrations, 1u);
   EXPECT_NE(pc.tree().root, root);
+  pc.release();
+  for (Switch* s : net.switches()) EXPECT_EQ(s->installed_reduces(), 0u);
+}
+
+/// Foreign heat on a participant's access link only: every embedding
+/// crosses that link, so no tree can shed the heat.  The session considers
+/// a migration (the trace records it), skips the root sweep on its access
+/// floor, and keeps its tree.
+TEST(Migration, AccessLinkHeatIsConsideredButNeverMigrates) {
+  Network net;
+  auto topo = build_fat_tree(net, four_spine_spec());
+  CongestionMonitor monitor(net);
+  obs::Tracer tracer;
+  net.set_tracer(&tracer);
+  coll::CommunicatorConfig ccfg;
+  ccfg.monitor = &monitor;
+  coll::Communicator comm(net, first_hosts(topo, 8), std::move(ccfg));
+  coll::CollectiveOptions desc;
+  desc.algorithm = coll::Algorithm::kFlareDense;
+  desc.data_bytes = 64 * kKiB;
+  desc.dtype = core::DType::kInt32;
+  desc.migrate_above = 0.2;
+  coll::PersistentCollective pc = comm.persistent(desc);
+  ASSERT_TRUE(pc.ok());
+  ASSERT_TRUE(pc.run().ok);
+  const NodeId root = pc.tree().root;
+  const std::vector<coll::TreeSwitchEntry> switches = pc.tree().switches;
+  EXPECT_EQ(tracer.to_json().find("migrate-considered"), std::string::npos);
+
+  heat_link(net, link_by_name(net, "h0->leaf0"), 10 * kMiB);
+  heat_link(net, link_by_name(net, "leaf0->h0"), 10 * kMiB);
+  const auto res = pc.run();
+  EXPECT_TRUE(res.ok);
+  EXPECT_EQ(res.migrations, 0u);
+  EXPECT_EQ(pc.migrations(), 0u);
+  EXPECT_NE(tracer.to_json().find("migrate-considered"), std::string::npos);
+  EXPECT_EQ(pc.tree().root, root);
+  ASSERT_EQ(pc.tree().switches.size(), switches.size());
+  for (std::size_t i = 0; i < switches.size(); ++i) {
+    EXPECT_EQ(pc.tree().switches[i].sw, switches[i].sw);
+    EXPECT_EQ(pc.tree().switches[i].child_ports, switches[i].child_ports);
+  }
   pc.release();
   for (Switch* s : net.switches()) EXPECT_EQ(s->installed_reduces(), 0u);
 }
